@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from . import __version__
 from .ball import Ball, mu1_ball, neumann_spectrum_ball, spectrum_to_csv, upsilon1_poly_ball
@@ -42,6 +43,13 @@ def _resolve_domain(spec: str) -> Domain:
     if spec in CORPUS:
         return corpus_domain(spec)
     return parse_domain(spec)
+
+
+def _h_list(text: str) -> tuple:
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated mesh sizes, got {text!r}") from None
 
 
 def _json_dump(payload) -> str:
@@ -104,27 +112,51 @@ def cmd_ball(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+class StageError(RuntimeError):
+    """A verification step failed; `stage` names the step."""
+
+    def __init__(self, stage: str, cause: Exception):
+        super().__init__(f"{stage}: {cause}")
+        self.stage = stage
+
+
+@contextmanager
+def _stage(name: str):
+    try:
+        yield
+    except Exception as exc:  # noqa: BLE001 - re-raised with the step named
+        raise StageError(name, exc) from exc
+
+
 def build_verification_report(domain_spec: str, m: int, h_list, order: int = 2,
                               use_mps: bool = True, threads: int = 1,
                               mps_trunc: int = 20) -> dict:
-    """Assemble the full inequality-verification report for one domain."""
-    d = _resolve_domain(domain_spec)
-    metrics = domain_metrics(d)
-    bound = upsilon1_poly_ball(Ball(2, metrics.equal_volume_radius), m)
+    """Assemble the full inequality-verification report for one domain.
 
-    study = convergence_study(d, m, h_list, order=order, workers=threads)
+    A failing step raises StageError naming it: "setup", "fem convergence
+    study", "mps" or "certificate".
+    """
+    with _stage("setup"):
+        d = _resolve_domain(domain_spec)
+        metrics = domain_metrics(d)
+        bound = upsilon1_poly_ball(Ball(2, metrics.equal_volume_radius), m)
+
+    with _stage("fem convergence study"):
+        study = convergence_study(d, m, h_list, order=order, workers=threads)
     ups_fem = study.best
     error_bar = study.error_bar
 
     ups_mps = None
     if use_mps and d.is_smooth and m == 1:
         w_est = max(ups_fem, 1e-10) ** 0.25
-        hits = mps_find(d, "polyharm_neumann", (0.75 * w_est, 1.25 * w_est), mps_trunc)
+        with _stage("mps"):
+            hits = mps_find(d, "polyharm_neumann", (0.75 * w_est, 1.25 * w_est), mps_trunc)
         good = [e for e in hits if e.sigma < 1e-6]
         if good:
             ups_mps = min(good, key=lambda e: abs(e.value - ups_fem)).value
 
-    cert = certify_upper_bound(d, m)
+    with _stage("certificate"):
+        cert = certify_upper_bound(d, m)
     inequality_holds = bool(ups_fem + error_bar <= bound)
     report = {
         "domain": domain_spec_string(d),
@@ -154,10 +186,8 @@ def build_verification_report(domain_spec: str, m: int, h_list, order: int = 2,
 
 
 def cmd_verify(args) -> int:
-    h_list = tuple(float(v) for v in args.h_list.split(","))
-    stage = "setup"
+    h_list = args.h_list
     try:
-        stage = "fem convergence study / mps / certificate"
         report = build_verification_report(
             args.domain,
             args.m,
@@ -166,8 +196,8 @@ def cmd_verify(args) -> int:
             use_mps=not args.no_mps,
             threads=args.threads,
         )
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"verify failed during {stage}: {exc}", file=sys.stderr)
+    except StageError as exc:
+        print(f"verify failed during {exc}", file=sys.stderr)
         return 1
     if args.save_eigenfunction:
         stage = "eigenfunction dump"
@@ -281,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="domain spec (disk:.., ellipse:..) or corpus name "
                             f"({', '.join(CORPUS)})")
     p_ver.add_argument("--m", type=int, default=1, help="operator power: Delta^(2m)")
-    p_ver.add_argument("--h-list", default=",".join(str(h) for h in DEFAULT_H_LIST),
+    p_ver.add_argument("--h-list", type=_h_list,
+                       default=",".join(str(h) for h in DEFAULT_H_LIST),
                        help="descending mesh sizes, comma separated")
     p_ver.add_argument("--order", type=int, choices=(1, 2), default=2)
     p_ver.add_argument("--no-mps", action="store_true",

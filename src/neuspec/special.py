@@ -31,7 +31,6 @@ from scipy.special import jv as _jv
 __all__ = [
     "bessel_j",
     "bessel_j_prime",
-    "bessel_j_second",
     "bessel_i",
     "bessel_i_scaled",
     "RadialProfile",
@@ -93,18 +92,6 @@ def bessel_j_prime(nu: float, x) -> float | npt.NDArray:
         out = -_jv(1.0, xa)
     else:
         out = 0.5 * (_jv(nu - 1.0, xa) - _jv(nu + 1.0, xa))
-    return _scalar_or_array(x, out)
-
-
-def bessel_j_second(nu: float, x) -> float | npt.NDArray:
-    """Second derivative via the doubled recurrence (J_{nu-2} - 2J_nu + J_{nu+2})/4.
-
-    Deliberately does not use the Bessel differential equation, so it can
-    serve as one side of residual checks against it.
-    """
-    nu = _check_order(nu)
-    xa = _check_argument(x)
-    out = 0.25 * (_jv(nu - 2.0, xa) - 2.0 * _jv(nu, xa) + _jv(nu + 2.0, xa))
     return _scalar_or_array(x, out)
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from neuspec import cli
+from neuspec import cli, fem
 
 RUN = [sys.executable, "-m", "neuspec.cli"]
 
@@ -128,6 +128,20 @@ class TestVerifyCommand:
         proc = run_cli(["verify", "--domain", "blob:1,2", "--m", "1"])
         assert proc.returncode == 1
         assert "failed" in proc.stderr
+
+    def test_malformed_h_list_exits_2(self):
+        proc = run_cli(["verify", "--domain", "disk", "--h-list", "0.2,abc"])
+        assert proc.returncode == 2
+        assert "mesh sizes" in proc.stderr
+
+    def test_solver_failure_names_stage_and_mesh(self, monkeypatch, capsys):
+        monkeypatch.setattr(fem, "RESIDUAL_TOL", 0.0)
+        code = cli.main(["verify", "--domain", "square", "--h-list", "0.3,0.2,0.12",
+                         "--no-mps"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "verify failed during fem convergence study" in err
+        assert "h=0.3" in err and "ndof=" in err
 
     def test_reports_byte_identical(self, tmp_path):
         args = [

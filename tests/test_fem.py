@@ -6,6 +6,7 @@ import pytest
 
 from neuspec import fem
 from neuspec import geometry as geo
+from neuspec.ball import Ball, upsilon1_poly_ball
 from neuspec.meshing import Mesh, load_mesh, save_mesh
 from neuspec.quadrature import cached_mesh
 
@@ -124,12 +125,12 @@ class TestPolyharmonicEigs:
         lap = fem.eig_neumann_laplacian(mesh, 2, order=2)
         bih = fem.eig_polyharmonic_neumann(mesh, 2, 1, order=2)
         for i in range(2):
-            assert bih.values[i] == pytest.approx(lap.values[i] ** 2, rel=1e-9)
+            assert bih.splitting_quotients[i] == pytest.approx(lap.values[i] ** 2, rel=1e-9)
 
     def test_power_identity_m2(self, square_mesh):
         lap = fem.eig_neumann_laplacian(square_mesh, 1, order=2)
         quad = fem.eig_polyharmonic_neumann(square_mesh, 1, 2, order=2)
-        assert quad.values[0] == pytest.approx(lap.values[0] ** 4, rel=1e-8)
+        assert quad.splitting_quotients[0] == pytest.approx(lap.values[0] ** 4, rel=1e-8)
 
     def test_m_bounds(self, square_mesh):
         with pytest.raises(ValueError):
@@ -137,10 +138,13 @@ class TestPolyharmonicEigs:
         with pytest.raises(ValueError):
             fem.eig_polyharmonic_neumann(square_mesh, 1, 5)
 
-    def test_m3_warns_on_conditioning(self, square_mesh):
-        with pytest.warns(RuntimeWarning):
-            fem.eig_polyharmonic_neumann(cached_mesh(
-                geo.Polygon(((0, 0), (1, 0), (1, 1), (0, 1))), 0.2), 1, 3, order=1)
+    def test_high_powers_converge_on_disk(self):
+        disk = geo.Disk((0, 0), 1.0)
+        for m in (3, 4):
+            study = fem.convergence_study(disk, m, (0.16, 0.12, 0.08))
+            exact = upsilon1_poly_ball(Ball(2, 1.0), m)
+            assert study.monotone, m
+            assert abs(study.extrapolated - exact) <= study.error_bar, m
 
     def test_json_export(self, square_mesh):
         res = fem.eig_polyharmonic_neumann(square_mesh, 1, 1, order=2)
@@ -174,6 +178,11 @@ class TestConvergence:
         assert abs(study.values[-1] - study.values[-2]) <= abs(
             study.extrapolated - study.values[-2]
         ) * (1 + 1e-12)
+
+    def test_nongeometric_h_list_extrapolation(self):
+        study = fem.convergence_study(geo.Disk((0, 0), 1.0), 1, (0.16, 0.12, 0.08))
+        exact = upsilon1_poly_ball(Ball(2, 1.0), 1)
+        assert abs(study.extrapolated - exact) < abs(study.values[-1] - exact)
 
     def test_input_validation(self, square):
         with pytest.raises(ValueError):
