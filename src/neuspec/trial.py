@@ -184,9 +184,17 @@ def find_center(d: Domain, tol: float = 1e-12, p: TrialProfile | None = None,
 # exact finite expansion built from order-shifted Bessel values.  The
 # coefficient algebra runs at 50 digits: near r = 0 the expansion cancels
 # catastrophically across Bessel orders, and double-precision coefficients
-# would leave an O(eps * r^(-2m-1)) ghost contribution.
+# would leave an O(eps * r^(-2m-1)) ghost contribution.  There the sum is
+# replaced by its Taylor expansion about r = 0, formed at the same
+# precision from these terms alone (never from L G = -mu1 G), so the
+# quadrature path still checks the operator algebra.
 
 _COEFF_DPS = 50
+_ZERO_DIGITS = 35
+# relative truncation error of the near-center Taylor expansion, and a
+# bound on its length that converging series never reach
+_TAYLOR_TAIL = 1e-20
+_TAYLOR_MAX_J = 200
 
 
 def _terms_derivative(terms, a, s):
@@ -229,9 +237,75 @@ def _profile_terms(p: TrialProfile):
         return {(0, 0): c * mpmath.mpf(p.profile.scale) ** (-a)}
 
 
+def _taylor_coefficients(terms, p: TrialProfile, r_max: float) -> dict:
+    """{e: c_e} with sum_e c_e r^e equal to the term expansion on [0, r_max].
+
+    Each coef * r^(-a + dp) * J_k(s r), k = nu + dc, contributes
+    coef * (-1)^j (s/2)^(2j + k) / (j! Gamma(j + k + 1)) to the power
+    -a + dp + k + 2j = dp + dc + 1 + 2j (DLMF 10.2.2; 1/Gamma vanishes at
+    the nonpositive integers, which gives J_(-k) = (-1)^k J_k).  Powers
+    are formed in increasing order, so the cancellation across Bessel
+    orders happens here, before rounding to double.  The expansion stops
+    once every series has passed its largest term and the contributions
+    at r_max of the last two powers, which bound all later ones, fall to
+    _TAYLOR_TAIL of the partial sum there.
+    """
+    with mpmath.workdps(_COEFF_DPS):
+        half_s = mpmath.mpf(p.profile.scale) / 2
+        x2 = (half_s * r_max) ** 2
+        rm = mpmath.mpf(r_max)
+        keep = mpmath.mpf(10) ** -_ZERO_DIGITS
+        # (lowest power, Bessel order, coefficient) of each term's series
+        series = [(dp + dc + 1, mpmath.mpf(p.n) / 2 + dc, coef)
+                  for (dp, dc), coef in terms.items()]
+        lo = min(b for b, _, _ in series)
+        hi = max(b for b, _, _ in series)
+        coeffs, value = {}, mpmath.mpf(0)
+        for e in range(lo, hi + 2 * _TAYLOR_MAX_J, 2):
+            # each series has exactly one power in {e, e + 1}
+            sums, sizes = {e: 0, e + 1: 0}, {e: 0, e + 1: 0}
+            step, settled = 0, e + 1 >= hi
+            for base, k, coef in series:
+                if base > e + 1:
+                    continue
+                j = (e + 1 - base) // 2
+                c = ((-1) ** j * coef * half_s ** (2 * j + k)
+                     * mpmath.rgamma(j + 1) * mpmath.rgamma(j + k + 1))
+                power = base + 2 * j
+                sums[power] += c
+                sizes[power] += abs(c)
+                step += abs(c) * rm**power
+                # later terms of this series shrink at least twofold
+                settled = settled and j + k >= 0 and x2 <= (j + 1) * (j + 1 + k) / 2
+            # a power whose contributions cancel to _ZERO_DIGITS digits is
+            # zero to working precision: its residue times r^e (e < 0)
+            # would swamp small radii.  For m <= 4 the kept powers cancel
+            # by under one digit and the vanishing ones to about 51.
+            for power in (e, e + 1):
+                if abs(sums[power]) > keep * sizes[power]:
+                    coeffs[power] = sums[power]
+                    value += sums[power] * rm**power
+            if settled and step <= _TAYLOR_TAIL * abs(value):
+                return {power: float(c) for power, c in coeffs.items()}
+    raise ArithmeticError(f"Taylor expansion about r = 0 unresolved at r = {r_max:.3e}")
+
+
+def _eval_series(coeffs: dict, r):
+    """sum_e c_e r^e by Horner's rule, smallest terms first."""
+    lo, hi = min(coeffs), max(coeffs)
+    poly = [coeffs.get(e, 0.0) for e in range(hi, lo - 1, -1)]
+    return np.polyval(poly, r) * r**lo
+
+
 def _eval_terms(terms, p: TrialProfile, r):
-    """Evaluate a term expansion, with a high-precision fallback where the
-    double-precision sum loses more than ~8 digits to cancellation."""
+    """Evaluate a term expansion at radii r >= 0.
+
+    The double-precision sum computes each Bessel order and each power of
+    r once.  Where it loses more than ~8 digits to cancellation (near
+    r = 0, where the expansion of L^m G cancels across Bessel orders) the
+    value comes from the Taylor expansion about r = 0 formed at
+    _COEFF_DPS digits (_taylor_coefficients) and summed in double.
+    """
     n, s = p.n, p.profile.scale
     a = (n - 2) / 2.0
     nu = n / 2.0
@@ -239,21 +313,17 @@ def _eval_terms(terms, p: TrialProfile, r):
     magnitude = np.zeros_like(r)
     safe = r > 0
     rs = r[safe]
+    powers = {dp: rs ** (-a + dp) for dp in {dp for dp, _ in terms}}
+    bessels = {dc: _jv(nu + dc, s * rs) for dc in {dc for _, dc in terms}}
     for (dp, dc), coef in terms.items():
-        vals = float(coef) * rs ** (-a + dp) * _jv(nu + dc, s * rs)
+        vals = float(coef) * powers[dp] * bessels[dc]
         total[safe] += vals
         magnitude[safe] += np.abs(vals)
     bad = safe.copy()
     bad[safe] = magnitude[safe] > 1e8 * np.abs(total[safe])
     if np.any(bad):
-        with mpmath.workdps(_COEFF_DPS):
-            s_m = mpmath.mpf(s)
-            for idx in np.nonzero(bad)[0]:
-                rr = mpmath.mpf(float(r[idx]))
-                acc = mpmath.mpf(0)
-                for (dp, dc), coef in terms.items():
-                    acc += coef * rr ** (-a + dp) * mpmath.besselj(nu + dc, s_m * rr)
-                total[idx] = float(acc)
+        rb = r[bad]
+        total[bad] = _eval_series(_taylor_coefficients(terms, p, float(rb.max())), rb)
     # r = 0: every L^m G vanishes there (odd profile), matching g ~ r
     total[~safe] = 0.0
     return total

@@ -1,8 +1,10 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from neuspec import geometry as geo
 from neuspec import trial
@@ -142,6 +144,44 @@ class TestTrialQuotient:
         lg = trial._eval_terms(terms, p, r)
         g, _ = p.g(r)
         assert np.allclose(lg, p.mu1**2 * g, rtol=1e-9)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_tiny_radii_follow_the_profile(self, m):
+        # the double sum cancels by ~r^-(2m+2) here; the series does not
+        d = geo.Disk((0, 0), 1.0)
+        p = trial.TrialProfile.for_domain(d)
+        terms = trial._profile_terms(p)
+        for _ in range(m):
+            terms = trial._apply_radial_operator(terms, p.n, p.profile.scale)
+        r = np.array([1e-12, 1e-9, 1e-7, 1e-5])
+        g, _ = p.g(r)
+        together = trial._eval_terms(terms, p, r)
+        one_by_one = np.concatenate([trial._eval_terms(terms, p, r[i:i + 1]) for i in range(4)])
+        for lg in (together, one_by_one):
+            assert np.allclose(lg, (-p.mu1) ** m * g, rtol=1e-12, atol=0)
+
+    def test_flagged_quadrature_points_match_mpmath(self):
+        # disk m=4: compare near-center values with a per-point 50-digit sum
+        d = geo.Disk((0, 0), 1.0)
+        p = trial.TrialProfile.for_domain(d)
+        s = p.profile.scale
+        terms = trial._profile_terms(p)
+        for _ in range(4):
+            terms = trial._apply_radial_operator(terms, p.n, s)
+        pts, _ = trial._domain_quadrature(d, trial._default_h(d), 7)
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        lg = trial._eval_terms(terms, p, r)
+        # n = 2: a = 0, nu = 1; a margin of 10 over the 1e8 flag rule
+        vals = np.array([float(c) * r**dp * jv(1 + dc, s * r) for (dp, dc), c in terms.items()])
+        flagged = np.nonzero(np.abs(vals).sum(0) > 1e9 * np.abs(vals.sum(0)))[0]
+        flagged = flagged[np.argsort(r[flagged])]
+        assert len(flagged) >= 20
+        with mpmath.workdps(50):
+            for i in flagged[np.linspace(0, len(flagged) - 1, 20).astype(int)]:
+                rr = mpmath.mpf(float(r[i]))
+                ref = float(sum(c * rr**dp * mpmath.besselj(1 + dc, s * rr)
+                                for (dp, dc), c in terms.items()))
+                assert abs(lg[i] - ref) <= 1e-13 * abs(ref), r[i]
 
     def test_invalid_power(self):
         with pytest.raises(ValueError):
