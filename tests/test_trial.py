@@ -214,6 +214,25 @@ class TestCertificate:
         assert cert.bound == upsilon1_poly_ball(Ball(2, r), 2)
         assert cert.valid
 
+    def test_spoiled_operator_is_invalid(self, monkeypatch):
+        # without its -(n-1)/r^2 term the operator inflates the quadrature
+        # error estimate along with the quotient, which must not widen the gate
+        exact = trial._apply_radial_operator
+
+        def spoiled(terms, n, s):
+            out = exact(terms, n, s)
+            for key, coef in trial._terms_shift(terms, -2, n - 1).items():
+                out[key] = out.get(key, 0) + coef
+            return out
+
+        monkeypatch.setattr(trial, "_apply_radial_operator", spoiled)
+        disk = geo.Disk((0, 0), 1.0)
+        with pytest.raises(trial.QuotientMismatchError):
+            trial.trial_quotient(disk, 2)
+        for d in (disk, geo.Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))):
+            for m in range(1, 5):
+                assert not trial.certify_upper_bound(d, m).valid, (d, m)
+
     def test_json_fields_exact(self):
         cert = trial.certify_upper_bound(geo.Disk((0, 0), 1.0), 1)
         payload = json.loads(cert.to_json())
