@@ -1,8 +1,9 @@
 """Command-line front end: exact ball tables, verification runs, and plots.
 
 Exit codes: 0 success, 1 computation failure (stderr names the failing
-stage), 2 usage errors.  Serial reruns with identical flags produce
-byte-identical artifacts; `--threads 1` is the reproducibility mode.
+stage), 2 usage errors.  Reruns with identical flags and the same BLAS
+thread count (OPENBLAS_NUM_THREADS=1 for reproducible bytes) produce
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .quadrature import cached_mesh
 from .trial import certify_upper_bound
 
 DEFAULT_H_LIST = (0.08, 0.04, 0.02)
+# largest MPS indicator accepted as an eigenvalue
+MPS_SIGMA_TOL = 1e-6
 
 
 def _out_dir() -> str:
@@ -151,13 +154,16 @@ def build_verification_report(domain_spec: str, m: int, h_list, order: int = 2,
         w_est = max(ups_fem, 1e-10) ** 0.25
         with _stage("mps"):
             hits = mps_find(d, "polyharm_neumann", (0.75 * w_est, 1.25 * w_est), mps_trunc)
-        good = [e for e in hits if e.sigma < 1e-6]
+        good = [e for e in hits if e.sigma < MPS_SIGMA_TOL]
         if good:
             ups_mps = min(good, key=lambda e: abs(e.value - ups_fem)).value
 
     with _stage("certificate"):
         cert = certify_upper_bound(d, m)
-    inequality_holds = bool(ups_fem + error_bar <= bound)
+    # inequality_holds: the FEM value does not contradict the certified
+    # bound, which admits the equality case (the disk); strict: the FEM
+    # study resolves a strict inequality
+    margin = bound - ups_fem
     report = {
         "domain": domain_spec_string(d),
         "m": m,
@@ -168,8 +174,9 @@ def build_verification_report(domain_spec: str, m: int, h_list, order: int = 2,
         "upsilon1_mps": ups_mps,
         "bound": bound,
         "certificate": json.loads(cert.to_json()),
-        "inequality_holds": inequality_holds,
-        "margin": bound - ups_fem,
+        "inequality_holds": bool(ups_fem - error_bar <= bound),
+        "strict": bool(margin > error_bar),
+        "margin": margin,
         "nonsmooth": not d.is_smooth,
         "convergence": json.loads(study.to_json()),
         "config": {
@@ -199,6 +206,9 @@ def cmd_verify(args) -> int:
     except StageError as exc:
         print(f"verify failed during {exc}", file=sys.stderr)
         return 1
+    if report["config"]["mps"] and report["upsilon1_mps"] is None:
+        print(f"verify warning during mps: no minimum with sigma < {MPS_SIGMA_TOL:g} "
+              "in the window; upsilon1_mps is null", file=sys.stderr)
     if args.save_eigenfunction:
         stage = "eigenfunction dump"
         try:
@@ -318,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--no-mps", action="store_true",
                        help="skip the particular-solutions cross-check")
     p_ver.add_argument("--threads", type=int, default=1,
-                       help="worker threads for the mesh family (1 = reproducible serial)")
+                       help="worker threads for the mesh family (1 = serial)")
     p_ver.add_argument("--save-eigenfunction", metavar="PATH",
                        help="dump the lowest eigenvector on the finest mesh")
     p_ver.add_argument("--out", help="report path (stdout when omitted)")

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from neuspec import cli, fem
+from neuspec.ball import Ball, upsilon1_poly_ball
 
 RUN = [sys.executable, "-m", "neuspec.cli"]
 
@@ -103,6 +104,7 @@ class TestVerifyCommand:
             "bound",
             "certificate",
             "inequality_holds",
+            "strict",
             "margin",
             "nonsmooth",
             "config",
@@ -142,6 +144,49 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "verify failed during fem convergence study" in err
         assert "h=0.3" in err and "ndof=" in err
+
+    def test_disk_equality_case_exits_zero(self, tmp_path):
+        # the README pipeline: verify on the disk, then plot its mode
+        report, mode = tmp_path / "disk.json", tmp_path / "mode.txt"
+        code = cli.main(["verify", "--domain", "disk", "--h-list", "0.16,0.12,0.08",
+                         "--no-mps", "--out", str(report), "--save-eigenfunction", str(mode)])
+        assert code == 0
+        rep = json.loads(report.read_text())
+        assert rep["inequality_holds"] is True
+        assert rep["strict"] is False
+        assert rep["certificate"]["valid"] is True
+        svg = tmp_path / "mode.svg"
+        assert cli.main(["plot", str(mode), "eigenfunction", "--out", str(svg)]) == 0
+
+    def test_fem_value_above_bound_fails(self, monkeypatch, tmp_path):
+        def above_bound(d, m, h_list, **kwargs):
+            b = upsilon1_poly_ball(Ball(2, 1.0), m)
+            return fem.ConvergenceStudy(
+                h_list=tuple(h_list), values=(1.3 * b, 1.25 * b, 1.22 * b),
+                observed_order=2.0, extrapolated=1.2 * b, error_bar=0.02 * b,
+                monotone=True, power=m)
+
+        monkeypatch.setattr(cli, "convergence_study", above_bound)
+        out = tmp_path / "report.json"
+        code = cli.main(["verify", "--domain", "disk", "--h-list", "0.16,0.12,0.08",
+                         "--no-mps", "--out", str(out)])
+        assert code == 1
+        rep = json.loads(out.read_text())
+        assert rep["upsilon1_fem"] - rep["upsilon1_fem_error_bar"] > rep["bound"]
+        assert rep["inequality_holds"] is False
+        assert rep["strict"] is False
+        assert rep["certificate"]["valid"] is True
+
+    def test_mps_without_minimum_warns(self):
+        # on the stadium the only minimum in the window has sigma ~1e-2
+        proc = run_cli(["verify", "--domain", "stadium", "--m", "1",
+                        "--h-list", "0.16,0.12,0.08"])
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
+        assert report["config"]["mps"] is True
+        assert report["upsilon1_mps"] is None
+        assert "during mps" in proc.stderr
+        assert "upsilon1_mps is null" in proc.stderr
 
     def test_reports_byte_identical(self, tmp_path):
         args = [
@@ -249,6 +294,12 @@ class TestPlotCommand:
 class TestParser:
     def test_version(self):
         proc = run_cli(["--version"])
+        assert proc.returncode == 0
+        assert "neuspec" in proc.stdout
+
+    def test_module_entry_point(self):
+        proc = subprocess.run([sys.executable, "-m", "neuspec", "--version"],
+                              capture_output=True, text=True)
         assert proc.returncode == 0
         assert "neuspec" in proc.stdout
 
