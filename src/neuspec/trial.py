@@ -205,6 +205,7 @@ def find_center(d: Domain, tol: float = 1e-12, p: TrialProfile | None = None,
 # quadrature path still checks the operator algebra.
 
 _COEFF_DPS = 50
+# a Taylor coefficient whose contributions cancel to this many digits is zero
 _ZERO_DIGITS = 35
 # relative truncation error of the near-center Taylor expansion, and a
 # bound on its length that converging series never reach
@@ -305,13 +306,6 @@ def _taylor_coefficients(terms, p: TrialProfile, r_max: float) -> dict:
     raise ArithmeticError(f"Taylor expansion about r = 0 unresolved at r = {r_max:.3e}")
 
 
-def _eval_series(coeffs: dict, r):
-    """sum_e c_e r^e by Horner's rule, smallest terms first."""
-    lo, hi = min(coeffs), max(coeffs)
-    poly = [coeffs.get(e, 0.0) for e in range(hi, lo - 1, -1)]
-    return np.polyval(poly, r) * r**lo
-
-
 def _eval_terms(terms, p: TrialProfile, r):
     """Evaluate a term expansion at radii r >= 0.
 
@@ -338,7 +332,11 @@ def _eval_terms(terms, p: TrialProfile, r):
     bad[safe] = magnitude[safe] > 1e8 * np.abs(total[safe])
     if np.any(bad):
         rb = r[bad]
-        total[bad] = _eval_series(_taylor_coefficients(terms, p, float(rb.max())), rb)
+        coeffs = _taylor_coefficients(terms, p, float(rb.max()))
+        lo, hi = min(coeffs), max(coeffs)
+        # Horner's rule from the highest power: smallest terms first
+        poly = [coeffs.get(e, 0.0) for e in range(hi, lo - 1, -1)]
+        total[bad] = np.polyval(poly, rb) * rb**lo
     # r = 0: every L^m G vanishes there (odd profile), matching g ~ r
     total[~safe] = 0.0
     return total
