@@ -147,7 +147,7 @@ class TestTrialQuotient:
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_tiny_radii_follow_the_profile(self, m):
-        # the double sum cancels by ~r^-(2m+2) here; the series does not
+        # the double sum cancels by about r^(-2m) here; the series does not
         d = geo.Disk((0, 0), 1.0)
         p = trial.TrialProfile.for_domain(d)
         terms = trial._profile_terms(p)
