@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import Domain
-from .meshing import Mesh
+from .meshing import Mesh, triangle_jacobians
 from .quadrature import cached_mesh, triangle_rule
 
 __all__ = [
@@ -95,23 +95,25 @@ class EigResult:
 # Assembly
 # ---------------------------------------------------------------------------
 
-def _p1_matrices(mesh: Mesh):
+def _barycentric_gradients(mesh: Mesh):
+    """Gradients of the barycentric coordinates (nt, 3, 2) and the Jacobians."""
     v = mesh.vertices
     t = mesh.triangles
+    jac = triangle_jacobians(v, t)
     p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    e1 = p1 - p0
-    e2 = p2 - p0
-    jac = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    area = 0.5 * jac
-    # gradients of barycentric coordinates
     g1 = np.stack([p1[:, 1] - p2[:, 1], p2[:, 0] - p1[:, 0]], axis=1) / jac[:, None]
     g2 = np.stack([p2[:, 1] - p0[:, 1], p0[:, 0] - p2[:, 0]], axis=1) / jac[:, None]
     g3 = np.stack([p0[:, 1] - p1[:, 1], p1[:, 0] - p0[:, 0]], axis=1) / jac[:, None]
-    grads = np.stack([g1, g2, g3], axis=1)  # (nt, 3, 2)
+    return np.stack([g1, g2, g3], axis=1), jac
+
+
+def _p1_matrices(mesh: Mesh):
+    grads, jac = _barycentric_gradients(mesh)
+    area = 0.5 * jac
     ke = np.einsum("tik,tjk,t->tij", grads, grads, area)
     ref_mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
     me = ref_mass[None, :, :] * area[:, None, None]
-    return me, ke, t
+    return me, ke, mesh.triangles
 
 
 def _p2_reference():
@@ -137,33 +139,17 @@ def _p2_reference():
 
 
 def _edge_numbering(mesh: Mesh):
-    """Deterministic edge indices keyed by sorted vertex pairs."""
-    edges = {}
-    t = mesh.triangles
-    conn = np.empty((len(t), 3), dtype=int)
-    for i, tri in enumerate(t):
-        for e, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
-            key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-            idx = edges.get(key)
-            if idx is None:
-                idx = len(edges)
-                edges[key] = idx
-            conn[i, e] = idx
-    return conn, len(edges)
+    """Indices of each triangle's edges 01, 12, 20, numbered by first appearance."""
+    pairs = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    _, first, inverse = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=int)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse.reshape(-1)].reshape(-1, 3), len(first)
 
 
 def _p2_matrices(mesh: Mesh):
     n_vals, dndl, w = _p2_reference()
-    v = mesh.vertices
-    t = mesh.triangles
-    p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    e1 = p1 - p0
-    e2 = p2 - p0
-    jac = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    g1 = np.stack([p1[:, 1] - p2[:, 1], p2[:, 0] - p1[:, 0]], axis=1) / jac[:, None]
-    g2 = np.stack([p2[:, 1] - p0[:, 1], p0[:, 0] - p2[:, 0]], axis=1) / jac[:, None]
-    g3 = np.stack([p0[:, 1] - p1[:, 1], p1[:, 0] - p0[:, 0]], axis=1) / jac[:, None]
-    gradl = np.stack([g1, g2, g3], axis=1)  # (nt, 3, 2)
+    gradl, jac = _barycentric_gradients(mesh)
 
     ref_mass = np.einsum("q,qi,qj->ij", w, n_vals, n_vals)  # reference mass / |J|
     me = ref_mass[None, :, :] * jac[:, None, None]
@@ -171,18 +157,14 @@ def _p2_matrices(mesh: Mesh):
     ke = np.einsum("q,qtik,qtjk,t->tij", w, gradn, gradn, jac)
 
     conn_e, n_edges = _edge_numbering(mesh)
-    nv = len(v)
-    dofs = np.concatenate([t, nv + conn_e], axis=1)  # (nt, 6)
+    nv = len(mesh.vertices)
+    dofs = np.concatenate([mesh.triangles, nv + conn_e], axis=1)  # (nt, 6)
     return me, ke, dofs, nv + n_edges
 
 
 def assemble(mesh: Mesh, order: int = 2) -> OperatorPair:
     """Mass and stiffness operators for continuous Lagrange elements."""
-    v = mesh.vertices
-    t = mesh.triangles
-    e1 = v[t[:, 1]] - v[t[:, 0]]
-    e2 = v[t[:, 2]] - v[t[:, 0]]
-    if np.any(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] <= 0.0):
+    if np.any(triangle_jacobians(mesh.vertices, mesh.triangles) <= 0.0):
         raise ValueError("mesh contains a degenerate or inverted triangle")
     if order == 1:
         me, ke, dofs = _p1_matrices(mesh)

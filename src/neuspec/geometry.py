@@ -367,28 +367,30 @@ def _segments_cross(p1, p2, q1, q2) -> bool:
 
 
 def point_in_polygon(pts: np.ndarray, verts: np.ndarray) -> np.ndarray:
-    """Vectorized crossing-number containment test (boundary counts inside)."""
-    x = pts[:, 0][:, None]
-    y = pts[:, 1][:, None]
-    x1 = verts[:, 0][None, :]
-    y1 = verts[:, 1][None, :]
-    x2 = np.roll(verts[:, 0], -1)[None, :]
-    y2 = np.roll(verts[:, 1], -1)[None, :]
-    straddle = (y1 <= y) != (y2 <= y)
+    """Crossing-number containment test (boundary counts inside).
+
+    Loops over the edges, vectorized over the points, so its memory is
+    O(points) however many vertices the polygon has.
+    """
+    x = pts[:, 0]
+    y = pts[:, 1]
+    inside = np.zeros(len(pts), dtype=bool)
+    ends = np.roll(verts, -1, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        xs = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-    crossing = straddle & (x < xs)
-    inside = np.sum(crossing, axis=1) % 2 == 1
+        for (x1, y1), (x2, y2) in zip(verts.tolist(), ends.tolist()):
+            straddle = (y1 <= y) != (y2 <= y)
+            inside ^= straddle & (x < x1 + (y - y1) * (x2 - x1) / (y2 - y1))
     # points essentially on the boundary count as inside
     outside = np.nonzero(~inside)[0]
     if len(outside):
-        d = _distance_to_segments(pts[outside], verts)
+        d = distance_to_segments(pts[outside], verts)
         scale = max(np.abs(verts).max(), 1.0)
         inside[outside] |= d <= 1e-12 * scale
     return inside
 
 
-def _distance_to_segments(pts: np.ndarray, verts: np.ndarray) -> np.ndarray:
+def distance_to_segments(pts: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """Distance from each point to the closed polyline through verts."""
     a = verts
     b = np.roll(verts, -1, axis=0)
     ab = b - a

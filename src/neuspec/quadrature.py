@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import Domain
-from .meshing import Mesh, triangulate
+from .meshing import Mesh, triangle_jacobians, triangulate
 
 __all__ = ["triangle_rule", "mesh_quadrature", "integrate", "integrate_mesh"]
 
@@ -96,8 +96,7 @@ def mesh_quadrature(mesh: Mesh, degree: int):
         + ref_pts[None, :, 0, None] * e1[:, None, :]
         + ref_pts[None, :, 1, None] * e2[:, None, :]
     )
-    jac = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    w = jac[:, None] * ref_w[None, :]
+    w = triangle_jacobians(v, t)[:, None] * ref_w[None, :]
     return pts.reshape(-1, 2), w.ravel()
 
 

@@ -7,6 +7,7 @@ import pytest
 from neuspec import fem
 from neuspec import geometry as geo
 from neuspec.ball import Ball, upsilon1_poly_ball
+from neuspec.corpus import corpus_domain
 from neuspec.meshing import Mesh, load_mesh, save_mesh
 from neuspec.quadrature import cached_mesh
 
@@ -16,6 +17,17 @@ def single_triangle_mesh():
     tris = np.array([[0, 1, 2]])
     flags = np.array([True, True, True])
     return Mesh(vertices=verts, triangles=tris, boundary_flags=flags, h=1.0)
+
+
+def edge_numbering_reference(mesh):
+    """Edge numbering by a dict of sorted vertex pairs, in first-seen order."""
+    edges = {}
+    conn = np.empty((len(mesh.triangles), 3), dtype=int)
+    for i, tri in enumerate(mesh.triangles):
+        for e, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
+            key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
+            conn[i, e] = edges.setdefault(key, len(edges))
+    return conn, len(edges)
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +82,14 @@ class TestAssembly:
         op2 = fem.assemble(square_mesh, 2)
         assert op2.dimension > op1.dimension
         assert op1.dimension == len(square_mesh.vertices)
+
+    def test_edge_numbering_matches_reference(self):
+        mesh = cached_mesh(corpus_domain("ellipse-1.5"), 0.08)
+        conn, n_edges = fem._edge_numbering(mesh)
+        ref_conn, ref_n = edge_numbering_reference(mesh)
+        assert n_edges == ref_n
+        assert conn.dtype == ref_conn.dtype
+        assert np.array_equal(conn, ref_conn)
 
     def test_bad_order(self, square_mesh):
         with pytest.raises(ValueError):

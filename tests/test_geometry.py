@@ -176,7 +176,46 @@ class TestConvexHull:
         assert np.array_equal(h1, h2)
 
 
+def point_in_polygon_broadcast(pts, verts):
+    """Crossing-number test on (points x vertices) arrays, boundary inside."""
+    x, y = pts[:, 0][:, None], pts[:, 1][:, None]
+    x1, y1 = verts[:, 0][None, :], verts[:, 1][None, :]
+    x2, y2 = np.roll(verts[:, 0], -1)[None, :], np.roll(verts[:, 1], -1)[None, :]
+    straddle = (y1 <= y) != (y2 <= y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xs = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+    inside = np.sum(straddle & (x < xs), axis=1) % 2 == 1
+    outside = np.nonzero(~inside)[0]
+    if len(outside):
+        d = geo.distance_to_segments(pts[outside], verts)
+        inside[outside] |= d <= 1e-12 * max(np.abs(verts).max(), 1.0)
+    return inside
+
+
 class TestContainment:
+    @pytest.mark.parametrize("spec", [
+        "polygon:0,0;2,0;0.4,1.1",
+        "polygon:0,0;1,0;1,1;0,1",
+        "polygon:0,0;2,0;2,1;1,1;1,2;0,2",
+    ])
+    def test_point_in_polygon_matches_broadcast_form(self, spec):
+        verts = geo.parse_domain(spec).vertex_array
+        rng = np.random.default_rng(17)
+        lo, hi = verts.min(axis=0) - 0.3, verts.max(axis=0) + 0.3
+        scattered = lo + (hi - lo) * rng.random((3000, 2))
+        # rows through the vertices hit the straddle test's ties
+        level = np.column_stack([lo[0] + (hi[0] - lo[0]) * rng.random(len(verts) * 20),
+                                 np.repeat(verts[:, 1], 20)])
+        frac = np.linspace(0.0, 1.0, 9)[None, :, None]
+        edge = np.roll(verts, -1, axis=0) - verts
+        boundary = (verts[:, None, :] + frac * edge[:, None, :]).reshape(-1, 2)
+        pts = np.vstack([scattered, level, boundary])
+        got = geo.point_in_polygon(pts, verts)
+        assert np.array_equal(got, point_in_polygon_broadcast(pts, verts))
+        assert got[-len(boundary):].all()
+        assert got.any() and not got.all()
+
+
     def test_basic_shapes(self):
         inside = np.array([[0.2, 0.1]])
         outside = np.array([[2.5, 0.0]])

@@ -47,6 +47,14 @@ class TestTriangulate:
         assert abs(mesh.area - 1.0) < 1e-12
         check_mesh_contract(mesh, 0.1)
 
+    def test_nonconvex_polygon_drops_notch(self):
+        # the L-shape's notch lies inside the convex hull of the mesh points,
+        # so its Delaunay triangles must be dropped by the containment test
+        ell = geo.parse_domain("polygon:0,0;2,0;2,1;1,1;1,2;0,2")
+        mesh = msh.triangulate(ell, 0.1)
+        assert abs(mesh.area - 3.0) < 1e-12
+        check_mesh_contract(mesh, 0.1)
+
     def test_quality_across_shapes(self):
         for d in (
             geo.Ellipse(1.5, 2 / 3),
