@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -50,9 +51,14 @@ def _resolve_domain(spec: str) -> Domain:
 
 def _h_list(text: str) -> tuple:
     try:
-        return tuple(float(v) for v in text.split(","))
+        hs = tuple(float(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated mesh sizes, got {text!r}") from None
+    if (len(hs) < 3 or not all(0 < h < math.inf for h in hs)
+            or any(a <= b for a, b in zip(hs, hs[1:]))):
+        raise argparse.ArgumentTypeError(
+            f"expected at least 3 positive, strictly descending mesh sizes, got {text!r}")
+    return hs
 
 
 def _json_dump(payload) -> str:
@@ -320,10 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--domain", required=True,
                        help="domain spec (disk:.., ellipse:..) or corpus name "
                             f"({', '.join(CORPUS)})")
-    p_ver.add_argument("--m", type=int, default=1, help="operator power: Delta^(2m)")
+    p_ver.add_argument("--m", type=int, choices=(1, 2, 3, 4), default=1,
+                       help="operator power: Delta^(2m)")
     p_ver.add_argument("--h-list", type=_h_list,
                        default=",".join(str(h) for h in DEFAULT_H_LIST),
-                       help="descending mesh sizes, comma separated")
+                       help="at least 3 strictly descending mesh sizes, comma separated")
     p_ver.add_argument("--order", type=int, choices=(1, 2), default=2)
     p_ver.add_argument("--no-mps", action="store_true",
                        help="skip the particular-solutions cross-check")

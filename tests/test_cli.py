@@ -131,10 +131,24 @@ class TestVerifyCommand:
         assert proc.returncode == 1
         assert "failed" in proc.stderr
 
-    def test_malformed_h_list_exits_2(self):
+    def test_malformed_h_list_exits_2(self, capsys):
         proc = run_cli(["verify", "--domain", "disk", "--h-list", "0.2,abc"])
         assert proc.returncode == 2
         assert "mesh sizes" in proc.stderr
+        # too short, not strictly descending, not positive and finite
+        for h_list in ("0.2,0.1", "0.1,0.2,0.3", "0.2,-0.1,0.05", "0.2,0.1,0.1",
+                       "inf,0.2,0.1", "0.2,0.1,nan"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["verify", "--domain", "disk", "--h-list", h_list])
+            assert exc.value.code == 2, h_list
+            assert "mesh sizes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m", ["0", "5", "-1"])
+    def test_power_out_of_range_exits_2(self, m, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--domain", "disk", "--m", m])
+        assert exc.value.code == 2
+        assert "--m" in capsys.readouterr().err
 
     def test_solver_failure_names_stage_and_mesh(self, monkeypatch, capsys):
         monkeypatch.setattr(fem, "RESIDUAL_TOL", 0.0)
