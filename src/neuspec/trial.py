@@ -310,7 +310,7 @@ def _eval_terms(terms, p: TrialProfile, r):
     """Evaluate a term expansion at radii r >= 0.
 
     The double-precision sum computes each Bessel order and each power of
-    r once.  Where it loses more than ~8 digits to cancellation (near
+    r once.  Where it loses more than ~2 digits to cancellation (near
     r = 0, where the expansion of L^m G cancels across Bessel orders) the
     value comes from the Taylor expansion about r = 0 formed at
     _COEFF_DPS digits (_taylor_coefficients) and summed in double.
@@ -329,7 +329,7 @@ def _eval_terms(terms, p: TrialProfile, r):
         total[safe] += vals
         magnitude[safe] += np.abs(vals)
     bad = safe.copy()
-    bad[safe] = magnitude[safe] > 1e8 * np.abs(total[safe])
+    bad[safe] = magnitude[safe] > 1e2 * np.abs(total[safe])
     if np.any(bad):
         rb = r[bad]
         coeffs = _taylor_coefficients(terms, p, float(rb.max()))

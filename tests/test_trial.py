@@ -160,6 +160,21 @@ class TestTrialQuotient:
         for lg in (together, one_by_one):
             assert np.allclose(lg, (-p.mu1) ** m * g, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_quadrature_points_follow_the_profile(self, m):
+        # every point of the certificate's degree-7 set, flagged or not
+        for d in (geo.Disk((0, 0), 1.0), geo.Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))):
+            p = trial.TrialProfile.for_domain(d)
+            terms = trial._profile_terms(p)
+            for _ in range(m):
+                terms = trial._apply_radial_operator(terms, p.n, p.profile.scale)
+            pts, _ = trial._domain_quadrature(d, trial._default_h(d), 7)
+            c = d.centroid()
+            r = np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1])
+            g, _ = p.g(r)
+            lg = trial._eval_terms(terms, p, r)
+            assert np.allclose(lg, (-p.mu1) ** m * g, rtol=1e-12, atol=0), d
+
     def test_flagged_quadrature_points_match_mpmath(self):
         # disk m=4: compare near-center values with a per-point 50-digit sum
         d = geo.Disk((0, 0), 1.0)
@@ -171,7 +186,7 @@ class TestTrialQuotient:
         pts, _ = trial._domain_quadrature(d, trial._default_h(d), 7)
         r = np.hypot(pts[:, 0], pts[:, 1])
         lg = trial._eval_terms(terms, p, r)
-        # n = 2: a = 0, nu = 1; a margin of 10 over the 1e8 flag rule
+        # n = 2: a = 0, nu = 1; points that lose 9 digits, all of them flagged
         vals = np.array([float(c) * r**dp * jv(1 + dc, s * r) for (dp, dc), c in terms.items()])
         flagged = np.nonzero(np.abs(vals).sum(0) > 1e9 * np.abs(vals.sum(0)))[0]
         flagged = flagged[np.argsort(r[flagged])]
