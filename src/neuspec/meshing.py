@@ -3,9 +3,14 @@
 The mesher seeds a hexagonal lattice inside the domain, clear of the
 boundary polyline, takes the Delaunay triangulation of boundary plus
 lattice points, keeps the triangles whose centroid lies inside the
-domain, and relaxes
-interior vertices with a few passes of neighbor averaging (re-running
-Delaunay after each pass).  Deterministic for fixed inputs.
+domain, and relaxes interior vertices with a few passes of neighbor
+averaging (re-running Delaunay after each pass).  Deterministic for
+fixed inputs.
+
+Containment is the domain's own test.  The curved shapes are convex, so
+the polyline bounds the convex hull of the mesh points and the region
+the test admits beyond it is a sliver under each boundary segment: the
+lattice keeps no point there, and no Delaunay centroid falls there.
 """
 
 from __future__ import annotations

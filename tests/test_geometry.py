@@ -215,7 +215,6 @@ class TestContainment:
         assert got[-len(boundary):].all()
         assert got.any() and not got.all()
 
-
     def test_basic_shapes(self):
         inside = np.array([[0.2, 0.1]])
         outside = np.array([[2.5, 0.0]])
