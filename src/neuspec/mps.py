@@ -12,6 +12,7 @@ show up as sharp local minima.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import warnings
@@ -91,53 +92,20 @@ def _interior_points(d: Domain, count: int) -> np.ndarray:
     return np.asarray(out)
 
 
-def _bessel_j_block(orders: np.ndarray, x: np.ndarray):
-    from scipy.special import jv
-
-    vals = jv(orders[None, :], x[:, None])
-    vprime = 0.5 * (
-        jv(orders[None, :] - 1.0, x[:, None]) - jv(orders[None, :] + 1.0, x[:, None])
-    )
-    return vals, vprime
-
-
-def _bessel_i_block(orders: np.ndarray, x: np.ndarray, x_ref: float):
-    """Scaled modified Bessel values I_j(x) * exp(-x_ref) and derivatives.
-
-    The common factor exp(-x_ref) is a pure column scaling (it cancels in
-    the subspace angles) and keeps large arguments finite.
-    """
-    from scipy.special import ive
-
-    shift = np.exp(x[:, None] - x_ref)
-    vals = ive(orders[None, :], x[:, None]) * shift
-    vprime = 0.5 * (
-        ive(np.abs(orders[None, :] - 1.0), x[:, None])
-        + ive(orders[None, :] + 1.0, x[:, None])
-    ) * shift
-    return vals, vprime
-
-
-def _collocation_blocks(d: Domain, basis: MpsBasis):
-    """Boundary-condition rows and interior rows of the trial basis."""
-    n = basis.N
-    omega = basis.omega
-    center = np.asarray(basis.center)
+@functools.lru_cache(maxsize=8)
+def _collocation_geometry(d: Domain, n: int, center: tuple):
+    """The omega-independent part of the collocation blocks, read-only:
+    boundary radii, n.e_r and n.e_t there, interior radii, the orders
+    0..n, and the cos/sin tables at the boundary and interior points."""
     nb = 4 * n + 8
-    ni = 2 * n + 4
-
     t = (np.arange(nb) + 0.5) / nb
     bpts, normals = d.boundary_frame(t)
-    ipts = _interior_points(d, ni)
-
-    def polar(pts):
-        rel = pts - center[None, :]
-        r = np.hypot(rel[:, 0], rel[:, 1])
-        th = np.arctan2(rel[:, 1], rel[:, 0])
-        return rel, r, th
-
-    relb, rb, thb = polar(bpts)
-    _, ri, thi = polar(ipts)
+    relb = bpts - np.asarray(center)[None, :]
+    reli = _interior_points(d, 2 * n + 4) - np.asarray(center)[None, :]
+    rb = np.hypot(relb[:, 0], relb[:, 1])
+    ri = np.hypot(reli[:, 0], reli[:, 1])
+    thb = np.arctan2(relb[:, 1], relb[:, 0])
+    thi = np.arctan2(reli[:, 1], reli[:, 0])
 
     # unit radial/tangential directions at boundary points
     er = relb / rb[:, None]
@@ -146,10 +114,22 @@ def _collocation_blocks(d: Domain, basis: MpsBasis):
     n_dot_t = np.sum(normals * et, axis=1)
 
     orders = np.arange(n + 1, dtype=float)
-    cosb = np.cos(orders[None, :] * thb[:, None])
-    sinb = np.sin(orders[None, :] * thb[:, None])
-    cosi = np.cos(orders[None, :] * thi[:, None])
-    sini = np.sin(orders[None, :] * thi[:, None])
+    out = (rb, ri, n_dot_r, n_dot_t, orders,
+           np.cos(orders[None, :] * thb[:, None]), np.sin(orders[None, :] * thb[:, None]),
+           np.cos(orders[None, :] * thi[:, None]), np.sin(orders[None, :] * thi[:, None]))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _collocation_blocks(d: Domain, basis: MpsBasis):
+    """Boundary-condition rows and interior rows of the trial basis."""
+    from scipy.special import ive, jv
+
+    n = basis.N
+    omega = basis.omega
+    rb, ri, n_dot_r, n_dot_t, orders, cosb, sinb, cosi, sini = _collocation_geometry(
+        d, n, tuple(basis.center))
 
     def normal_rows(f, fp):
         # d/dn of f(w r) T(j theta): n_r w f' T + n_t f j T'/r
@@ -161,18 +141,28 @@ def _collocation_blocks(d: Domain, basis: MpsBasis):
         rows_sin = n_dot_r[:, None] * du_r_sin + n_dot_t[:, None] * du_t_sin
         return np.concatenate([rows_cos, rows_sin[:, 1:]], axis=1)
 
-    jb, jpb = _bessel_j_block(orders, omega * rb)
-    ji, _ = _bessel_j_block(orders, omega * ri)
-    bnd_j = normal_rows(jb, jpb)
+    # One Bessel evaluation per order and point: J on orders -1..n+1 and I
+    # on 0..n+1 at the boundary give the values and the derivatives
+    # J_j' = (J_(j-1) - J_(j+1)) / 2 and I_j' = (I_|j-1| + I_(j+1)) / 2;
+    # the interior rows need values only.
+    xb = omega * rb
+    xi = omega * ri
+    jb = jv(np.arange(-1.0, n + 2.0)[None, :], xb[:, None])
+    bnd_j = normal_rows(jb[:, 1:-1], 0.5 * (jb[:, :-2] - jb[:, 2:]))
+    ji = jv(orders[None, :], xi[:, None])
     int_j = np.concatenate([ji * cosi, (ji * sini)[:, 1:]], axis=1)
 
     if basis.problem == "laplace_neumann":
         return bnd_j, int_j
 
-    x_ref = float(np.max(omega * rb))
-    ib, ipb = _bessel_i_block(orders, omega * rb, x_ref)
-    ii, _ = _bessel_i_block(orders, omega * ri, x_ref)
-    bnd_i = normal_rows(ib, ipb)
+    # I_j * exp(-x_ref): the common factor is a pure column scaling (it
+    # cancels in the subspace angles) and keeps large arguments finite.
+    x_ref = float(np.max(xb))
+    shift = np.exp(xb[:, None] - x_ref)
+    ib = ive(np.arange(n + 2.0)[None, :], xb[:, None])
+    ipb = 0.5 * (ib[:, np.abs(np.arange(n + 1) - 1)] + ib[:, 1:]) * shift
+    bnd_i = normal_rows(ib[:, :-1] * shift, ipb)
+    ii = ive(orders[None, :], xi[:, None]) * np.exp(xi[:, None] - x_ref)
     int_i = np.concatenate([ii * cosi, (ii * sini)[:, 1:]], axis=1)
     # first condition: d/dn(u_J + u_I) = 0; second: d/dn(Delta u)/w^2 =
     # -d/dn u_J + d/dn u_I = 0 (the Laplacian acts as -w^2 and +w^2 on the
@@ -212,6 +202,9 @@ def mps_sigma(d: Domain, basis: MpsBasis) -> float:
 
 def mps_scan(d: Domain, problem: str, interval, N: int, n_grid: int = 100) -> SigmaCurve:
     """Sample sigma(omega) on a uniform grid over the interval."""
+    if not d.is_smooth:
+        raise ValueError("particular solutions need a smooth domain (d.is_smooth), "
+                         f"got a {type(d).__name__}")
     lo, hi = float(interval[0]), float(interval[1])
     if not (0 < lo < hi):
         raise ValueError("interval must be positive and increasing")

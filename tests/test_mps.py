@@ -1,8 +1,13 @@
+import warnings
+
+import numpy as np
 import pytest
+from scipy.special import ive, jv
 
 from neuspec import geometry as geo
 from neuspec import mps
 from neuspec.ball import Ball, neumann_spectrum_ball
+from neuspec.corpus import NONSMOOTH, corpus_domain
 from neuspec.special import first_radial_deriv_zero
 
 
@@ -94,3 +99,114 @@ class TestCurve:
         w, s = lines[1].split(",")
         assert float(w) == curve.omegas[0]
         assert float(s) == curve.sigmas[0]
+
+
+class TestNonSmooth:
+    @pytest.mark.parametrize("name", NONSMOOTH)
+    def test_rejected_before_any_sigma(self, name, monkeypatch):
+        def no_sigma(*args):
+            raise AssertionError("mps_sigma called on a non-smooth domain")
+
+        monkeypatch.setattr(mps, "mps_sigma", no_sigma)
+        d = corpus_domain(name)
+        with pytest.raises(ValueError, match="particular solutions need a smooth domain"):
+            mps.mps_scan(d, "laplace_neumann", (1.0, 2.0), 10)
+        with pytest.raises(ValueError, match="particular solutions need a smooth domain"):
+            mps.mps_find(d, "polyharm_neumann", (1.0, 2.0), 10)
+
+
+def _reference_blocks(d, basis):
+    """The collocation blocks as first written: three jv/ive calls per block
+    for values and derivatives, and the geometry rebuilt on every call."""
+    n, omega = basis.N, basis.omega
+    center = np.asarray(basis.center)
+    nb = 4 * n + 8
+    t = (np.arange(nb) + 0.5) / nb
+    bpts, normals = d.boundary_frame(t)
+    ipts = mps._interior_points(d, 2 * n + 4)
+
+    def polar(pts):
+        rel = pts - center[None, :]
+        return rel, np.hypot(rel[:, 0], rel[:, 1]), np.arctan2(rel[:, 1], rel[:, 0])
+
+    relb, rb, thb = polar(bpts)
+    _, ri, thi = polar(ipts)
+    er = relb / rb[:, None]
+    et = np.column_stack([-er[:, 1], er[:, 0]])
+    n_dot_r = np.sum(normals * er, axis=1)
+    n_dot_t = np.sum(normals * et, axis=1)
+    orders = np.arange(n + 1, dtype=float)
+    cosb = np.cos(orders[None, :] * thb[:, None])
+    sinb = np.sin(orders[None, :] * thb[:, None])
+    cosi = np.cos(orders[None, :] * thi[:, None])
+    sini = np.sin(orders[None, :] * thi[:, None])
+
+    def j_block(x):
+        vals = jv(orders[None, :], x[:, None])
+        vprime = 0.5 * (jv(orders[None, :] - 1.0, x[:, None]) - jv(orders[None, :] + 1.0, x[:, None]))
+        return vals, vprime
+
+    def i_block(x, x_ref):
+        shift = np.exp(x[:, None] - x_ref)
+        vals = ive(orders[None, :], x[:, None]) * shift
+        vprime = 0.5 * (ive(np.abs(orders[None, :] - 1.0), x[:, None])
+                        + ive(orders[None, :] + 1.0, x[:, None])) * shift
+        return vals, vprime
+
+    def normal_rows(f, fp):
+        du_r_cos = omega * fp * cosb
+        du_r_sin = omega * fp * sinb
+        du_t_cos = -f * orders[None, :] * sinb / rb[:, None]
+        du_t_sin = f * orders[None, :] * cosb / rb[:, None]
+        rows_cos = n_dot_r[:, None] * du_r_cos + n_dot_t[:, None] * du_t_cos
+        rows_sin = n_dot_r[:, None] * du_r_sin + n_dot_t[:, None] * du_t_sin
+        return np.concatenate([rows_cos, rows_sin[:, 1:]], axis=1)
+
+    jb, jpb = j_block(omega * rb)
+    ji, _ = j_block(omega * ri)
+    bnd_j = normal_rows(jb, jpb)
+    int_j = np.concatenate([ji * cosi, (ji * sini)[:, 1:]], axis=1)
+    if basis.problem == "laplace_neumann":
+        return bnd_j, int_j
+    x_ref = float(np.max(omega * rb))
+    ib, ipb = i_block(omega * rb, x_ref)
+    ii, _ = i_block(omega * ri, x_ref)
+    bnd_i = normal_rows(ib, ipb)
+    int_i = np.concatenate([ii * cosi, (ii * sini)[:, 1:]], axis=1)
+    boundary = np.concatenate([np.concatenate([bnd_j, bnd_i], axis=1),
+                               np.concatenate([-bnd_j, bnd_i], axis=1)], axis=0)
+    return boundary, np.concatenate([int_j, int_i], axis=1)
+
+
+class TestCollocation:
+    @pytest.mark.parametrize("offset", [(0.0, 0.0), (0.1, 0.05)])
+    @pytest.mark.parametrize("n", [1, 5, 20, 60])
+    @pytest.mark.parametrize("name", ["disk", "ellipse-2.0", "stadium"])
+    def test_matches_reference_exactly(self, name, n, offset, monkeypatch):
+        d = corpus_domain(name)
+        cx, cy = geo.domain_metrics(d).centroid
+        center = (cx + offset[0], cy + offset[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # rank warnings at large N
+            for problem in ("laplace_neumann", "polyharm_neumann"):
+                for omega in (0.5, 2.3, 9.7, 40.0):
+                    basis = mps.MpsBasis(problem, omega, n, center)
+                    got = mps._collocation_blocks(d, basis)
+                    want = _reference_blocks(d, basis)
+                    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+                    sigma = mps.mps_sigma(d, basis)
+                    with monkeypatch.context() as m:
+                        m.setattr(mps, "_collocation_blocks", lambda d, b: want)
+                        assert mps.mps_sigma(d, basis) == sigma
+
+    def test_cached_geometry_is_read_only(self, disk):
+        for arr in mps._collocation_geometry(disk, 5, (0.0, 0.0)):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_centers_get_their_own_frames(self, disk):
+        near = mps._collocation_geometry(disk, 12, (0.0, 0.0))
+        off = mps._collocation_geometry(disk, 12, (0.3, -0.2))
+        assert near is not off
+        assert not np.array_equal(near[0], off[0])  # boundary radii
+        assert not np.array_equal(near[2], off[2])  # n.e_r
