@@ -61,6 +61,29 @@ def _h_list(text: str) -> tuple:
     return hs
 
 
+def _int_in(lo: int, hi: float = math.inf):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if not lo <= value <= hi:
+            bounds = f"in {lo}..{hi}" if hi < math.inf else f">= {lo}"
+            raise argparse.ArgumentTypeError(f"expected an integer {bounds}, got {text!r}")
+        return value
+    return parse
+
+
+def _frequency(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a frequency, got {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive, finite frequency, got {text!r}")
+    return value
+
+
 def _json_dump(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -351,10 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--domain", required=True)
     p_scan.add_argument("--problem", choices=("laplace_neumann", "polyharm_neumann"),
                         default="laplace_neumann")
-    p_scan.add_argument("--lo", type=float, required=True)
-    p_scan.add_argument("--hi", type=float, required=True)
-    p_scan.add_argument("--trunc", type=int, default=20, help="angular truncation")
-    p_scan.add_argument("--grid", type=int, default=100)
+    p_scan.add_argument("--lo", type=_frequency, required=True,
+                        help="lowest frequency, positive and below --hi")
+    p_scan.add_argument("--hi", type=_frequency, required=True, help="highest frequency")
+    p_scan.add_argument("--trunc", type=_int_in(1, 60), default=20,
+                        help="angular truncation, 1..60")
+    p_scan.add_argument("--grid", type=_int_in(1), default=100,
+                        help="grid intervals (the curve has one more row)")
     p_scan.add_argument("--out", required=True, help="CSV path")
     p_scan.set_defaults(func=cmd_sigma_scan)
 
@@ -376,7 +402,10 @@ def cmd_sigma_scan(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "sigma-scan" and not args.lo < args.hi:
+        parser.error(f"sigma-scan: --lo must be below --hi, got {args.lo:g} and {args.hi:g}")
     try:
         return args.func(args)
     except BrokenPipeError:  # pragma: no cover

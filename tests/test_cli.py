@@ -305,6 +305,41 @@ class TestPlotCommand:
         assert proc.returncode == 1
 
 
+class TestSigmaScanCommand:
+    @pytest.mark.parametrize("flags, named", [
+        (["--trunc", "0"], "--trunc"),
+        (["--trunc", "61"], "--trunc"),
+        (["--grid", "0"], "--grid"),
+        (["--grid", "-3"], "--grid"),
+        (["--lo", "0"], "--lo"),
+        (["--lo", "-1"], "--lo"),
+        (["--hi", "inf"], "--hi"),
+        (["--lo", "nan"], "--lo"),
+        (["--lo", "2"], "--lo must be below --hi"),
+        (["--lo", "3"], "--lo must be below --hi"),
+    ])
+    def test_bad_arguments_exit_2(self, flags, named, tmp_path, capsys):
+        argv = ["sigma-scan", "--domain", "disk", "--lo", "1", "--hi", "2",
+                "--out", str(tmp_path / "s.csv")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + flags)
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_bad_grid_exits_2_from_the_shell(self, tmp_path):
+        proc = run_cli(["sigma-scan", "--domain", "disk", "--lo", "1", "--hi", "2",
+                        "--grid", "-3", "--out", str(tmp_path / "s.csv")])
+        assert proc.returncode == 2
+        assert "--grid" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_nonsmooth_domain_exits_1(self, tmp_path, capsys):
+        code = cli.main(["sigma-scan", "--domain", "square", "--lo", "1", "--hi", "2",
+                         "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert "particular solutions need a smooth domain" in capsys.readouterr().err
+
+
 class TestParser:
     def test_version(self):
         proc = run_cli(["--version"])
