@@ -61,27 +61,17 @@ def _h_list(text: str) -> tuple:
     return hs
 
 
-def _int_in(lo: int, hi: float = math.inf):
-    def parse(text: str) -> int:
+def _checked(convert, ok, what: str):
+    """argparse type: convert the text, and accept the value only if ok(value)."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if not lo <= value <= hi:
-            bounds = f"in {lo}..{hi}" if hi < math.inf else f">= {lo}"
-            raise argparse.ArgumentTypeError(f"expected an integer {bounds}, got {text!r}")
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
         return value
     return parse
-
-
-def _frequency(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a frequency, got {text!r}") from None
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a positive, finite frequency, got {text!r}")
-    return value
 
 
 def _json_dump(payload) -> str:
@@ -374,13 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--domain", required=True)
     p_scan.add_argument("--problem", choices=("laplace_neumann", "polyharm_neumann"),
                         default="laplace_neumann")
-    p_scan.add_argument("--lo", type=_frequency, required=True,
-                        help="lowest frequency, positive and below --hi")
-    p_scan.add_argument("--hi", type=_frequency, required=True, help="highest frequency")
-    p_scan.add_argument("--trunc", type=_int_in(1, 60), default=20,
-                        help="angular truncation, 1..60")
-    p_scan.add_argument("--grid", type=_int_in(1), default=100,
-                        help="grid intervals (the curve has one more row)")
+    frequency = _checked(float, lambda v: 0 < v < math.inf, "a positive, finite frequency")
+    p_scan.add_argument("--lo", type=frequency, required=True,
+                        help="lowest frequency, below --hi")
+    p_scan.add_argument("--hi", type=frequency, required=True, help="highest frequency")
+    p_scan.add_argument("--trunc", type=_checked(int, lambda n: 1 <= n <= 60, "an integer in 1..60"),
+                        default=20, help="angular truncation, 1..60")
+    p_scan.add_argument("--grid", type=_checked(int, lambda n: n >= 1, "an integer >= 1"),
+                        default=100, help="grid intervals (the curve has one more row)")
     p_scan.add_argument("--out", required=True, help="CSV path")
     p_scan.set_defaults(func=cmd_sigma_scan)
 

@@ -92,16 +92,20 @@ def _interior_points(d: Domain, count: int) -> np.ndarray:
     return np.asarray(out)
 
 
-@functools.lru_cache(maxsize=8)
+# one entry serves every sigma of a scan and its refinement; a few more let
+# callers alternate problems or truncations on one domain
+@functools.lru_cache(maxsize=4)
 def _collocation_geometry(d: Domain, n: int, center: tuple):
-    """The omega-independent part of the collocation blocks, read-only:
-    boundary radii, n.e_r and n.e_t there, interior radii, the orders
-    0..n, and the cos/sin tables at the boundary and interior points."""
+    """The omega-independent part of the collocation blocks: boundary radii,
+    n.e_r and n.e_t there, interior radii, the orders 0..n, and the cos/sin
+    tables at the boundary and interior points.  Every caller shares these
+    arrays, so they are read-only."""
     nb = 4 * n + 8
     t = (np.arange(nb) + 0.5) / nb
     bpts, normals = d.boundary_frame(t)
-    relb = bpts - np.asarray(center)[None, :]
-    reli = _interior_points(d, 2 * n + 4) - np.asarray(center)[None, :]
+    c = np.asarray(center)[None, :]
+    relb = bpts - c
+    reli = _interior_points(d, 2 * n + 4) - c
     rb = np.hypot(relb[:, 0], relb[:, 1])
     ri = np.hypot(reli[:, 0], reli[:, 1])
     thb = np.arctan2(relb[:, 1], relb[:, 0])
@@ -203,8 +207,7 @@ def mps_sigma(d: Domain, basis: MpsBasis) -> float:
 def mps_scan(d: Domain, problem: str, interval, N: int, n_grid: int = 100) -> SigmaCurve:
     """Sample sigma(omega) on a uniform grid over the interval."""
     if not d.is_smooth:
-        raise ValueError("particular solutions need a smooth domain (d.is_smooth), "
-                         f"got a {type(d).__name__}")
+        raise ValueError(f"particular solutions need a smooth domain, got a {type(d).__name__}")
     lo, hi = float(interval[0]), float(interval[1])
     if not (0 < lo < hi):
         raise ValueError("interval must be positive and increasing")
