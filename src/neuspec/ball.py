@@ -1,4 +1,4 @@
-"""Exact Neumann spectra of Delta^p on balls, and radial-mode projections.
+"""Exact Neumann spectra of Delta^p on balls.
 
 Eigenvalues on a ball of radius R are (nu_{j,l}/R)^(2p) for the operator
 Delta^p, where nu_{j,l} is the l-th positive zero of the degree-j radial
@@ -12,32 +12,17 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-import numpy as np
-from scipy.special import gammaln as _gammaln
-from scipy.special import jv as _jv
-
-from .special import (
-    RadialProfile,
-    deriv_zero_table,
-    first_radial_deriv_zero,
-    radial_profile_eval,
-)
+from .special import deriv_zero_table, first_radial_deriv_zero
 
 __all__ = [
     "Ball",
     "SpectrumEntry",
-    "BesselFourierCoeffs",
     "mu1_ball",
     "upsilon1_ball",
     "upsilon1_poly_ball",
     "neumann_spectrum_ball",
-    "ball_eigenfunction",
     "angular_multiplicity",
-    "radial_mode_fn",
-    "bessel_fourier_project",
-    "bessel_fourier_reconstruct",
     "spectrum_to_csv",
 ]
 
@@ -64,16 +49,6 @@ class SpectrumEntry:
     degree: int
     radial_index: int
     multiplicity: int
-
-
-@dataclass(frozen=True)
-class BesselFourierCoeffs:
-    """Coefficients of a fixed-degree radial expansion on [0, R]."""
-
-    n: int
-    degree: int
-    radius: float
-    coeffs: tuple
 
 
 def mu1_ball(b: Ball) -> float:
@@ -168,124 +143,6 @@ def neumann_spectrum_ball(b: Ball, count: int, power: int = 1) -> list[SpectrumE
             )
         )
     return entries
-
-
-def ball_eigenfunction(b: Ball, i: int, x) -> float | np.ndarray:
-    """Evaluate the i-th first Neumann eigenfunction g(r) x_i / r.
-
-    `x` is a point of R^n (shape (n,)) or a stack of points (..., n);
-    the value at the origin is 0.
-    """
-    if not (1 <= i <= b.n):
-        raise ValueError(f"component index must be in 1..{b.n}")
-    pts = np.asarray(x, dtype=float)
-    scalar = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[-1] != b.n:
-        raise ValueError(f"points must have {b.n} coordinates")
-    r = np.sqrt(np.sum(pts * pts, axis=-1))
-    prof = RadialProfile.for_ball(b.n, b.radius)
-    g, _ = radial_profile_eval(prof, r)
-    out = np.zeros_like(r)
-    pos = r > 0.0
-    out[pos] = g[pos] * pts[pos, i - 1] / r[pos]
-    return float(out[0]) if scalar else out
-
-
-# ---------------------------------------------------------------------------
-# Fixed-degree radial expansions
-# ---------------------------------------------------------------------------
-
-def _mode_values(n: int, j: int, x: np.ndarray) -> np.ndarray:
-    """Regular radial solution x^(-a) J_(j+a)(x), a = (n-2)/2, series near 0."""
-    a = (n - 2) / 2.0
-    nu = j + a
-    out = np.empty_like(x)
-    small = x < 0.5
-    if np.any(small):
-        xs = x[small]
-        # x^(-a) J_nu(x) = 2^(-nu) x^j sum_k (-1)^k (x^2/4)^k / (k! Gamma(nu+k+1))
-        acc = np.zeros_like(xs)
-        term = math.exp(-nu * math.log(2.0) - _gammaln(nu + 1.0)) * np.ones_like(xs)
-        x2 = xs * xs
-        for k in range(14):
-            acc += term
-            term = term * (-0.25 * x2) / ((k + 1) * (nu + k + 1))
-        out[small] = acc * xs**j
-    big = ~small
-    if np.any(big):
-        out[big] = x[big] ** (-a) * _jv(nu, x[big])
-    return out
-
-
-def radial_mode_fn(b: Ball, degree: int, l: int):
-    """Callable r -> radial mode of given degree and radial index on [0, R]."""
-    table = deriv_zero_table(b.n, degree, l)
-    nu = table.value(degree, l)
-
-    def mode(r):
-        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        vals = _mode_values(b.n, degree, nu * r_arr / b.radius)
-        return float(vals[0]) if np.ndim(r) == 0 else vals.reshape(np.shape(r))
-
-    return mode
-
-
-@lru_cache(maxsize=8)
-def _gauss_panels(n_panels: int = 4, n_nodes: int = 64):
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    return x, w
-
-
-def _radial_quadrature(radius: float, n_panels: int = 4, n_nodes: int = 64):
-    """Composite Gauss nodes/weights on [0, radius]."""
-    x, w = _gauss_panels(n_panels, n_nodes)
-    nodes = []
-    weights = []
-    width = radius / n_panels
-    for k in range(n_panels):
-        lo = k * width
-        nodes.append(lo + 0.5 * width * (x + 1.0))
-        weights.append(0.5 * width * w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def bessel_fourier_project(samples, b: Ball, degree: int, L: int) -> BesselFourierCoeffs:
-    """Project a radial sample function onto the first L modes of a degree.
-
-    Inner products carry the r^(n-1) weight in which the fixed-degree
-    radial modes are orthogonal:
-
-        c_l = int_0^R psi(r) phi_l(r) r^(n-1) dr / int_0^R phi_l(r)^2 r^(n-1) dr.
-    """
-    if L < 1:
-        raise ValueError("need at least one mode")
-    r, w = _radial_quadrature(b.radius)
-    psi = np.asarray(samples(r), dtype=float)
-    if psi.shape != r.shape:
-        raise ValueError("sample function must return one value per radius")
-    if not np.all(np.isfinite(psi)):
-        raise ValueError("sample function returned non-finite values")
-    weight = w * r ** (b.n - 1)
-    table = deriv_zero_table(b.n, degree, L)
-    coeffs = []
-    for l in range(1, L + 1):
-        phi = _mode_values(b.n, degree, table.value(degree, l) * r / b.radius)
-        coeffs.append(float(np.sum(psi * phi * weight) / np.sum(phi * phi * weight)))
-    return BesselFourierCoeffs(
-        n=b.n, degree=degree, radius=b.radius, coeffs=tuple(coeffs)
-    )
-
-
-def bessel_fourier_reconstruct(c: BesselFourierCoeffs, r) -> np.ndarray:
-    """Evaluate the finite mode sum with coefficients `c` at radii `r`."""
-    b = Ball(c.n, c.radius)
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    table = deriv_zero_table(c.n, c.degree, len(c.coeffs))
-    out = np.zeros_like(r_arr)
-    for l, cl in enumerate(c.coeffs, start=1):
-        out += cl * _mode_values(c.n, c.degree, table.value(c.degree, l) * r_arr / c.radius)
-    return float(out[0]) if np.ndim(r) == 0 else out.reshape(np.shape(r))
 
 
 def spectrum_to_csv(b: Ball, entries, power: int, stream=None) -> str:

@@ -327,10 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ball = sub.add_parser("ball", help="exact Neumann values on a ball")
-    p_ball.add_argument("--n", type=int, default=2, help="ambient dimension")
-    p_ball.add_argument("--R", type=float, default=1.0, help="ball radius")
-    p_ball.add_argument("--m", type=int, default=1, help="operator power: Delta^(2m)")
-    p_ball.add_argument("--count", type=int, default=5, help="spectrum entries to list")
+    p_ball.add_argument("--n", type=_checked(int, lambda n: 2 <= n <= 16, "an integer in 2..16"),
+                        default=2, help="ambient dimension, 2..16")
+    p_ball.add_argument("--R", type=_checked(float, lambda v: 0 < v < math.inf,
+                                             "a positive, finite radius"),
+                        default=1.0, help="ball radius")
+    p_ball.add_argument("--m", type=_checked(int, lambda m: 1 <= m <= 8, "an integer in 1..8"),
+                        default=1, help="operator power: Delta^(2m), 1..8")
+    p_ball.add_argument("--count", type=_checked(int, lambda n: n >= 1, "an integer >= 1"),
+                        default=5, help="spectrum entries to list")
     p_ball.add_argument("--out", help="artifact path (relative paths join the output dir)")
     p_ball.add_argument("--format", choices=("json", "csv"), default="json")
     p_ball.set_defaults(func=cmd_ball)
@@ -347,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--order", type=int, choices=(1, 2), default=2)
     p_ver.add_argument("--no-mps", action="store_true",
                        help="skip the particular-solutions cross-check")
-    p_ver.add_argument("--threads", type=int, default=1,
-                       help="worker threads for the mesh family (1 = serial)")
+    p_ver.add_argument("--threads", type=_checked(int, lambda n: n >= 1, "an integer >= 1"),
+                       default=1, help="worker threads for the mesh family (1 = serial)")
     p_ver.add_argument("--save-eigenfunction", metavar="PATH",
                        help="dump the lowest eigenvector on the finest mesh")
     p_ver.add_argument("--out", help="report path (stdout when omitted)")

@@ -211,6 +211,8 @@ def mps_scan(d: Domain, problem: str, interval, N: int, n_grid: int = 100) -> Si
     lo, hi = float(interval[0]), float(interval[1])
     if not (0 < lo < hi):
         raise ValueError("interval must be positive and increasing")
+    if n_grid < 1:
+        raise ValueError(f"grid must have at least one interval, got n_grid={n_grid}")
     center = domain_metrics(d).centroid
     omegas = np.linspace(lo, hi, n_grid + 1)
     sigmas = [

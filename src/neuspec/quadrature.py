@@ -15,7 +15,7 @@ import numpy as np
 from .geometry import Domain
 from .meshing import Mesh, triangle_jacobians, triangulate
 
-__all__ = ["triangle_rule", "mesh_quadrature", "integrate", "integrate_mesh"]
+__all__ = ["triangle_rule", "mesh_quadrature"]
 
 MAX_DEGREE = 10
 
@@ -100,45 +100,7 @@ def mesh_quadrature(mesh: Mesh, degree: int):
     return pts.reshape(-1, 2), w.ravel()
 
 
-def integrate_mesh(mesh: Mesh, f, degree: int = 7) -> float:
-    """Integrate a vectorized scalar field over an existing mesh.
-
-    The reduction is numpy's pairwise summation over a fixed node
-    ordering, so results do not depend on threading.
-    """
-    pts, w = mesh_quadrature(mesh, degree)
-    vals = np.asarray(f(pts), dtype=float)
-    if vals.shape != w.shape:
-        raise ValueError("field must return one value per quadrature point")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("field returned non-finite values at quadrature points")
-    return float(np.sum(vals * w))
-
-
 @lru_cache(maxsize=64)
 def cached_mesh(d: Domain, h: float) -> Mesh:
     """Deterministic memoized triangulation (domains are immutable)."""
     return triangulate(d, h)
-
-
-def integrate(d: Domain, f, degree: int = 7, h: float = 0.05, extrapolate: bool = False) -> float:
-    """Integrate f over the domain with a composite triangle rule.
-
-    The per-triangle rule is exact to `degree`; the geometric error from
-    polygonizing a curved boundary is O(h^2).  With ``extrapolate=True``
-    one Richardson step over meshes at h and h/2 removes the leading
-    term, using the achieved boundary-vertex counts as the refinement
-    ratio (nominal h ratios are distorted by rounding the vertex count).
-    """
-    mesh_c = cached_mesh(d, h)
-    val_c = integrate_mesh(mesh_c, f, degree)
-    if not extrapolate:
-        return val_c
-    mesh_f = cached_mesh(d, 0.5 * h)
-    val_f = integrate_mesh(mesh_f, f, degree)
-    nb_c = int(np.sum(mesh_c.boundary_flags))
-    nb_f = int(np.sum(mesh_f.boundary_flags))
-    if nb_f <= nb_c:
-        return val_f
-    ratio = (nb_f / nb_c) ** 2
-    return val_f + (val_f - val_c) / (ratio - 1.0)

@@ -24,15 +24,11 @@ from functools import lru_cache
 import numpy as np
 import numpy.typing as npt
 from scipy.special import gamma as _gamma
-from scipy.special import iv as _iv
-from scipy.special import ive as _ive
 from scipy.special import jv as _jv
 
 __all__ = [
     "bessel_j",
     "bessel_j_prime",
-    "bessel_i",
-    "bessel_i_scaled",
     "RadialProfile",
     "radial_profile_eval",
     "radial_profile_second",
@@ -41,9 +37,6 @@ __all__ = [
     "DerivZeroTable",
     "BracketError",
 ]
-
-# Modified-Bessel arguments above this overflow double precision.
-_I_OVERFLOW_LIMIT = 500.0
 
 # Arguments s*r below this are evaluated by power series to avoid the
 # 0/0 form in the derivative of the profile.
@@ -93,28 +86,6 @@ def bessel_j_prime(nu: float, x) -> float | npt.NDArray:
     else:
         out = 0.5 * (_jv(nu - 1.0, xa) - _jv(nu + 1.0, xa))
     return _scalar_or_array(x, out)
-
-
-def bessel_i(nu: float, x) -> float | npt.NDArray:
-    """Modified Bessel function I_nu(x); raises OverflowError for x > 500.
-
-    Use :func:`bessel_i_scaled` for larger arguments.
-    """
-    nu = _check_order(nu)
-    xa = _check_argument(x)
-    if np.any(xa > _I_OVERFLOW_LIMIT):
-        raise OverflowError(
-            f"I_nu overflows double precision for x > {_I_OVERFLOW_LIMIT:g}; "
-            "use bessel_i_scaled"
-        )
-    return _scalar_or_array(x, _iv(nu, xa))
-
-
-def bessel_i_scaled(nu: float, x) -> float | npt.NDArray:
-    """Exponentially scaled modified Bessel function e^(-x) I_nu(x)."""
-    nu = _check_order(nu)
-    xa = _check_argument(x)
-    return _scalar_or_array(x, _ive(nu, xa))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +147,7 @@ class RadialProfile:
             raise ValueError("scale must be positive and finite")
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise ValueError("radius must be positive and finite")
-        _, gp = radial_profile_eval(self, self.radius, validate=False)
+        _, gp = radial_profile_eval(self, self.radius)
         ref = abs(self.scale) / self.n  # magnitude of g'(0)
         if abs(gp) > 1e-8 * ref:
             raise ValueError(
@@ -196,13 +167,13 @@ class RadialProfile:
         return self.scale * self.scale
 
 
-def radial_profile_eval(p: RadialProfile, r, validate: bool = True):
+def radial_profile_eval(p: RadialProfile, r):
     """Evaluate the profile and its derivative, ``(g(r), g'(r))``.
 
     Accepts scalars or arrays; r = 0 returns the analytic limits
     (0, scale/n) taken from the leading series coefficient.
     """
-    if validate and not isinstance(p, RadialProfile):
+    if not isinstance(p, RadialProfile):
         raise TypeError("expected a RadialProfile")
     r_arr = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(r_arr)):
@@ -368,38 +339,6 @@ class DerivZeroTable:
                 f"(j_max={self.j_max}, l_max={self.l_max})"
             )
         return self.entries[(j, l)]
-
-    def save_text(self, path) -> None:
-        """Write the versioned plain-text snapshot format."""
-        lines = ["nu-table v1"]
-        for j in range(self.j_max + 1):
-            for l in range(1, self.l_max + 1):
-                lines.append(f"{self.n} {j} {l} {self.entries[(j, l)]:.17g}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    @staticmethod
-    def load_text(path) -> "DerivZeroTable":
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "nu-table v1":
-                raise ValueError(f"unrecognized zero-table header: {header!r}")
-            entries = {}
-            n = None
-            for line in fh:
-                if not line.strip():
-                    continue
-                sn, sj, sl, sv = line.split()
-                if n is None:
-                    n = int(sn)
-                elif int(sn) != n:
-                    raise ValueError("mixed dimensions in zero table")
-                entries[(int(sj), int(sl))] = float(sv)
-        if n is None:
-            raise ValueError("empty zero table")
-        j_max = max(j for j, _ in entries)
-        l_max = max(l for _, l in entries)
-        return DerivZeroTable(n=n, j_max=j_max, l_max=l_max, entries=entries)
 
 
 @lru_cache(maxsize=32)

@@ -11,7 +11,6 @@ an independent quadrature of the iterated radial operator applied to G.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,7 +32,6 @@ __all__ = [
     "TrialProfile",
     "TrialQuotient",
     "TrialCertificate",
-    "hopf_field",
     "find_center",
     "trial_quotient",
     "certify_upper_bound",
@@ -48,6 +46,12 @@ _QUAD_DEGREE = 7
 # largest accepted quotient error estimate, relative to the quotient; on
 # the corpus at m <= 4 the estimate stays below 5e-12
 _QUAD_ERROR_CAP = 1e-6
+
+# scaled centering residual at which Newton stops, and the residuals a
+# valid certificate may carry
+CENTER_RESIDUAL_TOL = 1e-12
+FIELD_RESIDUAL_TOL = 1e-10
+MEAN_RESIDUAL_TOL = 1e-8
 
 
 class CenterConvergenceError(RuntimeError):
@@ -113,32 +117,19 @@ def _field_and_scale(p: TrialProfile, pts, w, x0):
     return v, scale
 
 
-def hopf_field(d: Domain, x0, p: TrialProfile | None = None, h: float | None = None):
-    """Domain integral of (x - x0) G(|x - x0|)/|x - x0|, a 2-vector.
-
-    Continuous in x0; the integrand is regular at x = x0 where G/r tends
-    to G'(0).
-    """
-    if p is None:
-        p = TrialProfile.for_domain(d)
-    pts, w = _domain_quadrature(d, h if h is not None else _default_h(d), _QUAD_DEGREE)
-    v, _ = _field_and_scale(p, pts, w, np.asarray(x0, dtype=float))
-    return v
-
-
-def find_center(d: Domain, tol: float = 1e-12, p: TrialProfile | None = None,
-                h: float | None = None):
+def find_center(d: Domain, p: TrialProfile | None = None):
     """Zero of the centering field inside the convex hull of the domain.
 
     Damped Newton with a central-difference Jacobian from the centroid;
-    the residual is scaled by int |G| dx.  Raises CenterConvergenceError
-    with the best residual if the iteration budget runs out.
+    the residual is scaled by int |G| dx and must reach CENTER_RESIDUAL_TOL.
+    Raises CenterConvergenceError with the best residual if the iteration
+    budget runs out.
     """
     if p is None:
         p = TrialProfile.for_domain(d)
     metrics = domain_metrics(d)
     hull = np.asarray(metrics.hull)
-    pts, w = _domain_quadrature(d, h if h is not None else _default_h(d), _QUAD_DEGREE)
+    pts, w = _domain_quadrature(d, _default_h(d), _QUAD_DEGREE)
     diam = d.diameter()
     fd_step = 1e-5 * diam
 
@@ -152,7 +143,7 @@ def find_center(d: Domain, tol: float = 1e-12, p: TrialProfile | None = None,
         res = float(np.hypot(*v)) / scale
         if res < best[0]:
             best = (res, x.copy())
-        if res <= tol:
+        if res <= CENTER_RESIDUAL_TOL:
             return x
         jac = np.empty((2, 2))
         for k in range(2):
@@ -180,10 +171,10 @@ def find_center(d: Domain, tol: float = 1e-12, p: TrialProfile | None = None,
             break
     v, scale = field(x)
     res = float(np.hypot(*v)) / scale
-    if res <= tol:
+    if res <= CENTER_RESIDUAL_TOL:
         return x
     raise CenterConvergenceError(
-        f"centering residual {best[0]:.3e} did not reach tol {tol:.1e} "
+        f"centering residual {best[0]:.3e} did not reach tol {CENTER_RESIDUAL_TOL:.1e} "
         f"(best point {best[1].tolist()})"
     )
 
@@ -460,10 +451,6 @@ class TrialCertificate:
             "valid": self.valid,
         }
         return json.dumps(payload, sort_keys=True, indent=2)
-
-
-FIELD_RESIDUAL_TOL = 1e-10
-MEAN_RESIDUAL_TOL = 1e-8
 
 
 def certify_upper_bound(d: Domain, m: int) -> TrialCertificate:

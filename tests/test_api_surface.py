@@ -1,0 +1,57 @@
+"""Every public name of neuspec is reached by the package itself.
+
+A name listed in a module's ``__all__`` must be imported or loaded by code
+somewhere under ``src/neuspec``, outside its own definition and outside
+``__all__``; a mention in a docstring does not count.  The acceptance suite
+checks a few definitions of the paper directly, and only those are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "neuspec"
+
+# name -> the test that imports it
+ACCEPTANCE_ONLY = {
+    "bessel_j": "test_acceptance.py::test_criterion_9_special_function_suites",
+    "bessel_j_prime": "test_acceptance.py::test_criterion_9_special_function_suites",
+    "radial_profile_eval": "test_acceptance.py::test_criterion_9_special_function_suites",
+    "radial_profile_second": "test_acceptance.py::test_criterion_9_special_function_suites",
+    "upsilon1_ball": "test_acceptance.py (EXACT_UPS1, the paper's value on the unit disk)",
+}
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _uses(module, tree):
+    """(module, enclosing top-level definition or None, name) per use."""
+    out = []
+    for top in tree.body:
+        owner = top.name if isinstance(
+            top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.append((module, owner, node.id))
+            elif isinstance(node, ast.ImportFrom):
+                out.extend((module, owner, alias.name) for alias in node.names)
+    return out
+
+
+def test_every_public_name_has_a_caller():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    uses = [use for module, tree in trees.items() for use in _uses(module, tree)]
+    idle = [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _exported(tree)
+        if name not in ACCEPTANCE_ONLY
+        and not any(n == name and (m, owner) != (module, name) for m, owner, n in uses)
+    ]
+    assert not idle, f"public names that nothing in src/neuspec reaches: {idle}"

@@ -1,7 +1,5 @@
 import io
-import math
 
-import numpy as np
 import pytest
 
 from neuspec import ball as bl
@@ -105,71 +103,6 @@ class TestSpectrum:
         buf = io.StringIO()
         bl.spectrum_to_csv(disk, bl.neumann_spectrum_ball(disk, 1), 1, stream=buf)
         assert buf.getvalue().startswith("power,")
-
-
-class TestEigenfunction:
-    def test_zero_at_origin(self, disk):
-        assert bl.ball_eigenfunction(disk, 1, [0.0, 0.0]) == 0.0
-
-    def test_normal_derivative_at_boundary(self, disk):
-        # radial finite difference across |x| = R along x-axis
-        h = 1e-6
-        up = bl.ball_eigenfunction(disk, 1, [1.0 + h, 0.0])
-        dn = bl.ball_eigenfunction(disk, 1, [1.0 - h, 0.0])
-        assert abs((up - dn) / (2 * h)) < 1e-8
-
-    def test_odd_symmetry_integral(self, disk):
-        from neuspec.geometry import Disk
-        from neuspec.quadrature import integrate
-
-        val = integrate(
-            Disk((0, 0), 1.0),
-            lambda p: bl.ball_eigenfunction(disk, 1, p),
-            degree=7,
-            h=0.05,
-        )
-        assert abs(val) < 1e-10
-
-    def test_component_bounds(self, disk):
-        with pytest.raises(ValueError):
-            bl.ball_eigenfunction(disk, 3, [0.1, 0.1])
-
-
-class TestProjection:
-    def test_self_projection(self, disk):
-        for l_target in (1, 2):
-            mode = bl.radial_mode_fn(disk, 1, l_target)
-            coeffs = bl.bessel_fourier_project(mode, disk, 1, 4).coeffs
-            for l, c in enumerate(coeffs, start=1):
-                expect = 1.0 if l == l_target else 0.0
-                assert c == pytest.approx(expect, abs=1e-8)
-
-    def test_smooth_reconstruction(self, disk):
-        psi = lambda r: r * (1 - r**2) ** 2  # noqa: E731 - test-local field
-        coeffs = bl.bessel_fourier_project(psi, disk, 1, 12)
-        # weighted L2 reconstruction error with a fine independent grid
-        r = np.linspace(1e-9, 1.0, 4001)
-        diff = bl.bessel_fourier_reconstruct(coeffs, r) - psi(r)
-        err = math.sqrt(np.trapezoid(diff * diff * r, r))
-        assert err < 1e-4
-
-    def test_parseval_for_mixtures(self, disk):
-        from neuspec.ball import _radial_quadrature
-
-        table_modes = [bl.radial_mode_fn(disk, 1, l) for l in (1, 2, 3)]
-        c = (0.7, -0.4, 0.2)
-        r, w = _radial_quadrature(1.0)
-        weight = w * r  # n = 2
-        u = sum(ci * m(r) for ci, m in zip(c, table_modes))
-        total = float(np.sum(u * u * weight))
-        by_modes = sum(
-            ci**2 * float(np.sum(m(r) ** 2 * weight)) for ci, m in zip(c, table_modes)
-        )
-        assert total == pytest.approx(by_modes, rel=1e-8)
-
-    def test_rejects_bad_samples(self, disk):
-        with pytest.raises(ValueError):
-            bl.bessel_fourier_project(lambda r: r * np.nan, disk, 1, 3)
 
 
 class TestValidation:

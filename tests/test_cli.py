@@ -54,6 +54,16 @@ class TestBallCommand:
         proc = run_cli(["ball", "--unknown-flag", "3"])
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--n", "1"), ("--n", "17"), ("--R", "-1"), ("--R", "nan"),
+        ("--m", "0"), ("--m", "9"), ("--count", "0"),
+    ])
+    def test_bad_arguments_exit_2(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ball", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_outdir_env(self, tmp_path):
         proc = run_cli(
             ["ball", "--out", "table.json"],
@@ -149,6 +159,13 @@ class TestVerifyCommand:
             cli.main(["verify", "--domain", "disk", "--m", m])
         assert exc.value.code == 2
         assert "--m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exits_2(self, threads, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--domain", "disk", "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_solver_failure_names_stage_and_mesh(self, monkeypatch, capsys):
         monkeypatch.setattr(fem, "RESIDUAL_TOL", 0.0)

@@ -100,6 +100,15 @@ class TestCurve:
         assert float(w) == curve.omegas[0]
         assert float(s) == curve.sigmas[0]
 
+    @pytest.mark.parametrize("n_grid", [0, -3])
+    def test_grid_below_one_rejected_before_any_sigma(self, disk, n_grid, monkeypatch):
+        def no_sigma(*args):
+            raise AssertionError("mps_sigma called with an empty grid")
+
+        monkeypatch.setattr(mps, "mps_sigma", no_sigma)
+        with pytest.raises(ValueError, match="n_grid"):
+            mps.mps_scan(disk, "laplace_neumann", (1.5, 2.5), 10, n_grid=n_grid)
+
 
 class TestNonSmooth:
     @pytest.mark.parametrize("name", NONSMOOTH)

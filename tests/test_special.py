@@ -107,29 +107,6 @@ class TestBesselJPrime:
                 assert sp.bessel_j_prime(nu, x) == pytest.approx(fd, abs=1e-7)
 
 
-class TestBesselI:
-    def test_trivial(self):
-        assert sp.bessel_i(0, 0.0) == 1.0
-        assert sp.bessel_i(1, 0.0) == 0.0
-
-    def test_half_order_closed_form(self):
-        expect = math.sqrt(2.0 / math.pi) * math.sinh(1.0)
-        assert sp.bessel_i(0.5, 1.0) == pytest.approx(expect, rel=1e-13)
-        assert sp.bessel_i(0.5, 1.0) == pytest.approx(0.937674, abs=1e-6)
-
-    def test_overflow_guard(self):
-        with pytest.raises(OverflowError):
-            sp.bessel_i(0, 501.0)
-        scaled = sp.bessel_i_scaled(0, 700.0)
-        assert math.isfinite(scaled) and scaled > 0
-
-    def test_scaled_matches_plain(self):
-        x = 3.7
-        assert sp.bessel_i_scaled(1, x) * math.exp(x) == pytest.approx(
-            sp.bessel_i(1, x), rel=1e-13
-        )
-
-
 class TestRecurrenceInvariant:
     def test_three_term_recurrence(self):
         xs = np.linspace(0.1, 40.0, 113)
@@ -250,19 +227,3 @@ class TestDerivZeros:
             f = sp._deriv_indicator(3, j, np.array([z]))[0]
             fp = sp._deriv_indicator_prime(3, j, np.array([z]))[0]
             assert abs(f) <= 1e-12 * max(1.0, abs(fp) * z)
-
-    def test_table_roundtrip(self, tmp_path):
-        t = sp.deriv_zero_table(2, 2, 2)
-        path = tmp_path / "zeros.txt"
-        t.save_text(path)
-        first = path.read_text().splitlines()[0]
-        assert first == "nu-table v1"
-        back = sp.DerivZeroTable.load_text(path)
-        assert back.n == 2
-        assert back.entries == t.entries
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "zeros.txt"
-        path.write_text("nu-table v2\n2 0 1 3.83\n")
-        with pytest.raises(ValueError):
-            sp.DerivZeroTable.load_text(path)
