@@ -87,7 +87,11 @@ def cmd_ball(args) -> int:
     mu = mu1_ball(b)
     ups = upsilon1_poly_ball(b, 1)
     ups_m = upsilon1_poly_ball(b, args.m)
-    entries = neumann_spectrum_ball(b, args.count, power=2 * args.m)
+    try:
+        entries = neumann_spectrum_ball(b, args.count, power=2 * args.m)
+    except RuntimeError as exc:  # the zero table's caps or a failed zero scan
+        print(f"ball failed during spectrum: {exc}", file=sys.stderr)
+        return 1
     lines = [
         f"ball n={args.n} R={args.R:g} m={args.m}",
         f"  mu1      = {mu:.10g}",

@@ -12,8 +12,11 @@ continuous level.
 One eigensolve per mesh serves every q: shift-invert Lanczos (ARPACK
 mode 3, through scipy's eigsh) at sigma = -1 on a sparse LU factor of
 A + M.  A sparse LU factor of M gives each pair's residual in the M^{-1}
-norm and the symmetric splitting quotient ||(M^{-1}A)^(q/2) v||_M^2 of
-K_q, kept as a diagnostic of the mixed form.
+norm and the symmetric splitting quotients ||(M^{-1}A)^(q/2) v||_M^2 of
+K_q for every q = 2m, m <= 4, kept as a diagnostic of the mixed form.
+The solve is memoized per (mesh, order, count), so the powers m of one
+mesh share it; meshes compare by identity, and cached_mesh gives one
+mesh object per (domain, h).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -205,7 +209,14 @@ def _column_dots(u, w):
     return np.einsum("ij,ij->j", u, w)
 
 
-def _lowest_pencil_eigs(op: OperatorPair, count: int, q: int, h: float):
+# the splitting quotients kept per solve: q = 1 (the Laplacian) and
+# q = 2m for every power m that eig_polyharmonic_neumann accepts
+_MAX_POWER = 4
+# pencil solves kept: a verify run solves one mesh per h, for every m
+_SOLVE_CACHE = 16
+
+
+def _lowest_pencil_eigs(op: OperatorPair, count: int, h: float):
     """Smallest `count` nonzero pencil values A v = mu M v, with vectors.
 
     One shift-invert Lanczos run at sigma = -1 on an LU factor of
@@ -214,7 +225,8 @@ def _lowest_pencil_eigs(op: OperatorPair, count: int, q: int, h: float):
     The constant mode is dropped and the vectors are M-normalized.  An LU
     factor of M then serves the residual gate
     ||A v - mu M v||_{M^-1} <= RESIDUAL_TOL * max(1, mu) and the K_q
-    splitting quotients.  Returns (mu, vectors, residuals, quotients).
+    splitting quotients.  Returns read-only (mu, vectors, residuals,
+    {q: quotients}) for q = 1, 2, 4, ..., 2 * _MAX_POWER.
     """
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
@@ -252,21 +264,27 @@ def _lowest_pencil_eigs(op: OperatorPair, count: int, q: int, h: float):
             f"eigensolver residuals {resid} above tolerance ({where}; pencil values {mus})"
         )
     # v^T K_q v through the symmetric splitting of K_q = A (M^-1 A)^(q-1):
-    # ||(M^-1 A)^(q/2) v||_M^2 for even q, w^T A w with w = (M^-1 A)^((q-1)/2) v
+    # w^T A w with w = v for q = 1, ||(M^-1 A)^(q/2) v||_M^2 for even q
+    quotients = {1: _column_dots(vecs, op.A @ vecs)}
     w = vecs
-    for _ in range(q // 2):
+    for j in range(1, _MAX_POWER + 1):
         w = mass.solve(op.A @ w)
-    quotients = _column_dots(w, (op.M if q % 2 == 0 else op.A) @ w)
+        quotients[2 * j] = _column_dots(w, op.M @ w)
+    for arr in (mus, vecs, resid, *quotients.values()):
+        arr.setflags(write=False)
     return mus, vecs, resid, quotients
+
+
+@lru_cache(maxsize=_SOLVE_CACHE)
+def _pencil_solve(mesh: Mesh, order: int, count: int):
+    return _lowest_pencil_eigs(assemble(mesh, order), count, mesh.h)
 
 
 def _eigs(mesh: Mesh, count: int, order: int, m: int) -> EigResult:
     q = max(1, 2 * m)
-    mus, vectors, residuals, quotients = _lowest_pencil_eigs(
-        assemble(mesh, order), count, q, mesh.h
-    )
+    mus, vectors, residuals, quotients = _pencil_solve(mesh, order, count)
     return EigResult(values=mus**q, vectors=vectors, residuals=residuals,
-                     splitting_quotients=quotients, power=m, mesh_h=mesh.h)
+                     splitting_quotients=quotients[q], power=m, mesh_h=mesh.h)
 
 
 def eig_neumann_laplacian(mesh: Mesh, count: int, order: int = 2) -> EigResult:
@@ -281,8 +299,8 @@ def eig_polyharmonic_neumann(mesh: Mesh, count: int, m: int, order: int = 2) -> 
     the same mesh, which is exact for the mixed operator
     K = A (M^{-1} A)^(2m-1).
     """
-    if not (1 <= m <= 4):
-        raise ValueError("operator power m must be in 1..4")
+    if not (1 <= m <= _MAX_POWER):
+        raise ValueError(f"operator power m must be in 1..{_MAX_POWER}")
     return _eigs(mesh, count, order, m)
 
 

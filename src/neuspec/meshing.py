@@ -36,7 +36,7 @@ class MeshQualityError(RuntimeError):
     """Mesh refinement failed to reach the quality contract."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Conforming triangle mesh with positively oriented elements.
 
@@ -44,6 +44,9 @@ class Mesh:
     triangles : (nt, 3) int array, counterclockwise
     boundary_flags : (nv,) bool array, True for polyline vertices
     h : target edge length the mesh was built for
+
+    Meshes are immutable and compare and hash by identity, so that caches
+    such as the FEM pencil solves can key on them.
     """
 
     vertices: np.ndarray

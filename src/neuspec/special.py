@@ -284,7 +284,8 @@ def _scan_zeros(n: int, j: int, count: int, step: float = 0.1) -> list[float]:
     """First `count` positive zeros of the radial derivative for degree j."""
     a = (n - 2) / 2.0
     nu = j + a
-    upper = nu + (count + 2) * math.pi + 10.0
+    # the l-th zero grows like (l + nu/2 - 3/4) pi
+    upper = nu + (count + 2 + nu / 2) * math.pi + 10.0
     grid = np.arange(step, upper, step)
     vals = _deriv_indicator(n, j, grid)
     signs = np.sign(vals)
@@ -341,14 +342,10 @@ class DerivZeroTable:
         return self.entries[(j, l)]
 
 
-@lru_cache(maxsize=32)
-def _cached_table(n: int, j_max: int, l_max: int) -> DerivZeroTable:
-    entries = {}
-    for j in range(j_max + 1):
-        zeros = _scan_zeros(n, j, l_max)
-        for l, z in enumerate(zeros, start=1):
-            entries[(j, l)] = z
-    return DerivZeroTable(n=n, j_max=j_max, l_max=l_max, entries=entries)
+@lru_cache(maxsize=256)
+def _zero_row(n: int, j: int, count: int) -> tuple:
+    """Memoized _scan_zeros: a table grown in j_max reuses its rows."""
+    return tuple(_scan_zeros(n, j, count))
 
 
 def deriv_zero_table(n: int, j_max: int, l_max: int) -> DerivZeroTable:
@@ -361,4 +358,6 @@ def deriv_zero_table(n: int, j_max: int, l_max: int) -> DerivZeroTable:
         raise ValueError("need j_max >= 0 and l_max >= 1")
     if n < 2:
         raise ValueError("dimension must be >= 2")
-    return _cached_table(n, j_max, l_max)
+    entries = {(j, l): z for j in range(j_max + 1)
+               for l, z in enumerate(_zero_row(n, j, l_max), start=1)}
+    return DerivZeroTable(n=n, j_max=j_max, l_max=l_max, entries=entries)

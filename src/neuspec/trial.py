@@ -6,13 +6,17 @@ field vanishes, has mean zero and a Rayleigh quotient for Delta^(2m)
 equal to mu1(B_R)^(2m).  The certificate records the centering residuals
 and both evaluations of the quotient: the pointwise-identity route and
 an independent quadrature of the iterated radial operator applied to G.
+
+Nothing but the operator expansion depends on the power m, so the center
+is memoized per (domain, profile), and each quadrature set keeps its
+radii, G and Bessel columns for the last domain certified.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import mpmath
 import numpy as np
@@ -109,6 +113,11 @@ def _field_and_scale(p: TrialProfile, pts, w, x0):
     dx = pts - np.asarray(x0)[None, :]
     r = np.hypot(dx[:, 0], dx[:, 1])
     g, _ = p.g(r)
+    return _field_from(p, w, dx, r, g)
+
+
+def _field_from(p: TrialProfile, w, dx, r, g):
+    """_field_and_scale from the offsets dx, their lengths r and G(r)."""
     ratio = np.full_like(r, p.profile.scale / p.n)  # analytic limit of G/r at 0
     pos = r > 1e-300
     ratio[pos] = g[pos] / r[pos]
@@ -117,13 +126,15 @@ def _field_and_scale(p: TrialProfile, pts, w, x0):
     return v, scale
 
 
+@lru_cache(maxsize=16)
 def find_center(d: Domain, p: TrialProfile | None = None):
     """Zero of the centering field inside the convex hull of the domain.
 
     Damped Newton with a central-difference Jacobian from the centroid;
     the residual is scaled by int |G| dx and must reach CENTER_RESIDUAL_TOL.
     Raises CenterConvergenceError with the best residual if the iteration
-    budget runs out.
+    budget runs out.  Memoized per (domain, profile): the center does not
+    depend on the power m.  The returned array is read-only.
     """
     if p is None:
         p = TrialProfile.for_domain(d)
@@ -144,7 +155,7 @@ def find_center(d: Domain, p: TrialProfile | None = None):
         if res < best[0]:
             best = (res, x.copy())
         if res <= CENTER_RESIDUAL_TOL:
-            return x
+            return _read_only(x)
         jac = np.empty((2, 2))
         for k in range(2):
             e = np.zeros(2)
@@ -172,11 +183,68 @@ def find_center(d: Domain, p: TrialProfile | None = None):
     v, scale = field(x)
     res = float(np.hypot(*v)) / scale
     if res <= CENTER_RESIDUAL_TOL:
-        return x
+        return _read_only(x)
     raise CenterConvergenceError(
         f"centering residual {best[0]:.3e} did not reach tol {CENTER_RESIDUAL_TOL:.1e} "
         f"(best point {best[1].tolist()})"
     )
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+# ---------------------------------------------------------------------------
+# Radial tables: the m-independent part of the trial integrands
+# ---------------------------------------------------------------------------
+
+class _RadialTable:
+    """Radii r >= 0 of a point set, G(r), and the Bessel columns J_k(s r) at
+    r > 0 for orders k >= 0, each computed on first use and kept read-only
+    (r itself is made read-only)."""
+
+    def __init__(self, p: TrialProfile, r):
+        self.p = p
+        self.r = _read_only(r)
+        self.safe = _read_only(r > 0)
+        self._x = p.profile.scale * r[self.safe]
+        self._columns = {}
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        g, _ = self.p.g(self.r)
+        return _read_only(g)
+
+    def bessel(self, k: float) -> np.ndarray:
+        col = self._columns.get(k)
+        if col is None:
+            col = self._columns[k] = _read_only(_jv(k, self._x))
+        return col
+
+
+@lru_cache(maxsize=1)
+def _domain_tables(d: Domain) -> dict:
+    """{(profile, center, h, degree): _RadialTable} for one domain.
+
+    The cache holds one domain, so calling this for the next domain
+    releases the tables of the last one.
+    """
+    return {}
+
+
+def _quadrature_table(d: Domain, p: TrialProfile, center, h: float, degree: int):
+    """(points, weights, _RadialTable about center) of one quadrature set."""
+    pts, w = _domain_quadrature(d, h, degree)
+    tables = _domain_tables(d)
+    key = (p, float(center[0]), float(center[1]), h, degree)
+    table = tables.get(key)
+    if table is None:
+        if any(k[:3] != key[:3] for k in tables):
+            tables.clear()  # the tables of one center at a time
+        dx = pts - center[None, :]
+        table = tables[key] = _RadialTable(p, np.hypot(dx[:, 0], dx[:, 1]))
+    return pts, w, table
 
 
 # ---------------------------------------------------------------------------
@@ -297,26 +365,31 @@ def _taylor_coefficients(terms, p: TrialProfile, r_max: float) -> dict:
     raise ArithmeticError(f"Taylor expansion about r = 0 unresolved at r = {r_max:.3e}")
 
 
-def _eval_terms(terms, p: TrialProfile, r):
-    """Evaluate a term expansion at radii r >= 0.
+def _eval_terms(terms, p: TrialProfile, table: _RadialTable):
+    """Evaluate a term expansion at the radii table.r >= 0.
 
-    The double-precision sum computes each Bessel order and each power of
-    r once.  Where it loses more than ~2 digits to cancellation (near
-    r = 0, where the expansion of L^m G cancels across Bessel orders) the
-    value comes from the Taylor expansion about r = 0 formed at
-    _COEFF_DPS digits (_taylor_coefficients) and summed in double.
+    The double-precision sum computes each power of r once and takes the
+    Bessel columns from the table; a negative integer order k comes from
+    J_k = (-1)^k J_(-k), exact in floating point, with the sign folded into
+    the coefficient.  Where the sum loses more than ~2 digits to
+    cancellation (near r = 0, where the expansion of L^m G cancels across
+    Bessel orders) the value comes from the Taylor expansion about r = 0
+    formed at _COEFF_DPS digits (_taylor_coefficients) and summed in double.
     """
-    n, s = p.n, p.profile.scale
+    n = p.n
     a = (n - 2) / 2.0
     nu = n / 2.0
+    r = table.r
     total = np.zeros_like(r)
     magnitude = np.zeros_like(r)
-    safe = r > 0
+    safe = table.safe
     rs = r[safe]
     powers = {dp: rs ** (-a + dp) for dp in {dp for dp, _ in terms}}
-    bessels = {dc: _jv(nu + dc, s * rs) for dc in {dc for _, dc in terms}}
     for (dp, dc), coef in terms.items():
-        vals = float(coef) * powers[dp] * bessels[dc]
+        k, sign = nu + dc, 1.0
+        if k < 0 and k.is_integer():
+            k, sign = -k, (-1.0) ** k
+        vals = (sign * float(coef)) * powers[dp] * table.bessel(k)
         total[safe] += vals
         magnitude[safe] += np.abs(vals)
     bad = safe.copy()
@@ -363,32 +436,23 @@ def trial_quotient(d: Domain, m: int, center=None, p: TrialProfile | None = None
     center = np.asarray(center, dtype=float)
 
     h = _default_h(d)
-    pts, w = _domain_quadrature(d, h, _QUAD_DEGREE)
-    dx = pts - center[None, :]
-    r = np.hypot(dx[:, 0], dx[:, 1])
-    g, _ = p.g(r)
-    denom = float(np.sum(w * g * g))
-
     terms = _profile_terms(p)
     for _ in range(m):
         terms = _apply_radial_operator(terms, p.n, p.profile.scale)
-    lg = _eval_terms(terms, p, r)
-    numer = float(np.sum(w * lg * lg))
 
+    def sums(mesh_h, degree):
+        """int (L^m G)^2 and int G^2 on one quadrature set."""
+        _, w, table = _quadrature_table(d, p, center, mesh_h, degree)
+        lg = _eval_terms(terms, p, table)
+        return np.sum(w * lg * lg), np.sum(w * table.g * table.g)
+
+    numer, denom = (float(v) for v in sums(h, _QUAD_DEGREE))
     identity = (p.mu1 ** (2 * m) * denom) / denom
     quadrature = numer / denom
 
     # error estimate: embedded lower-degree rule plus a coarser mesh
-    pts4, w4 = _domain_quadrature(d, h, 4)
-    r4 = np.hypot(pts4[:, 0] - center[0], pts4[:, 1] - center[1])
-    g4, _ = p.g(r4)
-    lg4 = _eval_terms(terms, p, r4)
-    quot4 = float(np.sum(w4 * lg4 * lg4) / np.sum(w4 * g4 * g4))
-    ptsc, wc = _domain_quadrature(d, 2.0 * h, _QUAD_DEGREE)
-    rc = np.hypot(ptsc[:, 0] - center[0], ptsc[:, 1] - center[1])
-    gc, _ = p.g(rc)
-    lgc = _eval_terms(terms, p, rc)
-    quotc = float(np.sum(wc * lgc * lgc) / np.sum(wc * gc * gc))
+    quot4 = float(np.divide(*sums(h, 4)))
+    quotc = float(np.divide(*sums(2.0 * h, _QUAD_DEGREE)))
     quad_error = abs(quadrature - quot4) + abs(quadrature - quotc) / 3.0
 
     quot = TrialQuotient(
@@ -459,6 +523,7 @@ def certify_upper_bound(d: Domain, m: int) -> TrialCertificate:
     Tolerance failures, including a quotient mismatch, mark the
     certificate invalid instead of raising.
     """
+    _domain_tables(d)  # releases the last domain's tables before this one meshes
     metrics = domain_metrics(d)
     ball = Ball(2, metrics.equal_volume_radius)
     bound = upsilon1_poly_ball(ball, m)
@@ -469,8 +534,8 @@ def certify_upper_bound(d: Domain, m: int) -> TrialCertificate:
     except CenterConvergenceError:
         center = np.asarray(metrics.centroid, dtype=float)
 
-    pts, w = _domain_quadrature(d, _default_h(d), _QUAD_DEGREE)
-    v, scale = _field_and_scale(p, pts, w, center)
+    pts, w, table = _quadrature_table(d, p, center, _default_h(d), _QUAD_DEGREE)
+    v, scale = _field_from(p, w, pts - center[None, :], table.r, table.g)
     field_residual = float(np.hypot(*v)) / scale
     mean_residuals = (abs(float(v[0])) / scale, abs(float(v[1])) / scale)
 

@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 
 from neuspec import ball as bl
@@ -89,6 +90,16 @@ class TestSpectrum:
         assert bl.angular_multiplicity(3, 2) == 5
         assert bl.angular_multiplicity(4, 1) == 4
         assert bl.angular_multiplicity(2, 5) == 2
+
+    @pytest.mark.parametrize("count", [118, 200])
+    def test_large_counts_match_scipy(self, disk, count):
+        # from count 118 on, count // 2 + 2 exceeds the l cap of the zero table
+        from scipy.special import jnp_zeros
+
+        entries = bl.neumann_spectrum_ball(disk, count, power=1)
+        # j'_{j,l} for j < 40, l <= 20 covers the lowest 200 levels (j <= 35, l <= 12)
+        ref = np.sort(np.concatenate([jnp_zeros(j, 20) for j in range(40)]))[:count] ** 2
+        assert np.allclose([e.value for e in entries], ref, rtol=1e-13, atol=0)
 
     def test_csv_export(self, disk):
         entries = bl.neumann_spectrum_ball(disk, 2, power=2)

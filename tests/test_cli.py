@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from neuspec import cli, fem
+from neuspec import cli, fem, trial
 from neuspec.ball import Ball, upsilon1_poly_ball
+from neuspec.quadrature import cached_mesh
 
 RUN = [sys.executable, "-m", "neuspec.cli"]
 
@@ -63,6 +64,17 @@ class TestBallCommand:
             cli.main(["ball", flag, value])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    def test_large_count(self, capsys):
+        assert cli.main(["ball", "--count", "118"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("    value=") for line in lines) == 118
+
+    def test_spectrum_failure_names_stage(self, capsys):
+        # more levels than the capped zero table holds
+        assert cli.main(["ball", "--count", "1000000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ball failed during spectrum: zero table exhausted")
 
     def test_outdir_env(self, tmp_path):
         proc = run_cli(
@@ -169,12 +181,33 @@ class TestVerifyCommand:
 
     def test_solver_failure_names_stage_and_mesh(self, monkeypatch, capsys):
         monkeypatch.setattr(fem, "RESIDUAL_TOL", 0.0)
+        fem._pencil_solve.cache_clear()  # a kept solve would skip the gate
         code = cli.main(["verify", "--domain", "square", "--h-list", "0.3,0.2,0.12",
                          "--no-mps"])
         assert code == 1
         err = capsys.readouterr().err
         assert "verify failed during fem convergence study" in err
         assert "h=0.3" in err and "ndof=" in err
+
+    def test_threads_match_serial(self, monkeypatch, tmp_path):
+        base = ["verify", "--domain", "square", "--m", "2", "--h-list", "0.3,0.2,0.12",
+                "--no-mps", "--out"]
+        reports = []
+        for threads in ("1", "2"):
+            fem._pencil_solve.cache_clear()  # so that each run solves its meshes
+            assembled = []
+            assemble = fem.assemble
+            monkeypatch.setattr(fem, "assemble",
+                                lambda mesh, order: assembled.append(mesh) or assemble(mesh, order))
+            out = tmp_path / f"threads-{threads}.json"
+            assert cli.main(base + [str(out), "--threads", threads]) == 0
+            assert len(assembled) == 3
+            monkeypatch.undo()
+            reports.append(json.loads(out.read_text()))
+        serial, threaded = reports
+        assert (serial["config"]["threads"], threaded["config"]["threads"]) == (1, 2)
+        serial["config"]["threads"] = 2
+        assert serial == threaded
 
     def test_disk_equality_case_exits_zero(self, tmp_path):
         # the README pipeline: verify on the disk, then plot its mode
@@ -372,6 +405,33 @@ class TestParser:
     def test_missing_command_exits_2(self):
         proc = run_cli([])
         assert proc.returncode == 2
+
+    def test_warm_reports_equal_cold(self):
+        """Reports built after others in one process equal fresh ones byte for byte."""
+        def clear_shared_work():
+            fem._pencil_solve.cache_clear()
+            trial.find_center.cache_clear()
+            trial._domain_tables.cache_clear()
+
+        runs = [("disk", m) for m in (1, 2, 3, 4)] + [("square", 2), ("disk", 2)]
+        h_list = (0.16, 0.12, 0.08)
+        clear_shared_work()
+        warm = [cli.build_verification_report(d, m, h_list, use_mps=False) for d, m in runs]
+        for (d, m), report in zip(runs, warm):
+            clear_shared_work()
+            cold = cli.build_verification_report(d, m, h_list, use_mps=False)
+            assert cli._json_dump(report) == cli._json_dump(cold), (d, m)
+
+        # what the caches hand out cannot be written through
+        disk = cli._resolve_domain("disk")
+        res = fem.eig_polyharmonic_neumann(cached_mesh(disk, 0.08), 1, 1)
+        center = trial.find_center(disk)
+        tables = trial._domain_tables(disk).values()
+        shared = [res.vectors, res.residuals, center]
+        shared += [a for t in tables for a in (t.r, t.g, t.bessel(1.0), t.bessel(3.0))]
+        for arr in shared:
+            with pytest.raises(ValueError):
+                arr[..., 0] = 1.0
 
     def test_programmatic_report(self):
         report = cli.build_verification_report(

@@ -129,7 +129,9 @@ class TestLaplacianEigs:
 
     def test_serial_reproducibility(self, square_mesh):
         r1 = fem.eig_neumann_laplacian(square_mesh, 2, order=2)
+        fem._pencil_solve.cache_clear()  # so that r2 is a second solve
         r2 = fem.eig_neumann_laplacian(square_mesh, 2, order=2)
+        assert r2.vectors is not r1.vectors
         assert np.array_equal(r1.values, r2.values)
         assert np.array_equal(r1.vectors, r2.vectors)
 
@@ -210,9 +212,16 @@ class TestConvergence:
         with pytest.raises(ValueError):
             fem.convergence_study(square, 0, (0.05, 0.1, 0.2))
 
-    def test_workers_match_serial(self, square):
+    def test_workers_match_serial(self, square, monkeypatch):
         serial = fem.convergence_study(square, 0, (0.2, 0.1, 0.05), order=1)
+        # the threaded run must solve its meshes, not read the serial solves
+        fem._pencil_solve.cache_clear()
+        assembled = []
+        assemble = fem.assemble
+        monkeypatch.setattr(fem, "assemble",
+                            lambda mesh, order: assembled.append(mesh) or assemble(mesh, order))
         threaded = fem.convergence_study(square, 0, (0.2, 0.1, 0.05), order=1, workers=3)
+        assert len(assembled) == 3
         assert serial.values == threaded.values
 
     def test_rotated_domain_within_error_bars(self, square):

@@ -221,6 +221,16 @@ class TestDerivZeros:
             for l in (1, 2):
                 assert t.value(j, l) < t.value(j, l + 1)
 
+    def test_table_reaches_the_ball_caps(self):
+        # the l-th zero grows like (l + j/2 - 3/4) pi: the scan must reach it
+        # for every degree up to the caps of neumann_spectrum_ball
+        from scipy.special import jnp_zeros
+
+        t = sp.deriv_zero_table(2, 80, 60)
+        for j in range(81):
+            got = np.array([t.value(j, l) for l in range(1, 61)])
+            assert np.allclose(got, jnp_zeros(j, 60), rtol=1e-13, atol=0), j
+
     def test_zero_quality_contract(self):
         t = sp.deriv_zero_table(3, 2, 2)
         for (j, l), z in t.entries.items():

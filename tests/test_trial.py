@@ -139,7 +139,7 @@ class TestTrialQuotient:
         terms = trial._profile_terms(p)
         terms = trial._apply_radial_operator(terms, p.n, p.profile.scale)
         r = np.linspace(0.01, 1.4, 57)
-        lg = trial._eval_terms(terms, p, r)
+        lg = trial._eval_terms(terms, p, trial._RadialTable(p, r))
         g, _ = p.g(r)
         assert np.allclose(lg, -p.mu1 * g, rtol=1e-11, atol=1e-13)
 
@@ -151,7 +151,7 @@ class TestTrialQuotient:
         for _ in range(2):
             terms = trial._apply_radial_operator(terms, p.n, p.profile.scale)
         r = np.array([1e-7, 1e-5, 1e-3])
-        lg = trial._eval_terms(terms, p, r)
+        lg = trial._eval_terms(terms, p, trial._RadialTable(p, r))
         g, _ = p.g(r)
         assert np.allclose(lg, p.mu1**2 * g, rtol=1e-9)
 
@@ -165,8 +165,9 @@ class TestTrialQuotient:
             terms = trial._apply_radial_operator(terms, p.n, p.profile.scale)
         r = np.array([1e-12, 1e-9, 1e-7, 1e-5])
         g, _ = p.g(r)
-        together = trial._eval_terms(terms, p, r)
-        one_by_one = np.concatenate([trial._eval_terms(terms, p, r[i:i + 1]) for i in range(4)])
+        together = trial._eval_terms(terms, p, trial._RadialTable(p, r))
+        one_by_one = np.concatenate([trial._eval_terms(terms, p, trial._RadialTable(p, r[i:i + 1]))
+                                     for i in range(4)])
         for lg in (together, one_by_one):
             assert np.allclose(lg, (-p.mu1) ** m * g, rtol=1e-12, atol=0)
 
@@ -182,7 +183,7 @@ class TestTrialQuotient:
             c = d.centroid()
             r = np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1])
             g, _ = p.g(r)
-            lg = trial._eval_terms(terms, p, r)
+            lg = trial._eval_terms(terms, p, trial._RadialTable(p, r))
             assert np.allclose(lg, (-p.mu1) ** m * g, rtol=1e-12, atol=0), d
 
     def test_flagged_quadrature_points_match_mpmath(self):
@@ -195,7 +196,7 @@ class TestTrialQuotient:
             terms = trial._apply_radial_operator(terms, p.n, s)
         pts, _ = trial._domain_quadrature(d, trial._default_h(d), 7)
         r = np.hypot(pts[:, 0], pts[:, 1])
-        lg = trial._eval_terms(terms, p, r)
+        lg = trial._eval_terms(terms, p, trial._RadialTable(p, r))
         # n = 2: a = 0, nu = 1; points that lose 9 digits, all of them flagged
         vals = np.array([float(c) * r**dp * jv(1 + dc, s * r) for (dp, dc), c in terms.items()])
         flagged = np.nonzero(np.abs(vals).sum(0) > 1e9 * np.abs(vals.sum(0)))[0]
@@ -257,6 +258,16 @@ class TestCertificate:
         for d in (disk, geo.Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))):
             for m in range(1, 5):
                 assert not trial.certify_upper_bound(d, m).valid, (d, m)
+
+    def test_tables_hold_one_domain(self):
+        disk, square = geo.Disk((0, 0), 1.0), geo.Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))
+        for d in (disk, square):
+            for m in (1, 2):
+                assert trial.certify_upper_bound(d, m).valid
+        assert trial._domain_tables.cache_info().currsize == 1
+        hits = trial._domain_tables.cache_info().hits
+        assert len(trial._domain_tables(square)) == 3  # the three quadrature sets
+        assert trial._domain_tables.cache_info().hits == hits + 1
 
     def test_json_fields_exact(self):
         cert = trial.certify_upper_bound(geo.Disk((0, 0), 1.0), 1)
