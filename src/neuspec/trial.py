@@ -208,7 +208,6 @@ class _RadialTable:
         self.p = p
         self.r = _read_only(r)
         self.safe = _read_only(r > 0)
-        self._x = p.profile.scale * r[self.safe]
         self._columns = {}
 
     @cached_property
@@ -219,7 +218,8 @@ class _RadialTable:
     def bessel(self, k: float) -> np.ndarray:
         col = self._columns.get(k)
         if col is None:
-            col = self._columns[k] = _read_only(_jv(k, self._x))
+            x = self.p.profile.scale * self.r[self.safe]
+            col = self._columns[k] = _read_only(_jv(k, x))
         return col
 
 
