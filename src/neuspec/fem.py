@@ -73,7 +73,8 @@ class EigResult:
     Laplacian).  splitting_quotients are v^T K_q v evaluated through the
     symmetric splitting of the mixed operator, an independent check of
     value = mu^q.  power records m (0 for the plain Laplacian); mesh_h the
-    target edge length.
+    target edge length.  vectors, residuals and splitting_quotients are
+    read-only: results for the same mesh share one solve.
     """
 
     values: np.ndarray
@@ -212,8 +213,6 @@ def _column_dots(u, w):
 # the splitting quotients kept per solve: q = 1 (the Laplacian) and
 # q = 2m for every power m that eig_polyharmonic_neumann accepts
 _MAX_POWER = 4
-# pencil solves kept: a verify run solves one mesh per h, for every m
-_SOLVE_CACHE = 16
 
 
 def _lowest_pencil_eigs(op: OperatorPair, count: int, h: float):
@@ -275,7 +274,8 @@ def _lowest_pencil_eigs(op: OperatorPair, count: int, h: float):
     return mus, vecs, resid, quotients
 
 
-@lru_cache(maxsize=_SOLVE_CACHE)
+# a verify run solves one mesh per h, for every m
+@lru_cache(maxsize=16)
 def _pencil_solve(mesh: Mesh, order: int, count: int):
     return _lowest_pencil_eigs(assemble(mesh, order), count, mesh.h)
 
