@@ -427,6 +427,7 @@ class TestParser:
         res = fem.eig_polyharmonic_neumann(cached_mesh(disk, 0.08), 1, 1)
         center = trial.find_center(disk)
         tables = trial._domain_tables(disk).values()
+        assert len(tables) == 3
         shared = [res.vectors, res.residuals, center]
         shared += [a for t in tables for a in (t.r, t.g, t.bessel(1.0), t.bessel(3.0))]
         for arr in shared:
