@@ -16,6 +16,7 @@ import functools
 import io
 import math
 import warnings
+from operator import itemgetter
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,8 @@ __all__ = [
 ]
 
 _PROBLEMS = ("laplace_neumann", "polyharm_neumann")
+# intervals of the default scan grid, the one mps_find brackets minima on
+_SCAN_INTERVALS = 100
 _INTERIOR_SEED = 777
 
 
@@ -204,8 +207,8 @@ def mps_sigma(d: Domain, basis: MpsBasis) -> float:
     return float(scipy.linalg.svdvals(q[:m_b]).min())
 
 
-def mps_scan(d: Domain, problem: str, interval, N: int, n_grid: int = 100) -> SigmaCurve:
-    """Sample sigma(omega) on a uniform grid over the interval."""
+def _check_scan(d: Domain, interval, n_grid: int) -> np.ndarray:
+    """The scan grid over the interval, after the checks on its input."""
     if not d.is_smooth:
         raise ValueError(f"particular solutions need a smooth domain, got a {type(d).__name__}")
     lo, hi = float(interval[0]), float(interval[1])
@@ -213,57 +216,105 @@ def mps_scan(d: Domain, problem: str, interval, N: int, n_grid: int = 100) -> Si
         raise ValueError("interval must be positive and increasing")
     if n_grid < 1:
         raise ValueError(f"grid must have at least one interval, got n_grid={n_grid}")
-    center = domain_metrics(d).centroid
-    omegas = np.linspace(lo, hi, n_grid + 1)
-    sigmas = [
-        mps_sigma(d, MpsBasis(problem=problem, omega=float(w), N=N, center=center))
-        for w in omegas
-    ]
-    return SigmaCurve(omegas=tuple(float(w) for w in omegas), sigmas=tuple(sigmas))
+    return np.linspace(lo, hi, n_grid + 1)
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+def _sigma_at(d: Domain, problem: str, N: int, center: tuple):
+    """sigma as a function of omega alone, for one domain, problem,
+    truncation and center."""
+    def f(w):
+        return mps_sigma(d, MpsBasis(problem=problem, omega=float(w), N=N, center=center))
+    return f
 
 
-def _golden_refine(f, lo, hi, tol):
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
+def mps_scan(d: Domain, problem: str, interval, N: int,
+             n_grid: int = _SCAN_INTERVALS) -> SigmaCurve:
+    """Sample sigma(omega) on a uniform grid over the interval."""
+    omegas = _check_scan(d, interval, n_grid)
+    f = _sigma_at(d, problem, N, domain_metrics(d).centroid)
+    return SigmaCurve(omegas=tuple(float(w) for w in omegas),
+                      sigmas=tuple(f(w) for w in omegas))
+
+
+# the refinement below needs about 5 steps at a sharp minimum; bisection
+# alone, when every parabola fails, narrows a scan bracket to 1e-9 of the
+# window in under 60
+_REFINE_STEPS = 60
+
+
+def _parabolic_vertex(pts):
+    """Vertex of the parabola through three (x, y) points, or None if the
+    parabola is not convex or the points do not determine one."""
+    (b, fb), (a, fa), (c, fc) = pts
+    p = (b - a) ** 2 * (fb - fc) - (b - c) ** 2 * (fb - fa)
+    q = (b - a) * (fb - fc) - (b - c) * (fb - fa)
+    # q is the leading coefficient times (b - a)(b - c)(c - a)
+    if not q * (b - a) * (b - c) * (c - a) > 0:
+        return None
+    v = b - 0.5 * p / q
+    return v if math.isfinite(v) else None
+
+
+def _parabolic_refine(f, xs, sigmas, tol):
+    """Lowest (x, sigma) found from a scan bracket x0 < x1 < x2 with sigma
+    at x1 below both ends.
+
+    Near an eigenfrequency sigma is close to sqrt(s0^2 + c^2 (x - x*)^2)
+    (Betcke & Trefethen, SIAM Review 47 (2005) 469-491), so sigma^2 is
+    close to a parabola.  Each step evaluates sigma at the vertex of the
+    parabola through the three lowest points seen and shrinks the bracket
+    [lo, hi] around the best point.  A vertex that is not finite, not a
+    minimum or not inside (lo, hi) is replaced by the midpoint of the
+    larger side; one within tol/2 of the best point by a step of tol/2
+    toward the larger side.  Stops once a step or the bracket is at most
+    tol; the given sigmas are not evaluated again.
+    """
+    # (x, sigma) from lowest sigma up; the sort is stable, so on a tie the
+    # point seen first stays ahead, the scan's middle point first of all
+    seen = [(float(xs[i]), float(sigmas[i])) for i in (1, 0, 2)]
+    seen.sort(key=itemgetter(1))
+    lo, hi = float(xs[0]), float(xs[2])
+    for _ in range(_REFINE_STEPS):
+        if hi - lo <= tol:
+            break
+        x_best, s_best = seen[0]
+        v = _parabolic_vertex([(x, s * s) for x, s in seen[:3]])
+        left = x_best - lo >= hi - x_best
+        if v is None or not lo < v < hi:
+            v = 0.5 * (lo + x_best) if left else 0.5 * (x_best + hi)
+        elif abs(v - x_best) < 0.5 * tol:
+            v = x_best - 0.5 * tol if left else x_best + 0.5 * tol
+        s = f(v)
+        if s < s_best:
+            lo, hi = (lo, x_best) if v < x_best else (x_best, hi)
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+            lo, hi = (v, hi) if v < x_best else (lo, v)
+        seen.append((v, s))
+        seen.sort(key=itemgetter(1))
+        if abs(v - x_best) <= tol:
+            break
+    return seen[0]
 
 
 def mps_find(d: Domain, problem: str, interval, N: int) -> list[MpsEigenvalue]:
     """Locate eigenvalues as refined local minima of sigma(omega).
 
-    Returns one entry per minimum (possibly none), converting the
-    frequency by value = omega^2 for the Laplacian and omega^4 for the
-    fourth-order problem; sigma at the minimum is the quality score.
+    A 101-point scan brackets each local minimum; parabolic steps on
+    sigma^2 then refine it to 1e-9 of the interval width.  A minimum at
+    the first or last grid point is not reported.  Returns one entry per
+    minimum (possibly none), converting the frequency by value = omega^2
+    for the Laplacian and omega^4 for the fourth-order problem; sigma at
+    the minimum is the quality score.
     """
-    curve = mps_scan(d, problem, interval, N)
-    center = domain_metrics(d).centroid
-    omegas = np.asarray(curve.omegas)
-    sigmas = np.asarray(curve.sigmas)
-
-    def f(w):
-        return mps_sigma(d, MpsBasis(problem=problem, omega=float(w), N=N, center=center))
+    omegas = _check_scan(d, interval, _SCAN_INTERVALS)
+    f = _sigma_at(d, problem, N, domain_metrics(d).centroid)
+    sigmas = [f(w) for w in omegas]
 
     out = []
     tol = 1e-9 * (omegas[-1] - omegas[0])
+    power = 2 if problem == "laplace_neumann" else 4
     for i in range(1, len(omegas) - 1):
         if sigmas[i] < sigmas[i - 1] and sigmas[i] < sigmas[i + 1]:
-            w_star, s_star = _golden_refine(f, omegas[i - 1], omegas[i + 1], tol)
-            power = 2 if problem == "laplace_neumann" else 4
-            out.append(
-                MpsEigenvalue(value=w_star**power, omega=w_star, sigma=s_star)
-            )
+            w_star, s_star = _parabolic_refine(f, omegas[i - 1:i + 2], sigmas[i - 1:i + 2], tol)
+            out.append(MpsEigenvalue(value=w_star**power, omega=w_star, sigma=s_star))
     return out

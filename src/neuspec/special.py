@@ -31,6 +31,7 @@ __all__ = [
     "bessel_j_prime",
     "RadialProfile",
     "radial_profile_eval",
+    "radial_profile_value",
     "radial_profile_second",
     "first_radial_deriv_zero",
     "deriv_zero_table",
@@ -167,12 +168,8 @@ class RadialProfile:
         return self.scale * self.scale
 
 
-def radial_profile_eval(p: RadialProfile, r):
-    """Evaluate the profile and its derivative, ``(g(r), g'(r))``.
-
-    Accepts scalars or arrays; r = 0 returns the analytic limits
-    (0, scale/n) taken from the leading series coefficient.
-    """
+def _profile_argument(p: RadialProfile, r):
+    """The checked radii as an array, and x = s*r as a 1-d array."""
     if not isinstance(p, RadialProfile):
         raise TypeError("expected a RadialProfile")
     r_arr = np.asarray(r, dtype=float)
@@ -180,12 +177,20 @@ def radial_profile_eval(p: RadialProfile, r):
         raise ValueError("radius must be finite")
     if np.any(r_arr < 0.0):
         raise ValueError("radius must be >= 0")
+    return r_arr, p.scale * np.atleast_1d(r_arr)
 
+
+def radial_profile_eval(p: RadialProfile, r):
+    """Evaluate the profile and its derivative, ``(g(r), g'(r))``.
+
+    Accepts scalars or arrays; r = 0 returns the analytic limits
+    (0, scale/n) taken from the leading series coefficient.
+    """
+    r_arr, x = _profile_argument(p, r)
     n, s = p.n, p.scale
     a = (n - 2) / 2.0
     nu = n / 2.0
     c = _profile_constant(n)
-    x = s * np.atleast_1d(r_arr)
     g = np.empty_like(x)
     gp = np.empty_like(x)
 
@@ -206,6 +211,24 @@ def radial_profile_eval(p: RadialProfile, r):
     if np.ndim(r) == 0:
         return float(g[0]), float(gp[0])
     return g.reshape(r_arr.shape), gp.reshape(r_arr.shape)
+
+
+def radial_profile_value(p: RadialProfile, r):
+    """The profile alone, g(r): the same values as
+    ``radial_profile_eval(p, r)[0]`` from the same expressions, without the
+    two Bessel orders the derivative needs."""
+    r_arr, x = _profile_argument(p, r)
+    n = p.n
+    a = (n - 2) / 2.0
+    g = np.empty_like(x)
+    small = x < _SERIES_SWITCH
+    if np.any(small):
+        g[small] = _profile_series(n, x[small])[0]
+    big = ~small
+    if np.any(big):
+        xb = x[big]
+        g[big] = _profile_constant(n) * xb ** (-a) * _jv(n / 2.0, xb)
+    return float(g[0]) if np.ndim(r) == 0 else g.reshape(r_arr.shape)
 
 
 def radial_profile_second(p: RadialProfile, r):

@@ -30,7 +30,7 @@ from .geometry import (
     point_in_polygon,
 )
 from .quadrature import cached_mesh, mesh_quadrature
-from .special import RadialProfile, radial_profile_eval
+from .special import RadialProfile, radial_profile_value
 
 __all__ = [
     "TrialProfile",
@@ -93,8 +93,8 @@ class TrialProfile:
         return cls(n=2, mu1=profile.mu1, radius=radius, profile=profile)
 
     def g(self, r):
-        """(G(r), G'(r)); the ball profile used on all of the domain."""
-        return radial_profile_eval(self.profile, r)
+        """G(r), the ball profile used on all of the domain."""
+        return radial_profile_value(self.profile, r)
 
 
 @lru_cache(maxsize=32)
@@ -112,8 +112,7 @@ def _field_and_scale(p: TrialProfile, pts, w, x0):
     """Components int (x - x0)_i G/r dx and the scale int |G| dx."""
     dx = pts - np.asarray(x0)[None, :]
     r = np.hypot(dx[:, 0], dx[:, 1])
-    g, _ = p.g(r)
-    return _field_from(p, w, dx, r, g)
+    return _field_from(p, w, dx, r, p.g(r))
 
 
 def _field_from(p: TrialProfile, w, dx, r, g):
@@ -212,8 +211,7 @@ class _RadialTable:
 
     @cached_property
     def g(self) -> np.ndarray:
-        g, _ = self.p.g(self.r)
-        return _read_only(g)
+        return _read_only(self.p.g(self.r))
 
     def bessel(self, k: float) -> np.ndarray:
         col = self._columns.get(k)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -87,6 +88,102 @@ class TestFind:
     def test_bad_interval(self, disk):
         with pytest.raises(ValueError):
             mps.mps_find(disk, "laplace_neumann", (-1.0, 2.0), 10)
+
+
+def _refine(f, xs, tol):
+    """Run the refinement from the scan bracket xs; returns its result and
+    every (x, sigma) it evaluated."""
+    evals = []
+
+    def counted(x):
+        evals.append((x, f(x)))
+        return evals[-1][1]
+
+    return mps._parabolic_refine(counted, xs, [f(x) for x in xs], tol), evals
+
+
+class TestRefine:
+    """The refinement on synthetic sigma curves, with no particular solutions."""
+
+    X_STAR = 1.2345678901
+    TOL = 1e-9
+
+    def _check(self, f, xs, x_star):
+        (x, s), evals = _refine(f, xs, self.TOL)
+        assert abs(x - x_star) <= self.TOL
+        assert all(xs[0] < e < xs[2] for e, _ in evals)
+        assert s == min([f(v) for v in xs] + [v for _, v in evals])
+        assert s == f(x)
+        return evals
+
+    @pytest.mark.parametrize("offset", [-0.006, 0.0, 0.003, 0.009])
+    def test_asymmetric_v_with_floor(self, offset):
+        # sigma near an eigenfrequency: sqrt(s0^2 + c^2 d^2), here skewed
+        def f(x):
+            d = x - self.X_STAR
+            return math.sqrt(1e-24 + (1.8 * d) ** 2) * (1 + 0.3 * d)
+
+        c = self.X_STAR + offset
+        evals = self._check(f, (c - 0.01, c, c + 0.012), self.X_STAR)
+        assert len(evals) <= 6
+
+    def test_exact_v_never_repeats_a_point(self):
+        # sigma^2 is exactly a parabola, so every fit lands on x* itself;
+        # the step of tol/2 keeps the next sigma from repeating the last
+        def f(x):
+            return math.sqrt(1e-24 + (1.8 * (x - self.X_STAR)) ** 2)
+
+        c = self.X_STAR + 0.003
+        evals = self._check(f, (c - 0.01, c, c + 0.01), self.X_STAR)
+        xs = sorted([c - 0.01, c, c + 0.01] + [e for e, _ in evals])
+        assert min(np.diff(xs)) >= 0.4 * self.TOL
+
+    def test_vertex_of_three_points(self):
+        def parabola(x):
+            return 3.0 * (x - 0.25) ** 2 + 1.0
+
+        pts = [(x, parabola(x)) for x in (0.5, -1.0, 2.0)]
+        assert mps._parabolic_vertex(pts) == pytest.approx(0.25, abs=1e-15)
+        # a concave fit has a maximum, not a minimum
+        assert mps._parabolic_vertex([(x, -y) for x, y in pts]) is None
+        assert mps._parabolic_vertex([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]) is None
+        assert mps._parabolic_vertex([(0.0, 1.0), (0.0, 2.0), (2.0, 3.0)]) is None
+
+    def test_smooth_quadratic_minimum(self):
+        def f(x):
+            return 1e-3 + 4.0 * (x - self.X_STAR) ** 2
+
+        c = self.X_STAR + 0.004
+        evals = self._check(f, (c - 0.01, c, c + 0.01), self.X_STAR)
+        assert len(evals) <= 8
+
+    def test_vertex_outside_bracket_is_bisected(self, monkeypatch):
+        # a cusp: sigma^2 = |d|^1.2 is sharper than any parabola, so a fit
+        # through three points on one side lands past the bracket
+        vertices = []
+        vertex = mps._parabolic_vertex
+
+        def spy(pts):
+            vertices.append(vertex(pts))
+            return vertices[-1]
+
+        monkeypatch.setattr(mps, "_parabolic_vertex", spy)
+
+        def f(x):
+            return abs(x - self.X_STAR) ** 0.6
+
+        c = self.X_STAR - 0.006
+        evals = self._check(f, (c - 0.004, c, c + 0.018), self.X_STAR)
+        replaced = [(v, e) for v, (e, _) in zip(vertices, evals)
+                    if v is not None and abs(v - e) > self.TOL]
+        assert replaced
+
+    def test_constant_keeps_the_middle_point(self):
+        xs = (1.0, 1.01, 1.02)
+        (x, s), evals = _refine(lambda x: 0.25, xs, self.TOL)
+        assert (x, s) == (1.01, 0.25)
+        assert all(xs[0] < e < xs[2] for e, _ in evals)
+        assert len(evals) <= mps._REFINE_STEPS
 
 
 class TestCurve:

@@ -39,7 +39,8 @@ def test_sigma_evals_count_every_omega(monkeypatch):
     mps.mps_scan(disk, "laplace_neumann", (1.5, 2.5), 10, n_grid=100)
     assert len(calls) == 101
     calls.clear()
-    # the mps-sweep window on the disk: 101 grid values and 37 golden steps
+    # the mps-sweep window on the disk: 101 grid values and 5 parabolic
+    # steps at its one minimum
     j11 = float(jnp_zeros(1, 1)[0])
     mps.mps_find(disk, "polyharm_neumann", (0.5 * j11, 1.05 * j11), 20)
-    assert len(calls) == 138
+    assert len(calls) == 106

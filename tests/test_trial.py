@@ -140,7 +140,7 @@ class TestTrialQuotient:
         terms = trial._apply_radial_operator(terms, p.n, p.profile.scale)
         r = np.linspace(0.01, 1.4, 57)
         lg = trial._eval_terms(terms, p, trial._RadialTable(p, r))
-        g, _ = p.g(r)
+        g = p.g(r)
         assert np.allclose(lg, -p.mu1 * g, rtol=1e-11, atol=1e-13)
 
     def test_small_radius_cancellation_guard(self):
@@ -152,7 +152,7 @@ class TestTrialQuotient:
             terms = trial._apply_radial_operator(terms, p.n, p.profile.scale)
         r = np.array([1e-7, 1e-5, 1e-3])
         lg = trial._eval_terms(terms, p, trial._RadialTable(p, r))
-        g, _ = p.g(r)
+        g = p.g(r)
         assert np.allclose(lg, p.mu1**2 * g, rtol=1e-9)
 
     @pytest.mark.parametrize("m", [3, 4])
@@ -164,7 +164,7 @@ class TestTrialQuotient:
         for _ in range(m):
             terms = trial._apply_radial_operator(terms, p.n, p.profile.scale)
         r = np.array([1e-12, 1e-9, 1e-7, 1e-5])
-        g, _ = p.g(r)
+        g = p.g(r)
         together = trial._eval_terms(terms, p, trial._RadialTable(p, r))
         one_by_one = np.concatenate([trial._eval_terms(terms, p, trial._RadialTable(p, r[i:i + 1]))
                                      for i in range(4)])
@@ -182,7 +182,7 @@ class TestTrialQuotient:
             pts, _ = trial._domain_quadrature(d, trial._default_h(d), 7)
             c = d.centroid()
             r = np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1])
-            g, _ = p.g(r)
+            g = p.g(r)
             lg = trial._eval_terms(terms, p, trial._RadialTable(p, r))
             assert np.allclose(lg, (-p.mu1) ** m * g, rtol=1e-12, atol=0), d
 
