@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.special import gamma as _gamma
 
 __all__ = [
@@ -383,10 +384,27 @@ def point_in_polygon(pts: np.ndarray, verts: np.ndarray) -> np.ndarray:
     # points essentially on the boundary count as inside
     outside = np.nonzero(~inside)[0]
     if len(outside):
-        d = distance_to_segments(pts[outside], verts)
-        scale = max(np.abs(verts).max(), 1.0)
-        inside[outside] |= d <= 1e-12 * scale
+        tol = 1e-12 * max(np.abs(verts).max(), 1.0)
+        inside[outside] |= _near_distance(pts[outside], verts, tol) <= tol
     return inside
+
+
+def _near_distance(pts: np.ndarray, verts: np.ndarray, limit: float) -> np.ndarray:
+    """distance_to_segments where it may be at most `limit`, inf elsewhere.
+
+    Every point of a segment lies within half its length of an endpoint,
+    so the distance to the polyline is at least the distance to the
+    nearest vertex minus half the longest segment.  Points whose bound
+    clears `limit` by more than a rounding slack get inf without the
+    dense computation, so any test `d <= limit` or `d >= limit` on the
+    result agrees with the same test on distance_to_segments.
+    """
+    longest = np.hypot(*(np.roll(verts, -1, axis=0) - verts).T).max()
+    slack = 1e-9 * (limit + longest + np.abs(verts).max())
+    near = cKDTree(verts).query(pts)[0] - 0.5 * longest <= limit + slack
+    out = np.full(len(pts), np.inf)
+    out[near] = distance_to_segments(pts[near], verts)
+    return out
 
 
 def distance_to_segments(pts: np.ndarray, verts: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import Delaunay
 
-from .geometry import Domain, GeometryError, boundary_polyline, distance_to_segments
+from .geometry import Domain, GeometryError, _near_distance, boundary_polyline
 # not called here: the benchmark's tracer wraps neuspec.meshing.point_in_polygon
 from .geometry import point_in_polygon  # noqa: F401
 
@@ -107,7 +107,7 @@ def _hex_lattice(d: Domain, poly: np.ndarray, h: float) -> np.ndarray:
     pts = pts[d.contains(pts)]
     if len(pts) == 0:
         return pts.reshape(0, 2)
-    return pts[distance_to_segments(pts, poly) >= 0.65 * h]
+    return pts[_near_distance(pts, poly, 0.65 * h) >= 0.65 * h]
 
 
 def _delaunay_inside(points: np.ndarray, d: Domain) -> np.ndarray:

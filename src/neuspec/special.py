@@ -278,28 +278,34 @@ def _deriv_indicator_prime(n: int, j: int, r: npt.NDArray) -> npt.NDArray:
     return (1.0 - a) * jp + r * jpp
 
 
-def _polish_zero(n: int, j: int, lo: float, hi: float) -> float:
-    """Bisection to width 1e-13 followed by one Newton step."""
-    flo = float(_deriv_indicator(n, j, np.array([lo]))[0])
+def _polish_zeros(n: int, j: int, lo: npt.NDArray, hi: npt.NDArray) -> npt.NDArray:
+    """Bisection of each bracket to width 1e-13, then one Newton step.
+
+    The brackets run side by side, each with its own midpoints and sign
+    tests, and each is frozen once it is narrow enough or hits an exact
+    zero; since jv is elementwise the result is bit for bit that of one
+    bracket at a time.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    flo = _deriv_indicator(n, j, lo)
+    live = np.ones(len(lo), dtype=bool)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-13:
+        live &= ~(hi - lo < 1e-13)
+        if not live.any():
             break
-        fmid = float(_deriv_indicator(n, j, np.array([mid]))[0])
-        if fmid == 0.0:
-            lo = hi = mid
-            break
-        if (flo < 0.0) == (fmid < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
+        mid = 0.5 * (lo[live] + hi[live])
+        fmid = _deriv_indicator(n, j, mid)
+        hit = fmid == 0.0  # lo = hi = mid freezes the bracket
+        move_lo = hit | ((flo[live] < 0.0) == (fmid < 0.0))
+        lo[live] = np.where(move_lo, mid, lo[live])
+        flo[live] = np.where(move_lo, fmid, flo[live])
+        hi[live] = np.where(hit | ~move_lo, mid, hi[live])
     z = 0.5 * (lo + hi)
-    f = float(_deriv_indicator(n, j, np.array([z]))[0])
-    fp = float(_deriv_indicator_prime(n, j, np.array([z]))[0])
-    if fp != 0.0:
-        step = f / fp
-        if abs(step) < 1e-6:
-            z -= step
+    f = _deriv_indicator(n, j, z)
+    fp = _deriv_indicator_prime(n, j, z)
+    step = np.divide(f, fp, out=np.full_like(z, np.inf), where=fp != 0.0)
+    newton = np.abs(step) < 1e-6
+    z[newton] -= step[newton]
     return z
 
 
@@ -315,19 +321,13 @@ def _scan_zeros(n: int, j: int, count: int, step: float = 0.1) -> list[float]:
     # Treat exact zeros on grid points as negligible-probability; a zero
     # value still flips the product test below.
     flips = np.nonzero(signs[:-1] * signs[1:] <= 0.0)[0]
-    zeros = []
-    for k in flips:
-        if vals[k] == 0.0 and vals[k + 1] == 0.0:
-            continue
-        zeros.append(_polish_zero(n, j, float(grid[k]), float(grid[k + 1])))
-        if len(zeros) >= count:
-            break
-    if len(zeros) < count:
+    flips = flips[(vals[flips] != 0.0) | (vals[flips + 1] != 0.0)][:count]
+    if len(flips) < count:
         raise BracketError(
-            f"zero scan found only {len(zeros)} of {count} radial derivative "
+            f"zero scan found only {len(flips)} of {count} radial derivative "
             f"zeros for degree j={j} in dimension n={n} below r={upper:.1f}"
         )
-    return zeros
+    return _polish_zeros(n, j, grid[flips], grid[flips + 1]).tolist()
 
 
 @lru_cache(maxsize=64)

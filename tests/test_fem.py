@@ -6,6 +6,7 @@ import pytest
 
 from neuspec import fem
 from neuspec import geometry as geo
+from neuspec import meshing as msh
 from neuspec.ball import Ball, upsilon1_poly_ball
 from neuspec.corpus import corpus_domain
 from neuspec.meshing import Mesh, load_mesh, save_mesh
@@ -134,6 +135,37 @@ class TestLaplacianEigs:
         assert r2.vectors is not r1.vectors
         assert np.array_equal(r1.values, r2.values)
         assert np.array_equal(r1.vectors, r2.vectors)
+
+
+class TestMassSolve:
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_matches_sparse_direct_solve(self, order, columns):
+        from scipy.sparse.linalg import spsolve
+
+        op = fem.assemble(cached_mesh(corpus_domain("ellipse-1.5"), 0.08), order)
+        rhs = np.random.default_rng(order).standard_normal((op.dimension, columns))
+        want = spsolve(op.M.tocsc(), rhs).reshape(op.dimension, columns)
+        got = fem._mass_solve(op.M, rhs, "test")
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_iteration_cap_names_the_mesh(self, square_mesh, monkeypatch):
+        op = fem.assemble(square_mesh, 2)
+        monkeypatch.setattr(fem, "_MASS_MAXITER", 2)
+        with pytest.raises(fem.SolverError, match=f"h=0.1, ndof={op.dimension}"):
+            fem._lowest_pencil_eigs(op, 1, square_mesh.h)
+
+    def test_one_factor_per_mesh(self, square, monkeypatch):
+        factor, calls = fem._factor, []
+
+        def counting_factor(mat):
+            calls.append(mat.shape)
+            return factor(mat)
+
+        monkeypatch.setattr(fem, "_factor", counting_factor)
+        mesh = msh.triangulate(square, 0.1)  # a new mesh object misses the memo
+        fem._pencil_solve(mesh, 2, 1)
+        assert len(calls) == 1
 
 
 class TestPolyharmonicEigs:

@@ -195,6 +195,7 @@ class TestContainment:
         "polygon:0,0;2,0;0.4,1.1",
         "polygon:0,0;1,0;1,1;0,1",
         "polygon:0,0;2,0;2,1;1,1;1,2;0,2",
+        "polygon:1000,1000;1002,1000;1000.4,1001.1",
     ])
     def test_point_in_polygon_matches_broadcast_form(self, spec):
         verts = geo.parse_domain(spec).vertex_array
@@ -207,7 +208,12 @@ class TestContainment:
         frac = np.linspace(0.0, 1.0, 9)[None, :, None]
         edge = np.roll(verts, -1, axis=0) - verts
         boundary = (verts[:, None, :] + frac * edge[:, None, :]).reshape(-1, 2)
-        pts = np.vstack([scattered, level, boundary])
+        # just off the edges, either side of the 1e-12 * scale tolerance
+        tol = 1e-12 * max(np.abs(verts).max(), 1.0)
+        normal = np.column_stack([edge[:, 1], -edge[:, 0]]) / np.hypot(*edge.T)[:, None]
+        near = np.vstack([verts + 0.5 * edge + k * tol * normal
+                          for k in (0.5, 0.9, 1.1, 2.0, 1e3)])
+        pts = np.vstack([scattered, level, near, boundary])
         got = geo.point_in_polygon(pts, verts)
         assert np.array_equal(got, point_in_polygon_broadcast(pts, verts))
         assert got[-len(boundary):].all()

@@ -87,6 +87,35 @@ class TestTriangulate:
             msh.triangulate(geo.Disk((0, 0), 1.0), -0.1)
 
 
+LATTICE_SPECS = [
+    "disk:0,0,1",
+    "ellipse:1.0954451150103321,0.9128709291752769",
+    "ellipse:1.224744871391589,0.816496580927726",
+    "ellipse:1.4142135623730951,0.7071067811865476",
+    "stadium:0.5,0.6",
+    "polygon:0,0;1,0;1,1;0,1",
+    "polygon:0,0;2,0;0.4,1.1",
+    "polygon:0,0;2,0;2,1;1,1;1,2;0,2",
+    "ellipse:8,0.125",
+    "superellipse:1,1,40",
+]
+
+
+class TestLatticeFilter:
+    @pytest.mark.parametrize("spec", LATTICE_SPECS)
+    def test_matches_dense_distance_filter(self, spec, monkeypatch):
+        # the dense form keeps pts[distance_to_segments(pts, poly) >= 0.65 * h]
+        d = geo.parse_domain(spec)
+        for h in (0.16, 0.12, 0.08, 0.04, 0.02):
+            poly = geo.boundary_polyline(d, h)
+            got = msh._hex_lattice(d, poly, 0.95 * h)
+            with monkeypatch.context() as patch:
+                patch.setattr(msh, "_near_distance",
+                              lambda pts, verts, limit: geo.distance_to_segments(pts, verts))
+                want = msh._hex_lattice(d, poly, 0.95 * h)
+            assert len(got) and np.array_equal(got, want), h
+
+
 class TestMeshIO:
     def test_roundtrip(self, tmp_path):
         mesh = msh.triangulate(geo.Polygon(((0, 0), (1, 0), (1, 1), (0, 1))), 0.2)

@@ -187,7 +187,52 @@ class TestRadialProfile:
             assert np.all(np.abs(resid) <= 1e-10 * np.maximum(scale, 1e-30))
 
 
+def scan_zeros_scalar(n, j, count, step=0.1):
+    """The zero scan with one bracket bisected at a time, in Python floats."""
+    def f(r):
+        return float(sp._deriv_indicator(n, j, np.array([r]))[0])
+
+    a = (n - 2) / 2.0
+    nu = j + a
+    upper = nu + (count + 2 + nu / 2) * math.pi + 10.0
+    grid = np.arange(step, upper, step)
+    vals = sp._deriv_indicator(n, j, grid)
+    signs = np.sign(vals)
+    zeros = []
+    for k in np.nonzero(signs[:-1] * signs[1:] <= 0.0)[0]:
+        if vals[k] == 0.0 and vals[k + 1] == 0.0:
+            continue
+        lo, hi = float(grid[k]), float(grid[k + 1])
+        flo = f(lo)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if hi - lo < 1e-13:
+                break
+            fmid = f(mid)
+            if fmid == 0.0:
+                lo = hi = mid
+                break
+            if (flo < 0.0) == (fmid < 0.0):
+                lo, flo = mid, fmid
+            else:
+                hi = mid
+        z = 0.5 * (lo + hi)
+        fz = f(z)
+        fp = float(sp._deriv_indicator_prime(n, j, np.array([z]))[0])
+        if fp != 0.0 and abs(fz / fp) < 1e-6:
+            z -= fz / fp
+        zeros.append(z)
+        if len(zeros) >= count:
+            break
+    return zeros
+
+
 class TestDerivZeros:
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_polish_matches_scalar_loop(self, n):
+        for j in (*range(0, 81, 8), 1, 3):
+            assert np.array_equal(sp._scan_zeros(n, j, 8), scan_zeros_scalar(n, j, 8)), j
+
     def test_first_zero_n2(self):
         z = sp.first_radial_deriv_zero(2)
         assert z == pytest.approx(bisect_series_j1prime_zero(), abs=1e-10)
