@@ -27,17 +27,19 @@ from .quadrature import cached_mesh
 from .trial import certify_upper_bound
 
 DEFAULT_H_LIST = (0.08, 0.04, 0.02)
-# largest MPS indicator accepted as an eigenvalue
+# largest MPS indicator accepted as an eigenvalue, and the angular
+# truncation of the MPS cross-check
 MPS_SIGMA_TOL = 1e-6
+MPS_TRUNC = 20
 
 
 def _out_dir() -> str:
     return os.environ.get("NEUSPEC_OUTDIR", ".")
 
 
-def _resolve_out(path: str | None, default_name: str | None):
+def _resolve_out(path: str | None):
     if path is None:
-        return None if default_name is None else os.path.join(_out_dir(), default_name)
+        return None
     if os.path.isabs(path) or os.path.dirname(path):
         return path
     return os.path.join(_out_dir(), path)
@@ -106,7 +108,7 @@ def cmd_ball(args) -> int:
             f"mult={e.multiplicity}"
         )
     print("\n".join(lines))
-    out = _resolve_out(args.out, None)
+    out = _resolve_out(args.out)
     if out:
         if args.format == "csv":
             with open(out, "w") as fh:
@@ -155,8 +157,7 @@ def _stage(name: str):
 
 
 def build_verification_report(domain_spec: str, m: int, h_list, order: int = 2,
-                              use_mps: bool = True, threads: int = 1,
-                              mps_trunc: int = 20) -> dict:
+                              use_mps: bool = True) -> dict:
     """Assemble the full inequality-verification report for one domain.
 
     A failing step raises StageError naming it: "setup", "fem convergence
@@ -168,7 +169,7 @@ def build_verification_report(domain_spec: str, m: int, h_list, order: int = 2,
         bound = upsilon1_poly_ball(Ball(2, metrics.equal_volume_radius), m)
 
     with _stage("fem convergence study"):
-        study = convergence_study(d, m, h_list, order=order, workers=threads)
+        study = convergence_study(d, m, h_list, order=order)
     ups_fem = study.best
     error_bar = study.error_bar
 
@@ -176,7 +177,7 @@ def build_verification_report(domain_spec: str, m: int, h_list, order: int = 2,
     if use_mps and d.is_smooth and m == 1:
         w_est = max(ups_fem, 1e-10) ** 0.25
         with _stage("mps"):
-            hits = mps_find(d, "polyharm_neumann", (0.75 * w_est, 1.25 * w_est), mps_trunc)
+            hits = mps_find(d, "polyharm_neumann", (0.75 * w_est, 1.25 * w_est), MPS_TRUNC)
         good = [e for e in hits if e.sigma < MPS_SIGMA_TOL]
         if good:
             ups_mps = min(good, key=lambda e: abs(e.value - ups_fem)).value
@@ -209,7 +210,6 @@ def build_verification_report(domain_spec: str, m: int, h_list, order: int = 2,
             "h_list": [float(h) for h in h_list],
             "order": order,
             "mps": bool(use_mps and d.is_smooth and m == 1),
-            "threads": threads,
         },
     }
     return report
@@ -224,7 +224,6 @@ def cmd_verify(args) -> int:
             h_list,
             order=args.order,
             use_mps=not args.no_mps,
-            threads=args.threads,
         )
     except StageError as exc:
         print(f"verify failed during {exc}", file=sys.stderr)
@@ -239,13 +238,13 @@ def cmd_verify(args) -> int:
             mesh = cached_mesh(d, h_list[-1])
             res = eig_polyharmonic_neumann(mesh, 1, args.m, order=args.order)
             nv = len(mesh.vertices)
-            save_mesh(mesh, _resolve_out(args.save_eigenfunction, None),
+            save_mesh(mesh, _resolve_out(args.save_eigenfunction),
                       vertex_values=res.vectors[:nv, 0])
         except Exception as exc:  # noqa: BLE001
             print(f"verify failed during {stage}: {exc}", file=sys.stderr)
             return 1
     text = _json_dump(report)
-    out = _resolve_out(args.out, None)
+    out = _resolve_out(args.out)
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -269,7 +268,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_plot(args) -> int:
-    out = _resolve_out(args.out, None) or (os.path.splitext(args.input)[0] + ".svg")
+    out = _resolve_out(args.out) or (os.path.splitext(args.input)[0] + ".svg")
     try:
         if args.kind == "sigma":
             omegas, sigmas = [], []
@@ -356,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--order", type=int, choices=(1, 2), default=2)
     p_ver.add_argument("--no-mps", action="store_true",
                        help="skip the particular-solutions cross-check")
-    p_ver.add_argument("--threads", type=_checked(int, lambda n: n >= 1, "an integer >= 1"),
-                       default=1, help="worker threads for the mesh family (1 = serial)")
     p_ver.add_argument("--save-eigenfunction", metavar="PATH",
                        help="dump the lowest eigenvector on the finest mesh")
     p_ver.add_argument("--out", help="report path (stdout when omitted)")
@@ -394,7 +391,7 @@ def cmd_sigma_scan(args) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"sigma-scan failed: {exc}", file=sys.stderr)
         return 1
-    out = _resolve_out(args.out, None)
+    out = _resolve_out(args.out)
     with open(out, "w") as fh:
         curve.to_csv(stream=fh)
     print(f"wrote {out}")

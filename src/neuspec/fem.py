@@ -87,17 +87,6 @@ class EigResult:
     power: int
     mesh_h: float
 
-    def to_json(self, order: int | None = None) -> str:
-        payload = {
-            "values": [float(v) for v in self.values],
-            "residuals": [float(r) for r in self.residuals],
-            "h": self.mesh_h,
-            "m": self.power,
-        }
-        if order is not None:
-            payload["order"] = order
-        return json.dumps(payload, sort_keys=True, indent=2)
-
 
 # ---------------------------------------------------------------------------
 # Assembly
@@ -408,16 +397,14 @@ def _triple_order(h, ratio):
     return 0.5 * (lo + hi)
 
 
-def convergence_study(d: Domain, m: int, h_list, count: int = 1, order: int = 2,
-                      workers: int = 1) -> ConvergenceStudy:
+def convergence_study(d: Domain, m: int, h_list, order: int = 2) -> ConvergenceStudy:
     """Run the eigensolver over a descending mesh family and extrapolate.
 
     m = 0 studies the Laplacian; m >= 1 the operator Delta^(2m).  Each
     consecutive triple of lowest-eigenvalue estimates gives a convergence
     order for d ~ C h^p, their mean is the observed order, and one
     Richardson step gives the extrapolated limit with error bar
-    |extrapolated - finest|.  workers > 1 solves the mesh family
-    concurrently; per-mesh results are identical to serial.
+    |extrapolated - finest|.
     """
     h_list = tuple(float(h) for h in h_list)
     if len(h_list) < 3:
@@ -425,24 +412,15 @@ def convergence_study(d: Domain, m: int, h_list, count: int = 1, order: int = 2,
     if any(h_list[i] <= h_list[i + 1] for i in range(len(h_list) - 1)):
         raise ValueError("mesh sizes must be strictly descending")
 
-    def run_one(h: float) -> float:
+    def lowest(h: float) -> float:
         mesh = cached_mesh(d, h)
         if m == 0:
-            res = eig_neumann_laplacian(mesh, count, order)
+            res = eig_neumann_laplacian(mesh, 1, order)
         else:
-            res = eig_polyharmonic_neumann(mesh, count, m, order)
+            res = eig_polyharmonic_neumann(mesh, 1, m, order)
         return float(res.values[0])
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # meshes are built serially first: the cache is not locked
-        for h in h_list:
-            cached_mesh(d, h)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = tuple(pool.map(run_one, h_list))
-    else:
-        values = tuple(run_one(h) for h in h_list)
+    values = tuple(lowest(h) for h in h_list)
 
     diffs = [values[i] - values[i + 1] for i in range(len(values) - 1)]
     monotone = all(d > 0 for d in diffs) or all(d < 0 for d in diffs)

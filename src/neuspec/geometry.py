@@ -24,7 +24,6 @@ __all__ = [
     "Polygon",
     "Superellipse",
     "DomainMetrics",
-    "make_domain",
     "parse_domain",
     "domain_spec_string",
     "boundary_polyline",
@@ -568,24 +567,6 @@ _SHAPES = {
 }
 
 
-def make_domain(kind: str, *params) -> Domain:
-    """Validated domain from a shape name and its positional parameters."""
-    kind = kind.lower()
-    if kind == "disk":
-        cx, cy, r = params
-        return Disk((cx, cy), r)
-    if kind == "ellipse":
-        return Ellipse(*params)
-    if kind == "stadium":
-        return Stadium(*params)
-    if kind == "superellipse":
-        return Superellipse(*params)
-    if kind == "polygon":
-        (verts,) = params
-        return Polygon(tuple(map(tuple, verts)))
-    raise GeometryError(f"unknown shape kind {kind!r}")
-
-
 def parse_domain(text: str) -> Domain:
     """Parse domain spec strings.
 
@@ -620,7 +601,10 @@ def parse_domain(text: str) -> Domain:
         params = [float(v) for v in body.split(",")]
     except ValueError as exc:
         raise GeometryError(f"bad numeric parameters in {text!r}") from exc
-    return make_domain(kind, *params)
+    if kind == "disk":
+        cx, cy, r = params
+        return Disk((cx, cy), r)
+    return _SHAPES[kind](*params)
 
 
 def domain_spec_string(d: Domain) -> str:

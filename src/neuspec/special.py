@@ -309,13 +309,13 @@ def _polish_zeros(n: int, j: int, lo: npt.NDArray, hi: npt.NDArray) -> npt.NDArr
     return z
 
 
-def _scan_zeros(n: int, j: int, count: int, step: float = 0.1) -> list[float]:
+def _scan_zeros(n: int, j: int, count: int) -> list[float]:
     """First `count` positive zeros of the radial derivative for degree j."""
     a = (n - 2) / 2.0
     nu = j + a
     # the l-th zero grows like (l + nu/2 - 3/4) pi
     upper = nu + (count + 2 + nu / 2) * math.pi + 10.0
-    grid = np.arange(step, upper, step)
+    grid = np.arange(0.1, upper, 0.1)  # zeros lie about pi apart
     vals = _deriv_indicator(n, j, grid)
     signs = np.sign(vals)
     # Treat exact zeros on grid points as negligible-probability; a zero

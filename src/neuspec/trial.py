@@ -33,7 +33,6 @@ from .quadrature import cached_mesh, mesh_quadrature
 from .special import RadialProfile, radial_profile_value
 
 __all__ = [
-    "TrialProfile",
     "TrialQuotient",
     "TrialCertificate",
     "find_center",
@@ -77,24 +76,9 @@ class QuotientMismatchError(RuntimeError):
         self.quotient = quotient
 
 
-@dataclass(frozen=True)
-class TrialProfile:
-    """Radial profile of the equal-area ball, extended to all r >= 0."""
-
-    n: int
-    mu1: float
-    radius: float
-    profile: RadialProfile
-
-    @classmethod
-    def for_domain(cls, d: Domain) -> "TrialProfile":
-        radius = domain_metrics(d).equal_volume_radius
-        profile = RadialProfile.for_ball(2, radius)
-        return cls(n=2, mu1=profile.mu1, radius=radius, profile=profile)
-
-    def g(self, r):
-        """G(r), the ball profile used on all of the domain."""
-        return radial_profile_value(self.profile, r)
+def _profile(d: Domain) -> RadialProfile:
+    """Radial profile of the equal-area disk, used on all of the domain."""
+    return RadialProfile.for_ball(2, domain_metrics(d).equal_volume_radius)
 
 
 @lru_cache(maxsize=32)
@@ -108,16 +92,16 @@ def _default_h(d: Domain) -> float:
     return d.diameter() / _QUAD_DIVISIONS
 
 
-def _field_and_scale(p: TrialProfile, pts, w, x0):
+def _field_and_scale(p: RadialProfile, pts, w, x0):
     """Components int (x - x0)_i G/r dx and the scale int |G| dx."""
     dx = pts - np.asarray(x0)[None, :]
     r = np.hypot(dx[:, 0], dx[:, 1])
-    return _field_from(p, w, dx, r, p.g(r))
+    return _field_from(p, w, dx, r, radial_profile_value(p, r))
 
 
-def _field_from(p: TrialProfile, w, dx, r, g):
+def _field_from(p: RadialProfile, w, dx, r, g):
     """_field_and_scale from the offsets dx, their lengths r and G(r)."""
-    ratio = np.full_like(r, p.profile.scale / p.n)  # analytic limit of G/r at 0
+    ratio = np.full_like(r, p.scale / p.n)  # analytic limit of G/r at 0
     pos = r > 1e-300
     ratio[pos] = g[pos] / r[pos]
     v = np.array([np.sum(w * ratio * dx[:, 0]), np.sum(w * ratio * dx[:, 1])])
@@ -126,7 +110,7 @@ def _field_from(p: TrialProfile, w, dx, r, g):
 
 
 @lru_cache(maxsize=16)
-def find_center(d: Domain, p: TrialProfile | None = None):
+def find_center(d: Domain, p: RadialProfile | None = None):
     """Zero of the centering field inside the convex hull of the domain.
 
     Damped Newton with a central-difference Jacobian from the centroid;
@@ -136,7 +120,7 @@ def find_center(d: Domain, p: TrialProfile | None = None):
     depend on the power m.  The returned array is read-only.
     """
     if p is None:
-        p = TrialProfile.for_domain(d)
+        p = _profile(d)
     metrics = domain_metrics(d)
     hull = np.asarray(metrics.hull)
     pts, w = _domain_quadrature(d, _default_h(d), _QUAD_DEGREE)
@@ -203,7 +187,7 @@ class _RadialTable:
     r > 0 for orders k >= 0, each computed on first use and kept read-only
     (r itself is made read-only)."""
 
-    def __init__(self, p: TrialProfile, r):
+    def __init__(self, p: RadialProfile, r):
         self.p = p
         self.r = _read_only(r)
         self.safe = _read_only(r > 0)
@@ -211,12 +195,12 @@ class _RadialTable:
 
     @cached_property
     def g(self) -> np.ndarray:
-        return _read_only(self.p.g(self.r))
+        return _read_only(radial_profile_value(self.p, self.r))
 
     def bessel(self, k: float) -> np.ndarray:
         col = self._columns.get(k)
         if col is None:
-            x = self.p.profile.scale * self.r[self.safe]
+            x = self.p.scale * self.r[self.safe]
             col = self._columns[k] = _read_only(_jv(k, x))
         return col
 
@@ -231,7 +215,7 @@ def _domain_tables(d: Domain) -> dict:
     return {}
 
 
-def _quadrature_table(d: Domain, p: TrialProfile, center, h: float, degree: int):
+def _quadrature_table(d: Domain, p: RadialProfile, center, h: float, degree: int):
     """(points, weights, _RadialTable about center) of one quadrature set."""
     pts, w = _domain_quadrature(d, h, degree)
     tables = _domain_tables(d)
@@ -301,16 +285,16 @@ def _apply_radial_operator(terms, n, s):
         return {k: c for k, c in out.items() if c != 0}
 
 
-def _profile_terms(p: TrialProfile):
+def _profile_terms(p: RadialProfile):
     # G(r) = C (s r)^(-a) J_nu(s r) => coefficient C * s^(-a) on r^(-a).
     n = p.n
     with mpmath.workdps(_COEFF_DPS):
         a = mpmath.mpf(n - 2) / 2
         c = mpmath.mpf(2) ** a * mpmath.gamma(mpmath.mpf(n) / 2)
-        return {(0, 0): c * mpmath.mpf(p.profile.scale) ** (-a)}
+        return {(0, 0): c * mpmath.mpf(p.scale) ** (-a)}
 
 
-def _taylor_coefficients(terms, p: TrialProfile, r_max: float) -> dict:
+def _taylor_coefficients(terms, p: RadialProfile, r_max: float) -> dict:
     """{e: c_e} with sum_e c_e r^e equal to the term expansion on [0, r_max].
 
     Each coef * r^(-a + dp) * J_k(s r), k = nu + dc, contributes
@@ -324,7 +308,7 @@ def _taylor_coefficients(terms, p: TrialProfile, r_max: float) -> dict:
     _TAYLOR_TAIL of the partial sum there.
     """
     with mpmath.workdps(_COEFF_DPS):
-        half_s = mpmath.mpf(p.profile.scale) / 2
+        half_s = mpmath.mpf(p.scale) / 2
         x2 = (half_s * r_max) ** 2
         rm = mpmath.mpf(r_max)
         keep = mpmath.mpf(10) ** -_ZERO_DIGITS
@@ -363,7 +347,7 @@ def _taylor_coefficients(terms, p: TrialProfile, r_max: float) -> dict:
     raise ArithmeticError(f"Taylor expansion about r = 0 unresolved at r = {r_max:.3e}")
 
 
-def _eval_terms(terms, p: TrialProfile, table: _RadialTable):
+def _eval_terms(terms, p: RadialProfile, table: _RadialTable):
     """Evaluate a term expansion at the radii table.r >= 0.
 
     The double-precision sum computes each power of r once and takes the
@@ -415,7 +399,7 @@ class TrialQuotient:
     center: tuple
 
 
-def trial_quotient(d: Domain, m: int, center=None, p: TrialProfile | None = None) -> TrialQuotient:
+def trial_quotient(d: Domain, m: int, center=None, p: RadialProfile | None = None) -> TrialQuotient:
     """Quotient [sum_i int (L^m u_i)^2] / [sum_i int u_i^2], two ways.
 
     Path one substitutes the pointwise identity (the operator acts on G
@@ -428,7 +412,7 @@ def trial_quotient(d: Domain, m: int, center=None, p: TrialProfile | None = None
     if m < 1:
         raise ValueError("operator power must be >= 1")
     if p is None:
-        p = TrialProfile.for_domain(d)
+        p = _profile(d)
     if center is None:
         center = find_center(d, p=p)
     center = np.asarray(center, dtype=float)
@@ -436,7 +420,7 @@ def trial_quotient(d: Domain, m: int, center=None, p: TrialProfile | None = None
     h = _default_h(d)
     terms = _profile_terms(p)
     for _ in range(m):
-        terms = _apply_radial_operator(terms, p.n, p.profile.scale)
+        terms = _apply_radial_operator(terms, p.n, p.scale)
 
     def sums(mesh_h, degree):
         """int (L^m G)^2 and int G^2 on one quadrature set."""
@@ -525,7 +509,7 @@ def certify_upper_bound(d: Domain, m: int) -> TrialCertificate:
     metrics = domain_metrics(d)
     ball = Ball(2, metrics.equal_volume_radius)
     bound = upsilon1_poly_ball(ball, m)
-    p = TrialProfile.for_domain(d)
+    p = _profile(d)
 
     try:
         center = find_center(d, p=p)

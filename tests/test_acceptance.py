@@ -122,7 +122,7 @@ def test_criterion_4_quotient_identity_corpus():
 def test_criterion_5_centering_on_triangle():
     """Centering solver: residuals and rotation equivariance on the triangle."""
     tri = corpus_domain("triangle")
-    p = trial.TrialProfile.for_domain(tri)
+    p = trial._profile(tri)
     center = trial.find_center(tri, p=p)
     pts, w = trial._domain_quadrature(tri, trial._default_h(tri), 7)
     v, scale = trial._field_and_scale(p, pts, w, center)

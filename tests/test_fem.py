@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -200,13 +199,6 @@ class TestPolyharmonicEigs:
             assert study.monotone, m
             assert abs(study.extrapolated - exact) <= study.error_bar, m
 
-    def test_json_export(self, square_mesh):
-        res = fem.eig_polyharmonic_neumann(square_mesh, 1, 1, order=2)
-        payload = json.loads(res.to_json(order=2))
-        assert payload["m"] == 1
-        assert payload["order"] == 2
-        assert len(payload["values"]) == len(payload["residuals"]) == 1
-
 
 class TestConvergence:
     def test_square_laplacian_extrapolation(self, square):
@@ -243,18 +235,6 @@ class TestConvergence:
             fem.convergence_study(square, 0, (0.1, 0.05))
         with pytest.raises(ValueError):
             fem.convergence_study(square, 0, (0.05, 0.1, 0.2))
-
-    def test_workers_match_serial(self, square, monkeypatch):
-        serial = fem.convergence_study(square, 0, (0.2, 0.1, 0.05), order=1)
-        # the threaded run must solve its meshes, not read the serial solves
-        fem._pencil_solve.cache_clear()
-        assembled = []
-        assemble = fem.assemble
-        monkeypatch.setattr(fem, "assemble",
-                            lambda mesh, order: assembled.append(mesh) or assemble(mesh, order))
-        threaded = fem.convergence_study(square, 0, (0.2, 0.1, 0.05), order=1, workers=3)
-        assert len(assembled) == 3
-        assert serial.values == threaded.values
 
     def test_rotated_domain_within_error_bars(self, square):
         rotated = square.rotated(0.6, about=(0.3, 0.3))

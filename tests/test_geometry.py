@@ -8,11 +8,11 @@ from neuspec import geometry as geo
 
 class TestConstruction:
     def test_disk_valid(self):
-        d = geo.make_domain("disk", 0.0, 0.0, 1.0)
+        d = geo.parse_domain("disk:0,0,1")
         assert isinstance(d, geo.Disk)
 
     def test_ellipse_area(self):
-        d = geo.make_domain("ellipse", 1.5, 2.0 / 3.0)
+        d = geo.Ellipse(1.5, 2.0 / 3.0)
         assert d.area() == pytest.approx(math.pi, rel=1e-15)
 
     def test_crossing_polygon_rejected(self):

@@ -9,6 +9,7 @@ from scipy.special import jv
 from neuspec import geometry as geo
 from neuspec import trial
 from neuspec.ball import Ball, upsilon1_ball, upsilon1_poly_ball
+from neuspec.special import radial_profile_value
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +21,7 @@ def _field(d, x0, p=None):
     """Centering field int (x - x0) G(|x - x0|)/|x - x0| dx, on the
     quadrature find_center uses."""
     if p is None:
-        p = trial.TrialProfile.for_domain(d)
+        p = trial._profile(d)
     pts, w = trial._domain_quadrature(d, trial._default_h(d), 7)
     v, _ = trial._field_and_scale(p, pts, w, np.asarray(x0, dtype=float))
     return v
@@ -29,7 +30,7 @@ def _field(d, x0, p=None):
 class TestHopfField:
     def test_disk_center_is_zero(self):
         d = geo.Disk((0, 0), 1.0)
-        p = trial.TrialProfile.for_domain(d)
+        p = trial._profile(d)
         v = _field(d, (0.0, 0.0), p)
         scale = math.pi * 0.3  # order of int |G|
         assert np.hypot(*v) < 1e-10 * scale
@@ -40,7 +41,7 @@ class TestHopfField:
         assert np.hypot(*v) < 1e-10
 
     def test_translation_equivariance(self, triangle):
-        p = trial.TrialProfile.for_domain(triangle)
+        p = trial._profile(triangle)
         x0 = (0.7, 0.4)
         v0 = _field(triangle, x0, p)
         shift = ((17.0, -3.0))
@@ -67,7 +68,7 @@ class TestFindCenter:
 
     def test_triangle_center(self, triangle):
         c = trial.find_center(triangle)
-        p = trial.TrialProfile.for_domain(triangle)
+        p = trial._profile(triangle)
         pts, w = trial._domain_quadrature(triangle, trial._default_h(triangle), 7)
         v, scale = trial._field_and_scale(p, pts, w, c)
         assert np.hypot(*v) / scale < 1e-10
@@ -75,7 +76,7 @@ class TestFindCenter:
 
     def test_triangle_center_matches_grid_scan(self, triangle):
         c = trial.find_center(triangle)
-        p = trial.TrialProfile.for_domain(triangle)
+        p = trial._profile(triangle)
         pts, w = trial._domain_quadrature(triangle, trial._default_h(triangle), 7)
         xs = np.linspace(0.1, 1.8, 30)
         ys = np.linspace(0.05, 1.0, 30)
@@ -105,7 +106,7 @@ class TestFindCenter:
         assert np.hypot(*(c1 - rc)) < 1e-10
 
     def test_mean_zero_after_centering(self, triangle):
-        p = trial.TrialProfile.for_domain(triangle)
+        p = trial._profile(triangle)
         c = trial.find_center(triangle, p=p)
         pts, w = trial._domain_quadrature(triangle, trial._default_h(triangle), 7)
         v, scale = trial._field_and_scale(p, pts, w, c)
@@ -135,36 +136,36 @@ class TestTrialQuotient:
     def test_profile_identity_pointwise(self):
         # the operator expansion reproduces -mu1 * G pointwise
         d = geo.Disk((0, 0), 1.0)
-        p = trial.TrialProfile.for_domain(d)
+        p = trial._profile(d)
         terms = trial._profile_terms(p)
-        terms = trial._apply_radial_operator(terms, p.n, p.profile.scale)
+        terms = trial._apply_radial_operator(terms, p.n, p.scale)
         r = np.linspace(0.01, 1.4, 57)
         lg = trial._eval_terms(terms, p, trial._RadialTable(p, r))
-        g = p.g(r)
+        g = radial_profile_value(p, r)
         assert np.allclose(lg, -p.mu1 * g, rtol=1e-11, atol=1e-13)
 
     def test_small_radius_cancellation_guard(self):
         # iterated operator at tiny radii routes through extended precision
         d = geo.Disk((0, 0), 1.0)
-        p = trial.TrialProfile.for_domain(d)
+        p = trial._profile(d)
         terms = trial._profile_terms(p)
         for _ in range(2):
-            terms = trial._apply_radial_operator(terms, p.n, p.profile.scale)
+            terms = trial._apply_radial_operator(terms, p.n, p.scale)
         r = np.array([1e-7, 1e-5, 1e-3])
         lg = trial._eval_terms(terms, p, trial._RadialTable(p, r))
-        g = p.g(r)
+        g = radial_profile_value(p, r)
         assert np.allclose(lg, p.mu1**2 * g, rtol=1e-9)
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_tiny_radii_follow_the_profile(self, m):
         # the double sum cancels by about r^(-2m) here; the series does not
         d = geo.Disk((0, 0), 1.0)
-        p = trial.TrialProfile.for_domain(d)
+        p = trial._profile(d)
         terms = trial._profile_terms(p)
         for _ in range(m):
-            terms = trial._apply_radial_operator(terms, p.n, p.profile.scale)
+            terms = trial._apply_radial_operator(terms, p.n, p.scale)
         r = np.array([1e-12, 1e-9, 1e-7, 1e-5])
-        g = p.g(r)
+        g = radial_profile_value(p, r)
         together = trial._eval_terms(terms, p, trial._RadialTable(p, r))
         one_by_one = np.concatenate([trial._eval_terms(terms, p, trial._RadialTable(p, r[i:i + 1]))
                                      for i in range(4)])
@@ -175,22 +176,22 @@ class TestTrialQuotient:
     def test_quadrature_points_follow_the_profile(self, m):
         # every point of the certificate's degree-7 set, flagged or not
         for d in (geo.Disk((0, 0), 1.0), geo.Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))):
-            p = trial.TrialProfile.for_domain(d)
+            p = trial._profile(d)
             terms = trial._profile_terms(p)
             for _ in range(m):
-                terms = trial._apply_radial_operator(terms, p.n, p.profile.scale)
+                terms = trial._apply_radial_operator(terms, p.n, p.scale)
             pts, _ = trial._domain_quadrature(d, trial._default_h(d), 7)
             c = d.centroid()
             r = np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1])
-            g = p.g(r)
+            g = radial_profile_value(p, r)
             lg = trial._eval_terms(terms, p, trial._RadialTable(p, r))
             assert np.allclose(lg, (-p.mu1) ** m * g, rtol=1e-12, atol=0), d
 
     def test_flagged_quadrature_points_match_mpmath(self):
         # disk m=4: compare near-center values with a per-point 50-digit sum
         d = geo.Disk((0, 0), 1.0)
-        p = trial.TrialProfile.for_domain(d)
-        s = p.profile.scale
+        p = trial._profile(d)
+        s = p.scale
         terms = trial._profile_terms(p)
         for _ in range(4):
             terms = trial._apply_radial_operator(terms, p.n, s)
