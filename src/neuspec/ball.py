@@ -13,7 +13,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .special import deriv_zero_table, first_radial_deriv_zero
+from .special import first_radial_deriv_zero, radial_deriv_zeros
 
 __all__ = [
     "Ball",
@@ -109,12 +109,9 @@ def neumann_spectrum_ball(b: Ball, count: int, power: int = 1) -> list[SpectrumE
                 f"(j_max={j_max}, l_max={l_max}) which exceeds caps "
                 f"({_TABLE_J_CAP}, {_TABLE_L_CAP})"
             )
-        table = deriv_zero_table(b.n, j_max, l_max)
-        nus = sorted(
-            (table.value(j, l), j, l)
-            for j in range(j_max + 1)
-            for l in range(1, l_max + 1)
-        )
+        rows = [radial_deriv_zeros(b.n, j, l_max) for j in range(j_max + 1)]
+        nus = sorted((z, j, l) for j, row in enumerate(rows)
+                     for l, z in enumerate(row, start=1))
         if len(nus) < count:
             l_max += 2
             continue
@@ -122,9 +119,8 @@ def neumann_spectrum_ball(b: Ball, count: int, power: int = 1) -> list[SpectrumE
         # The table is complete up to nu_star when the first zero of the
         # next degree and the last tabulated index of every degree both
         # exceed it; zeros increase in j (for j >= 1) and in l.
-        next_degree_first = deriv_zero_table(b.n, j_max + 1, 1).value(j_max + 1, 1)
-        need_more_j = next_degree_first <= nu_star
-        need_more_l = any(table.value(j, l_max) <= nu_star for j in range(j_max + 1))
+        need_more_j = radial_deriv_zeros(b.n, j_max + 1, 1)[0] <= nu_star
+        need_more_l = any(row[-1] <= nu_star for row in rows)
         if not need_more_j and not need_more_l:
             break
         if need_more_j:

@@ -156,8 +156,7 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
-def build_verification_report(domain_spec: str, m: int, h_list, order: int = 2,
-                              use_mps: bool = True) -> dict:
+def build_verification_report(domain_spec: str, m: int, h_list, use_mps: bool = True) -> dict:
     """Assemble the full inequality-verification report for one domain.
 
     A failing step raises StageError naming it: "setup", "fem convergence
@@ -169,7 +168,7 @@ def build_verification_report(domain_spec: str, m: int, h_list, order: int = 2,
         bound = upsilon1_poly_ball(Ball(2, metrics.equal_volume_radius), m)
 
     with _stage("fem convergence study"):
-        study = convergence_study(d, m, h_list, order=order)
+        study = convergence_study(d, m, h_list)
     ups_fem = study.best
     error_bar = study.error_bar
 
@@ -208,7 +207,6 @@ def build_verification_report(domain_spec: str, m: int, h_list, order: int = 2,
             "domain": domain_spec_string(d),
             "m": m,
             "h_list": [float(h) for h in h_list],
-            "order": order,
             "mps": bool(use_mps and d.is_smooth and m == 1),
         },
     }
@@ -218,13 +216,7 @@ def build_verification_report(domain_spec: str, m: int, h_list, order: int = 2,
 def cmd_verify(args) -> int:
     h_list = args.h_list
     try:
-        report = build_verification_report(
-            args.domain,
-            args.m,
-            h_list,
-            order=args.order,
-            use_mps=not args.no_mps,
-        )
+        report = build_verification_report(args.domain, args.m, h_list, use_mps=not args.no_mps)
     except StageError as exc:
         print(f"verify failed during {exc}", file=sys.stderr)
         return 1
@@ -236,7 +228,7 @@ def cmd_verify(args) -> int:
         try:
             d = _resolve_domain(args.domain)
             mesh = cached_mesh(d, h_list[-1])
-            res = eig_polyharmonic_neumann(mesh, 1, args.m, order=args.order)
+            res = eig_polyharmonic_neumann(mesh, 1, args.m)
             nv = len(mesh.vertices)
             save_mesh(mesh, _resolve_out(args.save_eigenfunction),
                       vertex_values=res.vectors[:nv, 0])
@@ -352,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--h-list", type=_h_list,
                        default=",".join(str(h) for h in DEFAULT_H_LIST),
                        help="at least 3 strictly descending mesh sizes, comma separated")
-    p_ver.add_argument("--order", type=int, choices=(1, 2), default=2)
     p_ver.add_argument("--no-mps", action="store_true",
                        help="skip the particular-solutions cross-check")
     p_ver.add_argument("--save-eigenfunction", metavar="PATH",

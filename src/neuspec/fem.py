@@ -1,6 +1,6 @@
 """Finite-element Neumann eigenvalues of Delta and Delta^(2m) on planar domains.
 
-Continuous Lagrange elements (order 1 or 2) give a mass/stiffness pair
+Continuous quadratic (P2) Lagrange elements give a mass/stiffness pair
 (M, A); both Neumann-type boundary conditions of the even-order problems
 are natural, so no constraints are imposed.  The order-2m operator is
 realized mixed as K_q = A (M^{-1} A)^(q-1) with q = 2m, so its discrete
@@ -17,7 +17,7 @@ K_q for every q = 2m, m <= 4 (kept as a diagnostic of the mixed form)
 solve with M by Jacobi-preconditioned conjugate gradients: the
 diagonally scaled mass matrix has an element-local condition bound, so
 the iteration count does not grow under refinement.
-The solve is memoized per (mesh, order, count), so the powers m of one
+The solve is memoized per (mesh, count), so the powers m of one
 mesh share it; meshes compare by identity, and cached_mesh gives one
 mesh object per (domain, h).
 """
@@ -58,12 +58,11 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class OperatorPair:
-    """Assembled mass and stiffness operators of one mesh/order combination."""
+    """Assembled P2 mass and stiffness operators of one mesh."""
 
     M: sp.csr_matrix
     A: sp.csr_matrix
     dimension: int
-    order: int
 
 
 @dataclass(frozen=True)
@@ -75,9 +74,9 @@ class EigResult:
     at the pencil value mu, where value = mu^q with q = 2m (q = 1 for the
     Laplacian).  splitting_quotients are v^T K_q v evaluated through the
     symmetric splitting of the mixed operator, an independent check of
-    value = mu^q.  power records m (0 for the plain Laplacian); mesh_h the
-    target edge length.  vectors, residuals and splitting_quotients are
-    read-only: results for the same mesh share one solve.
+    value = mu^q.  power records m (0 for the plain Laplacian).  vectors,
+    residuals and splitting_quotients are read-only: results for the same
+    mesh share one solve.
     """
 
     values: np.ndarray
@@ -85,7 +84,6 @@ class EigResult:
     residuals: np.ndarray
     splitting_quotients: np.ndarray
     power: int
-    mesh_h: float
 
 
 # ---------------------------------------------------------------------------
@@ -102,15 +100,6 @@ def _barycentric_gradients(mesh: Mesh):
     g2 = np.stack([p2[:, 1] - p0[:, 1], p0[:, 0] - p2[:, 0]], axis=1) / jac[:, None]
     g3 = np.stack([p0[:, 1] - p1[:, 1], p1[:, 0] - p0[:, 0]], axis=1) / jac[:, None]
     return np.stack([g1, g2, g3], axis=1), jac
-
-
-def _p1_matrices(mesh: Mesh):
-    grads, jac = _barycentric_gradients(mesh)
-    area = 0.5 * jac
-    ke = np.einsum("tik,tjk,t->tij", grads, grads, area)
-    ref_mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    me = ref_mass[None, :, :] * area[:, None, None]
-    return me, ke, mesh.triangles
 
 
 def _p2_reference():
@@ -159,17 +148,11 @@ def _p2_matrices(mesh: Mesh):
     return me, ke, dofs, nv + n_edges
 
 
-def assemble(mesh: Mesh, order: int = 2) -> OperatorPair:
-    """Mass and stiffness operators for continuous Lagrange elements."""
+def assemble(mesh: Mesh) -> OperatorPair:
+    """P2 mass and stiffness; the dofs are the vertices, then the edge midpoints."""
     if np.any(triangle_jacobians(mesh.vertices, mesh.triangles) <= 0.0):
         raise ValueError("mesh contains a degenerate or inverted triangle")
-    if order == 1:
-        me, ke, dofs = _p1_matrices(mesh)
-        ndof = len(mesh.vertices)
-    elif order == 2:
-        me, ke, dofs, ndof = _p2_matrices(mesh)
-    else:
-        raise ValueError("element order must be 1 or 2")
+    me, ke, dofs, ndof = _p2_matrices(mesh)
     k = dofs.shape[1]
     rows = np.repeat(dofs, k, axis=1).ravel()
     cols = np.tile(dofs, (1, k)).ravel()
@@ -178,7 +161,7 @@ def assemble(mesh: Mesh, order: int = 2) -> OperatorPair:
     # exact symmetrization removes assembly-order roundoff
     m_mat = 0.5 * (m_mat + m_mat.T)
     a_mat = 0.5 * (a_mat + a_mat.T)
-    return OperatorPair(M=m_mat.tocsr(), A=a_mat.tocsr(), dimension=ndof, order=order)
+    return OperatorPair(M=m_mat.tocsr(), A=a_mat.tocsr(), dimension=ndof)
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +186,9 @@ def _column_dots(u, w):
 
 
 # relative residual at which a mass solve stops, and its iteration cap:
-# Jacobi-scaled mass matrices have condition numbers of about 4 (P1) and
-# 5.25 (P2) at any mesh size, so CG gains about 0.4 digits per step and
-# reaches 1e-14 in some 35 steps
+# the Jacobi-scaled P2 mass matrix has a condition number of about 5.25
+# at any mesh size, so CG gains about 0.4 digits per step and reaches
+# 1e-14 in some 35 steps
 _MASS_TOL = 1e-14
 _MASS_MAXITER = 200
 
@@ -302,23 +285,23 @@ def _lowest_pencil_eigs(op: OperatorPair, count: int, h: float):
 
 # a verify run solves one mesh per h, for every m
 @lru_cache(maxsize=16)
-def _pencil_solve(mesh: Mesh, order: int, count: int):
-    return _lowest_pencil_eigs(assemble(mesh, order), count, mesh.h)
+def _pencil_solve(mesh: Mesh, count: int):
+    return _lowest_pencil_eigs(assemble(mesh), count, mesh.h)
 
 
-def _eigs(mesh: Mesh, count: int, order: int, m: int) -> EigResult:
+def _eigs(mesh: Mesh, count: int, m: int) -> EigResult:
     q = max(1, 2 * m)
-    mus, vectors, residuals, quotients = _pencil_solve(mesh, order, count)
+    mus, vectors, residuals, quotients = _pencil_solve(mesh, count)
     return EigResult(values=mus**q, vectors=vectors, residuals=residuals,
-                     splitting_quotients=quotients[q], power=m, mesh_h=mesh.h)
+                     splitting_quotients=quotients[q], power=m)
 
 
-def eig_neumann_laplacian(mesh: Mesh, count: int, order: int = 2) -> EigResult:
+def eig_neumann_laplacian(mesh: Mesh, count: int) -> EigResult:
     """Smallest `count` nonzero Neumann eigenvalues of the Laplacian."""
-    return _eigs(mesh, count, order, 0)
+    return _eigs(mesh, count, 0)
 
 
-def eig_polyharmonic_neumann(mesh: Mesh, count: int, m: int, order: int = 2) -> EigResult:
+def eig_polyharmonic_neumann(mesh: Mesh, count: int, m: int) -> EigResult:
     """Smallest `count` nonzero Neumann eigenvalues of Delta^(2m).
 
     The values are mu^(2m) for the pencil values mu of the Laplacian on
@@ -327,7 +310,7 @@ def eig_polyharmonic_neumann(mesh: Mesh, count: int, m: int, order: int = 2) -> 
     """
     if not (1 <= m <= _MAX_POWER):
         raise ValueError(f"operator power m must be in 1..{_MAX_POWER}")
-    return _eigs(mesh, count, order, m)
+    return _eigs(mesh, count, m)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +380,7 @@ def _triple_order(h, ratio):
     return 0.5 * (lo + hi)
 
 
-def convergence_study(d: Domain, m: int, h_list, order: int = 2) -> ConvergenceStudy:
+def convergence_study(d: Domain, m: int, h_list) -> ConvergenceStudy:
     """Run the eigensolver over a descending mesh family and extrapolate.
 
     m = 0 studies the Laplacian; m >= 1 the operator Delta^(2m).  Each
@@ -415,9 +398,9 @@ def convergence_study(d: Domain, m: int, h_list, order: int = 2) -> ConvergenceS
     def lowest(h: float) -> float:
         mesh = cached_mesh(d, h)
         if m == 0:
-            res = eig_neumann_laplacian(mesh, 1, order)
+            res = eig_neumann_laplacian(mesh, 1)
         else:
-            res = eig_polyharmonic_neumann(mesh, 1, m, order)
+            res = eig_polyharmonic_neumann(mesh, 1, m)
         return float(res.values[0])
 
     values = tuple(lowest(h) for h in h_list)

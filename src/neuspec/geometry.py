@@ -40,6 +40,10 @@ class GeometryError(ValueError):
     """Invalid shape description or infeasible discretization request."""
 
 
+def _positive(*values) -> bool:
+    return all(0 < v < math.inf for v in values)
+
+
 @dataclass(frozen=True)
 class Domain:
     """Base type for planar domains; use the concrete shapes below."""
@@ -67,8 +71,8 @@ class Disk(Domain):
 
     def __post_init__(self):
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise GeometryError("disk radius must be positive")
+        if not (_positive(self.radius) and all(map(math.isfinite, self.center))):
+            raise GeometryError("disk needs a finite center cx,cy and a positive, finite R")
 
     def _param(self, t):
         ang = 2.0 * np.pi * np.asarray(t)
@@ -110,8 +114,8 @@ class Ellipse(Domain):
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise GeometryError("ellipse semi-axes must be positive")
+        if not _positive(self.a, self.b):
+            raise GeometryError("ellipse semi-axes a,b must be positive and finite")
 
     def _param(self, t):
         ang = 2.0 * np.pi * np.asarray(t)
@@ -144,8 +148,8 @@ class Stadium(Domain):
     radius: float
 
     def __post_init__(self):
-        if not (self.halflength > 0 and self.radius > 0):
-            raise GeometryError("stadium dimensions must be positive")
+        if not _positive(self.halflength, self.radius):
+            raise GeometryError("stadium dimensions L,R must be positive and finite")
 
     def _pieces(self):
         L, R = self.halflength, self.radius
@@ -233,10 +237,10 @@ class Superellipse(Domain):
     p: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise GeometryError("superellipse semi-axes must be positive")
-        if not self.p >= 2:
-            raise GeometryError("superellipse exponent must be >= 2")
+        if not _positive(self.a, self.b):
+            raise GeometryError("superellipse semi-axes a,b must be positive and finite")
+        if not 2 <= self.p < math.inf:
+            raise GeometryError("superellipse exponent p must be finite and >= 2")
 
     def _polar(self, ang):
         c, s = np.cos(ang), np.sin(ang)
@@ -288,6 +292,8 @@ class Polygon(Domain):
         if len(verts) < 3:
             raise GeometryError("polygon needs at least 3 vertices")
         arr = np.asarray(verts)
+        if not np.isfinite(arr).all():
+            raise GeometryError("polygon vertices must be finite")
         area2 = _signed_area2(arr)
         if abs(area2) < 1e-14:
             raise GeometryError("polygon is degenerate")
@@ -558,13 +564,25 @@ def domain_metrics(d: Domain) -> DomainMetrics:
 # Construction and parsing
 # ---------------------------------------------------------------------------
 
+# each shape and the parameters its spec takes, in order
 _SHAPES = {
-    "disk": Disk,
-    "ellipse": Ellipse,
-    "stadium": Stadium,
-    "polygon": Polygon,
-    "superellipse": Superellipse,
+    "disk": (Disk, "cx,cy,R"),
+    "ellipse": (Ellipse, "a,b"),
+    "stadium": (Stadium, "L,R"),
+    "superellipse": (Superellipse, "a,b,p"),
 }
+
+
+def _numbers(parts, shape: str, names: str) -> list:
+    """The floats of `parts`, one per name in the comma list `names`."""
+    want = names.count(",") + 1
+    if len(parts) != want:
+        raise GeometryError(f"{shape} needs {want} parameters {names}, got {len(parts)}")
+    try:
+        return [float(v) for v in parts]
+    except ValueError:
+        raise GeometryError(f"{shape} parameters {names} must be numbers, "
+                            f"got {','.join(parts)!r}") from None
 
 
 def parse_domain(text: str) -> Domain:
@@ -578,45 +596,38 @@ def parse_domain(text: str) -> Domain:
         raise GeometryError(f"domain spec needs 'shape:params', got {text!r}")
     kind, _, body = text.partition(":")
     kind = kind.strip().lower()
-    if kind not in _SHAPES:
-        raise GeometryError(f"unknown shape kind {kind!r}")
     if kind == "polygon":
         if body.startswith("@"):
-            verts = []
             with open(body[1:]) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    sx, sy = line.replace(",", " ").split()
-                    verts.append((float(sx), float(sy)))
+                pairs = [ln.replace(",", " ").split() for ln in map(str.strip, fh)
+                         if ln and not ln.startswith("#")]
         else:
-            verts = [
-                tuple(float(v) for v in pair.split(","))
-                for pair in body.split(";")
-                if pair.strip()
-            ]
-        return Polygon(tuple(verts))
-    try:
-        params = [float(v) for v in body.split(",")]
-    except ValueError as exc:
-        raise GeometryError(f"bad numeric parameters in {text!r}") from exc
+            pairs = [pair.split(",") for pair in body.split(";") if pair.strip()]
+        return Polygon(tuple(_numbers(pair, "polygon vertex", "x,y") for pair in pairs))
+    if kind not in _SHAPES:
+        raise GeometryError(f"unknown shape kind {kind!r}")
+    shape, names = _SHAPES[kind]
+    params = _numbers(body.split(","), kind, names)
     if kind == "disk":
-        cx, cy, r = params
-        return Disk((cx, cy), r)
-    return _SHAPES[kind](*params)
+        return Disk(tuple(params[:2]), params[2])
+    return shape(*params)
+
+
+def _num(x) -> str:
+    """Shortest round-trip form of a float, without a trailing '.0'."""
+    return repr(float(x)).removesuffix(".0")
 
 
 def domain_spec_string(d: Domain) -> str:
     """Canonical spec string for a domain (inverse of :func:`parse_domain`)."""
     if isinstance(d, Disk):
-        return f"disk:{d.center[0]:g},{d.center[1]:g},{d.radius:g}"
+        return f"disk:{_num(d.center[0])},{_num(d.center[1])},{_num(d.radius)}"
     if isinstance(d, Ellipse):
-        return f"ellipse:{d.a:g},{d.b:g}"
+        return f"ellipse:{_num(d.a)},{_num(d.b)}"
     if isinstance(d, Stadium):
-        return f"stadium:{d.halflength:g},{d.radius:g}"
+        return f"stadium:{_num(d.halflength)},{_num(d.radius)}"
     if isinstance(d, Superellipse):
-        return f"superellipse:{d.a:g},{d.b:g},{d.p:g}"
+        return f"superellipse:{_num(d.a)},{_num(d.b)},{_num(d.p)}"
     if isinstance(d, Polygon):
-        return "polygon:" + ";".join(f"{x:g},{y:g}" for x, y in d.vertices)
+        return "polygon:" + ";".join(f"{_num(x)},{_num(y)}" for x, y in d.vertices)
     raise GeometryError(f"cannot serialize {type(d).__name__}")

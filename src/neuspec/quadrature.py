@@ -1,9 +1,9 @@
 """Composite quadrature over triangulated domains.
 
-Symmetric triangle rules of degree 2, 4, and 7 are embedded (the degree
-pairs double as error estimators); degrees 8 through 10 fall back to a
-collapsed-coordinate Gauss product rule.  Points are given on the
-reference triangle (0,0), (1,0), (0,1); weights sum to its area 1/2.
+Two symmetric triangle rules serve every degree up to 7: a 6-point rule
+of degree 4 and a 13-point rule of degree 7 (the pair doubles as an error
+estimator).  Points are given on the reference triangle (0,0), (1,0),
+(0,1); weights sum to its area 1/2.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .meshing import Mesh, triangle_jacobians, triangulate
 
 __all__ = ["triangle_rule", "mesh_quadrature"]
 
-MAX_DEGREE = 10
+MAX_DEGREE = 7
 
 
 def _orbit1(a):
@@ -37,13 +37,10 @@ def triangle_rule(degree: int):
     """(points, weights) exact for polynomials of total degree <= degree."""
     if not 1 <= degree <= MAX_DEGREE:
         raise ValueError(f"quadrature degree must be in 1..{MAX_DEGREE}")
-    if degree <= 2:
-        pts = np.array([[1 / 6, 1 / 6], [2 / 3, 1 / 6], [1 / 6, 2 / 3]])
-        w = np.full(3, 1 / 3)
-    elif degree <= 4:
+    if degree <= 4:
         pts = np.array(_orbit1(0.108103018168070) + _orbit1(0.816847572980459))
         w = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
-    elif degree <= 7:
+    else:
         pts = np.array(
             [[1 / 3, 1 / 3]]
             + _orbit1(0.479308067841923)
@@ -56,26 +53,7 @@ def triangle_rule(degree: int):
             + [0.053347235608839] * 3
             + [0.077113760890257] * 6
         )
-    else:
-        return _collapsed_rule(degree)
     return pts, 0.5 * w
-
-
-def _collapsed_rule(degree: int):
-    """Gauss product rule under the map (u, v) -> (u(1-v), uv), Jacobian u."""
-    nu = (degree + 2 + 1) // 2
-    nv = (degree + 1 + 1) // 2
-    xu, wu = np.polynomial.legendre.leggauss(nu)
-    xv, wv = np.polynomial.legendre.leggauss(nv)
-    u = 0.5 * (xu + 1.0)
-    v = 0.5 * (xv + 1.0)
-    wu = 0.5 * wu
-    wv = 0.5 * wv
-    U, V = np.meshgrid(u, v, indexing="ij")
-    WU, WV = np.meshgrid(wu, wv, indexing="ij")
-    pts = np.column_stack([(U * (1.0 - V)).ravel(), (U * V).ravel()])
-    w = (WU * WV * U).ravel()
-    return pts, w
 
 
 def mesh_quadrature(mesh: Mesh, degree: int):

@@ -1,4 +1,4 @@
-"""Bessel evaluation, radial eigenprofiles, and derivative-zero tables.
+"""Bessel evaluation, radial eigenprofiles, and radial derivative zeros.
 
 The radial building block used throughout the package is
 
@@ -18,7 +18,7 @@ profile algebra are implemented here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,8 +34,7 @@ __all__ = [
     "radial_profile_value",
     "radial_profile_second",
     "first_radial_deriv_zero",
-    "deriv_zero_table",
-    "DerivZeroTable",
+    "radial_deriv_zeros",
     "BracketError",
 ]
 
@@ -342,45 +341,13 @@ def first_radial_deriv_zero(n: int) -> float:
     return _scan_zeros(n, 1, 1)[0]
 
 
-@dataclass(frozen=True)
-class DerivZeroTable:
-    """Zeros nu_{j,l} of the degree-j radial derivative on the unit ball.
-
-    entries maps (degree j, radial index l) to the l-th positive zero.
-    Immutable after construction; rows are gap-free in l and strictly
-    increasing.
-    """
-
-    n: int
-    j_max: int
-    l_max: int
-    entries: dict = field(repr=False)
-
-    def value(self, j: int, l: int) -> float:
-        if not (0 <= j <= self.j_max and 1 <= l <= self.l_max):
-            raise KeyError(
-                f"(j={j}, l={l}) outside table bounds "
-                f"(j_max={self.j_max}, l_max={self.l_max})"
-            )
-        return self.entries[(j, l)]
-
-
 @lru_cache(maxsize=256)
-def _zero_row(n: int, j: int, count: int) -> tuple:
-    """Memoized _scan_zeros: a table grown in j_max reuses its rows."""
-    return tuple(_scan_zeros(n, j, count))
-
-
-def deriv_zero_table(n: int, j_max: int, l_max: int) -> DerivZeroTable:
-    """All radial derivative zeros nu_{j,l}, 0 <= j <= j_max, 1 <= l <= l_max.
-
-    For j = 0 the constant mode at r = 0 is excluded; indices start at the
-    first strictly positive zero.
+def radial_deriv_zeros(n: int, j: int, count: int) -> tuple:
+    """First `count` positive zeros nu_{j,1} < nu_{j,2} < ... of the degree-j
+    radial derivative on the unit ball in R^n (for j = 0 the constant mode's
+    zero at r = 0 is excluded).  Memoized: a growing spectrum search reuses
+    its rows.
     """
-    if j_max < 0 or l_max < 1:
-        raise ValueError("need j_max >= 0 and l_max >= 1")
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    entries = {(j, l): z for j in range(j_max + 1)
-               for l, z in enumerate(_zero_row(n, j, l_max), start=1)}
-    return DerivZeroTable(n=n, j_max=j_max, l_max=l_max, entries=entries)
+    if n < 2 or j < 0 or count < 1:
+        raise ValueError(f"need n >= 2, j >= 0 and count >= 1, got n={n}, j={j}, count={count}")
+    return tuple(_scan_zeros(n, j, count))

@@ -8,7 +8,7 @@ and both evaluations of the quotient: the pointwise-identity route and
 an independent quadrature of the iterated radial operator applied to G.
 
 Nothing but the operator expansion depends on the power m, so the center
-is memoized per (domain, profile), and each quadrature set keeps its
+is memoized per domain, and each quadrature set keeps its
 radii, G and Bessel columns for the last domain certified.
 """
 
@@ -110,17 +110,16 @@ def _field_from(p: RadialProfile, w, dx, r, g):
 
 
 @lru_cache(maxsize=16)
-def find_center(d: Domain, p: RadialProfile | None = None):
+def find_center(d: Domain):
     """Zero of the centering field inside the convex hull of the domain.
 
     Damped Newton with a central-difference Jacobian from the centroid;
     the residual is scaled by int |G| dx and must reach CENTER_RESIDUAL_TOL.
     Raises CenterConvergenceError with the best residual if the iteration
-    budget runs out.  Memoized per (domain, profile): the center does not
-    depend on the power m.  The returned array is read-only.
+    budget runs out.  Memoized per domain: the center does not depend on
+    the power m.  The returned array is read-only.
     """
-    if p is None:
-        p = _profile(d)
+    p = _profile(d)
     metrics = domain_metrics(d)
     hull = np.asarray(metrics.hull)
     pts, w = _domain_quadrature(d, _default_h(d), _QUAD_DEGREE)
@@ -399,7 +398,7 @@ class TrialQuotient:
     center: tuple
 
 
-def trial_quotient(d: Domain, m: int, center=None, p: RadialProfile | None = None) -> TrialQuotient:
+def trial_quotient(d: Domain, m: int, center=None) -> TrialQuotient:
     """Quotient [sum_i int (L^m u_i)^2] / [sum_i int u_i^2], two ways.
 
     Path one substitutes the pointwise identity (the operator acts on G
@@ -411,10 +410,9 @@ def trial_quotient(d: Domain, m: int, center=None, p: RadialProfile | None = Non
     """
     if m < 1:
         raise ValueError("operator power must be >= 1")
-    if p is None:
-        p = _profile(d)
+    p = _profile(d)
     if center is None:
-        center = find_center(d, p=p)
+        center = find_center(d)
     center = np.asarray(center, dtype=float)
 
     h = _default_h(d)
@@ -512,7 +510,7 @@ def certify_upper_bound(d: Domain, m: int) -> TrialCertificate:
     p = _profile(d)
 
     try:
-        center = find_center(d, p=p)
+        center = find_center(d)
     except CenterConvergenceError:
         center = np.asarray(metrics.centroid, dtype=float)
 
@@ -522,7 +520,7 @@ def certify_upper_bound(d: Domain, m: int) -> TrialCertificate:
     mean_residuals = (abs(float(v[0])) / scale, abs(float(v[1])) / scale)
 
     try:
-        quot = trial_quotient(d, m, center=center, p=p)
+        quot = trial_quotient(d, m, center=center)
     except QuotientMismatchError as exc:
         quot = exc.quotient
     cap = _QUAD_ERROR_CAP * bound

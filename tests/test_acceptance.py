@@ -52,7 +52,7 @@ def stadium_report():
 @pytest.fixture(scope="session")
 def disk_m2_study():
     t0 = time.perf_counter()
-    study = fem.convergence_study(corpus_domain("disk"), 2, H_LIST, order=2)
+    study = fem.convergence_study(corpus_domain("disk"), 2, H_LIST)
     return study, time.perf_counter() - t0
 
 
@@ -123,7 +123,7 @@ def test_criterion_5_centering_on_triangle():
     """Centering solver: residuals and rotation equivariance on the triangle."""
     tri = corpus_domain("triangle")
     p = trial._profile(tri)
-    center = trial.find_center(tri, p=p)
+    center = trial.find_center(tri)
     pts, w = trial._domain_quadrature(tri, trial._default_h(tri), 7)
     v, scale = trial._field_and_scale(p, pts, w, center)
     field_res = float(np.hypot(*v)) / scale
@@ -151,8 +151,8 @@ def test_criterion_5_centering_on_triangle():
 def test_criterion_6_square_analytic_anchors():
     """Unit square at h = 0.02, order 2: pi^2 and pi^4 anchors."""
     mesh = cached_mesh(corpus_domain("square"), 0.02)
-    mu = fem.eig_neumann_laplacian(mesh, 1, order=2).values[0]
-    ups = fem.eig_polyharmonic_neumann(mesh, 1, 1, order=2).values[0]
+    mu = fem.eig_neumann_laplacian(mesh, 1).values[0]
+    ups = fem.eig_polyharmonic_neumann(mesh, 1, 1).values[0]
     mu_err = abs(mu - math.pi**2) / math.pi**2
     ups_err = abs(ups - math.pi**4) / math.pi**4
     assert mu_err <= 0.003
@@ -166,7 +166,7 @@ def test_criterion_6_square_analytic_anchors():
 def test_criterion_7_cross_method_agreement():
     """Particular solutions agree with FEM on the ellipse and exactly on the disk."""
     ell = geo.Ellipse(1.5, 2.0 / 3.0)
-    study = fem.convergence_study(ell, 0, H_LIST, order=2)
+    study = fem.convergence_study(ell, 0, H_LIST)
     hits = mps.mps_find(ell, "laplace_neumann", (0.8 * study.best**0.5, 1.2 * study.best**0.5), 20)
     good = [e for e in hits if e.sigma < 1e-6]
     assert good, "no converged indicator minima near the FEM estimate"
@@ -189,8 +189,8 @@ def test_criterion_7_cross_method_agreement():
 def test_criterion_8_discrete_squaring():
     """Mixed-form quotients are squared Laplacian eigenvalues on a fixed mesh."""
     mesh = cached_mesh(geo.Ellipse(1.5, 2.0 / 3.0), 0.07)
-    lap = fem.eig_neumann_laplacian(mesh, 2, order=2)
-    bih = fem.eig_polyharmonic_neumann(mesh, 2, 1, order=2)
+    lap = fem.eig_neumann_laplacian(mesh, 2)
+    bih = fem.eig_polyharmonic_neumann(mesh, 2, 1)
     worst = max(
         abs(bih.splitting_quotients[i] - lap.values[i] ** 2) / bih.splitting_quotients[i]
         for i in range(2)

@@ -141,7 +141,7 @@ class TestVerifyCommand:
         assert cfg["command"] == "verify"
         assert cfg["domain"] == "polygon:0,0;1,0;1,1;0,1"
         assert cfg["h_list"] == [0.2, 0.1, 0.06]
-        assert set(cfg) == {"command", "domain", "h_list", "m", "mps", "order"}
+        assert set(cfg) == {"command", "domain", "h_list", "m", "mps"}
 
     def test_square_anchors(self, square_report):
         _, report = square_report
@@ -152,6 +152,11 @@ class TestVerifyCommand:
         proc = run_cli(["verify", "--domain", "blob:1,2", "--m", "1"])
         assert proc.returncode == 1
         assert "failed" in proc.stderr
+
+    def test_malformed_spec_exits_1(self, capsys):
+        assert cli.main(["verify", "--domain", "disk:1,2"]) == 1
+        err = capsys.readouterr().err
+        assert "verify failed during setup: disk needs 3 parameters cx,cy,R, got 2" in err
 
     def test_malformed_h_list_exits_2(self, capsys):
         proc = run_cli(["verify", "--domain", "disk", "--h-list", "0.2,abc"])
@@ -171,6 +176,12 @@ class TestVerifyCommand:
             cli.main(["verify", "--domain", "disk", "--m", m])
         assert exc.value.code == 2
         assert "--m" in capsys.readouterr().err
+
+    def test_order_flag_is_unrecognized(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--domain", "disk", "--order", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --order 2" in capsys.readouterr().err
 
     def test_threads_flag_is_unrecognized(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -309,7 +320,7 @@ class TestPlotCommand:
         from neuspec.quadrature import cached_mesh
 
         mesh = cached_mesh(Disk((0, 0), 1.0), 0.15)
-        res = eig_neumann_laplacian(mesh, 1, order=2)
+        res = eig_neumann_laplacian(mesh, 1)
         values = res.vectors[: len(mesh.vertices), 0]
         # lowest disk mode has a diameter nodal line: signs on both sides,
         # near-zero values at the center

@@ -41,47 +41,58 @@ def square_mesh(square):
 
 
 class TestAssembly:
+    # P2 closed forms on the triangle (0,0), (1,0), (0,1); the dofs are
+    # the vertices, then the midpoints of edges 01, 12, 20
     def test_reference_triangle_mass(self):
-        op = fem.assemble(single_triangle_mesh(), order=1)
-        area = 0.5
-        expect = area / 12.0 * np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
-        assert np.allclose(op.M.toarray(), expect, rtol=1e-14, atol=1e-16)
+        op = fem.assemble(single_triangle_mesh())
+        expect = 0.5 / 180.0 * np.array([
+            [6, -1, -1, 0, -4, 0],
+            [-1, 6, -1, 0, 0, -4],
+            [-1, -1, 6, -4, 0, 0],
+            [0, 0, -4, 32, 16, 16],
+            [-4, 0, 0, 16, 32, 16],
+            [0, -4, 0, 16, 16, 32],
+        ])
+        assert np.abs(op.M.toarray() - expect).max() <= 1e-14 * np.abs(expect).max()
 
     def test_reference_triangle_stiffness(self):
-        op = fem.assemble(single_triangle_mesh(), order=1)
-        expect = 0.5 * np.array([[2, -1, -1], [-1, 1, 0], [-1, 0, 1]])
-        assert np.allclose(op.A.toarray(), expect, rtol=1e-14, atol=1e-15)
+        op = fem.assemble(single_triangle_mesh())
+        expect = np.array([
+            [6, 1, 1, -4, 0, -4],
+            [1, 3, 0, -4, 0, 0],
+            [1, 0, 3, 0, 0, -4],
+            [-4, -4, 0, 16, -8, 0],
+            [0, 0, 0, -8, 16, -8],
+            [-4, 0, -4, 0, -8, 16],
+        ]) / 6.0
+        assert np.abs(op.A.toarray() - expect).max() <= 1e-14 * np.abs(expect).max()
 
     def test_stiffness_kills_constants(self, square_mesh):
-        for order in (1, 2):
-            op = fem.assemble(square_mesh, order)
-            resid = op.A @ np.ones(op.dimension)
-            assert np.abs(resid).max() < 1e-14 * np.abs(op.A.data).max() * 10
+        op = fem.assemble(square_mesh)
+        resid = op.A @ np.ones(op.dimension)
+        assert np.abs(resid).max() < 1e-14 * np.abs(op.A.data).max() * 10
 
     def test_mass_rows_sum_to_area(self, square_mesh):
-        for order in (1, 2):
-            op = fem.assemble(square_mesh, order)
-            total = float((op.M @ np.ones(op.dimension)).sum())
-            assert total == pytest.approx(1.0, abs=1e-12)
+        op = fem.assemble(square_mesh)
+        total = float((op.M @ np.ones(op.dimension)).sum())
+        assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetry(self, square_mesh):
         rng = np.random.default_rng(5)
-        for order in (1, 2):
-            op = fem.assemble(square_mesh, order)
-            for _ in range(4):
-                u = rng.standard_normal(op.dimension)
-                v = rng.standard_normal(op.dimension)
-                for mat in (op.A, op.M):
-                    left = float(u @ (mat @ v))
-                    right = float(v @ (mat @ u))
-                    scale = max(abs(left), abs(right), 1e-300)
-                    assert abs(left - right) <= 1e-13 * scale
+        op = fem.assemble(square_mesh)
+        for _ in range(4):
+            u = rng.standard_normal(op.dimension)
+            v = rng.standard_normal(op.dimension)
+            for mat in (op.A, op.M):
+                left = float(u @ (mat @ v))
+                right = float(v @ (mat @ u))
+                scale = max(abs(left), abs(right), 1e-300)
+                assert abs(left - right) <= 1e-13 * scale
 
     def test_p2_has_edge_dofs(self, square_mesh):
-        op1 = fem.assemble(square_mesh, 1)
-        op2 = fem.assemble(square_mesh, 2)
-        assert op2.dimension > op1.dimension
-        assert op1.dimension == len(square_mesh.vertices)
+        op = fem.assemble(square_mesh)
+        _, n_edges = fem._edge_numbering(square_mesh)
+        assert op.dimension == len(square_mesh.vertices) + n_edges
 
     def test_edge_numbering_matches_reference(self):
         mesh = cached_mesh(corpus_domain("ellipse-1.5"), 0.08)
@@ -91,65 +102,60 @@ class TestAssembly:
         assert conn.dtype == ref_conn.dtype
         assert np.array_equal(conn, ref_conn)
 
-    def test_bad_order(self, square_mesh):
-        with pytest.raises(ValueError):
-            fem.assemble(square_mesh, 3)
-
 
 class TestLaplacianEigs:
     def test_square_mu1(self, square_mesh):
-        res = fem.eig_neumann_laplacian(square_mesh, 2, order=2)
+        res = fem.eig_neumann_laplacian(square_mesh, 2)
         assert res.values[0] == pytest.approx(math.pi**2, rel=1e-2)
         assert np.all(res.residuals <= fem.RESIDUAL_TOL * np.maximum(1.0, res.values))
 
     def test_disk_multiplicity_pair(self):
         mesh = cached_mesh(geo.Disk((0, 0), 1.0), 0.05)
-        res = fem.eig_neumann_laplacian(mesh, 2, order=2)
+        res = fem.eig_neumann_laplacian(mesh, 2)
         gap = abs(res.values[1] - res.values[0]) / res.values[0]
         assert gap < 1e-2
 
     def test_values_positive_and_sorted(self, square_mesh):
-        res = fem.eig_neumann_laplacian(square_mesh, 3, order=1)
+        res = fem.eig_neumann_laplacian(square_mesh, 3)
         assert np.all(res.values > 0)
         assert np.all(np.diff(res.values) >= 0)
 
     def test_vectors_m_orthonormal_and_deflated(self, square_mesh):
-        op = fem.assemble(square_mesh, 2)
-        res = fem.eig_neumann_laplacian(square_mesh, 2, order=2)
+        op = fem.assemble(square_mesh)
+        res = fem.eig_neumann_laplacian(square_mesh, 2)
         gram = res.vectors.T @ (op.M @ res.vectors)
         assert np.allclose(gram, np.eye(2), atol=1e-9)
         const_overlap = np.ones(op.dimension) @ (op.M @ res.vectors)
         assert np.abs(const_overlap).max() < 1e-9
 
     def test_constant_mode_rayleigh_quotient(self, square_mesh):
-        op = fem.assemble(square_mesh, 2)
+        op = fem.assemble(square_mesh)
         c = np.ones(op.dimension)
         rq = float(c @ (op.A @ c)) / float(c @ (op.M @ c))
         assert abs(rq) < 1e-12
 
     def test_serial_reproducibility(self, square_mesh):
-        r1 = fem.eig_neumann_laplacian(square_mesh, 2, order=2)
+        r1 = fem.eig_neumann_laplacian(square_mesh, 2)
         fem._pencil_solve.cache_clear()  # so that r2 is a second solve
-        r2 = fem.eig_neumann_laplacian(square_mesh, 2, order=2)
+        r2 = fem.eig_neumann_laplacian(square_mesh, 2)
         assert r2.vectors is not r1.vectors
         assert np.array_equal(r1.values, r2.values)
         assert np.array_equal(r1.vectors, r2.vectors)
 
 
 class TestMassSolve:
-    @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("columns", [1, 3])
-    def test_matches_sparse_direct_solve(self, order, columns):
+    def test_matches_sparse_direct_solve(self, columns):
         from scipy.sparse.linalg import spsolve
 
-        op = fem.assemble(cached_mesh(corpus_domain("ellipse-1.5"), 0.08), order)
-        rhs = np.random.default_rng(order).standard_normal((op.dimension, columns))
+        op = fem.assemble(cached_mesh(corpus_domain("ellipse-1.5"), 0.08))
+        rhs = np.random.default_rng(2).standard_normal((op.dimension, columns))
         want = spsolve(op.M.tocsc(), rhs).reshape(op.dimension, columns)
         got = fem._mass_solve(op.M, rhs, "test")
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_iteration_cap_names_the_mesh(self, square_mesh, monkeypatch):
-        op = fem.assemble(square_mesh, 2)
+        op = fem.assemble(square_mesh)
         monkeypatch.setattr(fem, "_MASS_MAXITER", 2)
         with pytest.raises(fem.SolverError, match=f"h=0.1, ndof={op.dimension}"):
             fem._lowest_pencil_eigs(op, 1, square_mesh.h)
@@ -163,26 +169,26 @@ class TestMassSolve:
 
         monkeypatch.setattr(fem, "_factor", counting_factor)
         mesh = msh.triangulate(square, 0.1)  # a new mesh object misses the memo
-        fem._pencil_solve(mesh, 2, 1)
+        fem._pencil_solve(mesh, 1)
         assert len(calls) == 1
 
 
 class TestPolyharmonicEigs:
     def test_square_biharmonic(self, square_mesh):
-        res = fem.eig_polyharmonic_neumann(square_mesh, 1, 1, order=2)
+        res = fem.eig_polyharmonic_neumann(square_mesh, 1, 1)
         assert res.values[0] == pytest.approx(math.pi**4, rel=2e-2)
         assert res.power == 1
 
     def test_discrete_squaring(self):
         mesh = cached_mesh(geo.Ellipse(1.5, 2 / 3), 0.07)
-        lap = fem.eig_neumann_laplacian(mesh, 2, order=2)
-        bih = fem.eig_polyharmonic_neumann(mesh, 2, 1, order=2)
+        lap = fem.eig_neumann_laplacian(mesh, 2)
+        bih = fem.eig_polyharmonic_neumann(mesh, 2, 1)
         for i in range(2):
             assert bih.splitting_quotients[i] == pytest.approx(lap.values[i] ** 2, rel=1e-9)
 
     def test_power_identity_m2(self, square_mesh):
-        lap = fem.eig_neumann_laplacian(square_mesh, 1, order=2)
-        quad = fem.eig_polyharmonic_neumann(square_mesh, 1, 2, order=2)
+        lap = fem.eig_neumann_laplacian(square_mesh, 1)
+        quad = fem.eig_polyharmonic_neumann(square_mesh, 1, 2)
         assert quad.splitting_quotients[0] == pytest.approx(lap.values[0] ** 4, rel=1e-8)
 
     def test_m_bounds(self, square_mesh):
@@ -202,22 +208,23 @@ class TestPolyharmonicEigs:
 
 class TestConvergence:
     def test_square_laplacian_extrapolation(self, square):
-        study = fem.convergence_study(square, 0, (0.2, 0.1, 0.05), order=2)
+        study = fem.convergence_study(square, 0, (0.2, 0.1, 0.05))
         assert study.monotone
         assert study.extrapolated == pytest.approx(math.pi**2, rel=5e-4)
 
-    def test_disk_p1_order_two(self):
-        study = fem.convergence_study(geo.Disk((0, 0), 1.0), 0, (0.12, 0.06, 0.03), order=1)
+    def test_disk_p2_order_two(self):
+        # the polygonized boundary caps P2 at h^2 on curved domains
+        study = fem.convergence_study(geo.Disk((0, 0), 1.0), 0, (0.12, 0.06, 0.03))
         assert study.observed_order == pytest.approx(2.0, abs=0.3)
 
     def test_error_bar_definition(self, square):
-        study = fem.convergence_study(square, 0, (0.2, 0.1, 0.05), order=2)
+        study = fem.convergence_study(square, 0, (0.2, 0.1, 0.05))
         assert study.error_bar == abs(study.extrapolated - study.values[-1])
 
     def test_error_bar_is_honest(self, square):
         # the bar reported alongside the extrapolated value must cover the
         # true remaining error (analytic limit known here)
-        study = fem.convergence_study(square, 0, (0.2, 0.1, 0.05), order=2)
+        study = fem.convergence_study(square, 0, (0.2, 0.1, 0.05))
         assert abs(study.extrapolated - math.pi**2) <= study.error_bar
         # and the change between the two finest meshes sits within the
         # coarser run's implied uncertainty
@@ -238,8 +245,8 @@ class TestConvergence:
 
     def test_rotated_domain_within_error_bars(self, square):
         rotated = square.rotated(0.6, about=(0.3, 0.3))
-        s0 = fem.convergence_study(square, 0, (0.2, 0.1, 0.05), order=2)
-        s1 = fem.convergence_study(rotated, 0, (0.2, 0.1, 0.05), order=2)
+        s0 = fem.convergence_study(square, 0, (0.2, 0.1, 0.05))
+        s1 = fem.convergence_study(rotated, 0, (0.2, 0.1, 0.05))
         tol = s0.error_bar + s1.error_bar + 1e-6 * s0.extrapolated
         assert abs(s0.extrapolated - s1.extrapolated) <= tol
 
@@ -247,7 +254,7 @@ class TestConvergence:
 class TestEigenfunctionDump:
     def test_vertex_field_roundtrip(self, square, tmp_path):
         mesh = cached_mesh(square, 0.1)
-        res = fem.eig_neumann_laplacian(mesh, 1, order=2)
+        res = fem.eig_neumann_laplacian(mesh, 1)
         nv = len(mesh.vertices)
         path = tmp_path / "mode.txt"
         save_mesh(mesh, path, vertex_values=res.vectors[:nv, 0])

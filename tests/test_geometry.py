@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from neuspec import geometry as geo
+from neuspec.corpus import CORPUS, corpus_domain
 
 
 class TestConstruction:
@@ -47,7 +49,9 @@ class TestParsing:
         ):
             d = geo.parse_domain(spec)
             again = geo.parse_domain(geo.domain_spec_string(d))
-            assert type(again) is type(d)
+            assert again == d
+        for name, spec in CORPUS.items():
+            assert geo.domain_spec_string(corpus_domain(name)) == spec
 
     def test_polygon_from_file(self, tmp_path):
         path = tmp_path / "square.txt"
@@ -55,13 +59,26 @@ class TestParsing:
         d = geo.parse_domain(f"polygon:@{path}")
         assert d.area() == pytest.approx(1.0)
 
-    def test_bad_specs(self):
-        with pytest.raises(geo.GeometryError):
-            geo.parse_domain("circle:1")
-        with pytest.raises(geo.GeometryError):
-            geo.parse_domain("disk:a,b,c")
-        with pytest.raises(geo.GeometryError):
-            geo.parse_domain("just-a-name")
+    def test_bad_specs(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 0\n1 0\n1\n")
+        for spec, message in (
+            ("circle:1", "unknown shape"),
+            ("disk:a,b,c", "disk parameters cx,cy,R"),
+            ("just-a-name", "shape:params"),
+            ("disk:1,2", "disk needs 3 parameters cx,cy,R, got 2"),
+            ("ellipse:1,2,3", "ellipse needs 2 parameters a,b, got 3"),
+            ("ellipse:inf,1", "ellipse semi-axes a,b"),
+            ("stadium:0.5,inf", "stadium dimensions L,R"),
+            ("superellipse:1,1,inf", "superellipse exponent p"),
+            ("disk:0,nan,1", "disk needs a finite center"),
+            ("polygon:0,0;1,0;1", "polygon vertex needs 2 parameters x,y"),
+            ("polygon:0,0;1,0;x,1", "polygon vertex parameters x,y"),
+            ("polygon:0,0;1,0;inf,1", "polygon vertices must be finite"),
+            (f"polygon:@{path}", "polygon vertex needs 2 parameters x,y"),
+        ):
+            with pytest.raises(geo.GeometryError, match=re.escape(message)):
+                geo.parse_domain(spec)
 
 
 class TestBoundaryPolyline:

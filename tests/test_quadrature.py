@@ -9,7 +9,7 @@ from neuspec import quadrature as quad
 
 
 class TestTriangleRules:
-    @pytest.mark.parametrize("degree", list(range(1, 11)))
+    @pytest.mark.parametrize("degree", list(range(1, quad.MAX_DEGREE + 1)))
     def test_monomial_exactness(self, degree):
         pts, w = quad.triangle_rule(degree)
         for a in range(degree + 1):
@@ -19,7 +19,7 @@ class TestTriangleRules:
                 assert approx == pytest.approx(exact, rel=1e-13, abs=1e-16)
 
     def test_weights_sum_to_area(self):
-        for degree in (2, 4, 7, 10):
+        for degree in (2, 4, 7):
             _, w = quad.triangle_rule(degree)
             assert float(np.sum(w)) == pytest.approx(0.5, rel=1e-14)
 
@@ -27,7 +27,7 @@ class TestTriangleRules:
         with pytest.raises(ValueError):
             quad.triangle_rule(0)
         with pytest.raises(ValueError):
-            quad.triangle_rule(11)
+            quad.triangle_rule(quad.MAX_DEGREE + 1)
 
 
 def _integral(d, f, degree, h):

@@ -274,28 +274,32 @@ class TestDerivZeros:
             sp.first_radial_deriv_zero(17)
 
     def test_table_values_and_ordering(self):
-        t = sp.deriv_zero_table(2, 3, 3)
-        assert t.value(1, 1) == pytest.approx(1.8411838, abs=1e-6)
+        rows = [sp.radial_deriv_zeros(2, j, 3) for j in range(4)]
+        assert rows[1][0] == pytest.approx(1.8411838, abs=1e-6)
         # first positive zero of J_0' (= -J_1) comes after the j=1 zero
-        assert t.value(0, 1) == pytest.approx(3.8317060, abs=1e-6)
-        assert t.value(1, 1) < t.value(0, 1)
-        for j in range(4):
-            for l in (1, 2):
-                assert t.value(j, l) < t.value(j, l + 1)
+        assert rows[0][0] == pytest.approx(3.8317060, abs=1e-6)
+        assert rows[1][0] < rows[0][0]
+        for row in rows:
+            assert len(row) == 3
+            assert row[0] < row[1] < row[2]
+
+    def test_zero_row_input_checks(self):
+        for n, j, count in ((1, 0, 1), (2, -1, 1), (2, 0, 0)):
+            with pytest.raises(ValueError):
+                sp.radial_deriv_zeros(n, j, count)
 
     def test_table_reaches_the_ball_caps(self):
         # the l-th zero grows like (l + j/2 - 3/4) pi: the scan must reach it
         # for every degree up to the caps of neumann_spectrum_ball
         from scipy.special import jnp_zeros
 
-        t = sp.deriv_zero_table(2, 80, 60)
         for j in range(81):
-            got = np.array([t.value(j, l) for l in range(1, 61)])
+            got = np.array(sp.radial_deriv_zeros(2, j, 60))
             assert np.allclose(got, jnp_zeros(j, 60), rtol=1e-13, atol=0), j
 
     def test_zero_quality_contract(self):
-        t = sp.deriv_zero_table(3, 2, 2)
-        for (j, l), z in t.entries.items():
-            f = sp._deriv_indicator(3, j, np.array([z]))[0]
-            fp = sp._deriv_indicator_prime(3, j, np.array([z]))[0]
-            assert abs(f) <= 1e-12 * max(1.0, abs(fp) * z)
+        for j in range(3):
+            for z in sp.radial_deriv_zeros(3, j, 2):
+                f = sp._deriv_indicator(3, j, np.array([z]))[0]
+                fp = sp._deriv_indicator_prime(3, j, np.array([z]))[0]
+                assert abs(f) <= 1e-12 * max(1.0, abs(fp) * z)

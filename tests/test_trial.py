@@ -107,7 +107,7 @@ class TestFindCenter:
 
     def test_mean_zero_after_centering(self, triangle):
         p = trial._profile(triangle)
-        c = trial.find_center(triangle, p=p)
+        c = trial.find_center(triangle)
         pts, w = trial._domain_quadrature(triangle, trial._default_h(triangle), 7)
         v, scale = trial._field_and_scale(p, pts, w, c)
         assert abs(v[0]) / scale < 1e-8
