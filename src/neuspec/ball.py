@@ -100,8 +100,8 @@ def neumann_spectrum_ball(b: Ball, count: int, power: int = 1) -> list[SpectrumE
     if power < 1:
         raise ValueError("power must be >= 1")
 
-    # start from a table the caps admit; the loop grows it as needed
-    j_max, l_max = 8, min(max(4, count // 2 + 2), _TABLE_L_CAP)
+    # start from a small table; the loop grows it as needed
+    j_max, l_max = 8, 4
     while True:
         if j_max > _TABLE_J_CAP or l_max > _TABLE_L_CAP:
             raise RuntimeError(

@@ -19,7 +19,7 @@ from . import __version__
 from .ball import Ball, mu1_ball, neumann_spectrum_ball, spectrum_to_csv, upsilon1_poly_ball
 from .corpus import CORPUS, corpus_domain
 from .fem import convergence_study, eig_polyharmonic_neumann
-from .geometry import Domain, domain_metrics, domain_spec_string, parse_domain
+from .geometry import Domain, domain_spec_string, parse_domain
 from .meshing import load_mesh, save_mesh
 from .mps import mps_find, mps_scan
 from .plots import convergence_svg, eigenfunction_svg, sigma_curve_svg
@@ -164,8 +164,7 @@ def build_verification_report(domain_spec: str, m: int, h_list, use_mps: bool = 
     """
     with _stage("setup"):
         d = _resolve_domain(domain_spec)
-        metrics = domain_metrics(d)
-        bound = upsilon1_poly_ball(Ball(2, metrics.equal_volume_radius), m)
+        bound = upsilon1_poly_ball(Ball(2, d.equal_area_radius()), m)
 
     with _stage("fem convergence study"):
         study = convergence_study(d, m, h_list)
@@ -190,8 +189,8 @@ def build_verification_report(domain_spec: str, m: int, h_list, use_mps: bool = 
     report = {
         "domain": domain_spec_string(d),
         "m": m,
-        "area": metrics.area,
-        "R": metrics.equal_volume_radius,
+        "area": float(d.area()),
+        "R": d.equal_area_radius(),
         "upsilon1_fem": ups_fem,
         "upsilon1_fem_error_bar": error_bar,
         "upsilon1_mps": ups_mps,

@@ -196,29 +196,20 @@ _MASS_MAXITER = 200
 def _mass_solve(mass, rhs, where: str):
     """M^-1 rhs for an (n, k) block by Jacobi-preconditioned CG per column.
 
-    The k columns iterate together, each with its own step lengths; a
-    column stops once ||r|| <= _MASS_TOL ||rhs||.  Raises SolverError
+    A column stops once ||r|| <= _MASS_TOL ||rhs||.  Raises SolverError
     after _MASS_MAXITER steps.
     """
-    inv_diag = 1.0 / mass.diagonal()[:, None]
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    p = z = inv_diag * r
-    rz = _column_dots(r, z)
-    stop = _MASS_TOL**2 * _column_dots(rhs, rhs)
-    for _ in range(_MASS_MAXITER):
-        live = _column_dots(r, r) > stop
-        if not live.any():
-            return x
-        mp = mass @ p
-        alpha = np.where(live, rz, 0.0) / np.where(live, _column_dots(p, mp), 1.0)
-        x += alpha * p
-        r -= alpha * mp
-        z = inv_diag * r
-        rz_next = _column_dots(r, z)
-        p = z + np.where(live, rz_next, 0.0) / np.where(live, rz, 1.0) * p
-        rz = rz_next
-    raise SolverError(f"mass-matrix CG missed {_MASS_TOL:g} in {_MASS_MAXITER} steps ({where})")
+    from scipy.sparse.linalg import cg
+
+    jacobi = sp.diags(1.0 / mass.diagonal())
+    out = np.empty_like(rhs)
+    for j in range(rhs.shape[1]):
+        out[:, j], info = cg(mass, rhs[:, j], rtol=_MASS_TOL, atol=0.0,
+                             maxiter=_MASS_MAXITER, M=jacobi)
+        if info != 0:
+            raise SolverError(
+                f"mass-matrix CG missed {_MASS_TOL:g} in {_MASS_MAXITER} steps ({where})")
+    return out
 
 
 # the splitting quotients kept per solve: q = 1 (the Laplacian) and

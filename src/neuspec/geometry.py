@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, cKDTree
 from scipy.special import gamma as _gamma
 
 __all__ = [
@@ -23,12 +23,9 @@ __all__ = [
     "Stadium",
     "Polygon",
     "Superellipse",
-    "DomainMetrics",
     "parse_domain",
     "domain_spec_string",
     "boundary_polyline",
-    "domain_metrics",
-    "convex_hull",
     "point_in_polygon",
     "GeometryError",
 ]
@@ -55,6 +52,15 @@ class Domain:
     # Concrete shapes implement: _param(t), _param_deriv(t) for t in [0,1)
     # traversing the boundary once counterclockwise, contains(points),
     # area(), centroid(), and diameter().
+
+    def equal_area_radius(self) -> float:
+        """Radius of the disk with the domain's area."""
+        return math.sqrt(self.area() / math.pi)
+
+    def hull(self) -> np.ndarray:
+        """Counterclockwise vertices of the convex hull of 512 boundary points."""
+        pts = np.column_stack(self._param(np.arange(512) / 512.0))
+        return pts[ConvexHull(pts).vertices]
 
     def boundary_frame(self, t):
         """Boundary points and outward unit normals at parameter values t."""
@@ -318,6 +324,10 @@ class Polygon(Domain):
     def area(self):
         return 0.5 * _signed_area2(self.vertex_array)
 
+    def hull(self):
+        v = self.vertex_array
+        return v[ConvexHull(v).vertices]
+
     def centroid(self):
         v = self.vertex_array
         w = np.roll(v, -1, axis=0)
@@ -498,66 +508,6 @@ def boundary_polyline(d: Domain, h_b: float) -> np.ndarray:
     t_hits = np.interp(u_targets, units, grid)
     x, y = d._param(t_hits % 1.0)
     return np.column_stack([x, y])
-
-
-# ---------------------------------------------------------------------------
-# Metrics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DomainMetrics:
-    area: float
-    centroid: tuple
-    hull: tuple
-    equal_volume_radius: float
-
-
-def convex_hull(points: np.ndarray) -> np.ndarray:
-    """Monotone-chain convex hull (counterclockwise, collinear points dropped).
-
-    Lexicographic presorting fixes tie order, so the result is deterministic.
-    """
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
-    if len(pts) < 3:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in pts[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return np.asarray(lower[:-1] + upper[:-1])
-
-
-def domain_metrics(d: Domain) -> DomainMetrics:
-    """Area, centroid, convex hull, and equal-volume radius of a domain.
-
-    Area and centroid use closed forms for every supported shape; the hull
-    is computed from a fine boundary polyline (the exact vertex set for
-    polygons).
-    """
-    area = d.area()
-    centroid = d.centroid()
-    if isinstance(d, Polygon):
-        hull = convex_hull(d.vertex_array)
-    else:
-        t = np.arange(512) / 512.0
-        x, y = d._param(t)
-        hull = convex_hull(np.column_stack([x, y]))
-    return DomainMetrics(
-        area=float(area),
-        centroid=(float(centroid[0]), float(centroid[1])),
-        hull=tuple(map(tuple, hull)),
-        equal_volume_radius=math.sqrt(area / math.pi),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Eigenvalue detection by particular solutions on smooth planar domains.
 
 Trial functions are linear combinations of J_j(w r) cos/sin(j theta)
-about an interior expansion center; for the fourth-order problem the
+about the domain's centroid; for the fourth-order problem the
 factorization of (Delta^2 - w^4) into (Delta - w^2)(Delta + w^2) adds the
 modified family I_j(w r) cos/sin(j theta), so both boundary conditions
 can be collocated exactly.  The indicator sigma(w) is the smallest
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .geometry import Domain, domain_metrics
+from .geometry import Domain
 
 __all__ = [
     "MpsBasis",
@@ -41,12 +41,11 @@ _INTERIOR_SEED = 777
 
 @dataclass(frozen=True)
 class MpsBasis:
-    """Trial basis description: problem kind, frequency, truncation, center."""
+    """Trial basis description: problem kind, frequency, truncation."""
 
     problem: str
     omega: float
     N: int
-    center: tuple
 
     def __post_init__(self):
         if self.problem not in _PROBLEMS:
@@ -98,7 +97,7 @@ def _interior_points(d: Domain, count: int) -> np.ndarray:
 # one entry serves every sigma of a scan and its refinement; a few more let
 # callers alternate problems or truncations on one domain
 @functools.lru_cache(maxsize=4)
-def _collocation_geometry(d: Domain, n: int, center: tuple):
+def _collocation_geometry(d: Domain, n: int):
     """The omega-independent part of the collocation blocks: boundary radii,
     n.e_r and n.e_t there, interior radii, the orders 0..n, and the cos/sin
     tables at the boundary and interior points.  Every caller shares these
@@ -106,7 +105,7 @@ def _collocation_geometry(d: Domain, n: int, center: tuple):
     nb = 4 * n + 8
     t = (np.arange(nb) + 0.5) / nb
     bpts, normals = d.boundary_frame(t)
-    c = np.asarray(center)[None, :]
+    c = d.centroid()[None, :]
     relb = bpts - c
     reli = _interior_points(d, 2 * n + 4) - c
     rb = np.hypot(relb[:, 0], relb[:, 1])
@@ -135,8 +134,7 @@ def _collocation_blocks(d: Domain, basis: MpsBasis):
 
     n = basis.N
     omega = basis.omega
-    rb, ri, n_dot_r, n_dot_t, orders, cosb, sinb, cosi, sini = _collocation_geometry(
-        d, n, tuple(basis.center))
+    rb, ri, n_dot_r, n_dot_t, orders, cosb, sinb, cosi, sini = _collocation_geometry(d, n)
 
     def normal_rows(f, fp):
         # d/dn of f(w r) T(j theta): n_r w f' T + n_t f j T'/r
@@ -219,11 +217,11 @@ def _check_scan(d: Domain, interval, n_grid: int) -> np.ndarray:
     return np.linspace(lo, hi, n_grid + 1)
 
 
-def _sigma_at(d: Domain, problem: str, N: int, center: tuple):
-    """sigma as a function of omega alone, for one domain, problem,
-    truncation and center."""
+def _sigma_at(d: Domain, problem: str, N: int):
+    """sigma as a function of omega alone, for one domain, problem and
+    truncation."""
     def f(w):
-        return mps_sigma(d, MpsBasis(problem=problem, omega=float(w), N=N, center=center))
+        return mps_sigma(d, MpsBasis(problem=problem, omega=float(w), N=N))
     return f
 
 
@@ -231,7 +229,7 @@ def mps_scan(d: Domain, problem: str, interval, N: int,
              n_grid: int = _SCAN_INTERVALS) -> SigmaCurve:
     """Sample sigma(omega) on a uniform grid over the interval."""
     omegas = _check_scan(d, interval, n_grid)
-    f = _sigma_at(d, problem, N, domain_metrics(d).centroid)
+    f = _sigma_at(d, problem, N)
     return SigmaCurve(omegas=tuple(float(w) for w in omegas),
                       sigmas=tuple(f(w) for w in omegas))
 
@@ -307,7 +305,7 @@ def mps_find(d: Domain, problem: str, interval, N: int) -> list[MpsEigenvalue]:
     the minimum is the quality score.
     """
     omegas = _check_scan(d, interval, _SCAN_INTERVALS)
-    f = _sigma_at(d, problem, N, domain_metrics(d).centroid)
+    f = _sigma_at(d, problem, N)
     sigmas = [f(w) for w in omegas]
 
     out = []

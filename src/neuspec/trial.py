@@ -23,12 +23,7 @@ import numpy as np
 from scipy.special import jv as _jv
 
 from .ball import Ball, upsilon1_poly_ball
-from .geometry import (
-    Domain,
-    domain_metrics,
-    domain_spec_string,
-    point_in_polygon,
-)
+from .geometry import Domain, domain_spec_string, point_in_polygon
 from .quadrature import cached_mesh, mesh_quadrature
 from .special import RadialProfile, radial_profile_value
 
@@ -78,7 +73,7 @@ class QuotientMismatchError(RuntimeError):
 
 def _profile(d: Domain) -> RadialProfile:
     """Radial profile of the equal-area disk, used on all of the domain."""
-    return RadialProfile.for_ball(2, domain_metrics(d).equal_volume_radius)
+    return RadialProfile.for_ball(2, d.equal_area_radius())
 
 
 @lru_cache(maxsize=32)
@@ -120,8 +115,7 @@ def find_center(d: Domain):
     the power m.  The returned array is read-only.
     """
     p = _profile(d)
-    metrics = domain_metrics(d)
-    hull = np.asarray(metrics.hull)
+    hull = d.hull()
     pts, w = _domain_quadrature(d, _default_h(d), _QUAD_DEGREE)
     diam = d.diameter()
     fd_step = 1e-5 * diam
@@ -129,7 +123,7 @@ def find_center(d: Domain):
     def field(x):
         return _field_and_scale(p, pts, w, x)
 
-    x = np.asarray(metrics.centroid, dtype=float)
+    x = np.array(d.centroid(), dtype=float)
     v, scale = field(x)
     best = (float(np.hypot(*v)) / scale, x.copy())
     for _ in range(60):
@@ -504,15 +498,13 @@ def certify_upper_bound(d: Domain, m: int) -> TrialCertificate:
     certificate invalid instead of raising.
     """
     _domain_tables(d)  # releases the last domain's tables before this one meshes
-    metrics = domain_metrics(d)
-    ball = Ball(2, metrics.equal_volume_radius)
-    bound = upsilon1_poly_ball(ball, m)
+    bound = upsilon1_poly_ball(Ball(2, d.equal_area_radius()), m)
     p = _profile(d)
 
     try:
         center = find_center(d)
     except CenterConvergenceError:
-        center = np.asarray(metrics.centroid, dtype=float)
+        center = np.array(d.centroid(), dtype=float)
 
     pts, w, table = _quadrature_table(d, p, center, _default_h(d), _QUAD_DEGREE)
     v, scale = _field_from(p, w, pts - center[None, :], table.r, table.g)
@@ -534,8 +526,8 @@ def certify_upper_bound(d: Domain, m: int) -> TrialCertificate:
         domain=domain_spec_string(d),
         m=m,
         n=2,
-        area=metrics.area,
-        R=metrics.equal_volume_radius,
+        area=float(d.area()),
+        R=d.equal_area_radius(),
         center=(float(center[0]), float(center[1])),
         field_residual=field_residual,
         mean_residuals=mean_residuals,

@@ -107,7 +107,7 @@ def test_criterion_4_quotient_identity_corpus():
         m = 2 if name == "triangle" else 1  # exercise a higher power once
         q = trial.trial_quotient(d, m)
         expect = upsilon1_poly_ball(
-            Ball(2, geo.domain_metrics(d).equal_volume_radius), m
+            Ball(2, d.equal_area_radius()), m
         )
         worst_id = max(worst_id, abs(q.identity - expect) / expect)
         worst_quad = max(worst_quad, abs(q.quadrature - q.identity) / q.identity)

@@ -24,38 +24,38 @@ def disk_omega():
 
 class TestSigma:
     def test_dip_at_eigenfrequency(self, disk, disk_omega):
-        basis = mps.MpsBasis("laplace_neumann", disk_omega, 15, (0.0, 0.0))
+        basis = mps.MpsBasis("laplace_neumann", disk_omega, 15)
         assert mps.mps_sigma(disk, basis) < 1e-8
 
     def test_large_away_from_spectrum(self, disk):
-        basis = mps.MpsBasis("laplace_neumann", 1.5, 15, (0.0, 0.0))
+        basis = mps.MpsBasis("laplace_neumann", 1.5, 15)
         assert mps.mps_sigma(disk, basis) > 1e-2
 
     def test_polyharmonic_dip(self, disk, disk_omega):
-        basis = mps.MpsBasis("polyharm_neumann", disk_omega, 15, (0.0, 0.0))
+        basis = mps.MpsBasis("polyharm_neumann", disk_omega, 15)
         assert mps.mps_sigma(disk, basis) < 1e-8
 
     def test_sigma_in_unit_interval(self, disk):
         for w in (0.7, 1.5, 2.9):
             for problem in ("laplace_neumann", "polyharm_neumann"):
-                s = mps.mps_sigma(disk, mps.MpsBasis(problem, w, 10, (0.0, 0.0)))
+                s = mps.mps_sigma(disk, mps.MpsBasis(problem, w, 10))
                 assert 0.0 <= s <= 1.0
 
     def test_translation_invariance(self, disk_omega):
         base = geo.Disk((0, 0), 1.0)
         moved = geo.Disk((5.0, -2.0), 1.0)
         for w in (1.5, disk_omega):
-            s0 = mps.mps_sigma(base, mps.MpsBasis("laplace_neumann", w, 12, (0.0, 0.0)))
-            s1 = mps.mps_sigma(moved, mps.MpsBasis("laplace_neumann", w, 12, (5.0, -2.0)))
+            s0 = mps.mps_sigma(base, mps.MpsBasis("laplace_neumann", w, 12))
+            s1 = mps.mps_sigma(moved, mps.MpsBasis("laplace_neumann", w, 12))
             assert abs(s0 - s1) < 1e-10
 
     def test_basis_validation(self):
         with pytest.raises(ValueError):
-            mps.MpsBasis("dirichlet", 1.0, 10, (0, 0))
+            mps.MpsBasis("dirichlet", 1.0, 10)
         with pytest.raises(ValueError):
-            mps.MpsBasis("laplace_neumann", -1.0, 10, (0, 0))
+            mps.MpsBasis("laplace_neumann", -1.0, 10)
         with pytest.raises(ValueError):
-            mps.MpsBasis("laplace_neumann", 1.0, 61, (0, 0))
+            mps.MpsBasis("laplace_neumann", 1.0, 61)
 
 
 class TestFind:
@@ -225,7 +225,7 @@ def _reference_blocks(d, basis):
     """The collocation blocks as first written: three jv/ive calls per block
     for values and derivatives, and the geometry rebuilt on every call."""
     n, omega = basis.N, basis.omega
-    center = np.asarray(basis.center)
+    center = d.centroid()
     nb = 4 * n + 8
     t = (np.arange(nb) + 0.5) / nb
     bpts, normals = d.boundary_frame(t)
@@ -285,18 +285,16 @@ def _reference_blocks(d, basis):
 
 
 class TestCollocation:
-    @pytest.mark.parametrize("offset", [(0.0, 0.0), (0.1, 0.05)])
-    @pytest.mark.parametrize("n", [1, 5, 20, 60])
+    # "offset0": the expansion center sits at the centroid
+    @pytest.mark.parametrize("n", [1, 5, 20, 60], ids=lambda n: f"{n}-offset0")
     @pytest.mark.parametrize("name", ["disk", "ellipse-2.0", "stadium"])
-    def test_matches_reference_exactly(self, name, n, offset, monkeypatch):
+    def test_matches_reference_exactly(self, name, n, monkeypatch):
         d = corpus_domain(name)
-        cx, cy = geo.domain_metrics(d).centroid
-        center = (cx + offset[0], cy + offset[1])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # rank warnings at large N
             for problem in ("laplace_neumann", "polyharm_neumann"):
                 for omega in (0.5, 2.3, 9.7, 40.0):
-                    basis = mps.MpsBasis(problem, omega, n, center)
+                    basis = mps.MpsBasis(problem, omega, n)
                     got = mps._collocation_blocks(d, basis)
                     want = _reference_blocks(d, basis)
                     assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -306,13 +304,6 @@ class TestCollocation:
                         assert mps.mps_sigma(d, basis) == sigma
 
     def test_cached_geometry_is_read_only(self, disk):
-        for arr in mps._collocation_geometry(disk, 5, (0.0, 0.0)):
+        for arr in mps._collocation_geometry(disk, 5):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
-
-    def test_centers_get_their_own_frames(self, disk):
-        near = mps._collocation_geometry(disk, 12, (0.0, 0.0))
-        off = mps._collocation_geometry(disk, 12, (0.3, -0.2))
-        assert near is not off
-        assert not np.array_equal(near[0], off[0])  # boundary radii
-        assert not np.array_equal(near[2], off[2])  # n.e_r

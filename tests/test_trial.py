@@ -113,6 +113,20 @@ class TestFindCenter:
         assert abs(v[0]) / scale < 1e-8
         assert abs(v[1]) / scale < 1e-8
 
+    def test_one_hull_per_domain(self, monkeypatch):
+        hull, calls = geo.ConvexHull, []
+
+        def counting_hull(pts):
+            calls.append(len(pts))
+            return hull(pts)
+
+        monkeypatch.setattr(geo, "ConvexHull", counting_hull)
+        trial.find_center.cache_clear()
+        d = geo.Ellipse(1.3, 0.7)
+        for m in (1, 2):
+            assert trial.certify_upper_bound(d, m).valid
+        assert calls == [512]
+
 
 class TestTrialQuotient:
     def test_disk_m1_paths_agree(self):
@@ -237,7 +251,7 @@ class TestCertificate:
 
     def test_m2_bound_matches_poly_ball(self, triangle):
         cert = trial.certify_upper_bound(triangle, 2)
-        r = geo.domain_metrics(triangle).equal_volume_radius
+        r = triangle.equal_area_radius()
         assert cert.bound == upsilon1_poly_ball(Ball(2, r), 2)
         assert cert.valid
 
