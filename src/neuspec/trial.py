@@ -23,6 +23,7 @@ import numpy as np
 from scipy.special import jv as _jv
 
 from .ball import Ball, upsilon1_poly_ball
+from .fem import _MAX_POWER
 from .geometry import Domain, domain_spec_string, point_in_polygon
 from .quadrature import cached_mesh, mesh_quadrature
 from .special import RadialProfile, radial_profile_value
@@ -175,10 +176,49 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 # Radial tables: the m-independent part of the trial integrands
 # ---------------------------------------------------------------------------
 
+# highest Bessel order |k| of the expansion of L^m G for m <= _MAX_POWER
+# (n = 2: orders 1 - 2m .. 1 + 2m, negative ones reflected); the radial
+# tables fill orders 0.._TOP_ORDER in one backward-recurrence pass
+_TOP_ORDER = 2 * _MAX_POWER + 1
+
+
+def _low_orders(x) -> dict:
+    """{k: J_k(x)} for k = 0.._TOP_ORDER at x > 0, read-only.
+
+    J_(_TOP_ORDER) and the order below it come from scipy, the lower
+    orders from J_(k-1)(x) = (2k/x) J_k(x) - J_(k+1)(x) (DLMF 10.6.1),
+    which is stable downward since J is its minimal solution.  Below
+    x = 0.1, where scipy's J_k carries a relative error near
+    k |ln(x/2)| eps that the recurrence would pass on to every order, the
+    Neumann sum J_0 + 2 (J_2 + J_4 + ...) = 1 (DLMF 10.12.4), to which
+    the orders above _TOP_ORDER add under 1e-19 there, sets the scale
+    instead (Miller's algorithm).  Where J_(_TOP_ORDER) underflows (x
+    below about 1e-31) the recurrence would run down from zero, so every
+    order there is evaluated directly.
+    """
+    cols = {_TOP_ORDER: _jv(_TOP_ORDER, x), _TOP_ORDER - 1: _jv(_TOP_ORDER - 1, x)}
+    # 2k/x overflows where x is subnormal; those points are direct below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(_TOP_ORDER - 1, 0, -1):
+            cols[k - 1] = (2.0 * k / x) * cols[k] - cols[k + 1]
+    direct = np.abs(cols[_TOP_ORDER]) < np.finfo(float).tiny
+    small = (x < 0.1) & ~direct
+    if np.any(small):
+        total = cols[0][small] + 2.0 * sum(cols[k][small] for k in range(2, _TOP_ORDER, 2))
+        for col in cols.values():
+            col[small] /= total
+    if np.any(direct):
+        for k in range(_TOP_ORDER - 1):
+            cols[k][direct] = _jv(k, x[direct])
+    return {float(k): _read_only(col) for k, col in cols.items()}
+
+
 class _RadialTable:
     """Radii r >= 0 of a point set, G(r), and the Bessel columns J_k(s r) at
     r > 0 for orders k >= 0, each computed on first use and kept read-only
-    (r itself is made read-only)."""
+    (r itself is made read-only).  The first request for an integer order
+    up to _TOP_ORDER computes all of them (_low_orders); any other order
+    is evaluated directly."""
 
     def __init__(self, p: RadialProfile, r):
         self.p = p
@@ -194,7 +234,11 @@ class _RadialTable:
         col = self._columns.get(k)
         if col is None:
             x = self.p.scale * self.r[self.safe]
-            col = self._columns[k] = _read_only(_jv(k, x))
+            if k <= _TOP_ORDER and float(k).is_integer():
+                self._columns.update(_low_orders(x))
+                col = self._columns[k]
+            else:
+                col = self._columns[k] = _read_only(_jv(k, x))
         return col
 
 
@@ -293,40 +337,49 @@ def _taylor_coefficients(terms, p: RadialProfile, r_max: float) -> dict:
     Each coef * r^(-a + dp) * J_k(s r), k = nu + dc, contributes
     coef * (-1)^j (s/2)^(2j + k) / (j! Gamma(j + k + 1)) to the power
     -a + dp + k + 2j = dp + dc + 1 + 2j (DLMF 10.2.2; 1/Gamma vanishes at
-    the nonpositive integers, which gives J_(-k) = (-1)^k J_k).  Powers
-    are formed in increasing order, so the cancellation across Bessel
-    orders happens here, before rounding to double.  The expansion stops
-    once every series has passed its largest term and the contributions
-    at r_max of the last two powers, which bound all later ones, fall to
-    _TAYLOR_TAIL of the partial sum there.
+    the nonpositive integers, which gives J_(-k) = (-1)^k J_k).  Each
+    series starts from that closed form at its first nonzero term (j = -k
+    for a negative integer k, else j = 0) and advances by the ratio
+    -(s/2)^2 / ((j + 1)(j + k + 1)).  Powers are formed in increasing
+    order, so the cancellation across Bessel orders happens here, before
+    rounding to double.  The expansion stops once every series has passed
+    its largest term and the contributions at r_max of the last two
+    powers, which bound all later ones, fall to _TAYLOR_TAIL of the
+    partial sum there.
     """
     with mpmath.workdps(_COEFF_DPS):
         half_s = mpmath.mpf(p.scale) / 2
         x2 = (half_s * r_max) ** 2
         rm = mpmath.mpf(r_max)
+        shrink, rm2 = -half_s**2, rm**2
         keep = mpmath.mpf(10) ** -_ZERO_DIGITS
-        # (lowest power, Bessel order, coefficient) of each term's series
-        series = [(dp + dc + 1, mpmath.mpf(p.n) / 2 + dc, coef)
-                  for (dp, dc), coef in terms.items()]
-        lo = min(b for b, _, _ in series)
-        hi = max(b for b, _, _ in series)
+        # per series: [power of its next term, j, Bessel order, that term]
+        series = []
+        for (dp, dc), coef in terms.items():
+            k = mpmath.mpf(p.n) / 2 + dc
+            j = int(-k) if k < 0 and k == int(k) else 0
+            c = ((-1) ** j * coef * half_s ** (2 * j + k)
+                 * mpmath.rgamma(j + 1) * mpmath.rgamma(j + k + 1))
+            series.append([dp + dc + 1 + 2 * j, j, k, c])
+        lo = min(dp + dc + 1 for dp, dc in terms)
+        hi = max(dp + dc + 1 for dp, dc in terms)
         coeffs, value = {}, mpmath.mpf(0)
+        rm_pow = {lo: rm**lo, lo + 1: rm ** (lo + 1)}
         for e in range(lo, hi + 2 * _TAYLOR_MAX_J, 2):
-            # each series has exactly one power in {e, e + 1}
+            # each started series has exactly one power in {e, e + 1}
             sums, sizes = {e: 0, e + 1: 0}, {e: 0, e + 1: 0}
             step, settled = 0, e + 1 >= hi
-            for base, k, coef in series:
-                if base > e + 1:
+            for term in series:
+                power, j, k, c = term
+                if power > e + 1:
+                    settled = False  # its terms are all ahead
                     continue
-                j = (e + 1 - base) // 2
-                c = ((-1) ** j * coef * half_s ** (2 * j + k)
-                     * mpmath.rgamma(j + 1) * mpmath.rgamma(j + k + 1))
-                power = base + 2 * j
                 sums[power] += c
                 sizes[power] += abs(c)
-                step += abs(c) * rm**power
+                step += abs(c) * rm_pow[power]
                 # later terms of this series shrink at least twofold
                 settled = settled and j + k >= 0 and x2 <= (j + 1) * (j + 1 + k) / 2
+                term[:] = power + 2, j + 1, k, c * shrink / ((j + 1) * (j + 1 + k))
             # a power whose contributions cancel to _ZERO_DIGITS digits is
             # zero to working precision: its residue times r^e (e < 0)
             # would swamp small radii.  For m <= 4 the kept powers cancel
@@ -334,9 +387,10 @@ def _taylor_coefficients(terms, p: RadialProfile, r_max: float) -> dict:
             for power in (e, e + 1):
                 if abs(sums[power]) > keep * sizes[power]:
                     coeffs[power] = sums[power]
-                    value += sums[power] * rm**power
+                    value += sums[power] * rm_pow[power]
             if settled and step <= _TAYLOR_TAIL * abs(value):
                 return {power: float(c) for power, c in coeffs.items()}
+            rm_pow = {power + 2: v * rm2 for power, v in rm_pow.items()}
     raise ArithmeticError(f"Taylor expansion about r = 0 unresolved at r = {r_max:.3e}")
 
 

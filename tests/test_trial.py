@@ -228,6 +228,99 @@ class TestTrialQuotient:
         with pytest.raises(ValueError):
             trial.trial_quotient(geo.Disk((0, 0), 1.0), 0)
 
+    @pytest.mark.parametrize("m", [5, 8])
+    def test_orders_above_the_table_top(self, m):
+        # m > 4 asks for orders above the recurrence's top, evaluated directly
+        for d in (geo.Disk((0, 0), 1.0), geo.Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))):
+            q = trial.trial_quotient(d, m)
+            assert q.quadrature == pytest.approx(q.identity, rel=1e-12), d
+
+
+def _reference_taylor(terms, p, r_max):
+    """_taylor_coefficients with every term from its closed form, two
+    reciprocal gammas and a power each, and r_max^power formed afresh."""
+    with mpmath.workdps(trial._COEFF_DPS):
+        half_s = mpmath.mpf(p.scale) / 2
+        x2 = (half_s * r_max) ** 2
+        rm = mpmath.mpf(r_max)
+        keep = mpmath.mpf(10) ** -trial._ZERO_DIGITS
+        series = [(dp + dc + 1, mpmath.mpf(p.n) / 2 + dc, coef)
+                  for (dp, dc), coef in terms.items()]
+        lo = min(b for b, _, _ in series)
+        hi = max(b for b, _, _ in series)
+        coeffs, value = {}, mpmath.mpf(0)
+        for e in range(lo, hi + 2 * trial._TAYLOR_MAX_J, 2):
+            sums, sizes = {e: 0, e + 1: 0}, {e: 0, e + 1: 0}
+            step, settled = 0, e + 1 >= hi
+            for base, k, coef in series:
+                if base > e + 1:
+                    continue
+                j = (e + 1 - base) // 2
+                c = ((-1) ** j * coef * half_s ** (2 * j + k)
+                     * mpmath.rgamma(j + 1) * mpmath.rgamma(j + k + 1))
+                power = base + 2 * j
+                sums[power] += c
+                sizes[power] += abs(c)
+                step += abs(c) * rm**power
+                settled = settled and j + k >= 0 and x2 <= (j + 1) * (j + 1 + k) / 2
+            for power in (e, e + 1):
+                if abs(sums[power]) > keep * sizes[power]:
+                    coeffs[power] = sums[power]
+                    value += sums[power] * rm**power
+            if settled and step <= trial._TAYLOR_TAIL * abs(value):
+                return {power: float(c) for power, c in coeffs.items()}
+    raise ArithmeticError("reference expansion unresolved")
+
+
+class TestRadialTable:
+    def test_low_orders_from_two_direct_calls(self, monkeypatch):
+        calls = []
+
+        def counting_jv(k, x):
+            calls.append(k)
+            return jv(k, x)
+
+        monkeypatch.setattr(trial, "_jv", counting_jv)
+        p = trial._profile(geo.Disk((0, 0), 1.0))
+        table = trial._RadialTable(p, np.linspace(0.0, 1.0, 101))
+        for k in range(10):
+            table.bessel(float(k))
+        assert len(calls) == 2
+        table.bessel(11.0)
+        assert len(calls) == 3
+
+    def test_columns_match_mpmath(self):
+        p = trial._profile(geo.Disk((0, 0), 1.0))
+        x = np.geomspace(1e-8, 10.0, 161)
+        table = trial._RadialTable(p, x / p.scale)
+        cols = np.array([table.bessel(float(k)) for k in range(10)])
+        xs = p.scale * table.r  # the arguments the table evaluated
+        with mpmath.workdps(40):
+            for i, xi in enumerate(xs):
+                ref = np.array([float(mpmath.besselj(k, mpmath.mpf(float(xi)))) for k in range(10)])
+                assert np.max(np.abs(cols[:, i] - ref)) <= 1e-14 * np.max(np.abs(ref)), xi
+
+    def test_underflow_falls_back_to_direct_values(self):
+        p = trial._profile(geo.Polygon(((0, 0), (1, 0), (1, 1), (0, 1))))
+        table = trial._RadialTable(p, np.array([1e-40, 1e-33, 0.3]))
+        x = p.scale * table.r[:2]
+        assert jv(9, x[1]) == 0.0  # scipy's J_9 underflows at both radii
+        for k in range(10):
+            col = table.bessel(float(k))
+            assert np.all(np.isfinite(col))
+            assert np.array_equal(col[:2], jv(k, x)), k
+
+    @pytest.mark.parametrize("r_max", [1e-3, 0.05, 0.3])
+    def test_taylor_ratios_match_closed_form(self, r_max):
+        for d in (geo.Disk((0, 0), 1.0), geo.Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))):
+            p = trial._profile(d)
+            terms = trial._profile_terms(p)
+            for m in range(1, 5):
+                terms = trial._apply_radial_operator(terms, p.n, p.scale)
+                # orders 1 - m .. 0 are negative integers for m >= 2
+                assert trial._taylor_coefficients(terms, p, r_max) == \
+                    _reference_taylor(terms, p, r_max), (d, m)
+
 
 class TestCertificate:
     def test_disk_certificate(self):
