@@ -2,8 +2,9 @@
 
 Shapes are immutable dataclasses carrying exact parameterizations of
 their boundary.  Curved boundaries are discretized by curvature-adaptive
-polylines whose vertices lie exactly on the analytic curve; everything
-downstream (meshing, quadrature) works on the polygonized domain.
+polylines whose vertices lie exactly on the analytic curve, and meshing
+and the FEM work on that polygonized domain; the trial certificate
+integrates over the exact one from each shape's boundary_rule.
 """
 
 from __future__ import annotations
@@ -27,10 +28,14 @@ __all__ = [
     "domain_spec_string",
     "boundary_polyline",
     "point_in_polygon",
+    "gauss_legendre",
     "GeometryError",
 ]
 
 _DENSE = 8192  # samples for arclength/curvature bookkeeping on curved shapes
+# nodes of the periodic trapezoid rule per node of a Gauss panel, at equal
+# resolution n in Domain.boundary_rule
+_PERIODIC_NODES = 8
 
 
 class GeometryError(ValueError):
@@ -61,6 +66,25 @@ class Domain:
         """Counterclockwise vertices of the convex hull of 512 boundary points."""
         pts = np.column_stack(self._param(np.arange(512) / 512.0))
         return pts[ConvexHull(pts).vertices]
+
+    def boundary_rule(self, n: int):
+        """(b, db, w): boundary points b(t), tangents b'(t) and weights in t.
+
+        sum_i w_i f(b_i, db_i) approximates int_0^1 f(b(t), b'(t)) dt once
+        counterclockwise round the boundary.  A smooth closed curve takes
+        the periodic trapezoid rule on _PERIODIC_NODES * n nodes, which
+        converges geometrically there; a boundary made of pieces takes one
+        n-point Gauss panel per piece instead.
+        """
+        return self._periodic_rule(_PERIODIC_NODES * n)
+
+    def _periodic_rule(self, m: int):
+        return self._rule_at(np.arange(m) / m, np.full(m, 1.0 / m))
+
+    def _rule_at(self, t, w):
+        b = np.column_stack(self._param(t))
+        db = np.column_stack(self._param_deriv(t))
+        return b, db, w
 
     def boundary_frame(self, t):
         """Boundary points and outward unit normals at parameter values t."""
@@ -164,6 +188,17 @@ class Stadium(Domain):
         total = 2 * arc + 2 * straight
         return L, R, arc, straight, total
 
+    def boundary_rule(self, n: int):
+        """One n-point Gauss panel per cap and per straight: the curvature
+        jumps at the four junctions, where a uniform rule in t loses its
+        geometric convergence."""
+        _, _, arc, straight, total = self._pieces()
+        breaks = np.cumsum([0.0, arc, straight, arc, straight]) / total
+        x, w = gauss_legendre(n)
+        width = np.diff(breaks)
+        t = (breaks[:-1, None] + width[:, None] * x[None, :]).ravel()
+        return self._rule_at(t, (width[:, None] * w[None, :]).ravel())
+
     def _param(self, t):
         L, R, arc, straight, total = self._pieces()
         s = (np.asarray(t, dtype=float) % 1.0) * total
@@ -248,6 +283,16 @@ class Superellipse(Domain):
         if not 2 <= self.p < math.inf:
             raise GeometryError("superellipse exponent p must be finite and >= 2")
 
+    def boundary_rule(self, n: int):
+        """The periodic trapezoid rule on ceil(p/8) times the base nodes.
+
+        The corners the curve rounds off have an angular width of about
+        1/p, and the rule's geometric convergence slows in proportion.
+        Where p is not an even integer, |cos|^p is not smooth at the axes
+        and the convergence is only algebraic, of order about p + 1.
+        """
+        return self._periodic_rule(_PERIODIC_NODES * n * math.ceil(self.p / 8))
+
     def _polar(self, ang):
         c, s = np.cos(ang), np.sin(ang)
         w = np.abs(c / self.a) ** self.p + np.abs(s / self.b) ** self.p
@@ -318,6 +363,15 @@ class Polygon(Domain):
     def vertex_array(self):
         return np.asarray(self.vertices)
 
+    def boundary_rule(self, n: int):
+        """One n-point Gauss panel per edge, t running 0..1 along each edge."""
+        a = self.vertex_array
+        edge = np.roll(a, -1, axis=0) - a
+        x, w = gauss_legendre(n)
+        b = (a[:, None, :] + x[None, :, None] * edge[:, None, :]).reshape(-1, 2)
+        db = np.repeat(edge, n, axis=0)
+        return b, db, np.tile(w, len(a))
+
     def contains(self, pts):
         return point_in_polygon(np.atleast_2d(pts), self.vertex_array)
 
@@ -380,6 +434,16 @@ def _segments_cross(p1, p2, q1, q2) -> bool:
     d3 = orient(p1, p2, q1)
     d4 = orient(p1, p2, q2)
     return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+
+
+@lru_cache(maxsize=8)
+def gauss_legendre(n: int):
+    """(nodes, weights) of the n-point Gauss-Legendre rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def point_in_polygon(pts: np.ndarray, verts: np.ndarray) -> np.ndarray:

@@ -308,6 +308,10 @@ def _polish_zeros(n: int, j: int, lo: npt.NDArray, hi: npt.NDArray) -> npt.NDArr
     return z
 
 
+# grid points per slice of the zero scan, about eight zeros
+_SCAN_SLICE = 256
+
+
 def _scan_zeros(n: int, j: int, count: int) -> list[float]:
     """First `count` positive zeros of the radial derivative for degree j."""
     a = (n - 2) / 2.0
@@ -315,12 +319,20 @@ def _scan_zeros(n: int, j: int, count: int) -> list[float]:
     # the l-th zero grows like (l + nu/2 - 3/4) pi
     upper = nu + (count + 2 + nu / 2) * math.pi + 10.0
     grid = np.arange(0.1, upper, 0.1)  # zeros lie about pi apart
-    vals = _deriv_indicator(n, j, grid)
-    signs = np.sign(vals)
-    # Treat exact zeros on grid points as negligible-probability; a zero
-    # value still flips the product test below.
-    flips = np.nonzero(signs[:-1] * signs[1:] <= 0.0)[0]
-    flips = flips[(vals[flips] != 0.0) | (vals[flips + 1] != 0.0)][:count]
+    # evaluated slice by slice until `count` sign changes are in: the
+    # first `count` brackets of a prefix are those of the whole grid
+    vals = np.empty_like(grid)
+    done, flips = 0, []
+    while len(flips) < count and done < len(grid):
+        stop = min(done + _SCAN_SLICE, len(grid))
+        vals[done:stop] = _deriv_indicator(n, j, grid[done:stop])
+        done = stop
+        signs = np.sign(vals[:done])
+        # Treat exact zeros on grid points as negligible-probability; a
+        # zero value still flips the product test below.
+        flips = np.nonzero(signs[:-1] * signs[1:] <= 0.0)[0]
+        flips = flips[(vals[flips] != 0.0) | (vals[flips + 1] != 0.0)]
+    flips = flips[:count]
     if len(flips) < count:
         raise BracketError(
             f"zero scan found only {len(flips)} of {count} radial derivative "

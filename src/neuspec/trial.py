@@ -6,10 +6,11 @@ field vanishes, has mean zero and a Rayleigh quotient for Delta^(2m)
 equal to mu1(B_R)^(2m).  The certificate records the centering residuals
 and both evaluations of the quotient: the pointwise-identity route and
 an independent quadrature of the iterated radial operator applied to G.
+Every integral runs on a signed fan over the exact boundary (_fan).
 
 Nothing but the operator expansion depends on the power m, so the center
-is memoized per domain, and each quadrature set keeps its
-radii, G and Bessel columns for the last domain certified.
+is memoized per domain, and each fan keeps its radii, G and Bessel
+columns for the last domain certified.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from scipy.special import jv as _jv
 
 from .ball import Ball, upsilon1_poly_ball
 from .fem import _MAX_POWER
-from .geometry import Domain, domain_spec_string, point_in_polygon
-from .quadrature import cached_mesh, mesh_quadrature
+from .geometry import Domain, domain_spec_string, gauss_legendre, point_in_polygon
 from .special import RadialProfile, radial_profile_value
 
 __all__ = [
@@ -38,12 +38,12 @@ __all__ = [
     "QuotientMismatchError",
 ]
 
-# quadrature resolution for all trial-function integrals; diameter/72 at
-# degree 7 keeps the composite error near 1e-11 times the field scale
-_QUAD_DIVISIONS = 72
-_QUAD_DEGREE = 7
+# Gauss nodes in rho of the certificate's fan (_fan); boundary_rule gives
+# the matching resolution in t.  The error estimate repeats every integral
+# on the fan at half these counts.
+_FAN_NODES = 24
 # largest accepted quotient error estimate, relative to the quotient; on
-# the corpus at m <= 4 the estimate stays below 5e-12
+# the corpus at m <= 4 the estimate stays below 1e-14
 _QUAD_ERROR_CAP = 1e-6
 
 # scaled centering residual at which Newton stops, and the residuals a
@@ -77,15 +77,26 @@ def _profile(d: Domain) -> RadialProfile:
     return RadialProfile.for_ball(2, d.equal_area_radius())
 
 
-@lru_cache(maxsize=32)
-def _domain_quadrature(d: Domain, h: float, degree: int):
-    mesh = cached_mesh(d, h)
-    pts, w = mesh_quadrature(mesh, degree)
-    return pts, w
+@lru_cache(maxsize=8)
+def _fan(d: Domain, n: int):
+    """(points, weights) of the signed fan over the exact boundary of d.
 
-
-def _default_h(d: Domain) -> float:
-    return d.diameter() / _QUAD_DIVISIONS
+    x = c + rho (b(t) - c) about the centroid c, with weight
+    w_t w_rho rho ((b - c) x b'(t)), from d.boundary_rule(n) in t and the
+    n-point Gauss rule in rho on [0, 1].  The weights are signed: the
+    fan counts each point by the winding number of the boundary about it,
+    1 inside the domain and 0 outside, so it integrates over the domain
+    itself, star-shaped about c or not, every integrand that is smooth in
+    the whole plane (G continues as a Bessel function beyond R).
+    """
+    b, db, wt = d.boundary_rule(n)
+    rho, wr = gauss_legendre(n)
+    c = d.centroid()
+    arm = b - c[None, :]
+    jac = wt * (arm[:, 0] * db[:, 1] - arm[:, 1] * db[:, 0])
+    pts = c[None, None, :] + rho[None, :, None] * arm[:, None, :]
+    w = jac[:, None] * (wr * rho)[None, :]
+    return _read_only(pts.reshape(-1, 2)), _read_only(w.ravel())
 
 
 def _field_and_scale(p: RadialProfile, pts, w, x0):
@@ -117,7 +128,7 @@ def find_center(d: Domain):
     """
     p = _profile(d)
     hull = d.hull()
-    pts, w = _domain_quadrature(d, _default_h(d), _QUAD_DEGREE)
+    pts, w = _fan(d, _FAN_NODES)
     diam = d.diameter()
     fd_step = 1e-5 * diam
 
@@ -244,7 +255,7 @@ class _RadialTable:
 
 @lru_cache(maxsize=1)
 def _domain_tables(d: Domain) -> dict:
-    """{(profile, center, h, degree): _RadialTable} for one domain.
+    """{(profile, center, fan nodes): _RadialTable} for one domain.
 
     The cache holds one domain, so calling this for the next domain
     releases the tables of the last one.
@@ -252,11 +263,11 @@ def _domain_tables(d: Domain) -> dict:
     return {}
 
 
-def _quadrature_table(d: Domain, p: RadialProfile, center, h: float, degree: int):
-    """(points, weights, _RadialTable about center) of one quadrature set."""
-    pts, w = _domain_quadrature(d, h, degree)
+def _quadrature_table(d: Domain, p: RadialProfile, center, n: int):
+    """(points, weights, _RadialTable about center) of the fan at n nodes."""
+    pts, w = _fan(d, n)
     tables = _domain_tables(d)
-    key = (p, float(center[0]), float(center[1]), h, degree)
+    key = (p, float(center[0]), float(center[1]), n)
     table = tables.get(key)
     if table is None:
         if any(k[:3] != key[:3] for k in tables):
@@ -463,25 +474,22 @@ def trial_quotient(d: Domain, m: int, center=None) -> TrialQuotient:
         center = find_center(d)
     center = np.asarray(center, dtype=float)
 
-    h = _default_h(d)
     terms = _profile_terms(p)
     for _ in range(m):
         terms = _apply_radial_operator(terms, p.n, p.scale)
 
-    def sums(mesh_h, degree):
-        """int (L^m G)^2 and int G^2 on one quadrature set."""
-        _, w, table = _quadrature_table(d, p, center, mesh_h, degree)
+    def sums(n):
+        """int (L^m G)^2 and int G^2 on the fan at n nodes."""
+        _, w, table = _quadrature_table(d, p, center, n)
         lg = _eval_terms(terms, p, table)
         return np.sum(w * lg * lg), np.sum(w * table.g * table.g)
 
-    numer, denom = (float(v) for v in sums(h, _QUAD_DEGREE))
+    numer, denom = (float(v) for v in sums(_FAN_NODES))
     identity = (p.mu1 ** (2 * m) * denom) / denom
     quadrature = numer / denom
 
-    # error estimate: embedded lower-degree rule plus a coarser mesh
-    quot4 = float(np.divide(*sums(h, 4)))
-    quotc = float(np.divide(*sums(2.0 * h, _QUAD_DEGREE)))
-    quad_error = abs(quadrature - quot4) + abs(quadrature - quotc) / 3.0
+    # error estimate: the same fan at half the nodes
+    quad_error = abs(quadrature - float(np.divide(*sums(_FAN_NODES // 2))))
 
     quot = TrialQuotient(
         identity=identity,
@@ -551,7 +559,7 @@ def certify_upper_bound(d: Domain, m: int) -> TrialCertificate:
     Tolerance failures, including a quotient mismatch, mark the
     certificate invalid instead of raising.
     """
-    _domain_tables(d)  # releases the last domain's tables before this one meshes
+    _domain_tables(d)  # releases the last domain's tables before this one's
     bound = upsilon1_poly_ball(Ball(2, d.equal_area_radius()), m)
     p = _profile(d)
 
@@ -560,7 +568,7 @@ def certify_upper_bound(d: Domain, m: int) -> TrialCertificate:
     except CenterConvergenceError:
         center = np.array(d.centroid(), dtype=float)
 
-    pts, w, table = _quadrature_table(d, p, center, _default_h(d), _QUAD_DEGREE)
+    pts, w, table = _quadrature_table(d, p, center, _FAN_NODES)
     v, scale = _field_from(p, w, pts - center[None, :], table.r, table.g)
     field_residual = float(np.hypot(*v)) / scale
     mean_residuals = (abs(float(v[0])) / scale, abs(float(v[1])) / scale)

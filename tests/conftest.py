@@ -1,7 +1,34 @@
-import numpy as np
-import pytest
+import os
 
-from neuspec.quadrature import cached_mesh, mesh_quadrature
+# one BLAS and OpenMP thread, as the benchmark runs: more threads make the
+# suite slower on a small host and change the last bits of some eigenvalues.
+# Set before numpy is first imported; subprocess tests inherit it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from neuspec.meshing import triangle_jacobians  # noqa: E402
+from neuspec.quadrature import cached_mesh, triangle_rule  # noqa: E402
+
+
+def mesh_quadrature(mesh, degree):
+    """Global nodes (N, 2) and weights (N,) of the composite triangle rule
+    on a mesh; the weights include element areas, so they sum to its area."""
+    ref_pts, ref_w = triangle_rule(degree)
+    v, t = mesh.vertices, mesh.triangles
+    p0 = v[t[:, 0]]
+    e1 = v[t[:, 1]] - p0
+    e2 = v[t[:, 2]] - p0
+    # affine map per element: x = p0 + xi*e1 + eta*e2
+    pts = (
+        p0[:, None, :]
+        + ref_pts[None, :, 0, None] * e1[:, None, :]
+        + ref_pts[None, :, 1, None] * e2[:, None, :]
+    )
+    w = triangle_jacobians(v, t)[:, None] * ref_w[None, :]
+    return pts.reshape(-1, 2), w.ravel()
 
 
 def _mesh_integral(mesh, f, degree):

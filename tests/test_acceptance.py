@@ -124,7 +124,7 @@ def test_criterion_5_centering_on_triangle():
     tri = corpus_domain("triangle")
     p = trial._profile(tri)
     center = trial.find_center(tri)
-    pts, w = trial._domain_quadrature(tri, trial._default_h(tri), 7)
+    pts, w = trial._fan(tri, trial._FAN_NODES)
     v, scale = trial._field_and_scale(p, pts, w, center)
     field_res = float(np.hypot(*v)) / scale
     assert field_res < 1e-10

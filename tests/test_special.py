@@ -233,6 +233,20 @@ class TestDerivZeros:
         for j in (*range(0, 81, 8), 1, 3):
             assert np.array_equal(sp._scan_zeros(n, j, 8), scan_zeros_scalar(n, j, 8)), j
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sliced_scan_matches_full_grid(self, n):
+        # the scan stops at `count` brackets; the zeros are those of the grid up to `upper`
+        for j in (0, 1, 9, 40, 80):
+            for count in (1, 7, 30):
+                nu = j + (n - 2) / 2.0
+                grid = np.arange(0.1, nu + (count + 2 + nu / 2) * math.pi + 10.0, 0.1)
+                vals = sp._deriv_indicator(n, j, grid)
+                signs = np.sign(vals)
+                flips = np.nonzero(signs[:-1] * signs[1:] <= 0.0)[0]
+                flips = flips[(vals[flips] != 0.0) | (vals[flips + 1] != 0.0)][:count]
+                full = sp._polish_zeros(n, j, grid[flips], grid[flips + 1])
+                assert np.array_equal(sp._scan_zeros(n, j, count), full), (j, count)
+
     def test_first_zero_n2(self):
         z = sp.first_radial_deriv_zero(2)
         assert z == pytest.approx(bisect_series_j1prime_zero(), abs=1e-10)

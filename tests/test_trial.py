@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
+from neuspec import cli, quadrature, trial
 from neuspec import geometry as geo
-from neuspec import trial
+from neuspec.corpus import CORPUS
 from neuspec.ball import Ball, upsilon1_ball, upsilon1_poly_ball
 from neuspec.special import radial_profile_value
 
@@ -22,9 +23,44 @@ def _field(d, x0, p=None):
     quadrature find_center uses."""
     if p is None:
         p = trial._profile(d)
-    pts, w = trial._domain_quadrature(d, trial._default_h(d), 7)
+    pts, w = trial._fan(d, trial._FAN_NODES)
     v, _ = trial._field_and_scale(p, pts, w, np.asarray(x0, dtype=float))
     return v
+
+
+L_SHAPE = "polygon:0,0;2,0;2,1;1,1;1,2;0,2"
+THIN_L = "polygon:0,0;4,0;4,0.25;0.25,0.25;0.25,4;0,4"
+
+
+class TestFan:
+    @pytest.mark.parametrize("spec", [*CORPUS.values(), L_SHAPE, THIN_L, "superellipse:1,1,40"])
+    def test_weights_sum_to_area(self, spec):
+        d = geo.parse_domain(spec)
+        _, w = trial._fan(d, trial._FAN_NODES)
+        assert abs(float(np.sum(w)) - d.area()) <= 1e-13 * d.area()
+
+    def test_center_outside_the_domain(self, monkeypatch):
+        # from (3, 3), outside the thin L, the weights change sign
+        d = geo.parse_domain(THIN_L)
+        monkeypatch.setattr(geo.Polygon, "centroid", lambda self: np.array([3.0, 3.0]))
+        _, w = trial._fan.__wrapped__(d, trial._FAN_NODES)
+        assert np.any(w < 0)
+        assert abs(float(np.sum(w)) - d.area()) <= 1e-13 * d.area()
+
+    def test_certificate_builds_no_mesh(self, monkeypatch):
+        calls = []
+        triangulate = quadrature.triangulate
+
+        def counting(d, h):
+            calls.append(h)
+            return triangulate(d, h)
+
+        monkeypatch.setattr(quadrature, "triangulate", counting)
+        quadrature.cached_mesh.cache_clear()
+        report = cli.build_verification_report(CORPUS["square"], 1, [0.16, 0.12, 0.08],
+                                               use_mps=False)
+        assert report["certificate"]["valid"]
+        assert calls == [0.16, 0.12, 0.08]  # the FEM meshes only
 
 
 class TestHopfField:
@@ -69,7 +105,7 @@ class TestFindCenter:
     def test_triangle_center(self, triangle):
         c = trial.find_center(triangle)
         p = trial._profile(triangle)
-        pts, w = trial._domain_quadrature(triangle, trial._default_h(triangle), 7)
+        pts, w = trial._fan(triangle, trial._FAN_NODES)
         v, scale = trial._field_and_scale(p, pts, w, c)
         assert np.hypot(*v) / scale < 1e-10
         assert triangle.contains(np.array([c]))[0]
@@ -77,7 +113,7 @@ class TestFindCenter:
     def test_triangle_center_matches_grid_scan(self, triangle):
         c = trial.find_center(triangle)
         p = trial._profile(triangle)
-        pts, w = trial._domain_quadrature(triangle, trial._default_h(triangle), 7)
+        pts, w = trial._fan(triangle, trial._FAN_NODES)
         xs = np.linspace(0.1, 1.8, 30)
         ys = np.linspace(0.05, 1.0, 30)
         best = (np.inf, None)
@@ -108,7 +144,7 @@ class TestFindCenter:
     def test_mean_zero_after_centering(self, triangle):
         p = trial._profile(triangle)
         c = trial.find_center(triangle)
-        pts, w = trial._domain_quadrature(triangle, trial._default_h(triangle), 7)
+        pts, w = trial._fan(triangle, trial._FAN_NODES)
         v, scale = trial._field_and_scale(p, pts, w, c)
         assert abs(v[0]) / scale < 1e-8
         assert abs(v[1]) / scale < 1e-8
@@ -188,13 +224,13 @@ class TestTrialQuotient:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_quadrature_points_follow_the_profile(self, m):
-        # every point of the certificate's degree-7 set, flagged or not
+        # every point of the certificate's main fan, flagged or not
         for d in (geo.Disk((0, 0), 1.0), geo.Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))):
             p = trial._profile(d)
             terms = trial._profile_terms(p)
             for _ in range(m):
                 terms = trial._apply_radial_operator(terms, p.n, p.scale)
-            pts, _ = trial._domain_quadrature(d, trial._default_h(d), 7)
+            pts, _ = trial._fan(d, trial._FAN_NODES)
             c = d.centroid()
             r = np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1])
             g = radial_profile_value(p, r)
@@ -209,7 +245,7 @@ class TestTrialQuotient:
         terms = trial._profile_terms(p)
         for _ in range(4):
             terms = trial._apply_radial_operator(terms, p.n, s)
-        pts, _ = trial._domain_quadrature(d, trial._default_h(d), 7)
+        pts, _ = trial._fan(d, trial._FAN_NODES)
         r = np.hypot(pts[:, 0], pts[:, 1])
         lg = trial._eval_terms(terms, p, trial._RadialTable(p, r))
         # n = 2: a = 0, nu = 1; points that lose 9 digits, all of them flagged
@@ -374,7 +410,7 @@ class TestCertificate:
                 assert trial.certify_upper_bound(d, m).valid
         assert trial._domain_tables.cache_info().currsize == 1
         hits = trial._domain_tables.cache_info().hits
-        assert len(trial._domain_tables(square)) == 3  # the three quadrature sets
+        assert len(trial._domain_tables(square)) == 2  # the fan at n and at n/2
         assert trial._domain_tables.cache_info().hits == hits + 1
 
     def test_json_fields_exact(self):
