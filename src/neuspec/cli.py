@@ -84,15 +84,28 @@ def _json_dump(payload) -> str:
 # ball
 # ---------------------------------------------------------------------------
 
+def _in_range(value: float) -> float:
+    """value, if it is a positive double; OverflowError if it fell to 0 or inf."""
+    if not 0.0 < value < math.inf:
+        raise OverflowError(f"value {value!r} is outside the range of positive doubles")
+    return value
+
+
 def cmd_ball(args) -> int:
     b = Ball(args.n, args.R)
-    mu = mu1_ball(b)
-    ups = upsilon1_poly_ball(b, 1)
-    ups_m = upsilon1_poly_ball(b, args.m)
+    # float ** raises OverflowError, and a value can underflow to 0
+    stage = "mu1"
     try:
+        mu = _in_range(mu1_ball(b))
+        stage = "upsilon1"
+        ups = _in_range(upsilon1_poly_ball(b, 1))
+        ups_m = _in_range(upsilon1_poly_ball(b, args.m))
+        stage = "spectrum"  # also the zero table's caps or a failed zero scan
         entries = neumann_spectrum_ball(b, args.count, power=2 * args.m)
-    except RuntimeError as exc:  # the zero table's caps or a failed zero scan
-        print(f"ball failed during spectrum: {exc}", file=sys.stderr)
+        for e in entries:
+            _in_range(e.value)
+    except (RuntimeError, OverflowError) as exc:
+        print(f"ball failed during {stage}: {exc}", file=sys.stderr)
         return 1
     lines = [
         f"ball n={args.n} R={args.R:g} m={args.m}",

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import factorial
 
-import mpmath
 import numpy as np
 from scipy.special import jv as _jv
 
@@ -221,15 +222,15 @@ def _low_orders(x) -> dict:
     if np.any(direct):
         for k in range(_TOP_ORDER - 1):
             cols[k][direct] = _jv(k, x[direct])
-    return {float(k): _read_only(col) for k, col in cols.items()}
+    return {k: _read_only(col) for k, col in cols.items()}
 
 
 class _RadialTable:
     """Radii r >= 0 of a point set, G(r), and the Bessel columns J_k(s r) at
-    r > 0 for orders k >= 0, each computed on first use and kept read-only
-    (r itself is made read-only).  The first request for an integer order
-    up to _TOP_ORDER computes all of them (_low_orders); any other order
-    is evaluated directly."""
+    r > 0 for integer orders k >= 0, each computed on first use and kept
+    read-only (r itself is made read-only).  The first request for an order
+    up to _TOP_ORDER computes all of them (_low_orders); a higher order is
+    evaluated directly."""
 
     def __init__(self, p: RadialProfile, r):
         self.p = p
@@ -241,11 +242,11 @@ class _RadialTable:
     def g(self) -> np.ndarray:
         return _read_only(radial_profile_value(self.p, self.r))
 
-    def bessel(self, k: float) -> np.ndarray:
+    def bessel(self, k: int) -> np.ndarray:
         col = self._columns.get(k)
         if col is None:
             x = self.p.scale * self.r[self.safe]
-            if k <= _TOP_ORDER and float(k).is_integer():
+            if k <= _TOP_ORDER:
                 self._columns.update(_low_orders(x))
                 col = self._columns[k]
             else:
@@ -282,33 +283,30 @@ def _quadrature_table(d: Domain, p: RadialProfile, center, n: int):
 # ---------------------------------------------------------------------------
 #
 # Terms are stored as {(dp, dc): coef} representing
-#   sum coef * r^(-a + dp) * J_(nu + dc)(s r)
-# with a = (n-2)/2 and nu = n/2.  Differentiation and division by r stay
-# inside this family, so (d^2/dr^2 + (n-1)/r d/dr - (n-1)/r^2)^m G has an
-# exact finite expansion built from order-shifted Bessel values.  The
-# coefficient algebra runs at 50 digits: near r = 0 the expansion cancels
-# catastrophically across Bessel orders, and double-precision coefficients
-# would leave an O(eps * r^(-2m-1)) ghost contribution.  There the sum is
-# replaced by its Taylor expansion about r = 0, formed at the same
-# precision from these terms alone (never from L G = -mu1 G), so the
-# quadrature path still checks the operator algebra.
+#   sum coef * r^dp * J_(1 + dc)(s r),
+# starting from the profile G(r) = J_1(s r).  Differentiation and division
+# by r stay inside this family, so (d^2/dr^2 + (n-1)/r d/dr - (n-1)/r^2)^m G
+# has an exact finite expansion built from order-shifted Bessel values.
+# The coefficients are exact rationals: Fraction(s) is the double s itself,
+# and each coefficient is an integer times a power of s/2.  Near r = 0 the
+# expansion cancels catastrophically across Bessel orders, and the double
+# sum would leave an O(eps * r^(-2m-1)) ghost contribution.  There the sum
+# is replaced by its Taylor expansion about r = 0, formed exactly from these
+# terms alone (never from L G = -mu1 G), so the quadrature path still
+# checks the operator algebra; every power that cancels comes out 0, and
+# each kept coefficient is rounded to double once.
 
-_COEFF_DPS = 50
-# a Taylor coefficient whose contributions cancel to this many digits is zero
-_ZERO_DIGITS = 35
 # relative truncation error of the near-center Taylor expansion, and a
 # bound on its length that converging series never reach
 _TAYLOR_TAIL = 1e-20
 _TAYLOR_MAX_J = 200
 
 
-def _terms_derivative(terms, a, s):
+def _terms_derivative(terms, half_s):
     out = {}
-    half_s = s / 2
     for (dp, dc), coef in terms.items():
-        p = -a + dp
-        if p != 0.0:
-            out[(dp - 1, dc)] = out.get((dp - 1, dc), 0) + coef * p
+        if dp:
+            out[(dp - 1, dc)] = out.get((dp - 1, dc), 0) + coef * dp
         out[(dp, dc - 1)] = out.get((dp, dc - 1), 0) + coef * half_s
         out[(dp, dc + 1)] = out.get((dp, dc + 1), 0) - coef * half_s
     return out
@@ -320,88 +318,73 @@ def _terms_shift(terms, k, factor):
 
 def _apply_radial_operator(terms, n, s):
     """One application of d^2/dr^2 + (n-1)/r d/dr - (n-1)/r^2."""
-    with mpmath.workdps(_COEFF_DPS):
-        a = mpmath.mpf(n - 2) / 2
-        s_m = mpmath.mpf(s)
-        d1 = _terms_derivative(terms, a, s_m)
-        d2 = _terms_derivative(d1, a, s_m)
-        out = dict(d2)
-        for key, coef in _terms_shift(d1, -1, mpmath.mpf(n - 1)).items():
-            out[key] = out.get(key, 0) + coef
-        for key, coef in _terms_shift(terms, -2, -mpmath.mpf(n - 1)).items():
-            out[key] = out.get(key, 0) + coef
-        return {k: c for k, c in out.items() if c != 0}
+    half_s = Fraction(s) / 2
+    d1 = _terms_derivative(terms, half_s)
+    out = _terms_derivative(d1, half_s)
+    for key, coef in _terms_shift(d1, -1, n - 1).items():
+        out[key] = out.get(key, 0) + coef
+    for key, coef in _terms_shift(terms, -2, 1 - n).items():
+        out[key] = out.get(key, 0) + coef
+    return {k: c for k, c in out.items() if c != 0}
 
 
 def _profile_terms(p: RadialProfile):
-    # G(r) = C (s r)^(-a) J_nu(s r) => coefficient C * s^(-a) on r^(-a).
-    n = p.n
-    with mpmath.workdps(_COEFF_DPS):
-        a = mpmath.mpf(n - 2) / 2
-        c = mpmath.mpf(2) ** a * mpmath.gamma(mpmath.mpf(n) / 2)
-        return {(0, 0): c * mpmath.mpf(p.scale) ** (-a)}
+    # n = 2: G(r) = J_1(s r)
+    return {(0, 0): Fraction(1)}
 
 
 def _taylor_coefficients(terms, p: RadialProfile, r_max: float) -> dict:
     """{e: c_e} with sum_e c_e r^e equal to the term expansion on [0, r_max].
 
-    Each coef * r^(-a + dp) * J_k(s r), k = nu + dc, contributes
-    coef * (-1)^j (s/2)^(2j + k) / (j! Gamma(j + k + 1)) to the power
-    -a + dp + k + 2j = dp + dc + 1 + 2j (DLMF 10.2.2; 1/Gamma vanishes at
-    the nonpositive integers, which gives J_(-k) = (-1)^k J_k).  Each
-    series starts from that closed form at its first nonzero term (j = -k
-    for a negative integer k, else j = 0) and advances by the ratio
-    -(s/2)^2 / ((j + 1)(j + k + 1)).  Powers are formed in increasing
-    order, so the cancellation across Bessel orders happens here, before
-    rounding to double.  The expansion stops once every series has passed
-    its largest term and the contributions at r_max of the last two
-    powers, which bound all later ones, fall to _TAYLOR_TAIL of the
-    partial sum there.
+    Each coef * r^dp * J_k(s r), k = 1 + dc, contributes
+    coef * (-1)^j (s/2)^(2j + k) / (j! (j + k)!) to the power
+    e = dp + k + 2j = dp + dc + 1 + 2j (DLMF 10.2.2, for j + k >= 0; the
+    terms below vanish, which gives J_(-k) = (-1)^k J_k).  Each series
+    carries its terms divided by (s/2)^e, starts from that closed form at
+    its first nonzero term (j = -k for k < 0, else j = 0) and advances by
+    the ratio -1 / ((j + 1)(j + k + 1)).  Powers are summed exactly in
+    increasing order, so the cancellation across Bessel orders happens
+    before the one rounding to double, of each sum times (s/2)^e.  The
+    expansion stops once every series has passed its largest term and the
+    contributions at r_max of the last two powers, which bound all later
+    ones, fall to _TAYLOR_TAIL of the partial sum there.
     """
-    with mpmath.workdps(_COEFF_DPS):
-        half_s = mpmath.mpf(p.scale) / 2
-        x2 = (half_s * r_max) ** 2
-        rm = mpmath.mpf(r_max)
-        shrink, rm2 = -half_s**2, rm**2
-        keep = mpmath.mpf(10) ** -_ZERO_DIGITS
-        # per series: [power of its next term, j, Bessel order, that term]
-        series = []
-        for (dp, dc), coef in terms.items():
-            k = mpmath.mpf(p.n) / 2 + dc
-            j = int(-k) if k < 0 and k == int(k) else 0
-            c = ((-1) ** j * coef * half_s ** (2 * j + k)
-                 * mpmath.rgamma(j + 1) * mpmath.rgamma(j + k + 1))
-            series.append([dp + dc + 1 + 2 * j, j, k, c])
-        lo = min(dp + dc + 1 for dp, dc in terms)
-        hi = max(dp + dc + 1 for dp, dc in terms)
-        coeffs, value = {}, mpmath.mpf(0)
-        rm_pow = {lo: rm**lo, lo + 1: rm ** (lo + 1)}
-        for e in range(lo, hi + 2 * _TAYLOR_MAX_J, 2):
-            # each started series has exactly one power in {e, e + 1}
-            sums, sizes = {e: 0, e + 1: 0}, {e: 0, e + 1: 0}
-            step, settled = 0, e + 1 >= hi
-            for term in series:
-                power, j, k, c = term
-                if power > e + 1:
-                    settled = False  # its terms are all ahead
-                    continue
-                sums[power] += c
-                sizes[power] += abs(c)
-                step += abs(c) * rm_pow[power]
-                # later terms of this series shrink at least twofold
-                settled = settled and j + k >= 0 and x2 <= (j + 1) * (j + 1 + k) / 2
-                term[:] = power + 2, j + 1, k, c * shrink / ((j + 1) * (j + 1 + k))
-            # a power whose contributions cancel to _ZERO_DIGITS digits is
-            # zero to working precision: its residue times r^e (e < 0)
-            # would swamp small radii.  For m <= 4 the kept powers cancel
-            # by under one digit and the vanishing ones to about 51.
-            for power in (e, e + 1):
-                if abs(sums[power]) > keep * sizes[power]:
-                    coeffs[power] = sums[power]
-                    value += sums[power] * rm_pow[power]
-            if settled and step <= _TAYLOR_TAIL * abs(value):
-                return {power: float(c) for power, c in coeffs.items()}
-            rm_pow = {power + 2: v * rm2 for power, v in rm_pow.items()}
+    half_s = Fraction(p.scale) / 2
+    x = p.scale / 2 * r_max
+    x2 = x * x
+    # per series: [power e of its next term, j, Bessel order, that term / (s/2)^e]
+    series = []
+    for (dp, dc), coef in terms.items():
+        k = 1 + dc
+        j = max(0, -k)
+        c = coef / half_s**dp / (factorial(j) * factorial(j + k))
+        series.append([dp + dc + 1 + 2 * j, j, k, -c if j % 2 else c])
+    lo = min(dp + dc + 1 for dp, dc in terms)
+    hi = max(dp + dc + 1 for dp, dc in terms)
+    coeffs, value = {}, 0.0
+    # (s/2)^e r_max^e, which turns a scaled term into its size at r_max
+    x_pow = {lo: x**lo, lo + 1: x ** (lo + 1)}
+    for e in range(lo, hi + 2 * _TAYLOR_MAX_J, 2):
+        # each started series has exactly one power in {e, e + 1}
+        sums = {e: 0, e + 1: 0}
+        step, settled = 0.0, e + 1 >= hi
+        for term in series:
+            power, j, k, c = term
+            if power > e + 1:
+                settled = False  # its terms are all ahead
+                continue
+            sums[power] += c
+            step += abs(float(c)) * x_pow[power]
+            # later terms of this series shrink at least twofold
+            settled = settled and x2 <= (j + 1) * (j + 1 + k) / 2
+            term[:] = power + 2, j + 1, k, c / -((j + 1) * (j + 1 + k))
+        for power in (e, e + 1):
+            if sums[power] != 0:
+                coeffs[power] = float(sums[power] * half_s**power)
+                value += float(sums[power]) * x_pow[power]
+        if settled and step <= _TAYLOR_TAIL * abs(value):
+            return coeffs
+        x_pow = {power + 2: v * x2 for power, v in x_pow.items()}
     raise ArithmeticError(f"Taylor expansion about r = 0 unresolved at r = {r_max:.3e}")
 
 
@@ -409,38 +392,39 @@ def _eval_terms(terms, p: RadialProfile, table: _RadialTable):
     """Evaluate a term expansion at the radii table.r >= 0.
 
     The double-precision sum computes each power of r once and takes the
-    Bessel columns from the table; a negative integer order k comes from
+    Bessel columns from the table; a negative order k comes from
     J_k = (-1)^k J_(-k), exact in floating point, with the sign folded into
     the coefficient.  Where the sum loses more than ~2 digits to
     cancellation (near r = 0, where the expansion of L^m G cancels across
-    Bessel orders) the value comes from the Taylor expansion about r = 0
-    formed at _COEFF_DPS digits (_taylor_coefficients) and summed in double.
+    Bessel orders) the value comes from the exact Taylor expansion about
+    r = 0 (_taylor_coefficients), summed in double.
     """
-    n = p.n
-    a = (n - 2) / 2.0
-    nu = n / 2.0
     r = table.r
     total = np.zeros_like(r)
     magnitude = np.zeros_like(r)
     safe = table.safe
     rs = r[safe]
-    powers = {dp: rs ** (-a + dp) for dp in {dp for dp, _ in terms}}
+    powers = {dp: rs**dp for dp in {dp for dp, _ in terms}}
     for (dp, dc), coef in terms.items():
-        k, sign = nu + dc, 1.0
-        if k < 0 and k.is_integer():
-            k, sign = -k, (-1.0) ** k
-        vals = (sign * float(coef)) * powers[dp] * table.bessel(k)
+        k, c = 1 + dc, float(coef)
+        if k < 0:
+            k, c = -k, -c if k % 2 else c
+        vals = c * powers[dp] * table.bessel(k)
         total[safe] += vals
         magnitude[safe] += np.abs(vals)
     bad = safe.copy()
     bad[safe] = magnitude[safe] > 1e2 * np.abs(total[safe])
     if np.any(bad):
         rb = r[bad]
-        coeffs = _taylor_coefficients(terms, p, float(rb.max()))
-        lo, hi = min(coeffs), max(coeffs)
-        # Horner's rule from the highest power: smallest terms first
-        poly = [coeffs.get(e, 0.0) for e in range(hi, lo - 1, -1)]
-        total[bad] = np.polyval(poly, rb) * rb**lo
+        try:
+            coeffs = _taylor_coefficients(terms, p, float(rb.max()))
+        except OverflowError:  # coefficients beyond the double range
+            total[bad] = np.nan
+        else:
+            lo, hi = min(coeffs), max(coeffs)
+            # Horner's rule from the highest power: smallest terms first
+            poly = [coeffs.get(e, 0.0) for e in range(hi, lo - 1, -1)]
+            total[bad] = np.polyval(poly, rb) * rb**lo
     # r = 0: every L^m G vanishes there (odd profile), matching g ~ r
     total[~safe] = 0.0
     return total

@@ -76,6 +76,28 @@ class TestBallCommand:
         err = capsys.readouterr().err
         assert err.startswith("ball failed during spectrum: zero table exhausted")
 
+    @pytest.mark.parametrize("args, stage", [
+        (["--R", "1e-200"], "mu1"),  # mu1 overflows
+        (["--R", "1e-20", "--m", "8"], "upsilon1"),  # mu1^16 overflows
+        (["--R", "1e200"], "mu1"),  # mu1 underflows to 0
+        (["--R", "1e150", "--m", "8"], "upsilon1"),  # mu1^2 underflows to 0
+    ])
+    def test_values_beyond_doubles_exit_1(self, args, stage):
+        proc = run_cli(["ball", *args])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"ball failed during {stage}: ")
+        assert proc.stdout == ""
+
+    def test_large_values_within_doubles(self):
+        proc = run_cli(["ball", "--R", "1e-5", "--m", "8", "--count", "3"])
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-3:] == [
+            "    value=3.041644824e+168 degree=1 radial=1 mult=2",
+            "    value=3.287662003e+175 degree=2 radial=1 mult=2",
+            "    value=4.661756888e+178 degree=0 radial=1 mult=1",
+        ]
+
     def test_outdir_env(self, tmp_path):
         proc = run_cli(
             ["ball", "--out", "table.json"],

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -195,7 +200,7 @@ class TestTrialQuotient:
         assert np.allclose(lg, -p.mu1 * g, rtol=1e-11, atol=1e-13)
 
     def test_small_radius_cancellation_guard(self):
-        # iterated operator at tiny radii routes through extended precision
+        # iterated operator at tiny radii routes through the exact Taylor expansion
         d = geo.Disk((0, 0), 1.0)
         p = trial._profile(d)
         terms = trial._profile_terms(p)
@@ -260,6 +265,24 @@ class TestTrialQuotient:
                                 for (dp, dc), c in terms.items()))
                 assert abs(lg[i] - ref) <= 1e-13 * abs(ref), r[i]
 
+    @pytest.mark.parametrize("r_max", [1e-3, 0.05, 0.3])
+    def test_taylor_coefficients_are_exact(self, r_max):
+        # L J_1(s r) = -s^2 J_1(s r), so the exact expansion of L^m G is that
+        # of (-s^2)^m J_1(s r): odd powers from r^1, each rounded once
+        for d in (geo.Disk((0, 0), 1.0), geo.Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))):
+            p = trial._profile(d)
+            s = Fraction(p.scale)
+            terms = trial._profile_terms(p)
+            for m in range(1, 9):
+                terms = trial._apply_radial_operator(terms, p.n, p.scale)
+                coeffs = trial._taylor_coefficients(terms, p, r_max)
+                assert sorted(coeffs) == list(range(1, max(coeffs) + 1, 2)), (d, m)
+                for e, c in coeffs.items():
+                    j = (e - 1) // 2
+                    exact = ((-s * s) ** m * (-1) ** j * (s / 2) ** e
+                             / (math.factorial(j) * math.factorial(j + 1)))
+                    assert c == float(exact), (d, m, e)
+
     def test_invalid_power(self):
         with pytest.raises(ValueError):
             trial.trial_quotient(geo.Disk((0, 0), 1.0), 0)
@@ -270,42 +293,6 @@ class TestTrialQuotient:
         for d in (geo.Disk((0, 0), 1.0), geo.Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))):
             q = trial.trial_quotient(d, m)
             assert q.quadrature == pytest.approx(q.identity, rel=1e-12), d
-
-
-def _reference_taylor(terms, p, r_max):
-    """_taylor_coefficients with every term from its closed form, two
-    reciprocal gammas and a power each, and r_max^power formed afresh."""
-    with mpmath.workdps(trial._COEFF_DPS):
-        half_s = mpmath.mpf(p.scale) / 2
-        x2 = (half_s * r_max) ** 2
-        rm = mpmath.mpf(r_max)
-        keep = mpmath.mpf(10) ** -trial._ZERO_DIGITS
-        series = [(dp + dc + 1, mpmath.mpf(p.n) / 2 + dc, coef)
-                  for (dp, dc), coef in terms.items()]
-        lo = min(b for b, _, _ in series)
-        hi = max(b for b, _, _ in series)
-        coeffs, value = {}, mpmath.mpf(0)
-        for e in range(lo, hi + 2 * trial._TAYLOR_MAX_J, 2):
-            sums, sizes = {e: 0, e + 1: 0}, {e: 0, e + 1: 0}
-            step, settled = 0, e + 1 >= hi
-            for base, k, coef in series:
-                if base > e + 1:
-                    continue
-                j = (e + 1 - base) // 2
-                c = ((-1) ** j * coef * half_s ** (2 * j + k)
-                     * mpmath.rgamma(j + 1) * mpmath.rgamma(j + k + 1))
-                power = base + 2 * j
-                sums[power] += c
-                sizes[power] += abs(c)
-                step += abs(c) * rm**power
-                settled = settled and j + k >= 0 and x2 <= (j + 1) * (j + 1 + k) / 2
-            for power in (e, e + 1):
-                if abs(sums[power]) > keep * sizes[power]:
-                    coeffs[power] = sums[power]
-                    value += sums[power] * rm**power
-            if settled and step <= trial._TAYLOR_TAIL * abs(value):
-                return {power: float(c) for power, c in coeffs.items()}
-    raise ArithmeticError("reference expansion unresolved")
 
 
 class TestRadialTable:
@@ -345,17 +332,6 @@ class TestRadialTable:
             col = table.bessel(float(k))
             assert np.all(np.isfinite(col))
             assert np.array_equal(col[:2], jv(k, x)), k
-
-    @pytest.mark.parametrize("r_max", [1e-3, 0.05, 0.3])
-    def test_taylor_ratios_match_closed_form(self, r_max):
-        for d in (geo.Disk((0, 0), 1.0), geo.Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))):
-            p = trial._profile(d)
-            terms = trial._profile_terms(p)
-            for m in range(1, 5):
-                terms = trial._apply_radial_operator(terms, p.n, p.scale)
-                # orders 1 - m .. 0 are negative integers for m >= 2
-                assert trial._taylor_coefficients(terms, p, r_max) == \
-                    _reference_taylor(terms, p, r_max), (d, m)
 
 
 class TestCertificate:
@@ -403,6 +379,12 @@ class TestCertificate:
             for m in range(1, 5):
                 assert not trial.certify_upper_bound(d, m).valid, (d, m)
 
+    def test_coefficients_beyond_doubles_invalidate(self):
+        # at R = 1e-11 the m = 4 Taylor coefficients exceed the double range
+        cert = trial.certify_upper_bound(geo.Disk((0, 0), 1e-11), 4)
+        assert not cert.valid
+        assert math.isnan(cert.quotient_quadrature)
+
     def test_tables_hold_one_domain(self):
         disk, square = geo.Disk((0, 0), 1.0), geo.Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))
         for d in (disk, square):
@@ -433,3 +415,13 @@ class TestCertificate:
         assert payload["n"] == 2
         assert len(payload["center"]) == 2
         assert len(payload["mean_residuals"]) == 2
+
+    def test_certificate_leaves_mpmath_unimported(self):
+        code = ("import sys\n"
+                "from neuspec import cli, geometry, trial\n"
+                "assert trial.certify_upper_bound(geometry.Disk((0, 0), 1.0), 4).valid\n"
+                "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(trial.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
