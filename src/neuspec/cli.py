@@ -77,7 +77,8 @@ def _checked(convert, ok, what: str):
 
 
 def _json_dump(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Strict JSON: raises ValueError on a NaN or infinite float."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,7 @@ continuous level.
 One eigensolve per mesh serves every q: shift-invert Lanczos (ARPACK
 mode 3, through scipy's eigsh) at sigma = -1 on a sparse LU factor of
 A + M, the only factor a mesh gets.  Each pair's residual in the M^{-1}
-norm and the symmetric splitting quotients ||(M^{-1}A)^(q/2) v||_M^2 of
-K_q for every q = 2m, m <= 4 (kept as a diagnostic of the mixed form)
-solve with M by Jacobi-preconditioned conjugate gradients: the
+norm solves with M by Jacobi-preconditioned conjugate gradients: the
 diagonally scaled mass matrix has an element-local condition bound, so
 the iteration count does not grow under refinement.
 The solve is memoized per (mesh, count), so the powers m of one
@@ -72,17 +70,13 @@ class EigResult:
     values are ascending; vectors are M-orthonormal and M-orthogonal to
     the constant mode; residuals are ||A v - mu M v|| in the M^{-1} norm
     at the pencil value mu, where value = mu^q with q = 2m (q = 1 for the
-    Laplacian).  splitting_quotients are v^T K_q v evaluated through the
-    symmetric splitting of the mixed operator, an independent check of
-    value = mu^q.  power records m (0 for the plain Laplacian).  vectors,
-    residuals and splitting_quotients are read-only: results for the same
-    mesh share one solve.
+    Laplacian).  power records m (0 for the plain Laplacian).  vectors and
+    residuals are read-only: results for the same mesh share one solve.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
-    splitting_quotients: np.ndarray
     power: int
 
 
@@ -212,8 +206,7 @@ def _mass_solve(mass, rhs, where: str):
     return out
 
 
-# the splitting quotients kept per solve: q = 1 (the Laplacian) and
-# q = 2m for every power m that eig_polyharmonic_neumann accepts
+# the largest power m that eig_polyharmonic_neumann accepts
 _MAX_POWER = 4
 
 
@@ -224,10 +217,9 @@ def _lowest_pencil_eigs(op: OperatorPair, count: int, h: float):
     A - sigma M = A + M, which is positive definite although A is
     singular, returns the constant mode and the `count` modes above it.
     The constant mode is dropped, the vectors are M-normalized and the
-    values are their Rayleigh quotients.  Mass solves (_mass_solve) then
-    serve the residual gate ||A v - mu M v||_{M^-1} <= RESIDUAL_TOL *
-    max(1, mu) and the K_q splitting quotients.  Returns read-only (mu,
-    vectors, residuals, {q: quotients}) for q = 1, 2, 4, ..., 2 * _MAX_POWER.
+    values are their Rayleigh quotients.  A mass solve (_mass_solve) then
+    serves the residual gate ||A v - mu M v||_{M^-1} <= RESIDUAL_TOL *
+    max(1, mu).  Returns read-only (mu, vectors, residuals).
     """
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
@@ -262,16 +254,9 @@ def _lowest_pencil_eigs(op: OperatorPair, count: int, h: float):
         raise SolverError(
             f"eigensolver residuals {resid} above tolerance ({where}; pencil values {mus})"
         )
-    # v^T K_q v through the symmetric splitting of K_q = A (M^-1 A)^(q-1):
-    # w^T A w with w = v for q = 1, ||(M^-1 A)^(q/2) v||_M^2 for even q
-    quotients = {1: _column_dots(vecs, op.A @ vecs)}
-    w = vecs
-    for j in range(1, _MAX_POWER + 1):
-        w = _mass_solve(op.M, op.A @ w, where)
-        quotients[2 * j] = _column_dots(w, op.M @ w)
-    for arr in (mus, vecs, resid, *quotients.values()):
+    for arr in (mus, vecs, resid):
         arr.setflags(write=False)
-    return mus, vecs, resid, quotients
+    return mus, vecs, resid
 
 
 # a verify run solves one mesh per h, for every m
@@ -282,9 +267,8 @@ def _pencil_solve(mesh: Mesh, count: int):
 
 def _eigs(mesh: Mesh, count: int, m: int) -> EigResult:
     q = max(1, 2 * m)
-    mus, vectors, residuals, quotients = _pencil_solve(mesh, count)
-    return EigResult(values=mus**q, vectors=vectors, residuals=residuals,
-                     splitting_quotients=quotients[q], power=m)
+    mus, vectors, residuals = _pencil_solve(mesh, count)
+    return EigResult(values=mus**q, vectors=vectors, residuals=residuals, power=m)
 
 
 def eig_neumann_laplacian(mesh: Mesh, count: int) -> EigResult:

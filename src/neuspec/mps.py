@@ -99,9 +99,10 @@ def _interior_points(d: Domain, count: int) -> np.ndarray:
 @functools.lru_cache(maxsize=4)
 def _collocation_geometry(d: Domain, n: int):
     """The omega-independent part of the collocation blocks: boundary radii,
-    n.e_r and n.e_t there, interior radii, the orders 0..n, and the cos/sin
-    tables at the boundary and interior points.  Every caller shares these
-    arrays, so they are read-only."""
+    the distinct ones and the index from them back to the points, n.e_r and
+    n.e_t there, interior radii, the orders 0..n, and the cos/sin tables at
+    the boundary and interior points.  Every caller shares these arrays, so
+    they are read-only."""
     nb = 4 * n + 8
     t = (np.arange(nb) + 0.5) / nb
     bpts, normals = d.boundary_frame(t)
@@ -119,8 +120,12 @@ def _collocation_geometry(d: Domain, n: int):
     n_dot_r = np.sum(normals * er, axis=1)
     n_dot_t = np.sum(normals * et, axis=1)
 
+    # symmetric shapes repeat boundary radii exactly (the disk has 2
+    # distinct ones), so the Bessel values are taken once per distinct radius
+    rb_distinct, rb_index = np.unique(rb, return_inverse=True)
+
     orders = np.arange(n + 1, dtype=float)
-    out = (rb, ri, n_dot_r, n_dot_t, orders,
+    out = (rb, rb_distinct, rb_index, ri, n_dot_r, n_dot_t, orders,
            np.cos(orders[None, :] * thb[:, None]), np.sin(orders[None, :] * thb[:, None]),
            np.cos(orders[None, :] * thi[:, None]), np.sin(orders[None, :] * thi[:, None]))
     for arr in out:
@@ -129,12 +134,14 @@ def _collocation_geometry(d: Domain, n: int):
 
 
 def _collocation_blocks(d: Domain, basis: MpsBasis):
-    """Boundary-condition rows and interior rows of the trial basis."""
+    """Boundary-condition rows of each trial family, which together form a
+    block-diagonal matrix, then the interior rows of all families."""
     from scipy.special import ive, jv
 
     n = basis.N
     omega = basis.omega
-    rb, ri, n_dot_r, n_dot_t, orders, cosb, sinb, cosi, sini = _collocation_geometry(d, n)
+    rb, rb_distinct, rb_index, ri, n_dot_r, n_dot_t, orders, cosb, sinb, cosi, sini = (
+        _collocation_geometry(d, n))
 
     def normal_rows(f, fp):
         # d/dn of f(w r) T(j theta): n_r w f' T + n_t f j T'/r
@@ -146,13 +153,13 @@ def _collocation_blocks(d: Domain, basis: MpsBasis):
         rows_sin = n_dot_r[:, None] * du_r_sin + n_dot_t[:, None] * du_t_sin
         return np.concatenate([rows_cos, rows_sin[:, 1:]], axis=1)
 
-    # One Bessel evaluation per order and point: J on orders -1..n+1 and I
-    # on 0..n+1 at the boundary give the values and the derivatives
-    # J_j' = (J_(j-1) - J_(j+1)) / 2 and I_j' = (I_|j-1| + I_(j+1)) / 2;
-    # the interior rows need values only.
-    xb = omega * rb
+    # One Bessel evaluation per order and distinct radius: J on orders
+    # -1..n+1 and I on 0..n+1 at the boundary give the values and the
+    # derivatives J_j' = (J_(j-1) - J_(j+1)) / 2 and I_j' = (I_|j-1| +
+    # I_(j+1)) / 2; the interior rows need values only.
+    xb = omega * rb_distinct
     xi = omega * ri
-    jb = jv(np.arange(-1.0, n + 2.0)[None, :], xb[:, None])
+    jb = jv(np.arange(-1.0, n + 2.0)[None, :], xb[:, None])[rb_index]
     bnd_j = normal_rows(jb[:, 1:-1], 0.5 * (jb[:, :-2] - jb[:, 2:]))
     ji = jv(orders[None, :], xi[:, None])
     int_j = np.concatenate([ji * cosi, (ji * sini)[:, 1:]], axis=1)
@@ -163,37 +170,43 @@ def _collocation_blocks(d: Domain, basis: MpsBasis):
     # I_j * exp(-x_ref): the common factor is a pure column scaling (it
     # cancels in the subspace angles) and keeps large arguments finite.
     x_ref = float(np.max(xb))
-    shift = np.exp(xb[:, None] - x_ref)
-    ib = ive(np.arange(n + 2.0)[None, :], xb[:, None])
+    shift = np.exp(xb[:, None] - x_ref)[rb_index]
+    ib = ive(np.arange(n + 2.0)[None, :], xb[:, None])[rb_index]
     ipb = 0.5 * (ib[:, np.abs(np.arange(n + 1) - 1)] + ib[:, 1:]) * shift
     bnd_i = normal_rows(ib[:, :-1] * shift, ipb)
     ii = ive(orders[None, :], xi[:, None]) * np.exp(xi[:, None] - x_ref)
     int_i = np.concatenate([ii * cosi, (ii * sini)[:, 1:]], axis=1)
     # first condition: d/dn(u_J + u_I) = 0; second: d/dn(Delta u)/w^2 =
     # -d/dn u_J + d/dn u_I = 0 (the Laplacian acts as -w^2 and +w^2 on the
-    # two families).
-    top = np.concatenate([bnd_j, bnd_i], axis=1)
-    bottom = np.concatenate([-bnd_j, bnd_i], axis=1)
-    boundary = np.concatenate([top, bottom], axis=0)
-    interior = np.concatenate([int_j, int_i], axis=1)
-    return boundary, interior
+    # two families).  Their orthogonal combinations (first -/+ second)/sqrt2
+    # turn the rows [[B_J, B_I], [-B_J, B_I]] into diag(sqrt2 B_J, sqrt2 B_I),
+    # which leaves sigma unchanged.
+    root2 = math.sqrt(2.0)
+    return root2 * bnd_j, root2 * bnd_i, np.concatenate([int_j, int_i], axis=1)
 
 
 def mps_sigma(d: Domain, basis: MpsBasis) -> float:
     """Smallest boundary singular value of the orthonormalized trial space.
 
     Values near zero certify an eigenfrequency; the indicator lies in
-    [0, 1] by construction.
+    [0, 1] by construction.  With A = [A_B; A_I] the column-scaled
+    boundary and interior rows, sigma is the smallest singular value of
+    the boundary rows of A's Q factor.  Two Householder QRs give it: the
+    R factor T of A_B, one per family since A_B is block diagonal, has
+    ||T x|| = ||A_B x||, so the top rows of the Q factor of [T; A_I] have
+    the same singular values.  (Q_B = A_B R^-1 would skip a Q factor, but
+    its error grows with the condition number of A.)
     """
-    boundary, interior = _collocation_blocks(d, basis)
-    a = np.concatenate([boundary, interior], axis=0)
-    scale = np.linalg.norm(a, axis=0)
+    *families, interior = _collocation_blocks(d, basis)
+    scale = np.sqrt(np.concatenate([np.sum(b * b, axis=0) for b in families])
+                    + np.sum(interior * interior, axis=0))
     good = scale > 1e-280
-    if not np.all(good):
-        a = a[:, good]
-        scale = scale[good]
-    a = a / scale[None, :]
-    q, r = np.linalg.qr(a)
+    tops = [np.linalg.qr(b[:, g] / s[g], mode="r")
+            for b, g, s in zip(families, np.split(good, len(families)),
+                               np.split(scale, len(families)))]
+    q, r = np.linalg.qr(np.concatenate([scipy.linalg.block_diag(*tops),
+                                        interior[:, good] / scale[good]]))
+    # [T; A_I] has the R factor of A
     diag = np.abs(np.diag(r))
     if diag.min() < 1e-14 * diag.max():
         warnings.warn(
@@ -201,8 +214,7 @@ def mps_sigma(d: Domain, basis: MpsBasis) -> float:
             RuntimeWarning,
             stacklevel=2,
         )
-    m_b = boundary.shape[0]
-    return float(scipy.linalg.svdvals(q[:m_b]).min())
+    return float(scipy.linalg.svdvals(q[:q.shape[1]]).min())
 
 
 def _check_scan(d: Domain, interval, n_grid: int) -> np.ndarray:

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial
+from math import factorial, isfinite
 
 import numpy as np
 from scipy.special import jv as _jv
@@ -520,21 +520,26 @@ class TrialCertificate:
     valid: bool
 
     def to_json(self) -> str:
+        """Strict JSON: a float that is not finite (a quadrature that left
+        the double range) is written as null."""
+        def num(x):
+            return x if isfinite(x) else None
+
         payload = {
             "domain": self.domain,
             "m": self.m,
             "n": self.n,
-            "area": self.area,
-            "R": self.R,
-            "center": list(self.center),
-            "field_residual": self.field_residual,
-            "mean_residuals": list(self.mean_residuals),
-            "quotient_identity": self.quotient_identity,
-            "quotient_quadrature": self.quotient_quadrature,
-            "bound": self.bound,
+            "area": num(self.area),
+            "R": num(self.R),
+            "center": [num(x) for x in self.center],
+            "field_residual": num(self.field_residual),
+            "mean_residuals": [num(x) for x in self.mean_residuals],
+            "quotient_identity": num(self.quotient_identity),
+            "quotient_quadrature": num(self.quotient_quadrature),
+            "bound": num(self.bound),
             "valid": self.valid,
         }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
 
 
 def certify_upper_bound(d: Domain, m: int) -> TrialCertificate:

@@ -1,4 +1,5 @@
 import os
+import sys
 
 # one BLAS and OpenMP thread, as the benchmark runs: more threads make the
 # suite slower on a small host and change the last bits of some eigenvalues.
@@ -6,11 +7,31 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+# the checkout's package first, for this process and for the subprocess
+# tests, so the suite runs from a clean checkout without PYTHONPATH=src
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+sys.path.insert(0, _SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from neuspec import fem  # noqa: E402
 from neuspec.meshing import triangle_jacobians  # noqa: E402
 from neuspec.quadrature import cached_mesh, triangle_rule  # noqa: E402
+
+
+def splitting_quotients(mesh, vectors, q):
+    """v^T K_q v for each column v, with K_q = A (M^-1 A)^(q-1) the mixed
+    operator of even order q on the mesh, through its symmetric splitting
+    ||(M^-1 A)^(q/2) v||_M^2.  It applies K_q itself, so comparing it with
+    mu^q checks the discrete squaring independently of the reported values."""
+    op = fem.assemble(mesh)
+    w = vectors
+    for _ in range(q // 2):
+        w = fem._mass_solve(op.M, op.A @ w, "splitting quotient")
+    return fem._column_dots(w, op.M @ w)
 
 
 def mesh_quadrature(mesh, degree):

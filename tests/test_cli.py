@@ -253,6 +253,30 @@ class TestVerifyCommand:
         assert rep["strict"] is False
         assert rep["certificate"]["valid"] is True
 
+    def test_report_is_strict_json(self, tmp_path):
+        # at R = 1e-11 the m = 4 certificate quadrature leaves the double range
+        def no_constant(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        out = tmp_path / "tiny.json"
+        code = cli.main(["verify", "--domain", "disk:0,0,1e-11", "--m", "4",
+                         "--h-list", "1.6e-12,1.2e-12,8e-13", "--no-mps", "--out", str(out)])
+        assert code == 1
+        rep = json.loads(out.read_text(), parse_constant=no_constant)
+        assert rep["certificate"]["quotient_quadrature"] is None
+        assert rep["certificate"]["valid"] is False
+
+    def test_tiny_disk_equality_case_exits_zero(self, tmp_path):
+        # nothing in the FEM study may depend on the scale: at radius 1e-20
+        # a chain of mass solves on A v overflowed
+        out = tmp_path / "tiny.json"
+        code = cli.main(["verify", "--domain", "disk:0,0,1e-20", "--h-list",
+                         "1.6e-21,1.2e-21,8e-22", "--no-mps", "--out", str(out)])
+        assert code == 0
+        rep = json.loads(out.read_text())
+        assert rep["inequality_holds"] is True
+        assert rep["certificate"]["valid"] is True
+
     def test_mps_without_minimum_warns(self):
         # on the stadium the only minimum in the window has sigma ~1e-2
         proc = run_cli(["verify", "--domain", "stadium", "--m", "1",

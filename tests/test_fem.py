@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import splitting_quotients
 
 from neuspec import fem
 from neuspec import geometry as geo
@@ -183,13 +184,15 @@ class TestPolyharmonicEigs:
         mesh = cached_mesh(geo.Ellipse(1.5, 2 / 3), 0.07)
         lap = fem.eig_neumann_laplacian(mesh, 2)
         bih = fem.eig_polyharmonic_neumann(mesh, 2, 1)
+        quotients = splitting_quotients(mesh, bih.vectors, 2)
         for i in range(2):
-            assert bih.splitting_quotients[i] == pytest.approx(lap.values[i] ** 2, rel=1e-9)
+            assert quotients[i] == pytest.approx(lap.values[i] ** 2, rel=1e-9)
 
     def test_power_identity_m2(self, square_mesh):
         lap = fem.eig_neumann_laplacian(square_mesh, 1)
         quad = fem.eig_polyharmonic_neumann(square_mesh, 1, 2)
-        assert quad.splitting_quotients[0] == pytest.approx(lap.values[0] ** 4, rel=1e-8)
+        quotient = splitting_quotients(square_mesh, quad.vectors, 4)[0]
+        assert quotient == pytest.approx(lap.values[0] ** 4, rel=1e-8)
 
     def test_m_bounds(self, square_mesh):
         with pytest.raises(ValueError):

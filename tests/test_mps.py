@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.special
 from scipy.special import ive, jv
 
 from neuspec import geometry as geo
@@ -221,9 +223,13 @@ class TestNonSmooth:
             mps.mps_find(d, "polyharm_neumann", (1.0, 2.0), 10)
 
 
-def _reference_blocks(d, basis):
+def _reference_blocks(d, basis, coupled=False):
     """The collocation blocks as first written: three jv/ive calls per block
-    for values and derivatives, and the geometry rebuilt on every call."""
+    for values and derivatives, and the geometry rebuilt on every call.
+
+    For the fourth-order problem, coupled=True returns the boundary rows of
+    the two conditions, [[B_J, B_I], [-B_J, B_I]], as one block; otherwise
+    the rows come decoupled as the blocks sqrt2 B_J and sqrt2 B_I."""
     n, omega = basis.N, basis.omega
     center = d.centroid()
     nb = 4 * n + 8
@@ -279,9 +285,23 @@ def _reference_blocks(d, basis):
     ii, _ = i_block(omega * ri, x_ref)
     bnd_i = normal_rows(ib, ipb)
     int_i = np.concatenate([ii * cosi, (ii * sini)[:, 1:]], axis=1)
-    boundary = np.concatenate([np.concatenate([bnd_j, bnd_i], axis=1),
-                               np.concatenate([-bnd_j, bnd_i], axis=1)], axis=0)
-    return boundary, np.concatenate([int_j, int_i], axis=1)
+    interior = np.concatenate([int_j, int_i], axis=1)
+    if coupled:
+        boundary = np.concatenate([np.concatenate([bnd_j, bnd_i], axis=1),
+                                   np.concatenate([-bnd_j, bnd_i], axis=1)], axis=0)
+        return boundary, interior
+    return math.sqrt(2.0) * bnd_j, math.sqrt(2.0) * bnd_i, interior
+
+
+def _reference_sigma(d, basis):
+    """sigma as first written: the Q factor of the whole column-scaled
+    collocation matrix, formed explicitly, and the SVD of its boundary rows."""
+    boundary, interior = _reference_blocks(d, basis, coupled=True)
+    a = np.concatenate([boundary, interior], axis=0)
+    scale = np.linalg.norm(a, axis=0)
+    good = scale > 1e-280
+    q, _ = np.linalg.qr(a[:, good] / scale[good])
+    return float(scipy.linalg.svdvals(q[:boundary.shape[0]]).min())
 
 
 class TestCollocation:
@@ -302,6 +322,36 @@ class TestCollocation:
                     with monkeypatch.context() as m:
                         m.setattr(mps, "_collocation_blocks", lambda d, b: want)
                         assert mps.mps_sigma(d, basis) == sigma
+
+    @pytest.mark.parametrize("name", ["disk", "ellipse-2.0", "stadium"])
+    def test_sigma_matches_one_stage_form(self, name):
+        d = corpus_domain(name)
+        window = np.array([0.5, 1.05]) * first_radial_deriv_zero(2) / d.equal_area_radius()
+        for problem in ("laplace_neumann", "polyharm_neumann"):
+            for n in (5, 20):
+                minima = [e.omega for e in mps.mps_find(d, problem, window, n)]
+                for omega in [*np.linspace(*window, 25), *minima]:
+                    basis = mps.MpsBasis(problem, float(omega), n)
+                    got, want = mps.mps_sigma(d, basis), _reference_sigma(d, basis)
+                    assert abs(got - want) <= 1e-12 * want + 1e-15, (problem, n, omega)
+
+    def test_boundary_bessel_once_per_distinct_radius(self, disk, monkeypatch):
+        n, omega = 20, 1.9
+        rb = mps._collocation_geometry(disk, n)[0]
+        distinct = np.unique(rb).size
+        assert distinct < rb.size
+        calls = []
+        for fname in ("jv", "ive"):
+            def spy(v, x, real=getattr(scipy.special, fname), fname=fname):
+                calls.append((fname, np.ravel(x)))
+                return real(v, x)
+            monkeypatch.setattr(scipy.special, fname, spy)
+        for problem in ("laplace_neumann", "polyharm_neumann"):
+            mps._collocation_blocks(disk, mps.MpsBasis(problem, omega, n))
+        # the boundary calls are those at boundary arguments only
+        boundary = [(fname, x) for fname, x in calls if np.isin(x, omega * rb).all()]
+        assert {fname for fname, _ in boundary} == {"jv", "ive"}
+        assert all(x.size <= distinct for _, x in boundary)
 
     def test_cached_geometry_is_read_only(self, disk):
         for arr in mps._collocation_geometry(disk, 5):
