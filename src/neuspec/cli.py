@@ -23,7 +23,7 @@ from .geometry import Domain, domain_spec_string, parse_domain
 from .meshing import load_mesh, save_mesh
 from .mps import mps_find, mps_scan
 from .plots import convergence_svg, eigenfunction_svg, sigma_curve_svg
-from .quadrature import cached_mesh
+from .quadrature import study_mesh
 from .trial import certify_upper_bound
 
 DEFAULT_H_LIST = (0.08, 0.04, 0.02)
@@ -186,8 +186,10 @@ def build_verification_report(domain_spec: str, m: int, h_list, use_mps: bool = 
     error_bar = study.error_bar
 
     ups_mps = None
-    if use_mps and d.is_smooth and m == 1:
-        w_est = max(ups_fem, 1e-10) ** 0.25
+    # a window round a value that is not a positive double would be
+    # meaningless; upsilon1_mps then stays null and verify warns
+    if use_mps and d.is_smooth and m == 1 and 0.0 < ups_fem < math.inf:
+        w_est = ups_fem ** 0.25
         with _stage("mps"):
             hits = mps_find(d, "polyharm_neumann", (0.75 * w_est, 1.25 * w_est), MPS_TRUNC)
         good = [e for e in hits if e.sigma < MPS_SIGMA_TOL]
@@ -240,7 +242,7 @@ def cmd_verify(args) -> int:
         stage = "eigenfunction dump"
         try:
             d = _resolve_domain(args.domain)
-            mesh = cached_mesh(d, h_list[-1])
+            mesh = study_mesh(d, h_list, len(h_list) - 1)
             res = eig_polyharmonic_neumann(mesh, 1, args.m)
             nv = len(mesh.vertices)
             save_mesh(mesh, _resolve_out(args.save_eigenfunction),

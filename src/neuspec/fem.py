@@ -16,8 +16,8 @@ norm solves with M by Jacobi-preconditioned conjugate gradients: the
 diagonally scaled mass matrix has an element-local condition bound, so
 the iteration count does not grow under refinement.
 The solve is memoized per (mesh, count), so the powers m of one
-mesh share it; meshes compare by identity, and cached_mesh gives one
-mesh object per (domain, h).
+mesh share it; meshes compare by identity, and study_mesh gives one
+mesh object per (domain, h list, position).
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import Domain
-from .meshing import Mesh, triangle_jacobians
-from .quadrature import cached_mesh, triangle_rule
+from .meshing import Mesh, _edge_numbering, triangle_jacobians
+from .quadrature import study_mesh, triangle_rule
 
 __all__ = [
     "OperatorPair",
@@ -118,23 +118,17 @@ def _p2_reference():
     return n_vals, dndl, w
 
 
-def _edge_numbering(mesh: Mesh):
-    """Indices of each triangle's edges 01, 12, 20, numbered by first appearance."""
-    pairs = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    _, first, inverse = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=int)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return rank[inverse.reshape(-1)].reshape(-1, 3), len(first)
-
-
 def _p2_matrices(mesh: Mesh):
     n_vals, dndl, w = _p2_reference()
     gradl, jac = _barycentric_gradients(mesh)
 
     ref_mass = np.einsum("q,qi,qj->ij", w, n_vals, n_vals)  # reference mass / |J|
     me = ref_mass[None, :, :] * jac[:, None, None]
-    gradn = np.einsum("qij,tjk->qtik", dndl, gradl)  # (nq, nt, 6, 2)
-    ke = np.einsum("q,qtik,qtjk,t->tij", w, gradn, gradn, jac)
+    # on an affine triangle ke_ij = sum_ab G_ab S_abij: G is the Gram matrix
+    # of the barycentric gradients times |J|, S a fixed reference tensor
+    gram = np.einsum("tak,tbk,t->tab", gradl, gradl, jac)
+    ref_stiff = np.einsum("q,qia,qjb->abij", w, dndl, dndl)
+    ke = (gram.reshape(-1, 9) @ ref_stiff.reshape(9, 36)).reshape(-1, 6, 6)
 
     conn_e, n_edges = _edge_numbering(mesh)
     nv = len(mesh.vertices)
@@ -370,15 +364,15 @@ def convergence_study(d: Domain, m: int, h_list) -> ConvergenceStudy:
     if any(h_list[i] <= h_list[i + 1] for i in range(len(h_list) - 1)):
         raise ValueError("mesh sizes must be strictly descending")
 
-    def lowest(h: float) -> float:
-        mesh = cached_mesh(d, h)
+    def lowest(k: int) -> float:
+        mesh = study_mesh(d, h_list, k)
         if m == 0:
             res = eig_neumann_laplacian(mesh, 1)
         else:
             res = eig_polyharmonic_neumann(mesh, 1, m)
         return float(res.values[0])
 
-    values = tuple(lowest(h) for h in h_list)
+    values = tuple(lowest(k) for k in range(len(h_list)))
 
     diffs = [values[i] - values[i + 1] for i in range(len(values) - 1)]
     monotone = all(d > 0 for d in diffs) or all(d < 0 for d in diffs)

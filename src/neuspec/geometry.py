@@ -346,7 +346,9 @@ class Polygon(Domain):
         if not np.isfinite(arr).all():
             raise GeometryError("polygon vertices must be finite")
         area2 = _signed_area2(arr)
-        if abs(area2) < 1e-14:
+        # relative to the coordinates' size, so the test does not change
+        # under dilation
+        if abs(area2) < 1e-14 * np.abs(arr).max() ** 2:
             raise GeometryError("polygon is degenerate")
         if area2 < 0:
             verts = verts[::-1]
@@ -526,12 +528,14 @@ def _dense_samples(d: Domain):
     return t, arclen, ds, kappa
 
 
-def boundary_polyline(d: Domain, h_b: float) -> np.ndarray:
+def boundary_polyline(d: Domain, h_b: float):
     """Closed counterclockwise polyline with vertices on the analytic boundary.
 
-    Segment lengths stay within [h_b/2, 2 h_b]; on curved boundaries the
-    spacing is reduced where curvature is high.  The closing edge is
-    implicit (the last vertex connects back to the first).
+    Returns (vertices, params): the (n, 2) vertices and, on a curved shape,
+    the curve parameter t in [0, 1) of each (None on a polygon, whose
+    vertices need none).  Segment lengths stay within [h_b/2, 2 h_b]; on
+    curved boundaries the spacing is reduced where curvature is high.  The
+    closing edge is implicit (the last vertex connects back to the first).
     """
     if not (h_b > 0 and math.isfinite(h_b)):
         raise GeometryError("boundary spacing must be positive")
@@ -551,7 +555,7 @@ def boundary_polyline(d: Domain, h_b: float) -> np.ndarray:
             k = max(1, round(length / h_b))
             frac = np.arange(k) / k
             out.append(a[None, :] + frac[:, None] * (b - a)[None, :])
-        return np.vstack(out)
+        return np.vstack(out), None
 
     t, arclen, ds, kappa = _dense_samples(d)
     perimeter = arclen[-1]
@@ -569,9 +573,9 @@ def boundary_polyline(d: Domain, h_b: float) -> np.ndarray:
     # parameter values at equal unit increments; vertices exactly on the curve
     u_targets = units[-1] * np.arange(n_seg) / n_seg
     grid = np.arange(_DENSE + 1) / _DENSE
-    t_hits = np.interp(u_targets, units, grid)
-    x, y = d._param(t_hits % 1.0)
-    return np.column_stack([x, y])
+    t_hits = np.interp(u_targets, units, grid) % 1.0
+    x, y = d._param(t_hits)
+    return np.column_stack([x, y]), t_hits
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import Domain
-from .meshing import Mesh, triangulate
+from .meshing import Mesh, refine, triangulate
 
-__all__ = ["triangle_rule"]
+__all__ = ["triangle_rule", "study_mesh"]
 
 MAX_DEGREE = 4
 
@@ -39,3 +39,25 @@ def triangle_rule(degree: int):
 def cached_mesh(d: Domain, h: float) -> Mesh:
     """Deterministic memoized triangulation (domains are immutable)."""
     return triangulate(d, h)
+
+
+@lru_cache(maxsize=16)
+def _refined_mesh(d: Domain, h: float, levels: int) -> Mesh:
+    """The lattice mesh at h refined `levels` times, memoized."""
+    coarse = cached_mesh(d, h) if levels == 1 else _refined_mesh(d, h, levels - 1)
+    return refine(coarse, d)
+
+
+def study_mesh(d: Domain, h_list, k: int) -> Mesh:
+    """The mesh of a convergence study over h_list at position k.
+
+    Along a run of halving steps, h_(j-1) == 2 h_j, each mesh is the red
+    refinement of the one before; every other mesh is the lattice mesh at
+    its h.  The mesh thus depends on h_list alone, and equal runs share
+    one memoized mesh object.
+    """
+    hs = [float(h) for h in h_list[:k + 1]]
+    j = k
+    while j > 0 and hs[j - 1] == 2.0 * hs[j]:
+        j -= 1
+    return cached_mesh(d, hs[k]) if j == k else _refined_mesh(d, hs[j], k - j)

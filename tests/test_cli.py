@@ -8,7 +8,7 @@ import pytest
 
 from neuspec import cli, fem, trial
 from neuspec.ball import Ball, upsilon1_poly_ball
-from neuspec.quadrature import cached_mesh
+from neuspec.quadrature import cached_mesh, study_mesh
 
 RUN = [sys.executable, "-m", "neuspec.cli"]
 
@@ -276,6 +276,29 @@ class TestVerifyCommand:
         rep = json.loads(out.read_text())
         assert rep["inequality_holds"] is True
         assert rep["certificate"]["valid"] is True
+
+    def test_save_eigenfunction_dumps_the_study_mesh(self, tmp_path):
+        # the finest mesh of a halving list is the refined one, not a lattice
+        mode = tmp_path / "mode.txt"
+        code = cli.main(["verify", "--domain", "ellipse-1.5", "--h-list", "0.08,0.04,0.02",
+                         "--no-mps", "--out", str(tmp_path / "r.json"),
+                         "--save-eigenfunction", str(mode)])
+        assert code == 0
+        d = cli._resolve_domain("ellipse-1.5")
+        fine = study_mesh(d, (0.08, 0.04, 0.02), 2)
+        assert len(fine.triangles) == 16 * len(cached_mesh(d, 0.08).triangles)
+        nv, nt = (int(v) for v in mode.read_text().splitlines()[0].split()[2:])
+        assert (nv, nt) == (len(fine.vertices), len(fine.triangles))
+
+    def test_mps_window_at_large_scale(self):
+        # the window follows the FEM value at any scale; a floor at 1e-10
+        # once put it round the disk's second eigenvalue
+        proc = run_cli(["verify", "--domain", "disk:0,0,1000", "--h-list", "160,120,80",
+                        "--m", "1"])
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
+        exact = upsilon1_poly_ball(Ball(2, 1000.0), 1)  # (j'_11 / 1000)^4
+        assert abs(report["upsilon1_mps"] - exact) <= 1e-6 * exact
 
     def test_mps_without_minimum_warns(self):
         # on the stadium the only minimum in the window has sigma ~1e-2

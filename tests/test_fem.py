@@ -7,10 +7,11 @@ from conftest import splitting_quotients
 from neuspec import fem
 from neuspec import geometry as geo
 from neuspec import meshing as msh
+from neuspec import quadrature
 from neuspec.ball import Ball, upsilon1_poly_ball
 from neuspec.corpus import corpus_domain
 from neuspec.meshing import Mesh, load_mesh, save_mesh
-from neuspec.quadrature import cached_mesh
+from neuspec.quadrature import cached_mesh, study_mesh
 
 
 def single_triangle_mesh():
@@ -252,6 +253,48 @@ class TestConvergence:
         s1 = fem.convergence_study(rotated, 0, (0.2, 0.1, 0.05))
         tol = s0.error_bar + s1.error_bar + 1e-6 * s0.extrapolated
         assert abs(s0.extrapolated - s1.extrapolated) <= tol
+
+
+class TestStudyMeshes:
+    def test_halving_list_triangulates_once(self, monkeypatch):
+        calls = []
+
+        def counting_triangulate(d, h):
+            calls.append(h)
+            return msh.triangulate(d, h)
+
+        monkeypatch.setattr(quadrature, "triangulate", counting_triangulate)
+        d = geo.Ellipse(1.3, 1.0 / 1.3)  # meshed by no other test, so not cached
+        study = fem.convergence_study(d, 1, (0.16, 0.08, 0.04))
+        assert calls == [0.16]
+        assert study.monotone
+        fine = study_mesh(d, study.h_list, 2)
+        assert fine.h == 0.04
+        assert len(fine.triangles) == 16 * len(cached_mesh(d, 0.16).triangles)
+
+    def test_non_halving_list_uses_lattice_meshes(self):
+        d = corpus_domain("disk")
+        h_list = (0.16, 0.12, 0.08)
+        for k, h in enumerate(h_list):
+            assert study_mesh(d, h_list, k) is cached_mesh(d, h)
+
+    def test_refinement_starts_at_each_halving_run(self):
+        d = corpus_domain("square")
+        h_list = (0.2, 0.15, 0.075, 0.05)
+        assert study_mesh(d, h_list, 1) is cached_mesh(d, 0.15)
+        refined = study_mesh(d, h_list, 2)
+        assert refined is study_mesh(d, (0.15, 0.075), 1)
+        assert len(refined.triangles) == 4 * len(cached_mesh(d, 0.15).triangles)
+        assert study_mesh(d, h_list, 3) is cached_mesh(d, 0.05)
+
+    def test_gram_stiffness_matches_quadrature(self):
+        mesh = cached_mesh(corpus_domain("ellipse-1.5"), 0.08)
+        n_vals, dndl, w = fem._p2_reference()
+        gradl, jac = fem._barycentric_gradients(mesh)
+        gradn = np.einsum("qij,tjk->qtik", dndl, gradl)
+        want = np.einsum("q,qtik,qtjk,t->tij", w, gradn, gradn, jac)
+        _, got, _, _ = fem._p2_matrices(mesh)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestEigenfunctionDump:

@@ -37,6 +37,15 @@ class TestConstruction:
         with pytest.raises(geo.GeometryError):
             geo.Polygon(((0, 0), (1, 0), (2, 0)))
 
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+    def test_collinear_polygon_rejected_at_any_scale(self, scale):
+        with pytest.raises(geo.GeometryError, match="degenerate"):
+            geo.Polygon(((0, 0), (0.3 * scale, 0.1 * scale), (0.6 * scale, 0.2 * scale)))
+
+    def test_tiny_polygon_accepted(self):
+        d = geo.parse_domain("polygon:0,0;1e-9,0;1e-9,1e-9;0,1e-9")
+        assert d.area() == pytest.approx(1e-18, rel=1e-12)
+
 
 class TestParsing:
     def test_roundtrip_specs(self):
@@ -84,7 +93,7 @@ class TestParsing:
 class TestBoundaryPolyline:
     def test_disk_segments(self):
         d = geo.Disk((0, 0), 1.0)
-        pl = geo.boundary_polyline(d, 0.1)
+        pl, _ = geo.boundary_polyline(d, 0.1)
         assert 60 <= len(pl) <= 66
         radii = np.hypot(pl[:, 0], pl[:, 1])
         assert np.abs(radii - 1.0).max() < 1e-14
@@ -97,13 +106,13 @@ class TestBoundaryPolyline:
             geo.Superellipse(1.0, 1.0, 4.0),
             geo.Polygon(((0, 0), (2, 0), (0.4, 1.1))),
         ):
-            pl = geo.boundary_polyline(d, 0.1)
+            pl, _ = geo.boundary_polyline(d, 0.1)
             seg = np.linalg.norm(np.roll(pl, -1, axis=0) - pl, axis=1)
             assert seg.min() >= 0.05 - 1e-12
             assert seg.max() <= 0.2 + 1e-12
 
     def test_curvature_adaptive_on_ellipse(self):
-        pl = geo.boundary_polyline(geo.Ellipse(2.0, 0.5), 0.1)
+        pl, _ = geo.boundary_polyline(geo.Ellipse(2.0, 0.5), 0.1)
         seg = np.linalg.norm(np.roll(pl, -1, axis=0) - pl, axis=1)
         assert seg.max() / seg.min() <= 4.0
         # shortest segments cluster at the high-curvature ends (|x| ~ a)
@@ -113,7 +122,7 @@ class TestBoundaryPolyline:
 
     def test_polygon_vertices_preserved(self):
         tri = geo.Polygon(((0, 0), (2, 0), (0.4, 1.1)))
-        pl = geo.boundary_polyline(tri, 0.13)
+        pl, _ = geo.boundary_polyline(tri, 0.13)
         for v in tri.vertices:
             assert np.min(np.hypot(pl[:, 0] - v[0], pl[:, 1] - v[1])) < 1e-14
 

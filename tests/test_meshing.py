@@ -5,6 +5,7 @@ import pytest
 
 from neuspec import geometry as geo
 from neuspec import meshing as msh
+from neuspec.corpus import corpus_domain
 
 
 def check_mesh_contract(mesh, h):
@@ -107,13 +108,80 @@ class TestLatticeFilter:
         # the dense form keeps pts[distance_to_segments(pts, poly) >= 0.65 * h]
         d = geo.parse_domain(spec)
         for h in (0.16, 0.12, 0.08, 0.04, 0.02):
-            poly = geo.boundary_polyline(d, h)
+            poly, _ = geo.boundary_polyline(d, h)
             got = msh._hex_lattice(d, poly, 0.95 * h)
             with monkeypatch.context() as patch:
                 patch.setattr(msh, "_near_distance",
                               lambda pts, verts, limit: geo.distance_to_segments(pts, verts))
                 want = msh._hex_lattice(d, poly, 0.95 * h)
             assert len(got) and np.array_equal(got, want), h
+
+
+def curve_residual(d, pts):
+    """Relative distance of points from a disk's or an ellipse's boundary curve."""
+    if isinstance(d, geo.Disk):
+        r = np.hypot(pts[:, 0] - d.center[0], pts[:, 1] - d.center[1])
+        return np.abs(r / d.radius - 1.0)
+    return np.abs((pts[:, 0] / d.a) ** 2 + (pts[:, 1] / d.b) ** 2 - 1.0)
+
+
+class TestRefine:
+    @pytest.mark.parametrize("name", ["disk", "ellipse-1.2", "ellipse-1.5", "ellipse-2.0",
+                                      "stadium", "square", "triangle"])
+    def test_halving_run(self, name):
+        d = corpus_domain(name)
+        mesh = msh.triangulate(d, 0.08)
+        for h in (0.04, 0.02):
+            fine = msh.refine(mesh, d)
+            assert fine.h == h
+            assert len(fine.triangles) == 4 * len(mesh.triangles)
+            assert msh._quality_ok(fine.vertices, fine.triangles, h)
+            assert np.array_equal(fine.vertices[:len(mesh.vertices)], mesh.vertices)
+            new = np.arange(len(fine.vertices)) >= len(mesh.vertices)
+            new_boundary = fine.vertices[new & fine.boundary_flags]
+            assert len(new_boundary) == np.sum(mesh.boundary_flags)
+            if isinstance(d, (geo.Disk, geo.Ellipse)):
+                assert curve_residual(d, new_boundary).max() <= 1e-14
+            if isinstance(d, geo.Polygon):
+                assert fine.boundary_params is None
+                assert fine.area == msh.triangulate(d, h).area
+            mesh = fine
+
+    def test_conforming(self):
+        d = corpus_domain("ellipse-1.5")
+        fine = msh.refine(msh.triangulate(d, 0.16), d)
+        check_mesh_contract(fine, 0.08)
+
+    def test_boundary_parameters_follow_the_curve(self):
+        d = corpus_domain("ellipse-2.0")
+        fine = msh.refine(msh.triangulate(d, 0.08), d)
+        t = fine.boundary_params
+        assert np.array_equal(np.isnan(t), ~fine.boundary_flags)
+        x, y = d._param(t[fine.boundary_flags])
+        assert np.array_equal(np.column_stack([x, y]), fine.vertices[fine.boundary_flags])
+
+    def test_loaded_curved_mesh_is_refused(self, tmp_path):
+        d = corpus_domain("disk")
+        path = tmp_path / "disk.txt"
+        msh.save_mesh(msh.triangulate(d, 0.3), path)
+        loaded, _ = msh.load_mesh(path)
+        assert loaded.boundary_params is None
+        with pytest.raises(geo.GeometryError, match="curve parameters"):
+            msh.refine(loaded, d)
+
+    def test_loaded_polygon_mesh_refines(self, tmp_path):
+        d = corpus_domain("square")
+        path = tmp_path / "square.txt"
+        msh.save_mesh(msh.triangulate(d, 0.2), path)
+        loaded, _ = msh.load_mesh(path)
+        assert msh.refine(loaded, d).area == 1.0
+
+    def test_quality_failure_names_h(self, monkeypatch):
+        d = corpus_domain("disk")
+        mesh = msh.triangulate(d, 0.16)
+        monkeypatch.setattr(msh, "MIN_ANGLE_DEG", 89.0)
+        with pytest.raises(msh.MeshQualityError, match="h=0.08"):
+            msh.refine(mesh, d)
 
 
 class TestMeshIO:
