@@ -31,6 +31,9 @@ DEFAULT_H_LIST = (0.08, 0.04, 0.02)
 # truncation of the MPS cross-check
 MPS_SIGMA_TOL = 1e-6
 MPS_TRUNC = 20
+# verify warns when the MPS value lies further from the FEM value than
+# this many FEM error bars
+MPS_FEM_BARS = 2.0
 
 
 def _out_dir() -> str:
@@ -228,6 +231,21 @@ def build_verification_report(domain_spec: str, m: int, h_list, use_mps: bool = 
     return report
 
 
+def _mps_warning(report: dict) -> str | None:
+    """What verify says on stderr about the report's MPS cross-check: that
+    it found no value, or one outside the FEM value's error bars."""
+    if not report["config"]["mps"]:
+        return None
+    ups_mps, ups_fem = report["upsilon1_mps"], report["upsilon1_fem"]
+    if ups_mps is None:
+        return f"no minimum with sigma < {MPS_SIGMA_TOL:g} in the window; upsilon1_mps is null"
+    bars = MPS_FEM_BARS * report["upsilon1_fem_error_bar"]
+    if abs(ups_mps - ups_fem) > bars:
+        return (f"upsilon1_mps={ups_mps:.10g} lies outside upsilon1_fem={ups_fem:.10g} "
+                f"+/- {MPS_FEM_BARS:g} error bars ({bars:.3g})")
+    return None
+
+
 def cmd_verify(args) -> int:
     h_list = args.h_list
     try:
@@ -235,9 +253,9 @@ def cmd_verify(args) -> int:
     except StageError as exc:
         print(f"verify failed during {exc}", file=sys.stderr)
         return 1
-    if report["config"]["mps"] and report["upsilon1_mps"] is None:
-        print(f"verify warning during mps: no minimum with sigma < {MPS_SIGMA_TOL:g} "
-              "in the window; upsilon1_mps is null", file=sys.stderr)
+    warning = _mps_warning(report)
+    if warning:
+        print(f"verify warning during mps: {warning}", file=sys.stderr)
     if args.save_eigenfunction:
         stage = "eigenfunction dump"
         try:

@@ -128,15 +128,6 @@ class Disk(Domain):
     def diameter(self):
         return 2.0 * self.radius
 
-    def translated(self, vec):
-        return Disk((self.center[0] + vec[0], self.center[1] + vec[1]), self.radius)
-
-    def rotated(self, angle, about=(0.0, 0.0)):
-        c, s = math.cos(angle), math.sin(angle)
-        px = self.center[0] - about[0]
-        py = self.center[1] - about[1]
-        return Disk((about[0] + c * px - s * py, about[1] + s * px + c * py), self.radius)
-
 
 @dataclass(frozen=True)
 class Ellipse(Domain):
@@ -397,17 +388,6 @@ class Polygon(Domain):
         lo = v.min(axis=0)
         hi = v.max(axis=0)
         return float(np.hypot(*(hi - lo)))
-
-    def translated(self, vec):
-        return Polygon(tuple((x + vec[0], y + vec[1]) for x, y in self.vertices))
-
-    def rotated(self, angle, about=(0.0, 0.0)):
-        c, s = math.cos(angle), math.sin(angle)
-        out = []
-        for x, y in self.vertices:
-            px, py = x - about[0], y - about[1]
-            out.append((about[0] + c * px - s * py, about[1] + s * px + c * py))
-        return Polygon(tuple(out))
 
 
 def _signed_area2(v: np.ndarray) -> float:

@@ -20,7 +20,7 @@ from operator import itemgetter
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .geometry import Domain
 
@@ -194,18 +194,31 @@ def mps_sigma(d: Domain, basis: MpsBasis) -> float:
     the boundary rows of A's Q factor.  Two Householder QRs give it: the
     R factor T of A_B, one per family since A_B is block diagonal, has
     ||T x|| = ||A_B x||, so the top rows of the Q factor of [T; A_I] have
-    the same singular values.  (Q_B = A_B R^-1 would skip a Q factor, but
-    its error grows with the condition number of A.)
+    the same singular values.  LAPACK's triangular-pentagonal QR (dtpqrt)
+    factors [T; A_I] with reflectors [e_i; v_i], so with one block its Q
+    is I - W T_f W^T for W = [I; V] and its top k-by-k block is exactly
+    I - T_f: Q itself is never formed.  (Q_B = A_B R^-1 would skip a Q
+    factor too, but its error grows with the condition number of A.)
     """
     *families, interior = _collocation_blocks(d, basis)
     scale = np.sqrt(np.concatenate([np.sum(b * b, axis=0) for b in families])
                     + np.sum(interior * interior, axis=0))
     good = scale > 1e-280
-    tops = [np.linalg.qr(b[:, g] / s[g], mode="r")
-            for b, g, s in zip(families, np.split(good, len(families)),
-                               np.split(scale, len(families)))]
-    q, r = np.linalg.qr(np.concatenate([scipy.linalg.block_diag(*tops),
-                                        interior[:, good] / scale[good]]))
+    k = int(np.count_nonzero(good))
+    # dtpqrt reads only the upper triangle of T, so the reflectors that
+    # dgeqrf leaves below each family's diagonal may stay there
+    tri = np.zeros((k, k), order="F")
+    col = row = 0
+    for b in families:
+        g, s = good[col:col + b.shape[1]], scale[col:col + b.shape[1]]
+        col += b.shape[1]
+        r = lapack.dgeqrf(_scaled_columns(b, g, s), overwrite_a=1)[0]
+        n = r.shape[1]
+        tri[row:row + n, row:row + n] = r[:n]
+        row += n
+    # one block (nb = k), so that T_f is k-by-k and I - T_f is Q's top block
+    r, _, t, _ = lapack.dtpqrt(0, k, tri, _scaled_columns(interior, good, scale),
+                               overwrite_a=1, overwrite_b=1)
     # [T; A_I] has the R factor of A
     diag = np.abs(np.diag(r))
     if diag.min() < 1e-14 * diag.max():
@@ -214,7 +227,17 @@ def mps_sigma(d: Domain, basis: MpsBasis) -> float:
             RuntimeWarning,
             stacklevel=2,
         )
-    return float(scipy.linalg.svdvals(q[:q.shape[1]]).min())
+    t *= -1.0
+    t[np.diag_indices(k)] += 1.0
+    _, sv, _, info = lapack.dgesdd(t, compute_uv=0, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgesdd failed with info={info} at omega={basis.omega:g}")
+    return float(sv[-1])
+
+
+def _scaled_columns(a: np.ndarray, keep: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """a[:, keep] / scale[keep] in the column-major order LAPACK takes."""
+    return (a.T[keep] / scale[keep, None]).T
 
 
 def _check_scan(d: Domain, interval, n_grid: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 
@@ -18,8 +19,20 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from neuspec import fem  # noqa: E402
+from neuspec.geometry import Polygon  # noqa: E402
 from neuspec.meshing import triangle_jacobians  # noqa: E402
 from neuspec.quadrature import cached_mesh, triangle_rule  # noqa: E402
+
+
+def moved_polygon(poly, shift=(0.0, 0.0), angle=0.0, about=(0.0, 0.0)):
+    """The polygon translated by shift, then rotated by angle about a point,
+    vertex by vertex."""
+    c, s = math.cos(angle), math.sin(angle)
+    out = []
+    for x, y in poly.vertices:
+        px, py = x + shift[0] - about[0], y + shift[1] - about[1]
+        out.append((about[0] + c * px - s * py, about[1] + s * px + c * py))
+    return Polygon(tuple(out))
 
 
 def splitting_quotients(mesh, vectors, q):

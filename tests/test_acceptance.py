@@ -11,14 +11,14 @@ import time
 
 import numpy as np
 import pytest
-from conftest import splitting_quotients
+from conftest import moved_polygon, splitting_quotients
 
 from neuspec import fem
 from neuspec import geometry as geo
 from neuspec import mps
 from neuspec import trial
 from neuspec.ball import Ball, mu1_ball, upsilon1_ball, upsilon1_poly_ball
-from neuspec.cli import build_verification_report
+from neuspec.cli import _mps_warning, build_verification_report
 from neuspec.corpus import CORPUS, SMOOTH, corpus_domain
 from neuspec.quadrature import cached_mesh
 
@@ -132,7 +132,7 @@ def test_criterion_5_centering_on_triangle():
     assert abs(v[0]) / scale < 1e-8 and abs(v[1]) / scale < 1e-8
 
     ang = 0.7
-    rotated = tri.rotated(ang)
+    rotated = moved_polygon(tri, angle=ang)
     c_rot = trial.find_center(rotated)
     expect = np.array(
         [
@@ -185,6 +185,14 @@ def test_criterion_7_cross_method_agreement():
         f"\nACCEPTANCE 7 PASS: ellipse MPS vs FEM rel diff {rel:.2e} (<=1e-3); "
         f"disk MPS vs exact rel diff {disk_rel:.2e} (<=1e-7)"
     )
+
+
+def test_verify_mps_within_fem_bars(disk_report, ellipse_reports, stadium_report):
+    """At the default h list verify warns about MPS only where it finds no value."""
+    for rep in (disk_report, *ellipse_reports.values()):
+        assert rep["upsilon1_mps"] is not None
+        assert _mps_warning(rep) is None
+    assert "upsilon1_mps is null" in _mps_warning(stadium_report)
 
 
 def test_criterion_8_discrete_squaring():

@@ -8,6 +8,7 @@ import pytest
 
 from neuspec import cli, fem, trial
 from neuspec.ball import Ball, upsilon1_poly_ball
+from neuspec.mps import MpsEigenvalue
 from neuspec.quadrature import cached_mesh, study_mesh
 
 RUN = [sys.executable, "-m", "neuspec.cli"]
@@ -310,6 +311,21 @@ class TestVerifyCommand:
         assert report["upsilon1_mps"] is None
         assert "during mps" in proc.stderr
         assert "upsilon1_mps is null" in proc.stderr
+
+    def test_mps_outside_fem_bars_warns(self, tmp_path, monkeypatch, capsys):
+        # a minimum 10% above the window's center frequency: its value is
+        # some 46% above the FEM value, far outside the FEM error bars
+        def far_minimum(d, problem, window, n):
+            w = 1.1 * 0.5 * (window[0] + window[1])
+            return [MpsEigenvalue(value=w**4, omega=w, sigma=1e-9)]
+
+        monkeypatch.setattr(cli, "mps_find", far_minimum)
+        code = cli.main(["verify", "--domain", "ellipse-1.5", "--h-list", "0.16,0.12,0.08",
+                         "--out", str(tmp_path / "r.json")])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.startswith("verify warning during mps: upsilon1_mps=")
+        assert f"{cli.MPS_FEM_BARS:g} error bars" in err
 
     def test_reports_byte_identical(self, tmp_path):
         args = [

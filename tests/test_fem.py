@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import splitting_quotients
+from conftest import moved_polygon, splitting_quotients
 
 from neuspec import fem
 from neuspec import geometry as geo
@@ -248,7 +248,7 @@ class TestConvergence:
             fem.convergence_study(square, 0, (0.05, 0.1, 0.2))
 
     def test_rotated_domain_within_error_bars(self, square):
-        rotated = square.rotated(0.6, about=(0.3, 0.3))
+        rotated = moved_polygon(square, angle=0.6, about=(0.3, 0.3))
         s0 = fem.convergence_study(square, 0, (0.2, 0.1, 0.05))
         s1 = fem.convergence_study(rotated, 0, (0.2, 0.1, 0.05))
         tol = s0.error_bar + s1.error_bar + 1e-6 * s0.extrapolated

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import moved_polygon
 
 from neuspec import geometry as geo
 from neuspec.corpus import CORPUS, corpus_domain
@@ -165,7 +166,7 @@ class TestMetrics:
 
     def test_rigid_motion_transforms(self):
         tri = geo.Polygon(((0, 0), (2, 0), (0.4, 1.1)))
-        moved = tri.translated((3.0, -1.5)).rotated(0.9, about=(1.0, 1.0))
+        moved = moved_polygon(tri, shift=(3.0, -1.5), angle=0.9, about=(1.0, 1.0))
         assert moved.area() == pytest.approx(tri.area(), rel=1e-14)
         c, s = math.cos(0.9), math.sin(0.9)
         c0, c1 = tri.centroid(), moved.centroid()
@@ -175,7 +176,7 @@ class TestMetrics:
         assert c1[1] == pytest.approx(expect[1], abs=1e-12)
 
     def test_disk_translation(self):
-        d = geo.Disk((0, 0), 0.7).translated((2.0, 3.0))
+        d = geo.Disk((2.0, 3.0), 0.7)
         assert tuple(d.centroid()) == (2.0, 3.0)
         assert d.area() == pytest.approx(math.pi * 0.49, rel=1e-15)
 

@@ -328,12 +328,45 @@ class TestCollocation:
         d = corpus_domain(name)
         window = np.array([0.5, 1.05]) * first_radial_deriv_zero(2) / d.equal_area_radius()
         for problem in ("laplace_neumann", "polyharm_neumann"):
-            for n in (5, 20):
+            for n in (5, 20, 30):
                 minima = [e.omega for e in mps.mps_find(d, problem, window, n)]
                 for omega in [*np.linspace(*window, 25), *minima]:
                     basis = mps.MpsBasis(problem, float(omega), n)
                     got, want = mps.mps_sigma(d, basis), _reference_sigma(d, basis)
                     assert abs(got - want) <= 1e-12 * want + 1e-15, (problem, n, omega)
+
+    # at these low frequencies the high orders underflow: 56 of the 242
+    # columns for the fourth-order problem on the disk
+    @pytest.mark.parametrize("name, omega, n", [("disk", 0.01, 60), ("stadium", 1e-3, 40)])
+    def test_sigma_with_dropped_columns(self, name, omega, n):
+        d = corpus_domain(name)
+        for problem in ("laplace_neumann", "polyharm_neumann"):
+            basis = mps.MpsBasis(problem, omega, n)
+            a = np.concatenate(_reference_blocks(d, basis, coupled=True), axis=0)
+            assert np.any(np.linalg.norm(a, axis=0) <= 1e-280)
+            got, want = mps.mps_sigma(d, basis), _reference_sigma(d, basis)
+            assert abs(got - want) <= 1e-12 * want + 1e-15, problem
+
+    def test_rank_deficient_collocation_warns(self, disk, monkeypatch):
+        boundary, interior = mps._collocation_blocks(disk, mps.MpsBasis("laplace_neumann", 1.5, 8))
+        boundary, interior = boundary.copy(), interior.copy()
+        boundary[:, 3] = boundary[:, 2]
+        interior[:, 3] = interior[:, 2]
+        monkeypatch.setattr(mps, "_collocation_blocks", lambda d, b: (boundary, interior))
+        with pytest.warns(RuntimeWarning, match="nearly rank deficient"):
+            sigma = mps.mps_sigma(disk, mps.MpsBasis("laplace_neumann", 1.5, 8))
+        assert 0.0 <= sigma <= 1.0
+
+    def test_top_block_of_q_is_identity_minus_t(self):
+        # dtpqrt's reflectors are [e_i; v_i]: with one block the top rows of
+        # Q = I - W T W^T, W = [I; V], are I - T
+        rng = np.random.default_rng(3)
+        k, m = 30, 17
+        top = np.triu(rng.standard_normal((k, k)))
+        below = rng.standard_normal((m, k))
+        t = scipy.linalg.lapack.dtpqrt(0, k, top, below)[2]
+        q = np.linalg.qr(np.concatenate([top, below]))[0]
+        assert np.max(np.abs(np.eye(k) - t - q[:k])) <= 1e-14
 
     def test_boundary_bessel_once_per_distinct_radius(self, disk, monkeypatch):
         n, omega = 20, 1.9

@@ -9,6 +9,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from conftest import moved_polygon
 from scipy.special import jv
 
 from neuspec import cli, quadrature, trial
@@ -86,7 +87,7 @@ class TestHopfField:
         x0 = (0.7, 0.4)
         v0 = _field(triangle, x0, p)
         shift = ((17.0, -3.0))
-        moved = triangle.translated(shift)
+        moved = moved_polygon(triangle, shift=shift)
         v1 = _field(moved, (x0[0] + shift[0], x0[1] + shift[1]), p)
         assert np.allclose(v0, v1, rtol=0, atol=1e-12)
 
@@ -137,7 +138,7 @@ class TestFindCenter:
         ang = 0.7
         about = (0.0, 0.0)
         c0 = trial.find_center(triangle)
-        c1 = trial.find_center(triangle.rotated(ang, about))
+        c1 = trial.find_center(moved_polygon(triangle, angle=ang, about=about))
         rc = np.array(
             [
                 math.cos(ang) * c0[0] - math.sin(ang) * c0[1],
