@@ -329,25 +329,83 @@ def _parabolic_refine(f, xs, sigmas, tol):
     return seen[0]
 
 
+# The coarse pass of mps_find takes every 4th point of the 101-point grid
+# (4 divides _SCAN_INTERVALS, so both ends are coarse points).  On the
+# windows (0.5, 1.05) j'_11 / R of the mps-sweep benchmark each sigma
+# minimum has monotone sides of 9 to 65 grid cells, but neighbouring
+# eigenfrequencies can sit closer than 4 cells: on the unit disk at
+# N = 10 the window (1, 10) loses the minimum near 8.0152.  So a
+# window where Weyl's law, |Omega| (hi^2 - lo^2) / (4 pi), expects more
+# than 2 eigenfrequencies is scanned in full.  verify's window (0.75,
+# 1.25) omega_FEM always qualifies: its count is |Omega| omega_FEM^2 /
+# (4 pi), and Szego-Weinberger, mu_1 |Omega| <= pi j'_11^2, puts it at
+# most j'_11^2 / 4 = 0.85.
+_COARSE_STRIDE = 4
+_COARSE_MAX_COUNT = 2.0
+
+
+def _coarse_to_fine_scan(f, omegas, stride):
+    """sigma at the grid points the coarse-to-fine scan evaluates, None at
+    the others.
+
+    sigma is taken at every stride-th point, then at every point within
+    one stride of a coarse minimum (the ends count, against their one
+    coarse neighbour), then, until nothing changes, at the other
+    neighbour of any point lower than one evaluated neighbour, so a
+    descent leaving a filled stretch is followed to its bottom.
+    """
+    sigmas = [None] * len(omegas)
+
+    def fill(indices):
+        for i in indices:
+            if sigmas[i] is None:
+                sigmas[i] = f(omegas[i])
+
+    last = len(omegas) - 1
+    coarse = range(0, last + 1, stride)
+    fill(coarse)
+    for c in coarse:
+        if all(sigmas[c] <= sigmas[j] for j in (c - stride, c + stride) if 0 <= j <= last):
+            fill(range(max(c - stride + 1, 0), min(c + stride, last + 1)))
+    while True:
+        todo = set()
+        for i in range(1, last):
+            for a, b in ((i - 1, i + 1), (i + 1, i - 1)):
+                if None not in (sigmas[i], sigmas[a]) and sigmas[b] is None and sigmas[i] < sigmas[a]:
+                    todo.add(b)
+        if not todo:
+            return sigmas
+        fill(sorted(todo))
+
+
 def mps_find(d: Domain, problem: str, interval, N: int) -> list[MpsEigenvalue]:
     """Locate eigenvalues as refined local minima of sigma(omega).
 
-    A 101-point scan brackets each local minimum; parabolic steps on
-    sigma^2 then refine it to 1e-9 of the interval width.  A minimum at
-    the first or last grid point is not reported.  Returns one entry per
-    minimum (possibly none), converting the frequency by value = omega^2
-    for the Laplacian and omega^4 for the fourth-order problem; sigma at
-    the minimum is the quality score.
+    The minima are those of sigma on a 101-point grid over the interval,
+    found without evaluating all of it (`_coarse_to_fine_scan`): a
+    coarse pass at every 4th point, a fill-in within one coarse cell of
+    each coarse minimum, and a walk down from there to the bottom of any
+    descent.  A window where Weyl's law expects more than 2
+    eigenfrequencies is scanned in full.  Each evaluated grid point lower
+    than both grid neighbours is a minimum; parabolic steps on sigma^2
+    then refine it to 1e-9 of the interval width.  A minimum at the first
+    or last grid point is not reported.  Returns one entry per minimum
+    (possibly none), converting the frequency by value = omega^2 for the
+    Laplacian and omega^4 for the fourth-order problem; sigma at the
+    minimum is the quality score.
     """
     omegas = _check_scan(d, interval, _SCAN_INTERVALS)
     f = _sigma_at(d, problem, N)
-    sigmas = [f(w) for w in omegas]
+    count = d.area() * (omegas[-1] ** 2 - omegas[0] ** 2) / (4.0 * math.pi)
+    stride = _COARSE_STRIDE if count <= _COARSE_MAX_COUNT else 1
+    sigmas = _coarse_to_fine_scan(f, omegas, stride)
 
     out = []
     tol = 1e-9 * (omegas[-1] - omegas[0])
     power = 2 if problem == "laplace_neumann" else 4
     for i in range(1, len(omegas) - 1):
-        if sigmas[i] < sigmas[i - 1] and sigmas[i] < sigmas[i + 1]:
-            w_star, s_star = _parabolic_refine(f, omegas[i - 1:i + 2], sigmas[i - 1:i + 2], tol)
+        bracket = sigmas[i - 1:i + 2]
+        if None not in bracket and bracket[1] < bracket[0] and bracket[1] < bracket[2]:
+            w_star, s_star = _parabolic_refine(f, omegas[i - 1:i + 2], bracket, tol)
             out.append(MpsEigenvalue(value=w_star**power, omega=w_star, sigma=s_star))
     return out

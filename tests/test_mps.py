@@ -10,7 +10,7 @@ from scipy.special import ive, jv
 from neuspec import geometry as geo
 from neuspec import mps
 from neuspec.ball import Ball, neumann_spectrum_ball
-from neuspec.corpus import NONSMOOTH, corpus_domain
+from neuspec.corpus import NONSMOOTH, SMOOTH, corpus_domain
 from neuspec.special import first_radial_deriv_zero
 
 
@@ -90,6 +90,148 @@ class TestFind:
     def test_bad_interval(self, disk):
         with pytest.raises(ValueError):
             mps.mps_find(disk, "laplace_neumann", (-1.0, 2.0), 10)
+
+
+def _reference_find(d, problem, interval, N):
+    """mps_find as first written: sigma at all 101 grid points, then the
+    same refinement at every grid point lower than both neighbours."""
+    omegas = mps._check_scan(d, interval, mps._SCAN_INTERVALS)
+    f = mps._sigma_at(d, problem, N)
+    sigmas = [f(w) for w in omegas]
+    out = []
+    tol = 1e-9 * (omegas[-1] - omegas[0])
+    power = 2 if problem == "laplace_neumann" else 4
+    for i in range(1, len(omegas) - 1):
+        if sigmas[i] < sigmas[i - 1] and sigmas[i] < sigmas[i + 1]:
+            w_star, s_star = mps._parabolic_refine(f, omegas[i - 1:i + 2], sigmas[i - 1:i + 2], tol)
+            out.append(mps.MpsEigenvalue(value=w_star**power, omega=w_star, sigma=s_star))
+    return out
+
+
+class TestCoarseScan:
+    """The coarse-to-fine scan of mps_find on synthetic sigma curves, with no
+    particular solutions: the curve is a function of the position on the
+    101-point grid, in grid cells."""
+
+    DISK = geo.Disk((0, 0), 1.0)
+    # Weyl count (2^2 - 1^2) / 4 = 0.75 on the unit disk: stride 4
+    WINDOW = (1.0, 2.0)
+
+    def _find(self, monkeypatch, curve, window=WINDOW):
+        """Minima found by mps_find and by the full-grid reference, in grid
+        cells, and the grid indices mps_find evaluated."""
+        lo, hi = window
+        grid = list(np.linspace(lo, hi, mps._SCAN_INTERVALS + 1))
+        evaluated = []
+
+        def sigma_at(d, problem, N):
+            def f(w):
+                if w in grid:
+                    # exactly the index, so that symmetric curves tie
+                    evaluated.append(grid.index(w))
+                    return curve(evaluated[-1])
+                return curve((w - lo) / (hi - lo) * mps._SCAN_INTERVALS)
+            return f
+
+        monkeypatch.setattr(mps, "_sigma_at", sigma_at)
+        found = mps.mps_find(self.DISK, "laplace_neumann", window, 10)
+        scan = list(evaluated)
+        want = _reference_find(self.DISK, "laplace_neumann", window, 10)
+        assert found == want
+        cells = [(e.omega - lo) / (hi - lo) * mps._SCAN_INTERVALS for e in found]
+        return cells, scan
+
+    @staticmethod
+    def _vs(*centers):
+        """Lowest of several Vs, each 0.01 deeper than the next."""
+        return lambda x: min(abs(x - c) + 0.01 * k for k, c in enumerate(centers))
+
+    @pytest.mark.parametrize("offset", [0, 1, 2, 3])
+    @pytest.mark.parametrize("gap", [2, 5, 8])
+    def test_two_vs(self, monkeypatch, gap, offset):
+        first = 40.3 + offset
+        cells, scan = self._find(monkeypatch, self._vs(first, first + gap))
+        assert cells == pytest.approx([first, first + gap], abs=1e-6)
+        assert len(set(scan)) < 60
+
+    def test_minima_next_to_the_ends(self, monkeypatch):
+        cells, _ = self._find(monkeypatch, self._vs(1.2, 98.8))
+        assert cells == pytest.approx([1.2, 98.8], abs=1e-6)
+
+    def test_descent_from_a_filled_stretch(self, monkeypatch):
+        # the grid minimum 52 is a coarse point whose coarse neighbour 48 is
+        # lower, so only the fill-in round 48 and the walk down from 51 reach it
+        def curve(x):
+            return min(abs(x - 47.7) + 0.01, abs(x - 52.0) + 0.6)
+
+        cells, scan = self._find(monkeypatch, curve)
+        assert cells == pytest.approx([47.7, 52.0], abs=1e-6)
+        assert 53 in scan and not {54, 55} & set(scan)
+
+    def test_coarse_tie_counts_as_a_minimum(self, monkeypatch):
+        # a V midway between the coarse points 40 and 44, whose sigmas tie
+        cells, _ = self._find(monkeypatch, self._vs(42.0))
+        assert cells == pytest.approx([42.0], abs=1e-6)
+
+    def test_monotone_curve_has_no_minima(self, monkeypatch):
+        cells, scan = self._find(monkeypatch, lambda x: 1.0 + x)
+        assert cells == []
+        # 26 coarse points and the fill-in round the lower end, 0
+        assert sorted(scan) == sorted([*range(0, 101, 4), 1, 2, 3])
+
+    def test_wide_window_scans_the_full_grid(self, monkeypatch):
+        # Weyl count (10^2 - 1^2) / 4 = 24.75 on the unit disk
+        cells, scan = self._find(monkeypatch, lambda x: 1.0 + x, window=(1.0, 10.0))
+        assert cells == []
+        assert sorted(scan) == list(range(101))
+
+
+@pytest.fixture(scope="class")
+def shared_sigma():
+    """mps._sigma_at with sigma remembered per (domain, problem, N, omega),
+    so the reference and the scan evaluate each omega once between them."""
+    memo = {}
+    sigma_at = mps._sigma_at
+
+    def memo_sigma_at(d, problem, N):
+        f = sigma_at(d, problem, N)
+        seen = memo.setdefault((d, problem, N), {})
+
+        def g(w):
+            if w not in seen:
+                seen[w] = f(w)
+            return seen[w]
+        return g
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(mps, "_sigma_at", memo_sigma_at)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # rank warnings
+            yield
+
+
+@pytest.mark.usefixtures("shared_sigma")
+class TestScanMatchesFullGrid:
+    @pytest.mark.parametrize("n", [10, 20])
+    @pytest.mark.parametrize("name", SMOOTH)
+    def test_bit_identical_on_the_corpus(self, name, n):
+        d = corpus_domain(name)
+        w = first_radial_deriv_zero(2) / d.equal_area_radius()
+        minima = 0
+        for problem in ("laplace_neumann", "polyharm_neumann"):
+            # the mps-sweep window, then verify's round omega_FEM
+            for window in ((0.5 * w, 1.05 * w), (0.75 * w, 1.25 * w)):
+                want = _reference_find(d, problem, window, n)
+                assert mps.mps_find(d, problem, window, n) == want, (problem, window)
+                minima += len(want)
+        assert minima >= 2
+
+    @pytest.mark.parametrize("problem", ["laplace_neumann", "polyharm_neumann"])
+    def test_wide_window_keeps_close_minima(self, disk, problem):
+        # every 4th grid point alone would lose the minimum near 8.0152
+        found = mps.mps_find(disk, problem, (1.0, 10.0), 10)
+        assert found == _reference_find(disk, problem, (1.0, 10.0), 10)
+        assert any(abs(e.omega - 8.0152) < 1e-4 and e.sigma < 1e-7 for e in found)
 
 
 def _refine(f, xs, tol):

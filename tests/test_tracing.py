@@ -39,8 +39,9 @@ def test_sigma_evals_count_every_omega(monkeypatch):
     mps.mps_scan(disk, "laplace_neumann", (1.5, 2.5), 10, n_grid=100)
     assert len(calls) == 101
     calls.clear()
-    # the mps-sweep window on the disk: 101 grid values and 5 parabolic
-    # steps at its one minimum
+    # the mps-sweep window on the disk: 26 coarse grid values (every 4th of
+    # 101), 3 filled in next to the lower end, 6 round the coarse minimum at
+    # grid index 92, and 5 parabolic steps at the one minimum
     j11 = float(jnp_zeros(1, 1)[0])
     mps.mps_find(disk, "polyharm_neumann", (0.5 * j11, 1.05 * j11), 20)
-    assert len(calls) == 106
+    assert len(calls) == 40
