@@ -97,7 +97,7 @@ def _barycentric_gradients(mesh: Mesh):
 
 
 def _p2_reference():
-    pts, w = triangle_rule(4)
+    pts, w = triangle_rule()
     xi, eta = pts[:, 0], pts[:, 1]
     lam = np.stack([1.0 - xi - eta, xi, eta], axis=1)  # (nq, 3)
     n_vals = np.concatenate(

@@ -1,10 +1,12 @@
 """Planar domain shapes: validation, boundary polylines, and metrics.
 
-Shapes are immutable dataclasses carrying exact parameterizations of
-their boundary.  Curved boundaries are discretized by curvature-adaptive
-polylines whose vertices lie exactly on the analytic curve, and meshing
-and the FEM work on that polygonized domain; the trial certificate
-integrates over the exact one from each shape's boundary_rule.
+Shapes are immutable dataclasses whose boundary is a tuple of smooth
+pieces, each an exact parameterization: one periodic piece for a smooth
+closed curve, arcs and segments for a stadium, one segment per polygon
+edge.  Curved pieces are discretized by curvature-adaptive polylines
+whose vertices lie exactly on the analytic curve, and meshing and the FEM
+work on that polygonized domain; the trial certificate integrates over
+the exact one from Domain.boundary_rule.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ __all__ = [
     "GeometryError",
 ]
 
-_DENSE = 8192  # samples for arclength/curvature bookkeeping on curved shapes
+_DENSE = 8192  # samples per curved piece for arclength/curvature bookkeeping
 # nodes of the periodic trapezoid rule per node of a Gauss panel, at equal
 # resolution n in Domain.boundary_rule
 _PERIODIC_NODES = 8
@@ -47,51 +49,105 @@ def _positive(*values) -> bool:
 
 
 @dataclass(frozen=True)
+class _Piece:
+    """One smooth piece of a boundary: at(t) gives the (n, 2) points and
+    derivatives of a map t in [0, 1] -> R^2.  A periodic piece is the whole
+    closed curve, smooth across t = 0, and `nodes` multiplies its trapezoid
+    rule; a straight piece is a segment."""
+
+    at: object
+    periodic: bool = False
+    straight: bool = False
+    nodes: int = 1
+
+
+def _arc(center, rx, ry, start, sweep, periodic=False) -> _Piece:
+    """center + (rx cos a, ry sin a) for a from start through sweep."""
+    cx, cy = center
+
+    def at(t):
+        ang = start + sweep * t
+        c, s = np.cos(ang), np.sin(ang)
+        return (np.column_stack([cx + rx * c, cy + ry * s]),
+                np.column_stack([-(sweep * rx) * s, (sweep * ry) * c]))
+
+    return _Piece(at, periodic=periodic)
+
+
+def _segment(a, b) -> _Piece:
+    a = np.asarray(a, dtype=float)
+    edge = np.asarray(b, dtype=float) - a
+
+    def at(t):
+        return a[None, :] + t[:, None] * edge[None, :], np.tile(edge, (len(t), 1))
+
+    return _Piece(at, straight=True)
+
+
+@dataclass(frozen=True)
 class Domain:
-    """Base type for planar domains; use the concrete shapes below."""
+    """Base type for planar domains; use the concrete shapes below.
+
+    Concrete shapes implement pieces(), the boundary as a tuple of _Piece
+    traversed once counterclockwise, each starting where the one before
+    ends; and contains(points), area(), centroid() and diameter().
+    """
 
     @property
     def is_smooth(self) -> bool:
         return True
 
-    # Concrete shapes implement: _param(t), _param_deriv(t) for t in [0,1)
-    # traversing the boundary once counterclockwise, contains(points),
-    # area(), centroid(), and diameter().
-
     def equal_area_radius(self) -> float:
         """Radius of the disk with the domain's area."""
         return math.sqrt(self.area() / math.pi)
 
+    def boundary_at(self, s):
+        """Points b(s) and derivatives b'(s), (n, 2) each, at s in [0, 1).
+
+        Piece i of k covers [i/k, (i+1)/k), so b runs once counterclockwise
+        round the boundary; on one piece s is the piece's own parameter.
+        """
+        pieces = self.pieces()
+        k = len(pieces)
+        u = k * np.asarray(s, dtype=float)
+        which = np.minimum(u.astype(int), k - 1)
+        b = np.empty((len(u), 2))
+        db = np.empty((len(u), 2))
+        for i, piece in enumerate(pieces):
+            on = which == i
+            b[on], db[on] = piece.at(u[on] - i)
+        return b, k * db
+
     def hull(self) -> np.ndarray:
         """Counterclockwise vertices of the convex hull of 512 boundary points."""
-        pts = np.column_stack(self._param(np.arange(512) / 512.0))
+        pts = self.boundary_at(np.arange(512) / 512.0)[0]
         return pts[ConvexHull(pts).vertices]
 
     def boundary_rule(self, n: int):
         """(b, db, w): boundary points b(t), tangents b'(t) and weights in t.
 
-        sum_i w_i f(b_i, db_i) approximates int_0^1 f(b(t), b'(t)) dt once
-        counterclockwise round the boundary.  A smooth closed curve takes
-        the periodic trapezoid rule on _PERIODIC_NODES * n nodes, which
-        converges geometrically there; a boundary made of pieces takes one
-        n-point Gauss panel per piece instead.
+        sum_i w_i f(b_i, db_i) approximates the sum over the pieces of
+        int_0^1 f(b(t), b'(t)) dt in each piece's own t, once
+        counterclockwise round the boundary.  A periodic piece takes the
+        periodic trapezoid rule on _PERIODIC_NODES * n nodes times its
+        node factor, which converges geometrically there; any other piece
+        takes one n-point Gauss panel.
         """
-        return self._periodic_rule(_PERIODIC_NODES * n)
+        parts = []
+        for piece in self.pieces():
+            if piece.periodic:
+                m = _PERIODIC_NODES * n * piece.nodes
+                t, w = np.arange(m) / m, np.full(m, 1.0 / m)
+            else:
+                t, w = gauss_legendre(n)
+            parts.append((*piece.at(t), w))
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
-    def _periodic_rule(self, m: int):
-        return self._rule_at(np.arange(m) / m, np.full(m, 1.0 / m))
-
-    def _rule_at(self, t, w):
-        b = np.column_stack(self._param(t))
-        db = np.column_stack(self._param_deriv(t))
-        return b, db, w
-
-    def boundary_frame(self, t):
-        """Boundary points and outward unit normals at parameter values t."""
-        x, y = self._param(t)
-        dx, dy = self._param_deriv(t)
-        speed = np.hypot(dx, dy)
-        return np.column_stack([x, y]), np.column_stack([dy / speed, -dx / speed])
+    def boundary_frame(self, s):
+        """Boundary points and outward unit normals at parameter values s."""
+        b, db = self.boundary_at(s)
+        speed = np.hypot(db[:, 0], db[:, 1])
+        return b, np.column_stack([db[:, 1] / speed, -db[:, 0] / speed])
 
 
 @dataclass(frozen=True)
@@ -104,14 +160,8 @@ class Disk(Domain):
         if not (_positive(self.radius) and all(map(math.isfinite, self.center))):
             raise GeometryError("disk needs a finite center cx,cy and a positive, finite R")
 
-    def _param(self, t):
-        ang = 2.0 * np.pi * np.asarray(t)
-        return self.center[0] + self.radius * np.cos(ang), self.center[1] + self.radius * np.sin(ang)
-
-    def _param_deriv(self, t):
-        ang = 2.0 * np.pi * np.asarray(t)
-        w = 2.0 * np.pi * self.radius
-        return -w * np.sin(ang), w * np.cos(ang)
+    def pieces(self):
+        return (_arc(self.center, self.radius, self.radius, 0.0, 2.0 * np.pi, periodic=True),)
 
     def contains(self, pts):
         pts = np.atleast_2d(pts)
@@ -138,13 +188,8 @@ class Ellipse(Domain):
         if not _positive(self.a, self.b):
             raise GeometryError("ellipse semi-axes a,b must be positive and finite")
 
-    def _param(self, t):
-        ang = 2.0 * np.pi * np.asarray(t)
-        return self.a * np.cos(ang), self.b * np.sin(ang)
-
-    def _param_deriv(self, t):
-        ang = 2.0 * np.pi * np.asarray(t)
-        return -2.0 * np.pi * self.a * np.sin(ang), 2.0 * np.pi * self.b * np.cos(ang)
+    def pieces(self):
+        return (_arc((0.0, 0.0), self.a, self.b, 0.0, 2.0 * np.pi, periodic=True),)
 
     def contains(self, pts):
         pts = np.atleast_2d(pts)
@@ -172,69 +217,12 @@ class Stadium(Domain):
         if not _positive(self.halflength, self.radius):
             raise GeometryError("stadium dimensions L,R must be positive and finite")
 
-    def _pieces(self):
+    def pieces(self):
+        """Right cap from (L, -R), top edge, left cap, bottom edge: the
+        curvature jumps at the four junctions."""
         L, R = self.halflength, self.radius
-        arc = math.pi * R
-        straight = 2.0 * L
-        total = 2 * arc + 2 * straight
-        return L, R, arc, straight, total
-
-    def boundary_rule(self, n: int):
-        """One n-point Gauss panel per cap and per straight: the curvature
-        jumps at the four junctions, where a uniform rule in t loses its
-        geometric convergence."""
-        _, _, arc, straight, total = self._pieces()
-        breaks = np.cumsum([0.0, arc, straight, arc, straight]) / total
-        x, w = gauss_legendre(n)
-        width = np.diff(breaks)
-        t = (breaks[:-1, None] + width[:, None] * x[None, :]).ravel()
-        return self._rule_at(t, (width[:, None] * w[None, :]).ravel())
-
-    def _param(self, t):
-        L, R, arc, straight, total = self._pieces()
-        s = (np.asarray(t, dtype=float) % 1.0) * total
-        x = np.empty_like(s)
-        y = np.empty_like(s)
-        # right cap: angle -pi/2 -> pi/2 about (L, 0)
-        m = s < arc
-        ang = -0.5 * np.pi + s[m] / R
-        x[m] = L + R * np.cos(ang)
-        y[m] = R * np.sin(ang)
-        # top edge: (L, R) -> (-L, R)
-        m2 = (s >= arc) & (s < arc + straight)
-        x[m2] = L - (s[m2] - arc)
-        y[m2] = R
-        # left cap: angle pi/2 -> 3pi/2 about (-L, 0)
-        m3 = (s >= arc + straight) & (s < 2 * arc + straight)
-        ang = 0.5 * np.pi + (s[m3] - arc - straight) / R
-        x[m3] = -L + R * np.cos(ang)
-        y[m3] = R * np.sin(ang)
-        # bottom edge: (-L, -R) -> (L, -R)
-        m4 = s >= 2 * arc + straight
-        x[m4] = -L + (s[m4] - 2 * arc - straight)
-        y[m4] = -R
-        return x, y
-
-    def _param_deriv(self, t):
-        L, R, arc, straight, total = self._pieces()
-        s = (np.asarray(t, dtype=float) % 1.0) * total
-        dx = np.empty_like(s)
-        dy = np.empty_like(s)
-        m = s < arc
-        ang = -0.5 * np.pi + s[m] / R
-        dx[m] = -np.sin(ang)
-        dy[m] = np.cos(ang)
-        m2 = (s >= arc) & (s < arc + straight)
-        dx[m2] = -1.0
-        dy[m2] = 0.0
-        m3 = (s >= arc + straight) & (s < 2 * arc + straight)
-        ang = 0.5 * np.pi + (s[m3] - arc - straight) / R
-        dx[m3] = -np.sin(ang)
-        dy[m3] = np.cos(ang)
-        m4 = s >= 2 * arc + straight
-        dx[m4] = 1.0
-        dy[m4] = 0.0
-        return dx * total, dy * total
+        return (_arc((L, 0.0), R, R, -0.5 * np.pi, np.pi), _segment((L, R), (-L, R)),
+                _arc((-L, 0.0), R, R, 0.5 * np.pi, np.pi), _segment((-L, -R), (L, -R)))
 
     def contains(self, pts):
         pts = np.atleast_2d(pts)
@@ -274,29 +262,21 @@ class Superellipse(Domain):
         if not 2 <= self.p < math.inf:
             raise GeometryError("superellipse exponent p must be finite and >= 2")
 
-    def boundary_rule(self, n: int):
-        """The periodic trapezoid rule on ceil(p/8) times the base nodes.
+    def pieces(self):
+        """One periodic piece whose trapezoid rule takes ceil(p/8) times the
+        base nodes.
 
         The corners the curve rounds off have an angular width of about
         1/p, and the rule's geometric convergence slows in proportion.
         Where p is not an even integer, |cos|^p is not smooth at the axes
         and the convergence is only algebraic, of order about p + 1.
         """
-        return self._periodic_rule(_PERIODIC_NODES * n * math.ceil(self.p / 8))
+        return (_Piece(self._at, periodic=True, nodes=math.ceil(self.p / 8)),)
 
-    def _polar(self, ang):
+    def _at(self, t):
+        ang = 2.0 * np.pi * np.asarray(t)
         c, s = np.cos(ang), np.sin(ang)
-        w = np.abs(c / self.a) ** self.p + np.abs(s / self.b) ** self.p
-        return c, s, w ** (-1.0 / self.p)
-
-    def _param(self, t):
-        ang = 2.0 * np.pi * np.asarray(t)
-        c, s, r = self._polar(ang)
-        return r * c, r * s
-
-    def _param_deriv(self, t):
-        ang = 2.0 * np.pi * np.asarray(t)
-        c, s, r = self._polar(ang)
+        r = (np.abs(c / self.a) ** self.p + np.abs(s / self.b) ** self.p) ** (-1.0 / self.p)
         w = r ** (-self.p)
         dw = self.p * c * s * (
             np.abs(s) ** (self.p - 2.0) / self.b**self.p
@@ -305,7 +285,8 @@ class Superellipse(Domain):
         dr = -(1.0 / self.p) * w ** (-1.0 / self.p - 1.0) * dw
         dx = dr * c - r * s
         dy = dr * s + r * c
-        return 2.0 * np.pi * dx, 2.0 * np.pi * dy
+        return (np.column_stack([r * c, r * s]),
+                np.column_stack([2.0 * np.pi * dx, 2.0 * np.pi * dy]))
 
     def contains(self, pts):
         pts = np.atleast_2d(pts)
@@ -356,14 +337,9 @@ class Polygon(Domain):
     def vertex_array(self):
         return np.asarray(self.vertices)
 
-    def boundary_rule(self, n: int):
-        """One n-point Gauss panel per edge, t running 0..1 along each edge."""
-        a = self.vertex_array
-        edge = np.roll(a, -1, axis=0) - a
-        x, w = gauss_legendre(n)
-        b = (a[:, None, :] + x[None, :, None] * edge[:, None, :]).reshape(-1, 2)
-        db = np.repeat(edge, n, axis=0)
-        return b, db, np.tile(w, len(a))
+    def pieces(self):
+        v = self.vertex_array
+        return tuple(map(_segment, v, np.roll(v, -1, axis=0)))
 
     def contains(self, pts):
         return point_in_polygon(np.atleast_2d(pts), self.vertex_array)
@@ -491,71 +467,88 @@ def distance_to_segments(pts: np.ndarray, verts: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _dense_samples(d: Domain):
-    """Dense arclength/curvature bookkeeping along a smooth boundary."""
+    """Per piece: the length of a straight one, and (arclen, ds, kappa), the
+    arclength/curvature bookkeeping at _DENSE samples, of a curved one."""
     t = (np.arange(_DENSE) + 0.5) / _DENSE
-    x, y = d._param(t)
-    dx, dy = d._param_deriv(t)
-    speed = np.hypot(dx, dy)
-    ds = speed / _DENSE
-    arclen = np.concatenate([[0.0], np.cumsum(ds)])
-    theta = np.unwrap(np.arctan2(dy, dx))
-    # centered curvature estimate d(theta)/ds on the closed curve
-    dtheta = np.empty_like(theta)
-    dtheta[1:-1] = theta[2:] - theta[:-2]
-    dtheta[0] = theta[1] - (theta[-1] - 2 * np.pi)
-    dtheta[-1] = (theta[0] + 2 * np.pi) - theta[-2]
-    kappa = np.abs(dtheta) / (2.0 * ds)
-    return t, arclen, ds, kappa
+    out = []
+    for piece in d.pieces():
+        if piece.straight:
+            edge = piece.at(np.zeros(1))[1][0]
+            out.append(float(np.hypot(edge[0], edge[1])))
+            continue
+        _, db = piece.at(t)
+        dx, dy = db[:, 0], db[:, 1]
+        ds = np.hypot(dx, dy) / _DENSE
+        arclen = np.concatenate([[0.0], np.cumsum(ds)])
+        theta = np.unwrap(np.arctan2(dy, dx))
+        # centered curvature estimate d(theta)/ds, round the closed curve
+        # on a periodic piece and one-sided at the ends of any other
+        dtheta = np.empty_like(theta)
+        dtheta[1:-1] = theta[2:] - theta[:-2]
+        if piece.periodic:
+            dtheta[0] = theta[1] - (theta[-1] - 2 * np.pi)
+            dtheta[-1] = (theta[0] + 2 * np.pi) - theta[-2]
+        else:
+            dtheta[0] = 2.0 * (theta[1] - theta[0])
+            dtheta[-1] = 2.0 * (theta[-1] - theta[-2])
+        out.append((arclen, ds, np.abs(dtheta) / (2.0 * ds)))
+    return tuple(out)
 
 
 def boundary_polyline(d: Domain, h_b: float):
     """Closed counterclockwise polyline with vertices on the analytic boundary.
 
-    Returns (vertices, params): the (n, 2) vertices and, on a curved shape,
-    the curve parameter t in [0, 1) of each (None on a polygon, whose
-    vertices need none).  Segment lengths stay within [h_b/2, 2 h_b]; on
-    curved boundaries the spacing is reduced where curvature is high.  The
-    closing edge is implicit (the last vertex connects back to the first).
+    Returns (vertices, params): the (n, 2) vertices and, on a shape with a
+    curved piece, the boundary parameter s in [0, 1) of each (None on a
+    polygon, whose vertices need none).  Every piece starts at a vertex.
+    A straight piece gets round(length / h_b) equal segments; a curved one
+    gets segments of about h_b, shorter where the curvature is high.  All
+    lie within [h_b/2, 2 h_b].  The closing edge is implicit (the last
+    vertex connects back to the first).
     """
     if not (h_b > 0 and math.isfinite(h_b)):
         raise GeometryError("boundary spacing must be positive")
-
-    if isinstance(d, Polygon):
-        verts = d.vertex_array
-        out = []
-        for i in range(len(verts)):
-            a = verts[i]
-            b = verts[(i + 1) % len(verts)]
-            length = float(np.hypot(*(b - a)))
-            if length < 0.5 * h_b:
-                raise GeometryError(
-                    f"boundary spacing {h_b:g} too large for polygon edge of "
-                    f"length {length:g}"
-                )
-            k = max(1, round(length / h_b))
-            frac = np.arange(k) / k
-            out.append(a[None, :] + frac[:, None] * (b - a)[None, :])
-        return np.vstack(out), None
-
-    t, arclen, ds, kappa = _dense_samples(d)
-    perimeter = arclen[-1]
-    if h_b > perimeter / 8.0:
+    pieces = d.pieces()
+    samples = _dense_samples(d)
+    perimeter = sum(x if piece.straight else x[0][-1] for piece, x in zip(pieces, samples))
+    curved = not all(piece.straight for piece in pieces)
+    if curved and h_b > perimeter / 8.0:
         raise GeometryError(
             f"boundary spacing {h_b:g} too large for perimeter {perimeter:g}"
         )
     kappa_ref = 2.0 * np.pi / perimeter
-    target = h_b * np.sqrt(kappa_ref / np.maximum(kappa, 1e-12))
-    target = np.clip(target, 0.55 * h_b, 1.9 * h_b)
-    units = np.concatenate([[0.0], np.cumsum(ds / target)])
-    # even count: centrally symmetric shapes (t -> t + 1/2) then produce
-    # exactly symmetric vertex sets, so odd moments cancel identically
-    n_seg = max(8, 2 * int(round(0.5 * units[-1])))
-    # parameter values at equal unit increments; vertices exactly on the curve
-    u_targets = units[-1] * np.arange(n_seg) / n_seg
     grid = np.arange(_DENSE + 1) / _DENSE
-    t_hits = np.interp(u_targets, units, grid) % 1.0
-    x, y = d._param(t_hits)
-    return np.column_stack([x, y]), t_hits
+    ts = []
+    for piece, x in zip(pieces, samples):
+        if piece.straight:
+            if x < 0.5 * h_b:
+                raise GeometryError(
+                    f"boundary spacing {h_b:g} too large for a straight edge of "
+                    f"length {x:g}"
+                )
+            k = max(1, round(x / h_b))
+            t = np.arange(k) / k
+        else:
+            _, ds, kappa = x
+            target = h_b * np.sqrt(kappa_ref / np.maximum(kappa, 1e-12 * kappa_ref))
+            target = np.clip(target, 0.55 * h_b, 1.9 * h_b)
+            units = np.concatenate([[0.0], np.cumsum(ds / target)])
+            if piece.periodic:
+                # even count: centrally symmetric shapes (t -> t + 1/2) then
+                # produce exactly symmetric vertex sets, so odd moments
+                # cancel identically
+                k = max(8, 2 * int(round(0.5 * units[-1])))
+            else:
+                k = max(1, int(round(units[-1])))
+            # parameter values at equal unit increments; vertices exactly on the curve
+            u_targets = units[-1] * np.arange(k) / k
+            t = np.interp(u_targets, units, grid) % 1.0
+        ts.append(t)
+    if not curved:
+        return np.vstack([piece.at(t)[0] for piece, t in zip(pieces, ts)]), None
+    # the vertices are d.boundary_at(params) bit for bit
+    params = np.concatenate([(i + t) / len(pieces) for i, t in enumerate(ts)])
+    return d.boundary_at(params)[0], params
 
 
 # ---------------------------------------------------------------------------

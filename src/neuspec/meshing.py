@@ -46,8 +46,9 @@ class Mesh:
     boundary_flags : (nv,) bool array, True for boundary vertices
     h : target edge length the mesh was built for
     boundary_params : (nv,) float array or None; on a curved shape the
-        curve parameter t in [0, 1) of each boundary vertex, NaN at the
-        others.  None when the mesh has none (polygons, loaded meshes).
+        boundary parameter s in [0, 1) of Domain.boundary_at at each
+        boundary vertex, NaN at the others.  None when the mesh has none
+        (polygons, loaded meshes).
 
     Meshes are immutable and compare and hash by identity, so that caches
     such as the FEM pencil solves can key on them.
@@ -217,7 +218,7 @@ def refine(mesh: Mesh, d: Domain) -> Mesh:
     children kept together the factor at h = 0.02 took 3 to 13 times as
     long for about the same fill.
     On a curved shape the midpoint of a boundary edge moves onto the curve,
-    at the mean of its end vertices' curve parameters modulo 1, so the mesh
+    at the mean of its end vertices' boundary parameters modulo 1, so the mesh
     must carry them (meshes from triangulate and refine do); a polygon's
     edge midpoints are exact already.  Raises GeometryError for a curved
     shape's mesh without parameters, and MeshQualityError naming h when a
@@ -242,7 +243,7 @@ def refine(mesh: Mesh, d: Domain) -> Mesh:
         step = (tb - ta + 0.5) % 1.0 - 0.5  # the short way round
         params = np.full(n_edges, np.nan)
         params[on_boundary] = (ta + 0.5 * step) % 1.0
-        mids[on_boundary] = np.column_stack(d._param(params[on_boundary]))
+        mids[on_boundary] = d.boundary_at(params[on_boundary])[0]
         params = np.concatenate([mesh.boundary_params, params])
 
     e01, e12, e20 = (nv + conn).T

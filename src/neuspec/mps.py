@@ -80,9 +80,9 @@ def _interior_points(d: Domain, count: int) -> np.ndarray:
     """Deterministic interior normalization points (fixed-seed rejection)."""
     rng = np.random.Generator(np.random.PCG64(_INTERIOR_SEED))
     t = np.arange(256) / 256.0
-    bx, by = d._param(t)
-    lo = np.array([bx.min(), by.min()])
-    hi = np.array([bx.max(), by.max()])
+    b = d.boundary_at(t)[0]
+    lo = b.min(axis=0)
+    hi = b.max(axis=0)
     out = []
     while len(out) < count:
         cand = lo + rng.random((4 * count, 2)) * (hi - lo)

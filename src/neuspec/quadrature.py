@@ -1,8 +1,7 @@
 """Triangle quadrature and the memoized meshes the FEM assembles on.
 
-One symmetric 6-point rule of degree 4 serves every degree up to 4.
-Points are given on the reference triangle (0,0), (1,0), (0,1); weights
-sum to its area 1/2.
+One symmetric 6-point rule, exact to total degree 4, on the reference
+triangle (0,0), (1,0), (0,1); its weights sum to the area 1/2.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ from .meshing import Mesh, refine, triangulate
 
 __all__ = ["triangle_rule", "study_mesh"]
 
-MAX_DEGREE = 4
-
 
 def _orbit1(a):
     """Symmetric orbit (a, b, b) in area coordinates, b = (1-a)/2 -> (xi, eta)."""
@@ -25,11 +22,9 @@ def _orbit1(a):
     return [(b, b), (a, b), (b, a)]
 
 
-@lru_cache(maxsize=16)
-def triangle_rule(degree: int):
-    """(points, weights) exact for polynomials of total degree <= degree."""
-    if not 1 <= degree <= MAX_DEGREE:
-        raise ValueError(f"quadrature degree must be in 1..{MAX_DEGREE}")
+@lru_cache(maxsize=1)
+def triangle_rule():
+    """(points, weights) exact for polynomials of total degree <= 4."""
     pts = np.array(_orbit1(0.108103018168070) + _orbit1(0.816847572980459))
     w = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
     return pts, 0.5 * w

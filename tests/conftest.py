@@ -47,10 +47,10 @@ def splitting_quotients(mesh, vectors, q):
     return fem._column_dots(w, op.M @ w)
 
 
-def mesh_quadrature(mesh, degree):
+def mesh_quadrature(mesh):
     """Global nodes (N, 2) and weights (N,) of the composite triangle rule
     on a mesh; the weights include element areas, so they sum to its area."""
-    ref_pts, ref_w = triangle_rule(degree)
+    ref_pts, ref_w = triangle_rule()
     v, t = mesh.vertices, mesh.triangles
     p0 = v[t[:, 0]]
     e1 = v[t[:, 1]] - p0
@@ -65,9 +65,9 @@ def mesh_quadrature(mesh, degree):
     return pts.reshape(-1, 2), w.ravel()
 
 
-def _mesh_integral(mesh, f, degree):
+def _mesh_integral(mesh, f):
     """Composite-rule integral of a vectorized field over a mesh."""
-    pts, w = mesh_quadrature(mesh, degree)
+    pts, w = mesh_quadrature(mesh)
     return float(np.sum(f(pts) * w))
 
 
@@ -79,11 +79,11 @@ def richardson_integral():
     removes.  The refinement ratio comes from the achieved boundary-vertex
     counts, since rounding the vertex count distorts the nominal h ratio.
     """
-    def integrate(d, f, degree, h):
+    def integrate(d, f, h):
         coarse, fine = cached_mesh(d, h), cached_mesh(d, 0.5 * h)
         ratio = (np.sum(fine.boundary_flags) / np.sum(coarse.boundary_flags)) ** 2
         assert ratio > 1.0
-        val_c, val_f = _mesh_integral(coarse, f, degree), _mesh_integral(fine, f, degree)
+        val_c, val_f = _mesh_integral(coarse, f), _mesh_integral(fine, f)
         return val_f + (val_f - val_c) / (ratio - 1.0)
 
     return integrate

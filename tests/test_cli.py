@@ -278,6 +278,17 @@ class TestVerifyCommand:
         assert rep["inequality_holds"] is True
         assert rep["certificate"]["valid"] is True
 
+    def test_bound_beyond_doubles_fails_in_setup(self, tmp_path, capsys):
+        # at radius 1e30 the bound (j'11/R)^8 underflows to 0, which would
+        # certify nothing, and so would every value compared with it
+        out = tmp_path / "huge.json"
+        code = cli.main(["verify", "--domain", "disk:0,0,1e30", "--m", "4", "--h-list",
+                         "8e28,4e28,2e28", "--no-mps", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "verify failed during setup: value 0.0 is outside the range of positive doubles")
+        assert not out.exists()
+
     def test_save_eigenfunction_dumps_the_study_mesh(self, tmp_path):
         # the finest mesh of a halving list is the refined one, not a lattice
         mode = tmp_path / "mode.txt"

@@ -122,10 +122,25 @@ class TestBoundaryPolyline:
         assert seg[near_ends].mean() < seg[~near_ends].mean()
 
     def test_polygon_vertices_preserved(self):
+        # every piece starts at a vertex: the polygon's corners, and the
+        # stadium's junctions of caps and straights
         tri = geo.Polygon(((0, 0), (2, 0), (0.4, 1.1)))
-        pl, _ = geo.boundary_polyline(tri, 0.13)
-        for v in tri.vertices:
-            assert np.min(np.hypot(pl[:, 0] - v[0], pl[:, 1] - v[1])) < 1e-14
+        stadium = geo.Stadium(0.5, 0.6)
+        for d, corners in ((tri, tri.vertices),
+                           (stadium, [(x, y) for x in (-0.5, 0.5) for y in (-0.6, 0.6)])):
+            pl, _ = geo.boundary_polyline(d, 0.13)
+            for v in corners:
+                assert np.min(np.hypot(pl[:, 0] - v[0], pl[:, 1] - v[1])) < 1e-14
+
+    @pytest.mark.parametrize("spec", ["disk:0,0,{R}", "ellipse:{a},{b}"])
+    def test_vertex_count_is_scale_free(self, spec):
+        # the curvature floor scales with the shape, so a dilated shape at
+        # a dilated spacing gets the same polyline
+        def count(R):
+            d = geo.parse_domain(spec.format(R=R, a=1.5 * R, b=R / 1.5))
+            return len(geo.boundary_polyline(d, 0.08 * R)[0])
+
+        assert count(1e6) == count(1e12) == count(1e13) == count(1.0)
 
     def test_spacing_too_large(self):
         with pytest.raises(geo.GeometryError):
@@ -153,7 +168,7 @@ class TestMetrics:
 
     def test_superellipse_area_vs_quadrature(self, richardson_integral):
         d = geo.Superellipse(1.2, 0.8, 3.0)
-        area_quad = richardson_integral(d, lambda p: np.ones(len(p)), degree=4, h=0.04)
+        area_quad = richardson_integral(d, lambda p: np.ones(len(p)), h=0.04)
         assert d.area() == pytest.approx(area_quad, rel=1e-5)
 
     def test_centroid_inside_hull(self):
@@ -179,6 +194,26 @@ class TestMetrics:
         d = geo.Disk((2.0, 3.0), 0.7)
         assert tuple(d.centroid()) == (2.0, 3.0)
         assert d.area() == pytest.approx(math.pi * 0.49, rel=1e-15)
+
+
+class TestPieces:
+    @pytest.mark.parametrize("spec", [
+        "disk:0.3,-0.7,0.8",
+        "ellipse:1.5,0.6666666666666666",
+        "stadium:0.5,0.6",
+        "superellipse:1.3,0.8,2.5",
+        "polygon:0,0;2,0;0.4,1.1",
+        "polygon:0,0;2,0;2,1;1,1;1,2;0,2",
+    ])
+    def test_pieces_join(self, spec):
+        d = geo.parse_domain(spec)
+        pieces = d.pieces()
+        scale = d.diameter()
+        for piece, after in zip(pieces, pieces[1:] + pieces[:1]):
+            end = piece.at(np.array([1.0]))[0]
+            start = after.at(np.array([0.0]))[0]
+            assert np.abs(end - start).max() <= 1e-15 * scale
+        assert all(p.periodic for p in pieces) == (len(pieces) == 1)
 
 
 class TestConvexHull:

@@ -118,10 +118,16 @@ class TestLatticeFilter:
 
 
 def curve_residual(d, pts):
-    """Relative distance of points from a disk's or an ellipse's boundary curve."""
+    """Relative distance of points from a disk's, an ellipse's or a stadium's
+    boundary curve."""
     if isinstance(d, geo.Disk):
         r = np.hypot(pts[:, 0] - d.center[0], pts[:, 1] - d.center[1])
         return np.abs(r / d.radius - 1.0)
+    if isinstance(d, geo.Stadium):
+        L, R = d.halflength, d.radius
+        x, y = np.abs(pts[:, 0]), np.abs(pts[:, 1])
+        r = np.where(x <= L, y, np.hypot(np.maximum(x - L, 0.0), y))
+        return np.abs(r / R - 1.0)
     return np.abs((pts[:, 0] / d.a) ** 2 + (pts[:, 1] / d.b) ** 2 - 1.0)
 
 
@@ -140,7 +146,7 @@ class TestRefine:
             new = np.arange(len(fine.vertices)) >= len(mesh.vertices)
             new_boundary = fine.vertices[new & fine.boundary_flags]
             assert len(new_boundary) == np.sum(mesh.boundary_flags)
-            if isinstance(d, (geo.Disk, geo.Ellipse)):
+            if isinstance(d, (geo.Disk, geo.Ellipse, geo.Stadium)):
                 assert curve_residual(d, new_boundary).max() <= 1e-14
             if isinstance(d, geo.Polygon):
                 assert fine.boundary_params is None
@@ -153,12 +159,13 @@ class TestRefine:
         check_mesh_contract(fine, 0.08)
 
     def test_boundary_parameters_follow_the_curve(self):
-        d = corpus_domain("ellipse-2.0")
-        fine = msh.refine(msh.triangulate(d, 0.08), d)
-        t = fine.boundary_params
-        assert np.array_equal(np.isnan(t), ~fine.boundary_flags)
-        x, y = d._param(t[fine.boundary_flags])
-        assert np.array_equal(np.column_stack([x, y]), fine.vertices[fine.boundary_flags])
+        for name in ("ellipse-2.0", "stadium"):
+            d = corpus_domain(name)
+            fine = msh.refine(msh.triangulate(d, 0.08), d)
+            s = fine.boundary_params
+            assert np.array_equal(np.isnan(s), ~fine.boundary_flags)
+            b, _ = d.boundary_at(s[fine.boundary_flags])
+            assert np.array_equal(b, fine.vertices[fine.boundary_flags]), name
 
     def test_loaded_curved_mesh_is_refused(self, tmp_path):
         d = corpus_domain("disk")
