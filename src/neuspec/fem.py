@@ -11,7 +11,8 @@ continuous level.
 
 One eigensolve per mesh serves every q: shift-invert Lanczos (ARPACK
 mode 3, through scipy's eigsh) at sigma = -1 on a sparse LU factor of
-A + M, the only factor a mesh gets.  Each pair's residual in the M^{-1}
+A + M, the only factor a mesh gets; M, A and A + M share one sparsity
+pattern, built in one pass.  Each pair's residual in the M^{-1}
 norm solves with M by Jacobi-preconditioned conjugate gradients: the
 diagonally scaled mass matrix has an element-local condition bound, so
 the iteration count does not grow under refinement.
@@ -56,10 +57,12 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class OperatorPair:
-    """Assembled P2 mass and stiffness operators of one mesh."""
+    """Assembled P2 mass and stiffness operators of one mesh, with the
+    positive definite shift A - _SHIFT M that the eigensolver factors."""
 
     M: sp.csr_matrix
     A: sp.csr_matrix
+    shifted: sp.csc_matrix
     dimension: int
 
 
@@ -137,19 +140,58 @@ def _p2_matrices(mesh: Mesh):
 
 
 def assemble(mesh: Mesh) -> OperatorPair:
-    """P2 mass and stiffness; the dofs are the vertices, then the edge midpoints."""
+    """P2 mass and stiffness; the dofs are the vertices, then the edge midpoints.
+
+    M and A come out of one COO-to-CSR pass, as the real and imaginary
+    parts of one complex array: scipy orders the entries of a row by their
+    column indices alone, so each sums its duplicates in the order a real
+    pass of its own would.  Both are then symmetrized exactly on that one
+    pattern, as 0.5 (S + S[perm]) with perm the (j, i) slot of each (i, j)
+    slot, which removes assembly-order roundoff, and the shift A - _SHIFT M
+    is formed there too.  An entry that comes out exactly 0 is dropped, as
+    a sparse sum drops it, so a matrix with one gets its own pattern.
+    """
     if np.any(triangle_jacobians(mesh.vertices, mesh.triangles) <= 0.0):
         raise ValueError("mesh contains a degenerate or inverted triangle")
     me, ke, dofs, ndof = _p2_matrices(mesh)
+    both = np.empty(me.shape, dtype=complex)
+    both.real, both.imag = me, ke
+    del me, ke  # each del in assemble lowers its peak memory
+    # scipy's index type below 2**31 dofs, so the COO matrix takes these
+    # arrays without a copy
+    dofs = dofs.astype(np.int32)
     k = dofs.shape[1]
     rows = np.repeat(dofs, k, axis=1).ravel()
     cols = np.tile(dofs, (1, k)).ravel()
-    m_mat = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
-    a_mat = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
-    # exact symmetrization removes assembly-order roundoff
-    m_mat = 0.5 * (m_mat + m_mat.T)
-    a_mat = 0.5 * (a_mat + a_mat.T)
-    return OperatorPair(M=m_mat.tocsr(), A=a_mat.tocsr(), dimension=ndof)
+    summed = sp.coo_matrix((both.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
+    del both, rows, cols
+    # the buffers hold every COO entry; the pattern keeps only its slots
+    indptr, indices = summed.indptr, summed.indices.copy()
+    # read as CSC the pattern is its own transpose, so the CSR of that
+    # carries at slot (j, i) the id of slot (i, j)
+    slots = np.arange(len(indices), dtype=indices.dtype)
+    perm = sp.csc_matrix((slots, indices, indptr), shape=(ndof, ndof)).tocsr().data
+    del slots
+
+    def symmetrized(part):
+        return 0.5 * (part + part[perm])
+
+    m_data, a_data = symmetrized(summed.data.real), symmetrized(summed.data.imag)
+    del summed, perm
+
+    def on_pattern(data, fmt):
+        mat = fmt((data, indices, indptr), shape=(ndof, ndof))
+        if not data.all():
+            mat = mat.copy()  # eliminate_zeros rewrites the pattern in place
+            mat.eliminate_zeros()
+        return mat
+
+    # the shift's pattern and values are exactly symmetric, so its CSR
+    # arrays are its CSC arrays
+    return OperatorPair(M=on_pattern(m_data, sp.csr_matrix),
+                        A=on_pattern(a_data, sp.csr_matrix),
+                        shifted=on_pattern(a_data - _SHIFT * m_data, sp.csc_matrix),
+                        dimension=ndof)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +199,7 @@ def assemble(mesh: Mesh) -> OperatorPair:
 # ---------------------------------------------------------------------------
 
 def _factor(mat):
-    """Sparse LU of a symmetric positive definite matrix.
+    """Sparse LU of a symmetric positive definite CSC matrix.
 
     Minimum-degree ordering on the symmetric pattern with diagonal pivots
     keeps the factor symmetric in structure: on a 40k-dof P2 mesh it has
@@ -165,7 +207,7 @@ def _factor(mat):
     """
     from scipy.sparse.linalg import splu
 
-    return splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    return splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True})
 
 
@@ -223,13 +265,13 @@ def _lowest_pencil_eigs(op: OperatorPair, count: int, h: float):
     if count + 2 >= n:
         raise ValueError("mesh too small for requested eigenvalue count")
     where = f"h={h:g}, ndof={n}"
-    shifted = _factor(op.A - _SHIFT * op.M)
+    lu = _factor(op.shifted)
     # a fixed start vector: ARPACK's default one is drawn from internal state
     v0 = np.random.Generator(np.random.PCG64(_SEED)).standard_normal(n)
     try:
         mus, vecs = eigsh(
             op.A, k=count + 1, M=op.M, sigma=_SHIFT, v0=v0,
-            OPinv=LinearOperator((n, n), matvec=shifted.solve, dtype=float),
+            OPinv=LinearOperator((n, n), matvec=lu.solve, dtype=float),
         )
     except ArpackNoConvergence as exc:
         raise SolverError(f"shift-invert Lanczos did not converge ({where})") from exc

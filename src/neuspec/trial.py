@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, isfinite
+from math import factorial, inf, isfinite
 
 import numpy as np
 from scipy.special import jv as _jv
@@ -333,101 +333,139 @@ def _profile_terms(p: RadialProfile):
     return {(0, 0): Fraction(1)}
 
 
-def _taylor_coefficients(terms, p: RadialProfile, r_max: float) -> dict:
-    """{e: c_e} with sum_e c_e r^e equal to the term expansion on [0, r_max].
+class _Expansion:
+    """L^m G as a term expansion (values), with its exact Taylor series
+    about r = 0 (taylor).  The exact per-power sums of the series do not
+    depend on the radius it is cut at: they are formed once, as far as the
+    largest radius asked for needs, and each taylor(r_max) applies the stop
+    rule to them afresh, so both fans of a trial quotient share them."""
 
-    Each coef * r^dp * J_k(s r), k = 1 + dc, contributes
-    coef * (-1)^j (s/2)^(2j + k) / (j! (j + k)!) to the power
-    e = dp + k + 2j = dp + dc + 1 + 2j (DLMF 10.2.2, for j + k >= 0; the
-    terms below vanish, which gives J_(-k) = (-1)^k J_k).  Each series
-    carries its terms divided by (s/2)^e, starts from that closed form at
-    its first nonzero term (j = -k for k < 0, else j = 0) and advances by
-    the ratio -1 / ((j + 1)(j + k + 1)).  Powers are summed exactly in
-    increasing order, so the cancellation across Bessel orders happens
-    before the one rounding to double, of each sum times (s/2)^e.  The
-    expansion stops once every series has passed its largest term and the
-    contributions at r_max of the last two powers, which bound all later
-    ones, fall to _TAYLOR_TAIL of the partial sum there.
-    """
-    half_s = Fraction(p.scale) / 2
-    x = p.scale / 2 * r_max
-    x2 = x * x
-    # per series: [power e of its next term, j, Bessel order, that term / (s/2)^e]
-    series = []
-    for (dp, dc), coef in terms.items():
-        k = 1 + dc
-        j = max(0, -k)
-        c = coef / half_s**dp / (factorial(j) * factorial(j + k))
-        series.append([dp + dc + 1 + 2 * j, j, k, -c if j % 2 else c])
-    lo = min(dp + dc + 1 for dp, dc in terms)
-    hi = max(dp + dc + 1 for dp, dc in terms)
-    coeffs, value = {}, 0.0
-    # (s/2)^e r_max^e, which turns a scaled term into its size at r_max
-    x_pow = {lo: x**lo, lo + 1: x ** (lo + 1)}
-    for e in range(lo, hi + 2 * _TAYLOR_MAX_J, 2):
-        # each started series has exactly one power in {e, e + 1}
-        sums = {e: 0, e + 1: 0}
-        step, settled = 0.0, e + 1 >= hi
-        for term in series:
-            power, j, k, c = term
-            if power > e + 1:
-                settled = False  # its terms are all ahead
-                continue
-            sums[power] += c
-            step += abs(float(c)) * x_pow[power]
-            # later terms of this series shrink at least twofold
-            settled = settled and x2 <= (j + 1) * (j + 1 + k) / 2
-            term[:] = power + 2, j + 1, k, c / -((j + 1) * (j + 1 + k))
-        for power in (e, e + 1):
-            if sums[power] != 0:
-                coeffs[power] = float(sums[power] * half_s**power)
-                value += float(sums[power]) * x_pow[power]
-        if settled and step <= _TAYLOR_TAIL * abs(value):
-            return coeffs
-        x_pow = {power + 2: v * x2 for power, v in x_pow.items()}
-    raise ArithmeticError(f"Taylor expansion about r = 0 unresolved at r = {r_max:.3e}")
+    def __init__(self, terms, p: RadialProfile):
+        self.terms = terms
+        self.p = p
+        self._lo = min(dp + dc + 1 for dp, dc in terms)
+        self._hi = max(dp + dc + 1 for dp, dc in terms)
+        self._half_s = self._series = None  # exact, set up on first use
+        self._steps = []
 
+    def _start(self):
+        # per series: (power e of its next term, j, Bessel order, that term / (s/2)^e)
+        half_s = Fraction(self.p.scale) / 2
+        self._series = []
+        for (dp, dc), coef in self.terms.items():
+            k = 1 + dc
+            j = max(0, -k)
+            c = coef / half_s**dp / (factorial(j) * factorial(j + k))
+            self._series.append((dp + dc + 1 + 2 * j, j, k, -c if j % 2 else c))
+        self._half_s = half_s
 
-def _eval_terms(terms, p: RadialProfile, table: _RadialTable):
-    """Evaluate a term expansion at the radii table.r >= 0.
+    def _step(self, e):
+        """(sizes, bound, kept) of the step over the powers e and e + 1:
+        (power, |term| / (s/2)^power) per series term in it; the largest
+        (s r_max / 2)^2 at which the expansion may stop after it (-inf until
+        the last series has started); (power, coefficient, sum / (s/2)^power)
+        per power whose exact sum is not 0.  Steps are stored whole, so an
+        OverflowError leaves the expansion as it was."""
+        if self._series is None:
+            self._start()
+        while len(self._steps) <= (e - self._lo) // 2:
+            e0 = self._lo + 2 * len(self._steps)
+            # each started series has exactly one power in {e0, e0 + 1}
+            sums = {e0: 0, e0 + 1: 0}
+            sizes, advanced = [], []
+            bound = inf if e0 + 1 >= self._hi else -inf
+            for power, j, k, c in self._series:
+                if power > e0 + 1:
+                    bound = -inf  # its terms are all ahead
+                    advanced.append((power, j, k, c))
+                    continue
+                sums[power] += c
+                sizes.append((power, abs(float(c))))
+                # later terms of this series shrink at least twofold
+                bound = min(bound, (j + 1) * (j + 1 + k) / 2)
+                advanced.append((power + 2, j + 1, k, c / -((j + 1) * (j + 1 + k))))
+            kept = [(power, float(sums[power] * self._half_s**power), float(sums[power]))
+                    for power in (e0, e0 + 1) if sums[power] != 0]
+            self._steps.append((sizes, bound, kept))
+            self._series = advanced
+        return self._steps[(e - self._lo) // 2]
 
-    The double-precision sum computes each power of r once and takes the
-    Bessel columns from the table; a negative order k comes from
-    J_k = (-1)^k J_(-k), exact in floating point, with the sign folded into
-    the coefficient.  Where the sum loses more than ~2 digits to
-    cancellation (near r = 0, where the expansion of L^m G cancels across
-    Bessel orders) the value comes from the exact Taylor expansion about
-    r = 0 (_taylor_coefficients), summed in double.
-    """
-    r = table.r
-    total = np.zeros_like(r)
-    magnitude = np.zeros_like(r)
-    safe = table.safe
-    rs = r[safe]
-    powers = {dp: rs**dp for dp in {dp for dp, _ in terms}}
-    for (dp, dc), coef in terms.items():
-        k, c = 1 + dc, float(coef)
-        if k < 0:
-            k, c = -k, -c if k % 2 else c
-        vals = c * powers[dp] * table.bessel(k)
-        total[safe] += vals
-        magnitude[safe] += np.abs(vals)
-    bad = safe.copy()
-    bad[safe] = magnitude[safe] > 1e2 * np.abs(total[safe])
-    if np.any(bad):
-        rb = r[bad]
-        try:
-            coeffs = _taylor_coefficients(terms, p, float(rb.max()))
-        except OverflowError:  # coefficients beyond the double range
-            total[bad] = np.nan
-        else:
-            lo, hi = min(coeffs), max(coeffs)
-            # Horner's rule from the highest power: smallest terms first
-            poly = [coeffs.get(e, 0.0) for e in range(hi, lo - 1, -1)]
-            total[bad] = np.polyval(poly, rb) * rb**lo
-    # r = 0: every L^m G vanishes there (odd profile), matching g ~ r
-    total[~safe] = 0.0
-    return total
+    def taylor(self, r_max: float) -> dict:
+        """{e: c_e} with sum_e c_e r^e equal to the term expansion on [0, r_max].
+
+        Each coef * r^dp * J_k(s r), k = 1 + dc, contributes
+        coef * (-1)^j (s/2)^(2j + k) / (j! (j + k)!) to the power
+        e = dp + k + 2j = dp + dc + 1 + 2j (DLMF 10.2.2, for j + k >= 0; the
+        terms below vanish, which gives J_(-k) = (-1)^k J_k).  Each series
+        carries its terms divided by (s/2)^e, starts from that closed form at
+        its first nonzero term (j = -k for k < 0, else j = 0) and advances by
+        the ratio -1 / ((j + 1)(j + k + 1)).  Powers are summed exactly in
+        increasing order, so the cancellation across Bessel orders happens
+        before the one rounding to double, of each sum times (s/2)^e.  The
+        expansion stops once every series has passed its largest term and the
+        contributions at r_max of the last two powers, which bound all later
+        ones, fall to _TAYLOR_TAIL of the partial sum there.
+        """
+        lo = self._lo
+        x = self.p.scale / 2 * r_max
+        x2 = x * x
+        coeffs, value = {}, 0.0
+        # (s/2)^e r_max^e, which turns a scaled term into its size at r_max
+        x_pow = {lo: x**lo, lo + 1: x ** (lo + 1)}
+        for e in range(lo, self._hi + 2 * _TAYLOR_MAX_J, 2):
+            sizes, bound, kept = self._step(e)
+            step = 0.0
+            for power, size in sizes:
+                step += size * x_pow[power]
+            for power, coef, scaled in kept:
+                coeffs[power] = coef
+                value += scaled * x_pow[power]
+            if x2 <= bound and step <= _TAYLOR_TAIL * abs(value):
+                return coeffs
+            x_pow = {power + 2: v * x2 for power, v in x_pow.items()}
+        raise ArithmeticError(f"Taylor expansion about r = 0 unresolved at r = {r_max:.3e}")
+
+    def values(self, table: _RadialTable):
+        """Evaluate the term expansion at the radii table.r >= 0.
+
+        The double-precision sum computes each power of r once and takes the
+        Bessel columns from the table; a negative order k comes from
+        J_k = (-1)^k J_(-k), exact in floating point, with the sign folded into
+        the coefficient.  Where the sum loses more than ~2 digits to
+        cancellation (near r = 0, where the expansion of L^m G cancels across
+        Bessel orders) the value comes from the exact Taylor expansion about
+        r = 0 (taylor), summed in double.
+        """
+        terms = self.terms
+        r = table.r
+        total = np.zeros_like(r)
+        magnitude = np.zeros_like(r)
+        safe = table.safe
+        rs = r[safe]
+        powers = {dp: rs**dp for dp in {dp for dp, _ in terms}}
+        for (dp, dc), coef in terms.items():
+            k, c = 1 + dc, float(coef)
+            if k < 0:
+                k, c = -k, -c if k % 2 else c
+            vals = c * powers[dp] * table.bessel(k)
+            total[safe] += vals
+            magnitude[safe] += np.abs(vals)
+        bad = safe.copy()
+        bad[safe] = magnitude[safe] > 1e2 * np.abs(total[safe])
+        if np.any(bad):
+            rb = r[bad]
+            try:
+                coeffs = self.taylor(float(rb.max()))
+            except OverflowError:  # coefficients beyond the double range
+                total[bad] = np.nan
+            else:
+                lo, hi = min(coeffs), max(coeffs)
+                # Horner's rule from the highest power: smallest terms first
+                poly = [coeffs.get(e, 0.0) for e in range(hi, lo - 1, -1)]
+                total[bad] = np.polyval(poly, rb) * rb**lo
+        # r = 0: every L^m G vanishes there (odd profile), matching g ~ r
+        total[~safe] = 0.0
+        return total
 
 
 @dataclass(frozen=True)
@@ -462,10 +500,12 @@ def trial_quotient(d: Domain, m: int, center=None) -> TrialQuotient:
     for _ in range(m):
         terms = _apply_radial_operator(terms, p.n, p.scale)
 
+    expansion = _Expansion(terms, p)
+
     def sums(n):
         """int (L^m G)^2 and int G^2 on the fan at n nodes."""
         _, w, table = _quadrature_table(d, p, center, n)
-        lg = _eval_terms(terms, p, table)
+        lg = expansion.values(table)
         return np.sum(w * lg * lg), np.sum(w * table.g * table.g)
 
     numer, denom = (float(v) for v in sums(_FAN_NODES))

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from conftest import moved_polygon, splitting_quotients
 
 from neuspec import fem
@@ -30,6 +32,20 @@ def edge_numbering_reference(mesh):
             key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
             conn[i, e] = edges.setdefault(key, len(edges))
     return conn, len(edges)
+
+
+def two_pass_reference(mesh):
+    """M, A and the factor input A - _SHIFT M as each COO-to-CSR pass of its
+    own and sparse sums build them; the shift goes to CSC last."""
+    me, ke, dofs, ndof = fem._p2_matrices(mesh)
+    k = dofs.shape[1]
+    rows = np.repeat(dofs, k, axis=1).ravel()
+    cols = np.tile(dofs, (1, k)).ravel()
+    m_mat = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
+    a_mat = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
+    m_mat = 0.5 * (m_mat + m_mat.T)
+    a_mat = 0.5 * (a_mat + a_mat.T)
+    return m_mat.tocsr(), a_mat.tocsr(), (a_mat - fem._SHIFT * m_mat).tocsc()
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +111,38 @@ class TestAssembly:
         op = fem.assemble(square_mesh)
         _, n_edges = fem._edge_numbering(square_mesh)
         assert op.dimension == len(square_mesh.vertices) + n_edges
+
+    @pytest.mark.parametrize("make_mesh", [
+        single_triangle_mesh,
+        lambda: cached_mesh(geo.Polygon(((0, 0), (1, 0), (1, 1), (0, 1))), 0.1),
+        lambda: study_mesh(corpus_domain("ellipse-1.5"), (0.08, 0.04), 1),
+    ], ids=["reference-triangle", "square-lattice", "ellipse-refined"])
+    def test_one_pass_matches_two_passes(self, make_mesh):
+        # the first two have stiffness entries that cancel to exactly 0
+        mesh = make_mesh()
+        op = fem.assemble(mesh)
+        for got, want in zip((op.M, op.A, op.shifted), two_pass_reference(mesh)):
+            assert got.format == want.format
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+        for mat in (op.A, op.M):
+            assert (mat != mat.T).nnz == 0
+
+    def test_assembly_peak_memory(self):
+        # two COO passes and sparse-sum symmetrization peaked at 5.1 times
+        # the bytes of the M and A they returned
+        mesh = study_mesh(corpus_domain("ellipse-1.5"), (0.08, 0.04, 0.02), 0)
+        tracemalloc.start()
+        try:
+            op = fem.assemble(mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(getattr(mat, name).nbytes
+                   for mat in (op.A, op.M) for name in ("data", "indices", "indptr"))
+        assert op.dimension == 2505
+        assert peak <= 3.5 * kept
 
     def test_edge_numbering_matches_reference(self):
         mesh = cached_mesh(corpus_domain("ellipse-1.5"), 0.08)

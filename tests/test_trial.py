@@ -196,7 +196,7 @@ class TestTrialQuotient:
         terms = trial._profile_terms(p)
         terms = trial._apply_radial_operator(terms, p.n, p.scale)
         r = np.linspace(0.01, 1.4, 57)
-        lg = trial._eval_terms(terms, p, trial._RadialTable(p, r))
+        lg = trial._Expansion(terms, p).values(trial._RadialTable(p, r))
         g = radial_profile_value(p, r)
         assert np.allclose(lg, -p.mu1 * g, rtol=1e-11, atol=1e-13)
 
@@ -208,7 +208,7 @@ class TestTrialQuotient:
         for _ in range(2):
             terms = trial._apply_radial_operator(terms, p.n, p.scale)
         r = np.array([1e-7, 1e-5, 1e-3])
-        lg = trial._eval_terms(terms, p, trial._RadialTable(p, r))
+        lg = trial._Expansion(terms, p).values(trial._RadialTable(p, r))
         g = radial_profile_value(p, r)
         assert np.allclose(lg, p.mu1**2 * g, rtol=1e-9)
 
@@ -222,9 +222,9 @@ class TestTrialQuotient:
             terms = trial._apply_radial_operator(terms, p.n, p.scale)
         r = np.array([1e-12, 1e-9, 1e-7, 1e-5])
         g = radial_profile_value(p, r)
-        together = trial._eval_terms(terms, p, trial._RadialTable(p, r))
-        one_by_one = np.concatenate([trial._eval_terms(terms, p, trial._RadialTable(p, r[i:i + 1]))
-                                     for i in range(4)])
+        together = trial._Expansion(terms, p).values(trial._RadialTable(p, r))
+        one_by_one = np.concatenate([
+            trial._Expansion(terms, p).values(trial._RadialTable(p, r[i:i + 1])) for i in range(4)])
         for lg in (together, one_by_one):
             assert np.allclose(lg, (-p.mu1) ** m * g, rtol=1e-12, atol=0)
 
@@ -240,7 +240,7 @@ class TestTrialQuotient:
             c = d.centroid()
             r = np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1])
             g = radial_profile_value(p, r)
-            lg = trial._eval_terms(terms, p, trial._RadialTable(p, r))
+            lg = trial._Expansion(terms, p).values(trial._RadialTable(p, r))
             assert np.allclose(lg, (-p.mu1) ** m * g, rtol=1e-12, atol=0), d
 
     def test_flagged_quadrature_points_match_mpmath(self):
@@ -253,7 +253,7 @@ class TestTrialQuotient:
             terms = trial._apply_radial_operator(terms, p.n, s)
         pts, _ = trial._fan(d, trial._FAN_NODES)
         r = np.hypot(pts[:, 0], pts[:, 1])
-        lg = trial._eval_terms(terms, p, trial._RadialTable(p, r))
+        lg = trial._Expansion(terms, p).values(trial._RadialTable(p, r))
         # n = 2: a = 0, nu = 1; points that lose 9 digits, all of them flagged
         vals = np.array([float(c) * r**dp * jv(1 + dc, s * r) for (dp, dc), c in terms.items()])
         flagged = np.nonzero(np.abs(vals).sum(0) > 1e9 * np.abs(vals.sum(0)))[0]
@@ -276,13 +276,27 @@ class TestTrialQuotient:
             terms = trial._profile_terms(p)
             for m in range(1, 9):
                 terms = trial._apply_radial_operator(terms, p.n, p.scale)
-                coeffs = trial._taylor_coefficients(terms, p, r_max)
+                coeffs = trial._Expansion(terms, p).taylor(r_max)
                 assert sorted(coeffs) == list(range(1, max(coeffs) + 1, 2)), (d, m)
                 for e, c in coeffs.items():
                     j = (e - 1) // 2
                     exact = ((-s * s) ** m * (-1) ** j * (s / 2) ** e
                              / (math.factorial(j) * math.factorial(j + 1)))
                     assert c == float(exact), (d, m, e)
+
+    def test_one_expansion_serves_every_cut(self):
+        # both fans of a quotient cut one set of exact sums at their own
+        # radii: in either order each cut matches a fresh expansion's
+        cuts = [1e-6, 1e-3, 0.05, 0.3, 1.0]
+        for d in (geo.Disk((0, 0), 1.0), geo.Ellipse(1.5, 2 / 3)):
+            p = trial._profile(d)
+            terms = trial._profile_terms(p)
+            for m in range(1, 9):
+                terms = trial._apply_radial_operator(terms, p.n, p.scale)
+                fresh = {r: trial._Expansion(terms, p).taylor(r) for r in cuts}
+                for order in (cuts, cuts[::-1]):
+                    shared = trial._Expansion(terms, p)
+                    assert {r: shared.taylor(r) for r in order} == fresh, (d, m)
 
     def test_invalid_power(self):
         with pytest.raises(ValueError):
