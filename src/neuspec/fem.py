@@ -9,13 +9,18 @@ same vectors, and the reported value is mu^q; the independent particular-
 solutions module is what probes whether that squaring survives at the
 continuous level.
 
-One eigensolve per mesh serves every q: shift-invert Lanczos (ARPACK
-mode 3, through scipy's eigsh) at sigma = -1 on a sparse LU factor of
-A + M, the only factor a mesh gets; M, A and A + M share one sparsity
-pattern, built in one pass.  Each pair's residual in the M^{-1}
-norm solves with M by Jacobi-preconditioned conjugate gradients: the
-diagonally scaled mass matrix has an element-local condition bound, so
-the iteration count does not grow under refinement.
+One eigensolve per mesh serves every q; M, A and A + M share one sparsity
+pattern, built in one pass.  A lattice mesh, the coarsest of a study, is
+solved by shift-invert Lanczos (ARPACK mode 3, through scipy's eigsh) at
+sigma = -1 on a sparse LU factor of A + M.  A mesh that refine split from
+a parent is solved by LOBPCG, started from the parent's vectors and
+preconditioned by a two-grid cycle whose coarse level is the parent's LU
+factor; so the finest mesh of a halving list is never factored, and at
+most one factor, that of the current parent, is kept.  Each pair's
+residual in the M^{-1} norm solves with M by Jacobi-preconditioned
+conjugate gradients: the diagonally scaled mass matrix has an
+element-local condition bound, so the iteration count does not grow under
+refinement.
 The solve is memoized per (mesh, count), so the powers m of one
 mesh share it; meshes compare by identity, and study_mesh gives one
 mesh object per (domain, h list, position).
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -58,7 +64,8 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class OperatorPair:
     """Assembled P2 mass and stiffness operators of one mesh, with the
-    positive definite shift A - _SHIFT M that the eigensolver factors."""
+    positive definite shift A - _SHIFT M that the eigensolvers factor and
+    smooth with."""
 
     M: sp.csr_matrix
     A: sp.csr_matrix
@@ -245,40 +252,142 @@ def _mass_solve(mass, rhs, where: str):
 # the largest power m that eig_polyharmonic_neumann accepts
 _MAX_POWER = 4
 
+# LOBPCG on a refined mesh: its residual tolerance (at 1e-10 the gate's
+# residual on ellipse-1.5 at h = 0.02 read 1.1e-8, above RESIDUAL_TOL) and
+# an iteration cap far above the 11 to 19 iterations the corpus takes
+_LOBPCG_TOL = 1e-12
+_LOBPCG_MAXITER = 100
+# the two-grid preconditioner: damped-Jacobi weight, and sweeps on each side
+# of the coarse correction
+_JACOBI_WEIGHT = 0.8
+_JACOBI_SWEEPS = 2
+# a refined mesh's k-th value above its parent's by more than this fraction
+# means LOBPCG lost a mode: refinement lowered every corpus value, by at
+# most 4.4e-3 relative from h = 0.16 on, while a lost mode leaves the last
+# value at the next distinct one, far higher
+_INDEX_SLACK = 1e-3
 
-def _lowest_pencil_eigs(op: OperatorPair, count: int, h: float):
-    """Smallest `count` nonzero pencil values A v = mu M v, with vectors.
 
-    One shift-invert Lanczos run at sigma = -1 on an LU factor of
-    A - sigma M = A + M, which is positive definite although A is
-    singular, returns the constant mode and the `count` modes above it.
-    The constant mode is dropped, the vectors are M-normalized and the
-    values are their Rayleigh quotients.  A mass solve (_mass_solve) then
-    serves the residual gate ||A v - mu M v||_{M^-1} <= RESIDUAL_TOL *
-    max(1, mu).  Returns read-only (mu, vectors, residuals).
+def _lanczos_vectors(op: OperatorPair, lu, n_modes: int, where: str):
+    """The n_modes lowest nonconstant pencil vectors, unnormalized.
+
+    One shift-invert Lanczos run at sigma = -1 on the LU factor of
+    A - sigma M = A + M, which is positive definite although A is singular,
+    returns the constant mode and the n_modes modes above it.
     """
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    if count < 1:
-        raise ValueError("count must be >= 1")
     n = op.dimension
-    if count + 2 >= n:
-        raise ValueError("mesh too small for requested eigenvalue count")
-    where = f"h={h:g}, ndof={n}"
-    lu = _factor(op.shifted)
     # a fixed start vector: ARPACK's default one is drawn from internal state
     v0 = np.random.Generator(np.random.PCG64(_SEED)).standard_normal(n)
     try:
         mus, vecs = eigsh(
-            op.A, k=count + 1, M=op.M, sigma=_SHIFT, v0=v0,
+            op.A, k=n_modes + 1, M=op.M, sigma=_SHIFT, v0=v0,
             OPinv=LinearOperator((n, n), matvec=lu.solve, dtype=float),
         )
     except ArpackNoConvergence as exc:
         raise SolverError(f"shift-invert Lanczos did not converge ({where})") from exc
+    return vecs[:, np.argsort(mus)[1:]]  # the constant mode leads
 
-    vecs = vecs[:, np.argsort(mus)[1:]]  # the constant mode leads
+
+def _transfer(mesh: Mesh) -> sp.csr_matrix:
+    """P2 prolongation P from mesh.parent to mesh, its red refinement.
+
+    Row i holds the parent's P2 basis functions at the child's dof i.  The
+    child's vertices are the parent's dofs in the same numbering, so their
+    rows are the identity.  A child edge midpoint sits at fixed reference
+    barycentrics: a quarter of the way along a parent edge (3/8 at the near
+    end, 3/4 at the edge's midpoint, -1/8 at the far end), or halfway
+    between two midpoints of a parent triangle (1/2 at each, 1/4 at the
+    third midpoint, -1/8 at the two vertices their edges do not share).
+    Where refine moved a boundary midpoint onto the curve these are the
+    weights of the straight parent element, which a preconditioner and a
+    start block can afford.
+    """
+    parent = mesh.parent
+    nv = len(parent.vertices)
+    conn, n_edges = _edge_numbering(parent)
+    ends = np.empty((n_edges, 2), dtype=int)
+    ends[conn.ravel()] = parent.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    a, b = ends.T
+    mid = nv + np.arange(n_edges)
+    v, m = parent.triangles, nv + conn
+    # (ends of the child edge, parent dofs, basis values at its midpoint);
+    # parent edge k joins vertices k and k + 1, so edges k and k + 1 share one
+    blocks = [((a, mid), (a, mid, b), (0.375, 0.75, -0.125)),
+              ((b, mid), (b, mid, a), (0.375, 0.75, -0.125))]
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        blocks.append(((m[:, i], m[:, j]), (m[:, i], m[:, j], m[:, k], v[:, i], v[:, k]),
+                       (0.5, 0.5, 0.25, -0.125, -0.125)))
+
+    # the child's edge ids, looked up by their vertex pairs in a sorted table
+    n_child = len(mesh.vertices)
+    child_conn, n_child_edges = _edge_numbering(mesh)
+    pairs = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    keys = pairs[:, 0].astype(np.int64) * n_child + pairs[:, 1]
+    order = np.argsort(keys)
+    keys, edge_ids = keys[order], child_conn.ravel()[order]
+    parent_dofs = np.arange(nv + n_edges)
+    rows, cols, vals = [parent_dofs], [parent_dofs], [np.ones(nv + n_edges)]
+    for (p, q), dofs, weights in blocks:
+        key = np.minimum(p, q).astype(np.int64) * n_child + np.maximum(p, q)
+        row = n_child + edge_ids[np.searchsorted(keys, key)]
+        for dof, weight in zip(dofs, weights):
+            rows.append(row)
+            cols.append(dof)
+            vals.append(np.full(len(row), weight))
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n_child + n_child_edges, nv + n_edges))
+
+
+def _two_grid_vectors(op: OperatorPair, coarse_lu, transfer, start, where: str):
+    """Pencil vectors by LOBPCG from the block transfer @ start.
+
+    The constants are LOBPCG's constraint.  The preconditioner is one
+    symmetric two-grid cycle on A + M: _JACOBI_SWEEPS damped-Jacobi sweeps,
+    the coarse correction transfer (coarse A + M)^-1 transfer^T through the
+    parent's LU factor, and as many sweeps again.  lobpcg's warning when
+    it stops short is silenced: the residual gate judges its vectors.
+    """
+    from scipy.sparse.linalg import lobpcg
+
+    shifted = op.shifted.T  # exactly symmetric: the CSR view of its arrays
+    weight = (_JACOBI_WEIGHT / shifted.diagonal())[:, None]
+    restrict = transfer.T.tocsr()
+
+    def smooth(z, r, sweeps):
+        for _ in range(sweeps):
+            z += weight * (r - shifted @ z)
+
+    def cycle(r):
+        z = weight * r  # the first sweep, from z = 0
+        smooth(z, r, _JACOBI_SWEEPS - 1)
+        z += transfer @ coarse_lu.solve(restrict @ (r - shifted @ z))
+        smooth(z, r, _JACOBI_SWEEPS)
+        return z
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            _, vecs = lobpcg(op.A, transfer @ start, B=op.M, M=cycle,
+                             Y=np.ones((op.dimension, 1)), tol=_LOBPCG_TOL,
+                             maxiter=_LOBPCG_MAXITER, largest=False)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            raise SolverError(f"two-grid LOBPCG failed: {exc} ({where})") from exc
+    return vecs
+
+
+def _checked_pairs(op: OperatorPair, vecs, where: str):
+    """Values, vectors and residuals of the pencil from approximate vectors.
+
+    The vectors are made M-orthogonal to the constants and M-normalized,
+    and the values are their Rayleigh quotients, ascending.  A mass solve
+    (_mass_solve) then serves the residual gate ||A v - mu M v||_{M^-1} <=
+    RESIDUAL_TOL * max(1, mu).  Returns read-only (mu, vectors, residuals).
+    """
+    n = op.dimension
     m_ones = op.M @ np.ones(n)
-    vecs -= np.outer(np.ones(n), (m_ones @ vecs) / m_ones.sum())
+    vecs = vecs - np.outer(np.ones(n), (m_ones @ vecs) / m_ones.sum())
     vecs /= np.sqrt(_column_dots(vecs, op.M @ vecs))
     mus = _column_dots(vecs, op.A @ vecs)
     rank = np.argsort(mus)
@@ -295,16 +404,68 @@ def _lowest_pencil_eigs(op: OperatorPair, count: int, h: float):
     return mus, vecs, resid
 
 
+# The last mesh solved, as the coarse level of a refined mesh solved next:
+# its A + M and, if made, that matrix's LU factor.  So a lattice mesh is
+# factored for its own Lanczos solve, a refined mesh only once a child of
+# it is solved, and no mesh is assembled twice; no other factor is kept,
+# and convergence_study empties it when it ends.
+_last_level = {}
+
+
+def _coarse_factor(parent: Mesh):
+    """The LU factor of a parent's A + M, from _last_level or made now."""
+    shifted, lu = _last_level.pop(parent, (None, None))
+    _last_level.clear()  # drops any other factor before this one is made
+    if lu is None:
+        # a parent solved before some other mesh is assembled again
+        lu = _factor(assemble(parent).shifted if shifted is None else shifted)
+    return lu
+
+
 # a verify run solves one mesh per h, for every m
 @lru_cache(maxsize=16)
 def _pencil_solve(mesh: Mesh, count: int):
-    return _lowest_pencil_eigs(assemble(mesh), count, mesh.h)
+    """The count + 1 smallest nonzero pencil values A v = mu M v of a mesh,
+    with vectors and residuals (_checked_pairs); _eigs returns count of them.
+
+    A lattice mesh is solved by shift-invert Lanczos on an LU factor of
+    A + M.  A refined mesh starts LOBPCG from its parent's count + 1
+    vectors and preconditions it with the parent's factor
+    (_two_grid_vectors); the extra mode lets each of its values be checked
+    against the parent's, so that a lost mode raises SolverError instead
+    of passing the gate as the wrong eigenvalue.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    parent = mesh.parent
+    if parent is None:
+        _last_level.clear()  # the previous factor goes before this one is made
+    else:
+        parent_mus, parent_vectors, _ = _pencil_solve(parent, count)
+        coarse_lu = _coarse_factor(parent)
+    op = assemble(mesh)
+    if count + 3 >= op.dimension:
+        raise ValueError("mesh too small for requested eigenvalue count")
+    where = f"h={mesh.h:g}, ndof={op.dimension}"
+    if parent is None:
+        lu = _factor(op.shifted)
+        vectors = _lanczos_vectors(op, lu, count + 1, where)
+    else:
+        lu = None
+        vectors = _two_grid_vectors(op, coarse_lu, _transfer(mesh), parent_vectors, where)
+    mus, vectors, residuals = _checked_pairs(op, vectors, where)
+    if parent is not None and np.any(mus > parent_mus * (1.0 + _INDEX_SLACK)):
+        raise SolverError(f"two-grid LOBPCG lost a mode: pencil values {mus} above "
+                          f"the parent mesh's {parent_mus} ({where})")
+    _last_level[mesh] = (op.shifted, lu)
+    return mus, vectors, residuals
 
 
 def _eigs(mesh: Mesh, count: int, m: int) -> EigResult:
     q = max(1, 2 * m)
     mus, vectors, residuals = _pencil_solve(mesh, count)
-    return EigResult(values=mus**q, vectors=vectors, residuals=residuals, power=m)
+    return EigResult(values=mus[:count]**q, vectors=vectors[:, :count],
+                     residuals=residuals[:count], power=m)
 
 
 def eig_neumann_laplacian(mesh: Mesh, count: int) -> EigResult:
@@ -415,6 +576,7 @@ def convergence_study(d: Domain, m: int, h_list) -> ConvergenceStudy:
         return float(res.values[0])
 
     values = tuple(lowest(k) for k in range(len(h_list)))
+    _last_level.clear()  # the finest mesh has no child to serve
 
     diffs = [values[i] - values[i + 1] for i in range(len(values) - 1)]
     monotone = all(d > 0 for d in diffs) or all(d < 0 for d in diffs)

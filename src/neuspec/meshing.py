@@ -17,7 +17,7 @@ lattice keeps no point there, and no Delaunay centroid falls there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import Delaunay
@@ -49,6 +49,8 @@ class Mesh:
         boundary parameter s in [0, 1) of Domain.boundary_at at each
         boundary vertex, NaN at the others.  None when the mesh has none
         (polygons, loaded meshes).
+    parent : the mesh that refine split to make this one, None on lattice
+        and loaded meshes.
 
     Meshes are immutable and compare and hash by identity, so that caches
     such as the FEM pencil solves can key on them.
@@ -59,6 +61,7 @@ class Mesh:
     boundary_flags: np.ndarray
     h: float
     boundary_params: np.ndarray | None = None
+    parent: Mesh | None = field(default=None, repr=False)
 
     def __post_init__(self):
         for name in ("vertices", "triangles", "boundary_flags", "boundary_params"):
@@ -117,11 +120,21 @@ def _hex_lattice(d: Domain, poly: np.ndarray, h: float) -> np.ndarray:
     return pts[_near_distance(pts, poly, 0.65 * h) >= 0.65 * h]
 
 
-def _delaunay_inside(points: np.ndarray, d: Domain) -> np.ndarray:
+def _delaunay_inside(points: np.ndarray, d: Domain, n_boundary: int, h: float) -> np.ndarray:
+    """Delaunay triangles with their centroid inside d, counterclockwise.
+
+    A triangle of three polyline vertices (the first n_boundary points)
+    with |J| below 1e-9 h^2 is dropped too: on a straight or nearly
+    straight stretch such slivers have their centroid on the boundary, which
+    passes the tolerance of d.contains.
+    """
     simplices = Delaunay(points).simplices
     tris = simplices[d.contains(points[simplices].mean(axis=1))]
+    jac = triangle_jacobians(points, tris)
+    sliver = np.all(tris < n_boundary, axis=1) & (np.abs(jac) < 1e-9 * h * h)
+    tris, jac = tris[~sliver], jac[~sliver]
     # enforce counterclockwise orientation
-    flip = triangle_jacobians(points, tris) < 0
+    flip = jac < 0
     tris[flip] = tris[flip][:, [0, 2, 1]]
     return tris
 
@@ -157,11 +170,11 @@ def triangulate(d: Domain, h: float) -> Mesh:
     seeds = _hex_lattice(d, poly, 0.95 * h)
     points = np.vstack([poly, seeds]) if len(seeds) else poly.copy()
 
-    tris = _delaunay_inside(points, d)
+    tris = _delaunay_inside(points, d, n_boundary, h)
     extra_budget = 6
     for it in range(SMOOTHING_PASSES + extra_budget):
         points = _smooth_interior(points, tris, n_boundary)
-        tris = _delaunay_inside(points, d)
+        tris = _delaunay_inside(points, d, n_boundary, h)
         if it >= SMOOTHING_PASSES - 1 and _quality_ok(points, tris, h):
             break
     else:
@@ -264,6 +277,7 @@ def refine(mesh: Mesh, d: Domain) -> Mesh:
         boundary_flags=np.concatenate([mesh.boundary_flags, on_boundary]),
         h=h,
         boundary_params=params,
+        parent=mesh,
     )
 
 

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from conftest import moved_polygon, splitting_quotients
 
-from neuspec import fem
+from neuspec import cli, fem
 from neuspec import geometry as geo
 from neuspec import meshing as msh
 from neuspec import quadrature
@@ -204,11 +205,12 @@ class TestMassSolve:
         got = fem._mass_solve(op.M, rhs, "test")
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_iteration_cap_names_the_mesh(self, square_mesh, monkeypatch):
-        op = fem.assemble(square_mesh)
+    def test_iteration_cap_names_the_mesh(self, square, monkeypatch):
+        mesh = msh.triangulate(square, 0.1)  # a new mesh object misses the memo
+        ndof = fem.assemble(mesh).dimension
         monkeypatch.setattr(fem, "_MASS_MAXITER", 2)
-        with pytest.raises(fem.SolverError, match=f"h=0.1, ndof={op.dimension}"):
-            fem._lowest_pencil_eigs(op, 1, square_mesh.h)
+        with pytest.raises(fem.SolverError, match=f"h=0.1, ndof={ndof}"):
+            fem._pencil_solve(mesh, 1)
 
     def test_one_factor_per_mesh(self, square, monkeypatch):
         factor, calls = fem._factor, []
@@ -221,6 +223,154 @@ class TestMassSolve:
         mesh = msh.triangulate(square, 0.1)  # a new mesh object misses the memo
         fem._pencil_solve(mesh, 1)
         assert len(calls) == 1
+
+
+def p2_nodes(mesh):
+    """Coordinates of a mesh's P2 dofs: the vertices, then the straight
+    edge midpoints in _edge_numbering's order."""
+    conn, n_edges = fem._edge_numbering(mesh)
+    ends = np.empty((n_edges, 2), dtype=int)
+    ends[conn.ravel()] = mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    return np.vstack([mesh.vertices, mesh.vertices[ends].mean(axis=1)])
+
+
+def refined_pair(name, h):
+    """A lattice mesh of a corpus domain at h and its refinement, both new
+    objects, so that no memoized solve serves them."""
+    d = corpus_domain(name)
+    coarse = msh.triangulate(d, h)
+    return coarse, msh.refine(coarse, d)
+
+
+class TestTransfer:
+    def test_quadratics_carry_over_exactly(self, square):
+        coarse = msh.triangulate(square, 0.2)
+        fine = msh.refine(coarse, square)
+        transfer = fem._transfer(fine)
+
+        def quadratic(p):
+            x, y = p[:, 0], p[:, 1]
+            return 1.0 + 2.0 * x - 3.0 * y + x * x - 2.0 * x * y + 0.5 * y * y
+
+        got = transfer @ quadratic(p2_nodes(coarse))
+        assert np.abs(got - quadratic(p2_nodes(fine))).max() <= 1e-14
+
+    def test_rows_sum_to_one_and_parent_dofs_are_the_identity(self):
+        coarse, fine = refined_pair("ellipse-1.5", 0.16)
+        transfer = fem._transfer(fine)
+        n_coarse, n_fine = len(p2_nodes(coarse)), len(p2_nodes(fine))
+        assert transfer.shape == (n_fine, n_coarse)
+        assert np.all(transfer @ np.ones(n_coarse) == 1.0)
+        block = transfer[:n_coarse].tocoo()
+        assert np.array_equal(block.row, np.arange(n_coarse))
+        assert np.array_equal(block.col, np.arange(n_coarse))
+        assert np.all(block.data == 1.0)
+
+
+class TestTwoGrid:
+    def test_finest_mesh_is_never_factored(self, monkeypatch):
+        d = corpus_domain("ellipse-1.5")
+        h_list = (0.16, 0.08, 0.04)
+        for cache in (quadrature.cached_mesh, quadrature._refined_mesh, fem._pencil_solve):
+            cache.cache_clear()
+        factor, assemble = fem._factor, fem.assemble
+        assembled, factored, alive, most_alive = [], [], [0], [0]
+
+        class TrackedFactor:
+            def __init__(self, mat):
+                self.lu = factor(mat)
+                alive[0] += 1
+
+            def solve(self, rhs):
+                return self.lu.solve(rhs)
+
+            def __del__(self):
+                alive[0] -= 1
+
+        def counting_factor(mat):
+            gc.collect()
+            most_alive[0] = max(most_alive[0], alive[0] + 1)
+            factored.append(mat.shape[0])
+            return TrackedFactor(mat)
+
+        def counting_assemble(mesh):
+            op = assemble(mesh)
+            assembled.append((mesh, op.dimension))
+            return op
+
+        monkeypatch.setattr(fem, "_factor", counting_factor)
+        monkeypatch.setattr(fem, "assemble", counting_assemble)
+        study = fem.convergence_study(d, 1, h_list)
+        meshes = [study_mesh(d, h_list, k) for k in range(3)]
+        assert meshes[2].parent is meshes[1] and meshes[1].parent is meshes[0]
+        assert [mesh for mesh, _ in assembled] == meshes
+        ndofs = [ndof for _, ndof in assembled]
+        assert factored == ndofs[:2]
+        gc.collect()
+        assert most_alive[0] == 1 and alive[0] == 0
+        assert study.monotone
+        # a lattice mesh solved next drops the factor of the one before
+        for _ in range(2):
+            fem._pencil_solve(msh.triangulate(d, 0.16), 1)
+        assert most_alive[0] == 1
+
+    def test_double_value_on_the_disk(self):
+        coarse, fine = refined_pair("disk", 0.08)
+        mus = fem._pencil_solve(fine, 1)[0]
+        op = fem.assemble(fine)
+        lu = fem._factor(op.shifted)
+        lanczos = fem._checked_pairs(op, fem._lanczos_vectors(op, lu, 2, "test"), "test")[0]
+        assert np.abs(mus - lanczos).max() <= 1e-12 * lanczos[0]
+        assert mus[1] - mus[0] <= 1e-8 * mus[0]
+
+    @pytest.mark.parametrize("name", ["disk", "ellipse-1.5"])
+    @pytest.mark.parametrize("columns", [[1, 2], [1, 1], [2, 1]],
+                             ids=["second-and-third", "second-twice", "third-and-second"])
+    def test_spoiled_start_never_passes_as_another_mode(self, name, columns, monkeypatch):
+        coarse, fine = refined_pair(name, 0.08)
+        want = fem._pencil_solve(fine, 1)[0][0]
+        fem._pencil_solve.cache_clear()
+        # the parent's modes 2 and 3 hold none of mode 1
+        parent_vectors = fem._pencil_solve(coarse, 2)[1]
+        two_grid = fem._two_grid_vectors
+
+        def spoiled(op, lu, transfer, start, where):
+            return two_grid(op, lu, transfer, parent_vectors[:, columns], where)
+
+        monkeypatch.setattr(fem, "_two_grid_vectors", spoiled)
+        ndof = len(p2_nodes(fine))
+        try:
+            got = fem._pencil_solve(fine, 1)[0][0]
+        except fem.SolverError as exc:
+            assert f"h=0.04, ndof={ndof}" in str(exc)
+        else:
+            assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["disk", "ellipse-1.5"])
+    def test_converged_wrong_modes_are_refused(self, name, monkeypatch):
+        # exact pencil modes 2 and 3 of the fine mesh pass the residual
+        # gate; only the comparison with the parent's values can refuse them
+        coarse, fine = refined_pair(name, 0.08)
+        op = fem.assemble(fine)
+        modes = fem._lanczos_vectors(op, fem._factor(op.shifted), 3, "test")
+        monkeypatch.setattr(fem, "_two_grid_vectors", lambda *args: modes[:, 1:])
+        ndof = op.dimension
+        with pytest.raises(fem.SolverError, match=f"lost a mode.*h=0.04, ndof={ndof}"):
+            fem._pencil_solve(fine, 1)
+
+    def test_lobpcg_warning_stays_off_stderr(self, monkeypatch, capsys, recwarn, tmp_path):
+        # one iteration cannot meet the gate; lobpcg's warning that it
+        # stopped short must not surface, and the gate must fail the run
+        monkeypatch.setattr(fem, "_LOBPCG_MAXITER", 1)
+        fem._pencil_solve.cache_clear()
+        code = cli.main(["verify", "--domain", "ellipse-1.5", "--h-list", "0.16,0.08,0.04",
+                         "--no-mps", "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("verify failed during fem convergence study: eigensolver "
+                              "residuals")
+        assert "h=0.08" in err and "Warning" not in err
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
 
 class TestPolyharmonicEigs:

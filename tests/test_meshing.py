@@ -117,6 +117,35 @@ class TestLatticeFilter:
             assert len(got) and np.array_equal(got, want), h
 
 
+def regular_polygon(n):
+    """Spec of the regular n-gon of circumradius 1 centered at the origin."""
+    return "polygon:" + ";".join(
+        f"{math.cos(2 * math.pi * k / n)!r},{math.sin(2 * math.pi * k / n)!r}" for k in range(n))
+
+
+# lattice meshes that Delaunay slivers of collinear polyline vertices once
+# failed with MeshQualityError
+SLIVER_CASES = ([("16-gon", regular_polygon(16), h) for h in (0.16, 0.12, 0.08, 0.04, 0.02)]
+                + [("superellipse-40", "superellipse:1,1,40", h) for h in (0.12, 0.08, 0.02)]
+                + [("32-gon", regular_polygon(32), 0.08), ("64-gon", regular_polygon(64), 0.04)])
+
+
+class TestSlivers:
+    @pytest.mark.parametrize("name,spec,h", SLIVER_CASES,
+                             ids=[f"{name}-{h}" for name, _, h in SLIVER_CASES])
+    def test_straight_stretches_mesh_conforming(self, name, spec, h):
+        mesh = msh.triangulate(geo.parse_domain(spec), h)
+        check_mesh_contract(mesh, h)
+        # the boundary is closed: every edge of one triangle joins two
+        # boundary vertices, and each boundary vertex ends two such edges
+        pairs = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        edges, count = np.unique(pairs, axis=0, return_counts=True)
+        one_sided = edges[count == 1]
+        assert np.all(mesh.boundary_flags[one_sided])
+        ends = np.bincount(one_sided.ravel(), minlength=len(mesh.vertices))
+        assert np.array_equal(ends, 2 * mesh.boundary_flags)
+
+
 def curve_residual(d, pts):
     """Relative distance of points from a disk's, an ellipse's or a stadium's
     boundary curve."""
