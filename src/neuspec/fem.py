@@ -10,17 +10,17 @@ solutions module is what probes whether that squaring survives at the
 continuous level.
 
 One eigensolve per mesh serves every q; M, A and A + M share one sparsity
-pattern, built in one pass.  A lattice mesh, the coarsest of a study, is
-solved by shift-invert Lanczos (ARPACK mode 3, through scipy's eigsh) at
-sigma = -1 on a sparse LU factor of A + M.  A mesh that refine split from
-a parent is solved by LOBPCG, started from the parent's vectors and
-preconditioned by a two-grid cycle whose coarse level is the parent's LU
-factor; so the finest mesh of a halving list is never factored, and at
-most one factor, that of the current parent, is kept.  Each pair's
-residual in the M^{-1} norm solves with M by Jacobi-preconditioned
-conjugate gradients: the diagonally scaled mass matrix has an
-element-local condition bound, so the iteration count does not grow under
-refinement.
+pattern, built in one pass.  A mesh that is factored anyway is solved by
+shift-invert Lanczos (ARPACK mode 3, through scipy's eigsh) at sigma = -1
+on a sparse LU factor of A + M: a lattice mesh, the coarsest of a study,
+and every mesh of a study whose factor a finer mesh of it uses.  Only a
+refined mesh that nothing factors, the finest of a halving list, is solved
+by LOBPCG, started from its parent's vectors and preconditioned by a
+two-grid cycle whose coarse level is the parent's LU factor; at most one
+factor, that of the current parent, is kept.  Each pair's residual in the
+M^{-1} norm is bounded without a solve with M: every element mass matrix
+is |J| times one reference matrix, so M >= c0 diag(M) with c0 the least
+eigenvalue of that matrix scaled by its diagonal (Wathen 1987).
 The solve is memoized per (mesh, count), so the powers m of one
 mesh share it; meshes compare by identity, and study_mesh gives one
 mesh object per (domain, h list, position).
@@ -78,10 +78,11 @@ class EigResult:
     """Eigenvalue estimates with vectors and operator residual norms.
 
     values are ascending; vectors are M-orthonormal and M-orthogonal to
-    the constant mode; residuals are ||A v - mu M v|| in the M^{-1} norm
-    at the pencil value mu, where value = mu^q with q = 2m (q = 1 for the
-    Laplacian).  power records m (0 for the plain Laplacian).  vectors and
-    residuals are read-only: results for the same mesh share one solve.
+    the constant mode; residuals are upper bounds on ||A v - mu M v|| in
+    the M^{-1} norm at the pencil value mu (see _checked_pairs), where
+    value = mu^q with q = 2m (q = 1 for the Laplacian).  power records m
+    (0 for the plain Laplacian).  vectors and residuals are read-only:
+    results for the same mesh share one solve.
     """
 
     values: np.ndarray
@@ -128,19 +129,41 @@ def _p2_reference():
     return n_vals, dndl, w
 
 
+def _reference_mass():
+    """The P2 element mass matrix of a triangle divided by its |J|."""
+    n_vals, _, w = _p2_reference()
+    return np.einsum("q,qi,qj->ij", w, n_vals, n_vals)
+
+
+@lru_cache(maxsize=1)
+def _mass_jacobi_min() -> float:
+    """c0 of the residual bound, about 0.392: the least eigenvalue of the
+    reference mass R scaled by its diagonal, diag(R)^-1/2 R diag(R)^-1/2.
+
+    Every element mass is |J| R, so it is >= c0 times its own diagonal,
+    and summing over the elements gives M >= c0 diag(M).
+    """
+    mat = _reference_mass()
+    scale = 1.0 / np.sqrt(np.diag(mat))
+    return float(np.linalg.eigvalsh(scale[:, None] * mat * scale[None, :])[0])
+
+
 def _p2_matrices(mesh: Mesh):
-    n_vals, dndl, w = _p2_reference()
+    # the edges first: their numbering is kept with the mesh, and made
+    # after the element arrays it split the freed heap that the COO arrays
+    # reuse, which raised a verify run's peak RSS at h = 0.02 from 115 to
+    # 123 MB
+    conn_e, n_edges = _edge_numbering(mesh)
+    _, dndl, w = _p2_reference()
     gradl, jac = _barycentric_gradients(mesh)
 
-    ref_mass = np.einsum("q,qi,qj->ij", w, n_vals, n_vals)  # reference mass / |J|
-    me = ref_mass[None, :, :] * jac[:, None, None]
+    me = _reference_mass()[None, :, :] * jac[:, None, None]
     # on an affine triangle ke_ij = sum_ab G_ab S_abij: G is the Gram matrix
     # of the barycentric gradients times |J|, S a fixed reference tensor
     gram = np.einsum("tak,tbk,t->tab", gradl, gradl, jac)
     ref_stiff = np.einsum("q,qia,qjb->abij", w, dndl, dndl)
     ke = (gram.reshape(-1, 9) @ ref_stiff.reshape(9, 36)).reshape(-1, 6, 6)
 
-    conn_e, n_edges = _edge_numbering(mesh)
     nv = len(mesh.vertices)
     dofs = np.concatenate([mesh.triangles, nv + conn_e], axis=1)  # (nt, 6)
     return me, ke, dofs, nv + n_edges
@@ -222,33 +245,6 @@ def _column_dots(u, w):
     return np.einsum("ij,ij->j", u, w)
 
 
-# relative residual at which a mass solve stops, and its iteration cap:
-# the Jacobi-scaled P2 mass matrix has a condition number of about 5.25
-# at any mesh size, so CG gains about 0.4 digits per step and reaches
-# 1e-14 in some 35 steps
-_MASS_TOL = 1e-14
-_MASS_MAXITER = 200
-
-
-def _mass_solve(mass, rhs, where: str):
-    """M^-1 rhs for an (n, k) block by Jacobi-preconditioned CG per column.
-
-    A column stops once ||r|| <= _MASS_TOL ||rhs||.  Raises SolverError
-    after _MASS_MAXITER steps.
-    """
-    from scipy.sparse.linalg import cg
-
-    jacobi = sp.diags(1.0 / mass.diagonal())
-    out = np.empty_like(rhs)
-    for j in range(rhs.shape[1]):
-        out[:, j], info = cg(mass, rhs[:, j], rtol=_MASS_TOL, atol=0.0,
-                             maxiter=_MASS_MAXITER, M=jacobi)
-        if info != 0:
-            raise SolverError(
-                f"mass-matrix CG missed {_MASS_TOL:g} in {_MASS_MAXITER} steps ({where})")
-    return out
-
-
 # the largest power m that eig_polyharmonic_neumann accepts
 _MAX_POWER = 4
 
@@ -259,7 +255,7 @@ _LOBPCG_TOL = 1e-12
 _LOBPCG_MAXITER = 100
 # the two-grid preconditioner: damped-Jacobi weight, and sweeps on each side
 # of the coarse correction
-_JACOBI_WEIGHT = 0.8
+_JACOBI_WEIGHT = 0.7
 _JACOBI_SWEEPS = 2
 # a refined mesh's k-th value above its parent's by more than this fraction
 # means LOBPCG lost a mode: refinement lowered every corpus value, by at
@@ -377,13 +373,26 @@ def _two_grid_vectors(op: OperatorPair, coarse_lu, transfer, start, where: str):
     return vecs
 
 
+def _residual_bounds(mass, r):
+    """Upper bounds sqrt(r^T D^-1 r / c0) on ||r||_{M^-1} per column of r,
+    with D = diag(M) and c0 = _mass_jacobi_min().
+
+    Since M >= c0 D, each is at least the exact norm, and at most
+    sqrt(c1 / c0) = 2.29 times it, c1 the largest eigenvalue of the scaled
+    reference mass.
+    """
+    return np.sqrt(_column_dots(r, r / mass.diagonal()[:, None]) / _mass_jacobi_min())
+
+
 def _checked_pairs(op: OperatorPair, vecs, where: str):
     """Values, vectors and residuals of the pencil from approximate vectors.
 
     The vectors are made M-orthogonal to the constants and M-normalized,
-    and the values are their Rayleigh quotients, ascending.  A mass solve
-    (_mass_solve) then serves the residual gate ||A v - mu M v||_{M^-1} <=
-    RESIDUAL_TOL * max(1, mu).  Returns read-only (mu, vectors, residuals).
+    and the values are their Rayleigh quotients, ascending.  The residual
+    gate asks _residual_bounds of r = A v - mu M v, an upper bound on
+    ||r||_{M^-1} with no solve with M, to be <= RESIDUAL_TOL * max(1, mu);
+    so it refuses whatever the exact norm would refuse.  Returns read-only
+    (mu, vectors, residual bounds).
     """
     n = op.dimension
     m_ones = op.M @ np.ones(n)
@@ -394,7 +403,7 @@ def _checked_pairs(op: OperatorPair, vecs, where: str):
     mus, vecs = mus[rank], vecs[:, rank]
 
     r = op.A @ vecs - (op.M @ vecs) * mus
-    resid = np.sqrt(np.maximum(_column_dots(r, _mass_solve(op.M, r, where)), 0.0))
+    resid = _residual_bounds(op.M, r)
     if np.any(resid > RESIDUAL_TOL * np.maximum(1.0, mus)):
         raise SolverError(
             f"eigensolver residuals {resid} above tolerance ({where}; pencil values {mus})"
@@ -405,11 +414,18 @@ def _checked_pairs(op: OperatorPair, vecs, where: str):
 
 
 # The last mesh solved, as the coarse level of a refined mesh solved next:
-# its A + M and, if made, that matrix's LU factor.  So a lattice mesh is
-# factored for its own Lanczos solve, a refined mesh only once a child of
-# it is solved, and no mesh is assembled twice; no other factor is kept,
-# and convergence_study empties it when it ends.
+# its A + M and, if made, that matrix's LU factor.  So a mesh solved by
+# Lanczos is factored once, for its own solve and its child's; a mesh
+# solved by LOBPCG only if a child of it is solved after all; and no mesh
+# is assembled twice.  No other factor is kept, and convergence_study
+# empties it when it ends.
 _last_level = {}
+
+# The meshes of the running convergence_study that a finer mesh of it
+# refines, set from Mesh.parent and emptied when the study ends: each is
+# factored for that finer mesh anyway, so its own solve is Lanczos on that
+# factor, as a lattice mesh's is.
+_study_parents = set()
 
 
 def _coarse_factor(parent: Mesh):
@@ -428,33 +444,34 @@ def _pencil_solve(mesh: Mesh, count: int):
     """The count + 1 smallest nonzero pencil values A v = mu M v of a mesh,
     with vectors and residuals (_checked_pairs); _eigs returns count of them.
 
-    A lattice mesh is solved by shift-invert Lanczos on an LU factor of
-    A + M.  A refined mesh starts LOBPCG from its parent's count + 1
-    vectors and preconditions it with the parent's factor
-    (_two_grid_vectors); the extra mode lets each of its values be checked
-    against the parent's, so that a lost mode raises SolverError instead
-    of passing the gate as the wrong eigenvalue.
+    A lattice mesh, and a mesh in _study_parents, is solved by shift-invert
+    Lanczos on an LU factor of A + M.  Any other refined mesh starts LOBPCG
+    from its parent's count + 1 vectors and preconditions it with the
+    parent's factor (_two_grid_vectors); the extra mode lets each of its
+    values be checked against the parent's, so that a lost mode raises
+    SolverError instead of passing the gate as the wrong eigenvalue.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     parent = mesh.parent
-    if parent is None:
-        _last_level.clear()  # the previous factor goes before this one is made
-    else:
+    two_grid = parent is not None and mesh not in _study_parents
+    if two_grid:
         parent_mus, parent_vectors, _ = _pencil_solve(parent, count)
         coarse_lu = _coarse_factor(parent)
+    else:
+        _last_level.clear()  # the previous factor goes before this one is made
     op = assemble(mesh)
     if count + 3 >= op.dimension:
         raise ValueError("mesh too small for requested eigenvalue count")
     where = f"h={mesh.h:g}, ndof={op.dimension}"
-    if parent is None:
-        lu = _factor(op.shifted)
-        vectors = _lanczos_vectors(op, lu, count + 1, where)
-    else:
+    if two_grid:
         lu = None
         vectors = _two_grid_vectors(op, coarse_lu, _transfer(mesh), parent_vectors, where)
+    else:
+        lu = _factor(op.shifted)
+        vectors = _lanczos_vectors(op, lu, count + 1, where)
     mus, vectors, residuals = _checked_pairs(op, vectors, where)
-    if parent is not None and np.any(mus > parent_mus * (1.0 + _INDEX_SLACK)):
+    if two_grid and np.any(mus > parent_mus * (1.0 + _INDEX_SLACK)):
         raise SolverError(f"two-grid LOBPCG lost a mode: pencil values {mus} above "
                           f"the parent mesh's {parent_mus} ({where})")
     _last_level[mesh] = (op.shifted, lu)
@@ -567,16 +584,20 @@ def convergence_study(d: Domain, m: int, h_list) -> ConvergenceStudy:
     if any(h_list[i] <= h_list[i + 1] for i in range(len(h_list) - 1)):
         raise ValueError("mesh sizes must be strictly descending")
 
-    def lowest(k: int) -> float:
-        mesh = study_mesh(d, h_list, k)
+    def lowest(mesh: Mesh) -> float:
         if m == 0:
             res = eig_neumann_laplacian(mesh, 1)
         else:
             res = eig_polyharmonic_neumann(mesh, 1, m)
         return float(res.values[0])
 
-    values = tuple(lowest(k) for k in range(len(h_list)))
-    _last_level.clear()  # the finest mesh has no child to serve
+    meshes = [study_mesh(d, h_list, k) for k in range(len(h_list))]
+    _study_parents.update(mesh.parent for mesh in meshes if mesh.parent is not None)
+    try:
+        values = tuple(lowest(mesh) for mesh in meshes)
+    finally:
+        _study_parents.clear()
+        _last_level.clear()  # the finest mesh has no child to serve
 
     diffs = [values[i] - values[i + 1] for i in range(len(values) - 1)]
     monotone = all(d > 0 for d in diffs) or all(d < 0 for d in diffs)

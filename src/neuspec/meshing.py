@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import Delaunay
@@ -78,6 +79,20 @@ class Mesh:
 
     def min_angle_deg(self) -> float:
         return float(np.min(_triangle_angles(self.vertices, self.triangles)))
+
+    @cached_property
+    def _edges(self):
+        # _edge_numbering's result, made once: refine, the FEM assembly and
+        # the FEM transfer all read it
+        pairs = np.sort(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        # one integer key per vertex pair: a 1-D unique is far faster than a row-wise one
+        keys = pairs[:, 0].astype(np.int64) * len(self.vertices) + pairs[:, 1]
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        rank = np.empty(len(first), dtype=int)
+        rank[np.argsort(first)] = np.arange(len(first))
+        conn = rank[inverse.reshape(-1)].reshape(-1, 3)
+        conn.setflags(write=False)
+        return conn, len(first)
 
 
 def triangle_jacobians(verts: np.ndarray, tris: np.ndarray) -> np.ndarray:
@@ -211,14 +226,10 @@ def triangulate(d: Domain, h: float) -> Mesh:
 
 
 def _edge_numbering(mesh: Mesh):
-    """Indices of each triangle's edges 01, 12, 20, numbered by first appearance."""
-    pairs = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    # one integer key per vertex pair: a 1-D unique is far faster than a row-wise one
-    keys = pairs[:, 0].astype(np.int64) * len(mesh.vertices) + pairs[:, 1]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=int)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return rank[inverse.reshape(-1)].reshape(-1, 3), len(first)
+    """Indices of each triangle's edges 01, 12, 20, numbered by first
+    appearance, and the number of edges; computed once per mesh, and the
+    index array is read-only."""
+    return mesh._edges
 
 
 def refine(mesh: Mesh, d: Domain) -> Mesh:

@@ -12,7 +12,7 @@ from neuspec import geometry as geo
 from neuspec import meshing as msh
 from neuspec import quadrature
 from neuspec.ball import Ball, upsilon1_poly_ball
-from neuspec.corpus import corpus_domain
+from neuspec.corpus import CORPUS, corpus_domain
 from neuspec.meshing import Mesh, load_mesh, save_mesh
 from neuspec.quadrature import cached_mesh, study_mesh
 
@@ -153,6 +153,14 @@ class TestAssembly:
         assert conn.dtype == ref_conn.dtype
         assert np.array_equal(conn, ref_conn)
 
+    def test_edge_numbering_is_made_once_per_mesh(self, square):
+        coarse = msh.triangulate(square, 0.2)
+        conn, _ = fem._edge_numbering(coarse)
+        msh.refine(coarse, square)
+        fem.assemble(coarse)
+        assert fem._edge_numbering(coarse)[0] is conn
+        assert not conn.flags.writeable
+
 
 class TestLaplacianEigs:
     def test_square_mu1(self, square_mesh):
@@ -194,24 +202,54 @@ class TestLaplacianEigs:
         assert np.array_equal(r1.vectors, r2.vectors)
 
 
+def residual_norms(name):
+    """The solver's residuals, _residual_bounds of r = A v - mu M v, and
+    the exact ||r||_{M^-1} through a sparse LU of M, for the pairs of a
+    corpus domain's lattice mesh at 0.16 and its refinements at 0.08 and
+    0.04 (the finest solved by LOBPCG, the others as a study would)."""
+    from scipy.sparse.linalg import splu
+
+    d = corpus_domain(name)
+    h_list = (0.16, 0.08, 0.04)
+    fem.convergence_study(d, 1, h_list)
+    reported, bounds, exact = [], [], []
+    for k in range(3):
+        mesh = study_mesh(d, h_list, k)
+        op = fem.assemble(mesh)
+        mus, vecs, residuals = fem._pencil_solve(mesh, 1)
+        r = op.A @ vecs - (op.M @ vecs) * mus
+        reported.append(residuals)
+        bounds.append(fem._residual_bounds(op.M, r))
+        exact.append(np.sqrt(np.einsum("ij,ij->j", r, splu(op.M.tocsc()).solve(r))))
+    return np.concatenate(reported), np.concatenate(bounds), np.concatenate(exact)
+
+
+class TestResidualBound:
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_bound_brackets_the_exact_norm(self, name):
+        reported, bounds, exact = residual_norms(name)
+        assert np.array_equal(reported, bounds)
+        assert np.all(exact <= bounds), (exact, bounds)
+        assert np.all(bounds <= 2.3 * exact), (exact, bounds)
+
+    def test_bound_is_attained_on_one_element(self):
+        # on one triangle M = |J| R, and r = D^1/2 y with y the least
+        # eigenvector of D^-1/2 M D^-1/2 meets the bound with equality
+        mass = fem.assemble(single_triangle_mesh()).M
+        scale = np.sqrt(mass.diagonal())
+        y = np.linalg.eigh(mass.toarray() / np.outer(scale, scale))[1][:, :1]
+        r = scale[:, None] * y
+        exact = np.sqrt(r[:, 0] @ np.linalg.solve(mass.toarray(), r[:, 0]))
+        assert fem._residual_bounds(mass, r)[0] == pytest.approx(exact, rel=1e-12)
+
+    def test_doubled_constant_is_caught(self, monkeypatch):
+        doubled = 2.0 * fem._mass_jacobi_min()
+        monkeypatch.setattr(fem, "_mass_jacobi_min", lambda: doubled)
+        _, bounds, exact = residual_norms("ellipse-1.5")
+        assert np.any(bounds < exact)
+
+
 class TestMassSolve:
-    @pytest.mark.parametrize("columns", [1, 3])
-    def test_matches_sparse_direct_solve(self, columns):
-        from scipy.sparse.linalg import spsolve
-
-        op = fem.assemble(cached_mesh(corpus_domain("ellipse-1.5"), 0.08))
-        rhs = np.random.default_rng(2).standard_normal((op.dimension, columns))
-        want = spsolve(op.M.tocsc(), rhs).reshape(op.dimension, columns)
-        got = fem._mass_solve(op.M, rhs, "test")
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-    def test_iteration_cap_names_the_mesh(self, square, monkeypatch):
-        mesh = msh.triangulate(square, 0.1)  # a new mesh object misses the memo
-        ndof = fem.assemble(mesh).dimension
-        monkeypatch.setattr(fem, "_MASS_MAXITER", 2)
-        with pytest.raises(fem.SolverError, match=f"h=0.1, ndof={ndof}"):
-            fem._pencil_solve(mesh, 1)
-
     def test_one_factor_per_mesh(self, square, monkeypatch):
         factor, calls = fem._factor, []
 
@@ -314,6 +352,51 @@ class TestTwoGrid:
             fem._pencil_solve(msh.triangulate(d, 0.16), 1)
         assert most_alive[0] == 1
 
+    @pytest.mark.parametrize("name, h_list", [("ellipse-1.5", (0.16, 0.08, 0.04)),
+                                              ("square", (0.16, 0.08, 0.04, 0.02))])
+    def test_lobpcg_runs_once_on_the_finest_mesh(self, name, h_list, monkeypatch):
+        d = corpus_domain(name)
+        for cache in (quadrature.cached_mesh, quadrature._refined_mesh, fem._pencil_solve):
+            cache.cache_clear()
+        factor, lanczos, two_grid = fem._factor, fem._lanczos_vectors, fem._two_grid_vectors
+        paths, factored, alive, most_alive = [], [], [0], [0]
+
+        class TrackedFactor:
+            def __init__(self, mat):
+                self.lu = factor(mat)
+                alive[0] += 1
+
+            def solve(self, rhs):
+                return self.lu.solve(rhs)
+
+            def __del__(self):
+                alive[0] -= 1
+
+        def counting_factor(mat):
+            gc.collect()
+            most_alive[0] = max(most_alive[0], alive[0] + 1)
+            factored.append(mat.shape[0])
+            return TrackedFactor(mat)
+
+        def counting_lanczos(op, *args):
+            paths.append(("lanczos", op.dimension))
+            return lanczos(op, *args)
+
+        def counting_two_grid(op, *args):
+            paths.append(("lobpcg", op.dimension))
+            return two_grid(op, *args)
+
+        monkeypatch.setattr(fem, "_factor", counting_factor)
+        monkeypatch.setattr(fem, "_lanczos_vectors", counting_lanczos)
+        monkeypatch.setattr(fem, "_two_grid_vectors", counting_two_grid)
+        fem.convergence_study(d, 1, h_list)
+        ndofs = [fem.assemble(study_mesh(d, h_list, k)).dimension for k in range(len(h_list))]
+        assert paths == [("lanczos", n) for n in ndofs[:-1]] + [("lobpcg", ndofs[-1])]
+        assert factored == ndofs[:-1]
+        gc.collect()
+        assert most_alive[0] == 1 and alive[0] == 0
+        assert not fem._study_parents
+
     def test_double_value_on_the_disk(self):
         coarse, fine = refined_pair("disk", 0.08)
         mus = fem._pencil_solve(fine, 1)[0]
@@ -369,8 +452,27 @@ class TestTwoGrid:
         assert code == 1
         assert err.startswith("verify failed during fem convergence study: eigensolver "
                               "residuals")
-        assert "h=0.08" in err and "Warning" not in err
+        assert "h=0.04" in err and "Warning" not in err
         assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+
+
+class TestSmoother:
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_jacobi_weight_damps_the_stiffest_modes(self, name):
+        # a damped-Jacobi sweep scales a mode of D^-1 (A + M) with value
+        # lambda by 1 - omega lambda; omega lambda_max <= 1.8 keeps the
+        # stiffest modes shrinking by a factor of at least 0.8
+        from scipy.sparse.linalg import eigsh
+
+        d = corpus_domain(name)
+        for h_list in ((0.16, 0.08, 0.04), (0.08, 0.04, 0.02)):
+            for k in range(3):
+                shifted = fem.assemble(study_mesh(d, h_list, k)).shifted
+                scale = sp.diags(1.0 / np.sqrt(shifted.diagonal()))
+                v0 = np.random.default_rng(3).standard_normal(shifted.shape[0])
+                lam_max = eigsh(scale @ shifted @ scale, k=1, which="LA", v0=v0, tol=1e-8,
+                                return_eigenvectors=False)[0]
+                assert fem._JACOBI_WEIGHT * lam_max <= 1.8, (h_list[k], lam_max)
 
 
 class TestPolyharmonicEigs:
