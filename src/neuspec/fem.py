@@ -316,13 +316,9 @@ def _transfer(mesh: Mesh) -> sp.csr_matrix:
         blocks.append(((m[:, i], m[:, j]), (m[:, i], m[:, j], m[:, k], v[:, i], v[:, k]),
                        (0.5, 0.5, 0.25, -0.125, -0.125)))
 
-    # the child's edge ids, looked up by their vertex pairs in a sorted table
+    # the child's edge ids, looked up by their vertex pairs in its sorted table
     n_child = len(mesh.vertices)
-    child_conn, n_child_edges = _edge_numbering(mesh)
-    pairs = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    keys = pairs[:, 0].astype(np.int64) * n_child + pairs[:, 1]
-    order = np.argsort(keys)
-    keys, edge_ids = keys[order], child_conn.ravel()[order]
+    _, n_child_edges, keys, edge_ids = mesh._edges
     parent_dofs = np.arange(nv + n_edges)
     rows, cols, vals = [parent_dofs], [parent_dofs], [np.ones(nv + n_edges)]
     for (p, q), dofs, weights in blocks:

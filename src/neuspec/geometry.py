@@ -84,6 +84,37 @@ def _segment(a, b) -> _Piece:
     return _Piece(at, straight=True)
 
 
+# samples of a piece in the search for its crossings with a circle, and
+# the Newton steps that refine each one
+_CROSSING_SAMPLES = 32
+_CROSSING_STEPS = 4
+
+
+def _crossings(piece: _Piece, x0, radius: float) -> np.ndarray:
+    """Sorted t in (0, 1) where the piece crosses the circle |x - x0| = radius.
+
+    Sign changes of f(t) = |b(t) - x0|^2 - radius^2 on _CROSSING_SAMPLES
+    intervals, each refined from its secant point by Newton steps kept in
+    its bracket.  Two crossings in one interval (a near tangency, where
+    the piece barely enters the circle) go unseen.
+    """
+    def f(t):
+        b, db = piece.at(t)
+        dx = b - np.asarray(x0, dtype=float)[None, :]
+        return (np.einsum("ij,ij->i", dx, dx) - radius * radius,
+                2.0 * np.einsum("ij,ij->i", dx, db))
+
+    grid = np.linspace(0.0, 1.0, _CROSSING_SAMPLES + 1)
+    vals = f(grid)[0]
+    i = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
+    lo, hi = grid[i], grid[i + 1]
+    t = lo + (hi - lo) * vals[i] / (vals[i] - vals[i + 1])
+    for _ in range(_CROSSING_STEPS):
+        ft, dft = f(t)
+        t = np.clip(t - np.divide(ft, dft, out=np.zeros_like(ft), where=dft != 0.0), lo, hi)
+    return np.sort(np.concatenate([t, grid[1:-1][vals[1:-1] == 0.0]]))
+
+
 @dataclass(frozen=True)
 class Domain:
     """Base type for planar domains; use the concrete shapes below.
@@ -123,7 +154,7 @@ class Domain:
         pts = self.boundary_at(np.arange(512) / 512.0)[0]
         return pts[ConvexHull(pts).vertices]
 
-    def boundary_rule(self, n: int):
+    def boundary_rule(self, n: int, x0, radius: float):
         """(b, db, w): boundary points b(t), tangents b'(t) and weights in t.
 
         sum_i w_i f(b_i, db_i) approximates the sum over the pieces of
@@ -131,7 +162,8 @@ class Domain:
         counterclockwise round the boundary.  A periodic piece takes the
         periodic trapezoid rule on _PERIODIC_NODES * n nodes times its
         node factor, which converges geometrically there; any other piece
-        takes one n-point Gauss panel.
+        takes one n-point Gauss panel per stretch between its crossings
+        with the circle |x - x0| = radius, where f may lose smoothness.
         """
         parts = []
         for piece in self.pieces():
@@ -139,7 +171,10 @@ class Domain:
                 m = _PERIODIC_NODES * n * piece.nodes
                 t, w = np.arange(m) / m, np.full(m, 1.0 / m)
             else:
+                cuts = np.concatenate([[0.0], _crossings(piece, x0, radius), [1.0]])
                 t, w = gauss_legendre(n)
+                t = (cuts[:-1, None] + np.diff(cuts)[:, None] * t).ravel()
+                w = (np.diff(cuts)[:, None] * w).ravel()
             parts.append((*piece.at(t), w))
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 

@@ -24,6 +24,8 @@ from functools import lru_cache
 import numpy as np
 import numpy.typing as npt
 from scipy.special import gamma as _gamma
+from scipy.special import j0 as _j0
+from scipy.special import j1 as _j1
 from scipy.special import jv as _jv
 
 __all__ = [
@@ -31,7 +33,6 @@ __all__ = [
     "bessel_j_prime",
     "RadialProfile",
     "radial_profile_eval",
-    "radial_profile_value",
     "radial_profile_second",
     "first_radial_deriv_zero",
     "radial_deriv_zeros",
@@ -167,8 +168,12 @@ class RadialProfile:
         return self.scale * self.scale
 
 
-def _profile_argument(p: RadialProfile, r):
-    """The checked radii as an array, and x = s*r as a 1-d array."""
+def radial_profile_eval(p: RadialProfile, r):
+    """Evaluate the profile and its derivative, ``(g(r), g'(r))``.
+
+    Accepts scalars or arrays; r = 0 returns the analytic limits
+    (0, scale/n) taken from the leading series coefficient.
+    """
     if not isinstance(p, RadialProfile):
         raise TypeError("expected a RadialProfile")
     r_arr = np.asarray(r, dtype=float)
@@ -176,16 +181,7 @@ def _profile_argument(p: RadialProfile, r):
         raise ValueError("radius must be finite")
     if np.any(r_arr < 0.0):
         raise ValueError("radius must be >= 0")
-    return r_arr, p.scale * np.atleast_1d(r_arr)
-
-
-def radial_profile_eval(p: RadialProfile, r):
-    """Evaluate the profile and its derivative, ``(g(r), g'(r))``.
-
-    Accepts scalars or arrays; r = 0 returns the analytic limits
-    (0, scale/n) taken from the leading series coefficient.
-    """
-    r_arr, x = _profile_argument(p, r)
+    x = p.scale * np.atleast_1d(r_arr)
     n, s = p.n, p.scale
     a = (n - 2) / 2.0
     nu = n / 2.0
@@ -201,8 +197,10 @@ def radial_profile_eval(p: RadialProfile, r):
     big = ~small
     if np.any(big):
         xb = x[big]
-        jb = _jv(nu, xb)
-        jpb = 0.5 * (_jv(nu - 1.0, xb) - _jv(nu + 1.0, xb))
+        # scipy's J_0 and J_1 cost a fiftieth of jv's; J_nu' = J_(nu-1) - (nu/x) J_nu
+        # (DLMF 10.6.2)
+        jm, jb = (_j0(xb), _j1(xb)) if n == 2 else (_jv(nu - 1.0, xb), _jv(nu, xb))
+        jpb = jm - nu * jb / xb
         w = xb ** (-a)
         g[big] = c * w * jb
         gp[big] = c * s * w * (jpb - a * jb / xb)
@@ -210,24 +208,6 @@ def radial_profile_eval(p: RadialProfile, r):
     if np.ndim(r) == 0:
         return float(g[0]), float(gp[0])
     return g.reshape(r_arr.shape), gp.reshape(r_arr.shape)
-
-
-def radial_profile_value(p: RadialProfile, r):
-    """The profile alone, g(r): the same values as
-    ``radial_profile_eval(p, r)[0]`` from the same expressions, without the
-    two Bessel orders the derivative needs."""
-    r_arr, x = _profile_argument(p, r)
-    n = p.n
-    a = (n - 2) / 2.0
-    g = np.empty_like(x)
-    small = x < _SERIES_SWITCH
-    if np.any(small):
-        g[small] = _profile_series(n, x[small])[0]
-    big = ~small
-    if np.any(big):
-        xb = x[big]
-        g[big] = _profile_constant(n) * xb ** (-a) * _jv(n / 2.0, xb)
-    return float(g[0]) if np.ndim(r) == 0 else g.reshape(r_arr.shape)
 
 
 def radial_profile_second(p: RadialProfile, r):

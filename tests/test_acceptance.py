@@ -101,32 +101,29 @@ def test_criterion_3_strict_inequality_ellipses(ellipse_reports):
 
 
 def test_criterion_4_quotient_identity_corpus():
-    """Both quotient evaluations match the ball value on every corpus domain."""
-    worst_id = worst_quad = 0.0
+    """The certificate's quotient is the ball value on the disk and resolved
+    on every corpus domain."""
+    worst_quad = 0.0
     for name in CORPUS:
         d = corpus_domain(name)
-        m = 2 if name == "triangle" else 1  # exercise a higher power once
-        q = trial.trial_quotient(d, m)
-        expect = upsilon1_poly_ball(
-            Ball(2, d.equal_area_radius()), m
-        )
-        worst_id = max(worst_id, abs(q.identity - expect) / expect)
-        worst_quad = max(worst_quad, abs(q.quadrature - q.identity) / q.identity)
-    assert worst_id <= 1e-14
+        q = trial.trial_quotient(d)
+        worst_quad = max(worst_quad, q.error / q.value)
+    disk = corpus_domain("disk")
+    mu_ball = mu1_ball(Ball(2, disk.equal_area_radius()))
+    disk_err = abs(trial.trial_quotient(disk).value - mu_ball) / mu_ball
+    assert disk_err <= 1e-14
     assert worst_quad <= 1e-6
     print(
-        f"\nACCEPTANCE 4 PASS: quotient identity within {worst_id:.2e} (<=1e-14), "
-        f"quadrature path within {worst_quad:.2e} (<=1e-6) across the corpus"
+        f"\nACCEPTANCE 4 PASS: disk quotient within {disk_err:.2e} (<=1e-14) of mu1(B), "
+        f"quotient error within {worst_quad:.2e} (<=1e-6) across the corpus"
     )
 
 
 def test_criterion_5_centering_on_triangle():
     """Centering solver: residuals and rotation equivariance on the triangle."""
     tri = corpus_domain("triangle")
-    p = trial._profile(tri)
     center = trial.find_center(tri)
-    pts, w = trial._fan(tri, trial._FAN_NODES)
-    v, scale = trial._field_and_scale(p, pts, w, center)
+    v, scale, _, _ = trial._moments(trial._profile(tri), *trial._fan(tri, center, trial._FAN_NODES))
     field_res = float(np.hypot(*v)) / scale
     assert field_res < 1e-10
     assert abs(v[0]) / scale < 1e-8 and abs(v[1]) / scale < 1e-8

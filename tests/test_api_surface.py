@@ -15,7 +15,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "neuspec"
 ACCEPTANCE_ONLY = {
     "bessel_j": "test_acceptance.py::test_criterion_9_special_function_suites",
     "bessel_j_prime": "test_acceptance.py::test_criterion_9_special_function_suites",
-    "radial_profile_eval": "test_acceptance.py::test_criterion_9_special_function_suites",
     "radial_profile_second": "test_acceptance.py::test_criterion_9_special_function_suites",
     "upsilon1_ball": "test_acceptance.py (EXACT_UPS1, the paper's value on the unit disk)",
 }

@@ -152,23 +152,6 @@ class TestRadialProfile:
             x = p.scale * r
             assert g == pytest.approx(series_bessel_j(1, x), rel=1e-13)
 
-    @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_value_alone_matches_eval_exactly(self, n):
-        # series branch below s*r = 0.5, Bessel branch above, and r = 0
-        p = sp.RadialProfile.for_ball(n, 1.3)
-        r = np.concatenate([[0.0], np.linspace(1e-9, 0.45 / p.scale, 23),
-                            np.linspace(0.55 / p.scale, 2.0, 41)])
-        assert np.any(p.scale * r < 0.5) and np.any(p.scale * r > 0.5)
-        got = sp.radial_profile_value(p, r)
-        assert np.array_equal(got, sp.radial_profile_eval(p, r)[0])
-        assert got.shape == r.shape
-        for x in (0.0, 0.1, 1.7):
-            g = sp.radial_profile_value(p, x)
-            assert isinstance(g, float) and g == sp.radial_profile_eval(p, x)[0]
-        assert sp.radial_profile_value(p, 0.0) == 0.0
-        with pytest.raises(ValueError):
-            sp.radial_profile_value(p, -1.0)
-
     def test_invalid_pairing_rejected(self):
         with pytest.raises(ValueError):
             sp.RadialProfile(2, 1.0, 1.0)  # g'(1) far from zero at scale 1

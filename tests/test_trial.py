@@ -3,20 +3,17 @@ import math
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 from conftest import moved_polygon
-from scipy.special import jv
 
-from neuspec import cli, quadrature, trial
+from neuspec import cli, fem, quadrature, trial
 from neuspec import geometry as geo
-from neuspec.corpus import CORPUS
+from neuspec.corpus import CORPUS, corpus_domain
 from neuspec.ball import Ball, upsilon1_ball, upsilon1_poly_ball
-from neuspec.special import radial_profile_value
+from neuspec.special import radial_profile_eval
 
 
 @pytest.fixture(scope="module")
@@ -24,14 +21,14 @@ def triangle():
     return geo.Polygon(((0, 0), (2, 0), (0.4, 1.1)))
 
 
-def _field(d, x0, p=None):
-    """Centering field int (x - x0) G(|x - x0|)/|x - x0| dx, on the
-    quadrature find_center uses."""
-    if p is None:
-        p = trial._profile(d)
-    pts, w = trial._fan(d, trial._FAN_NODES)
-    v, _ = trial._field_and_scale(p, pts, w, np.asarray(x0, dtype=float))
-    return v
+def _field_and_scale(d, x0, n=trial._FAN_NODES):
+    """Centering field int g(r) (x - x0)/r dx and its scale int |g| dx, on
+    the quadrature find_center uses."""
+    return trial._moments(trial._profile(d), *trial._fan(d, x0, n))[:2]
+
+
+def _field(d, x0):
+    return _field_and_scale(d, x0)[0]
 
 
 L_SHAPE = "polygon:0,0;2,0;2,1;1,1;1,2;0,2"
@@ -42,16 +39,43 @@ class TestFan:
     @pytest.mark.parametrize("spec", [*CORPUS.values(), L_SHAPE, THIN_L, "superellipse:1,1,40"])
     def test_weights_sum_to_area(self, spec):
         d = geo.parse_domain(spec)
-        _, w = trial._fan(d, trial._FAN_NODES)
+        _, w = trial._fan(d, d.centroid(), trial._FAN_NODES)
         assert abs(float(np.sum(w)) - d.area()) <= 1e-13 * d.area()
 
-    def test_center_outside_the_domain(self, monkeypatch):
-        # from (3, 3), outside the thin L, the weights change sign
+    def test_center_outside_the_domain(self):
+        # about (3, 3), outside the thin L, the weights change sign
         d = geo.parse_domain(THIN_L)
-        monkeypatch.setattr(geo.Polygon, "centroid", lambda self: np.array([3.0, 3.0]))
-        _, w = trial._fan.__wrapped__(d, trial._FAN_NODES)
+        _, w = trial._fan(d, (3.0, 3.0), trial._FAN_NODES)
         assert np.any(w < 0)
         assert abs(float(np.sum(w)) - d.area()) <= 1e-13 * d.area()
+
+    def test_rays_split_on_the_circle(self, triangle):
+        # every ray's nodes lie on one side of |x - x0| = R per stretch, so
+        # no Gauss stretch straddles the circle where g'' jumps
+        x0 = trial.find_center(triangle)
+        n = trial._FAN_NODES
+        dx, _ = trial._fan(triangle, x0, n)
+        r = np.hypot(dx[:, 0], dx[:, 1])
+        inside = (r < triangle.equal_area_radius()).reshape(-1, n)
+        assert np.all(inside.all(axis=1) | ~inside.any(axis=1))
+
+    def test_crossings_of_a_segment(self):
+        # |a + t (b - a) - x0|^2 = R^2 is a quadratic in t
+        piece = geo._segment((-2.0, 0.5), (2.0, 0.5))
+        t = geo._crossings(piece, np.array([0.3, 0.0]), 1.0)
+        exact = (np.array([-1.0, 1.0]) * math.sqrt(0.75) + 2.3) / 4.0
+        assert np.allclose(t, exact, rtol=0, atol=1e-15)
+        assert len(geo._crossings(piece, np.array([0.0, 3.0]), 1.0)) == 0
+
+    def test_panels_split_at_the_crossings(self, triangle):
+        x0 = trial.find_center(triangle)
+        radius = triangle.equal_area_radius()
+        n = 12
+        b, _, w = triangle.boundary_rule(n, x0, radius)
+        assert abs(w.sum() - 3.0) <= 1e-14  # one unit of t per edge
+        inside = (np.hypot(*(b - x0).T) < radius).reshape(-1, n)
+        assert len(inside) > 3  # some edge crosses the circle
+        assert np.all(inside.all(axis=1) | ~inside.any(axis=1))
 
     def test_certificate_builds_no_mesh(self, monkeypatch):
         calls = []
@@ -72,9 +96,8 @@ class TestFan:
 class TestHopfField:
     def test_disk_center_is_zero(self):
         d = geo.Disk((0, 0), 1.0)
-        p = trial._profile(d)
-        v = _field(d, (0.0, 0.0), p)
-        scale = math.pi * 0.3  # order of int |G|
+        v = _field(d, (0.0, 0.0))
+        scale = math.pi * 0.3  # order of int |g|
         assert np.hypot(*v) < 1e-10 * scale
 
     def test_ellipse_origin_is_zero(self):
@@ -83,12 +106,11 @@ class TestHopfField:
         assert np.hypot(*v) < 1e-10
 
     def test_translation_equivariance(self, triangle):
-        p = trial._profile(triangle)
         x0 = (0.7, 0.4)
-        v0 = _field(triangle, x0, p)
+        v0 = _field(triangle, x0)
         shift = ((17.0, -3.0))
         moved = moved_polygon(triangle, shift=shift)
-        v1 = _field(moved, (x0[0] + shift[0], x0[1] + shift[1]), p)
+        v1 = _field(moved, (x0[0] + shift[0], x0[1] + shift[1]))
         assert np.allclose(v0, v1, rtol=0, atol=1e-12)
 
     def test_off_center_field_points_inward(self):
@@ -110,16 +132,12 @@ class TestFindCenter:
 
     def test_triangle_center(self, triangle):
         c = trial.find_center(triangle)
-        p = trial._profile(triangle)
-        pts, w = trial._fan(triangle, trial._FAN_NODES)
-        v, scale = trial._field_and_scale(p, pts, w, c)
+        v, scale = _field_and_scale(triangle, c)
         assert np.hypot(*v) / scale < 1e-10
         assert triangle.contains(np.array([c]))[0]
 
     def test_triangle_center_matches_grid_scan(self, triangle):
         c = trial.find_center(triangle)
-        p = trial._profile(triangle)
-        pts, w = trial._fan(triangle, trial._FAN_NODES)
         xs = np.linspace(0.1, 1.8, 30)
         ys = np.linspace(0.05, 1.0, 30)
         best = (np.inf, None)
@@ -127,7 +145,7 @@ class TestFindCenter:
             for y in ys:
                 if not triangle.contains(np.array([[x, y]]))[0]:
                     continue
-                v, scale = trial._field_and_scale(p, pts, w, np.array([x, y]))
+                v, scale = _field_and_scale(triangle, (x, y), 12)
                 r = np.hypot(*v) / scale
                 if r < best[0]:
                     best = (r, (x, y))
@@ -148,10 +166,8 @@ class TestFindCenter:
         assert np.hypot(*(c1 - rc)) < 1e-10
 
     def test_mean_zero_after_centering(self, triangle):
-        p = trial._profile(triangle)
         c = trial.find_center(triangle)
-        pts, w = trial._fan(triangle, trial._FAN_NODES)
-        v, scale = trial._field_and_scale(p, pts, w, c)
+        v, scale = _field_and_scale(triangle, c)
         assert abs(v[0]) / scale < 1e-8
         assert abs(v[1]) / scale < 1e-8
 
@@ -164,190 +180,116 @@ class TestFindCenter:
 
         monkeypatch.setattr(geo, "ConvexHull", counting_hull)
         trial.find_center.cache_clear()
+        trial.trial_quotient.cache_clear()
         d = geo.Ellipse(1.3, 0.7)
         for m in (1, 2):
             assert trial.certify_upper_bound(d, m).valid
         assert calls == [512]
 
 
-class TestTrialQuotient:
-    def test_disk_m1_paths_agree(self):
-        d = geo.Disk((0, 0), 1.0)
-        q = trial.trial_quotient(d, 1)
-        exact = upsilon1_ball(Ball(2, 1.0))
-        assert q.identity == pytest.approx(exact, rel=1e-14)
-        assert q.identity == pytest.approx(11.49182, abs=2e-5)
-        assert q.quadrature == pytest.approx(q.identity, rel=1e-8)
+def _unclamped(p, r):
+    """g(r) = J_1(s r) on the whole plane: not held constant past R."""
+    return radial_profile_eval(p, r)
 
-    def test_area_pi_domains_share_quotient(self):
-        disk_q = trial.trial_quotient(geo.Disk((0, 0), 1.0), 1)
-        ell_q = trial.trial_quotient(geo.Ellipse(1.5, 2 / 3), 1)
-        assert ell_q.identity == pytest.approx(disk_q.identity, rel=1e-12)
+
+def _wrong_scale(p, r):
+    """J_1(1.05 s min(r, R)), constant past R: g'(R) != 0, yet g is in H^1."""
+    g, dg = radial_profile_eval(p, 1.05 * np.minimum(r, p.radius))
+    return g, np.where(r < p.radius, 1.05 * dg, 0.0)
+
+
+@pytest.fixture
+def fresh_quotients():
+    """Forget every memoized center and quotient before and after the test."""
+    memos = (trial.find_center, trial.trial_quotient)
+    for fn in memos:
+        fn.cache_clear()
+    yield
+    for fn in memos:
+        fn.cache_clear()
+
+
+class TestTrialQuotient:
+    # Q / mu1(B) per corpus shape, from an independent prototype of the
+    # same quotient
+    RATIOS = {"ellipse-1.2": 0.99608, "ellipse-1.5": 0.97879, "ellipse-2.0": 0.93503,
+              "stadium": 0.94474, "square": 0.98979, "triangle": 0.90391}
+
+    def test_disk_is_the_ball_value(self):
+        q = trial.trial_quotient(geo.Disk((0, 0), 1.0))
+        mu = trial._profile(geo.Disk((0, 0), 1.0)).mu1
+        assert abs(q.value - mu) <= 1e-14 * mu
+        assert q.value ** 2 == pytest.approx(upsilon1_ball(Ball(2, 1.0)), rel=1e-14)
+
+    @pytest.mark.parametrize("name", list(RATIOS))
+    def test_corpus_ratios(self, name):
+        d = corpus_domain(name)
+        q = trial.trial_quotient(d)
+        assert q.value / trial._profile(d).mu1 == pytest.approx(self.RATIOS[name], abs=1e-5)
+
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_between_the_fem_value_and_the_ball(self, name):
+        # mu1 <= Q (Q is a Rayleigh quotient) and Q <= mu1(B) (Szego-Weinberger);
+        # mu1 = Upsilon^(1/2) from the FEM study of Delta^2
+        d = corpus_domain(name)
+        study = fem.convergence_study(d, 1, (0.16, 0.12, 0.08))
+        q = trial.trial_quotient(d).value
+        mu_ball = trial._profile(d).mu1
+        assert math.sqrt(study.best - study.error_bar) <= q <= mu_ball * (1 + 1e-14)
 
     def test_ellipse_m2(self):
-        q = trial.trial_quotient(geo.Ellipse(1.5, 2 / 3), 2)
-        assert q.identity == pytest.approx(132.062, abs=2e-3)
-        assert q.quadrature == pytest.approx(q.identity, rel=1e-6)
+        # the one quotient, squared twice, certifies Delta^4 below the disk's value
+        cert = trial.certify_upper_bound(geo.Ellipse(1.5, 2 / 3), 2)
+        assert cert.bound == pytest.approx(132.062, abs=2e-3)
+        assert cert.certified == (cert.quotient + cert.quotient_error) ** 4
+        assert cert.valid and cert.strict and cert.certified < 0.99 * cert.bound
 
-    def test_profile_identity_pointwise(self):
-        # the operator expansion reproduces -mu1 * G pointwise
+    def test_triangle_error_estimate(self):
+        # needs the boundary panels split where the circle |x - x0| = R
+        # crosses them; with the rays split alone it reads 5e-5
+        d = corpus_domain("triangle")
+        q = trial.trial_quotient(d)
+        assert q.error <= 1e-6 * q.value
+
+    def test_corpus_error_estimates(self):
+        for name in CORPUS:
+            q = trial.trial_quotient(corpus_domain(name))
+            assert trial._ROUNDING * q.value <= q.error <= 1e-7 * q.value, name
+
+    @pytest.mark.parametrize("name, spoil, ratio", [
+        ("disk", _wrong_scale, 1.0022), ("triangle", _unclamped, 1.0330)])
+    def test_spoiled_profiles_are_invalid(self, monkeypatch, fresh_quotients, name, spoil, ratio):
+        # a wrong s on a non-disk shape still gives a true upper bound, so
+        # only the disk is asked to reject it
+        monkeypatch.setattr(trial, "_profile_values", spoil)
+        d = corpus_domain(name)
+        q = trial.trial_quotient(d)
+        assert q.value / trial._profile(d).mu1 == pytest.approx(ratio, abs=1e-4)
+        for m in range(1, 5):
+            cert = trial.certify_upper_bound(d, m)
+            assert not cert.valid and not cert.strict, m
+
+    def test_mean_term_keeps_a_rayleigh_quotient(self, monkeypatch, fresh_quotients):
+        # about an off-center point the pair has a mean, which the quotient
+        # subtracts: it then still lies above the disk's mu1
         d = geo.Disk((0, 0), 1.0)
-        p = trial._profile(d)
-        terms = trial._profile_terms(p)
-        terms = trial._apply_radial_operator(terms, p.n, p.scale)
-        r = np.linspace(0.01, 1.4, 57)
-        lg = trial._Expansion(terms, p).values(trial._RadialTable(p, r))
-        g = radial_profile_value(p, r)
-        assert np.allclose(lg, -p.mu1 * g, rtol=1e-11, atol=1e-13)
-
-    def test_small_radius_cancellation_guard(self):
-        # iterated operator at tiny radii routes through the exact Taylor expansion
-        d = geo.Disk((0, 0), 1.0)
-        p = trial._profile(d)
-        terms = trial._profile_terms(p)
-        for _ in range(2):
-            terms = trial._apply_radial_operator(terms, p.n, p.scale)
-        r = np.array([1e-7, 1e-5, 1e-3])
-        lg = trial._Expansion(terms, p).values(trial._RadialTable(p, r))
-        g = radial_profile_value(p, r)
-        assert np.allclose(lg, p.mu1**2 * g, rtol=1e-9)
-
-    @pytest.mark.parametrize("m", [3, 4])
-    def test_tiny_radii_follow_the_profile(self, m):
-        # the double sum cancels by about r^(-2m) here; the series does not
-        d = geo.Disk((0, 0), 1.0)
-        p = trial._profile(d)
-        terms = trial._profile_terms(p)
-        for _ in range(m):
-            terms = trial._apply_radial_operator(terms, p.n, p.scale)
-        r = np.array([1e-12, 1e-9, 1e-7, 1e-5])
-        g = radial_profile_value(p, r)
-        together = trial._Expansion(terms, p).values(trial._RadialTable(p, r))
-        one_by_one = np.concatenate([
-            trial._Expansion(terms, p).values(trial._RadialTable(p, r[i:i + 1])) for i in range(4)])
-        for lg in (together, one_by_one):
-            assert np.allclose(lg, (-p.mu1) ** m * g, rtol=1e-12, atol=0)
-
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_quadrature_points_follow_the_profile(self, m):
-        # every point of the certificate's main fan, flagged or not
-        for d in (geo.Disk((0, 0), 1.0), geo.Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))):
-            p = trial._profile(d)
-            terms = trial._profile_terms(p)
-            for _ in range(m):
-                terms = trial._apply_radial_operator(terms, p.n, p.scale)
-            pts, _ = trial._fan(d, trial._FAN_NODES)
-            c = d.centroid()
-            r = np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1])
-            g = radial_profile_value(p, r)
-            lg = trial._Expansion(terms, p).values(trial._RadialTable(p, r))
-            assert np.allclose(lg, (-p.mu1) ** m * g, rtol=1e-12, atol=0), d
-
-    def test_flagged_quadrature_points_match_mpmath(self):
-        # disk m=4: compare near-center values with a per-point 50-digit sum
-        d = geo.Disk((0, 0), 1.0)
-        p = trial._profile(d)
-        s = p.scale
-        terms = trial._profile_terms(p)
-        for _ in range(4):
-            terms = trial._apply_radial_operator(terms, p.n, s)
-        pts, _ = trial._fan(d, trial._FAN_NODES)
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        lg = trial._Expansion(terms, p).values(trial._RadialTable(p, r))
-        # n = 2: a = 0, nu = 1; points that lose 9 digits, all of them flagged
-        vals = np.array([float(c) * r**dp * jv(1 + dc, s * r) for (dp, dc), c in terms.items()])
-        flagged = np.nonzero(np.abs(vals).sum(0) > 1e9 * np.abs(vals.sum(0)))[0]
-        flagged = flagged[np.argsort(r[flagged])]
-        assert len(flagged) >= 20
-        with mpmath.workdps(50):
-            for i in flagged[np.linspace(0, len(flagged) - 1, 20).astype(int)]:
-                rr = mpmath.mpf(float(r[i]))
-                ref = float(sum(c * rr**dp * mpmath.besselj(1 + dc, s * rr)
-                                for (dp, dc), c in terms.items()))
-                assert abs(lg[i] - ref) <= 1e-13 * abs(ref), r[i]
-
-    @pytest.mark.parametrize("r_max", [1e-3, 0.05, 0.3])
-    def test_taylor_coefficients_are_exact(self, r_max):
-        # L J_1(s r) = -s^2 J_1(s r), so the exact expansion of L^m G is that
-        # of (-s^2)^m J_1(s r): odd powers from r^1, each rounded once
-        for d in (geo.Disk((0, 0), 1.0), geo.Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))):
-            p = trial._profile(d)
-            s = Fraction(p.scale)
-            terms = trial._profile_terms(p)
-            for m in range(1, 9):
-                terms = trial._apply_radial_operator(terms, p.n, p.scale)
-                coeffs = trial._Expansion(terms, p).taylor(r_max)
-                assert sorted(coeffs) == list(range(1, max(coeffs) + 1, 2)), (d, m)
-                for e, c in coeffs.items():
-                    j = (e - 1) // 2
-                    exact = ((-s * s) ** m * (-1) ** j * (s / 2) ** e
-                             / (math.factorial(j) * math.factorial(j + 1)))
-                    assert c == float(exact), (d, m, e)
-
-    def test_one_expansion_serves_every_cut(self):
-        # both fans of a quotient cut one set of exact sums at their own
-        # radii: in either order each cut matches a fresh expansion's
-        cuts = [1e-6, 1e-3, 0.05, 0.3, 1.0]
-        for d in (geo.Disk((0, 0), 1.0), geo.Ellipse(1.5, 2 / 3)):
-            p = trial._profile(d)
-            terms = trial._profile_terms(p)
-            for m in range(1, 9):
-                terms = trial._apply_radial_operator(terms, p.n, p.scale)
-                fresh = {r: trial._Expansion(terms, p).taylor(r) for r in cuts}
-                for order in (cuts, cuts[::-1]):
-                    shared = trial._Expansion(terms, p)
-                    assert {r: shared.taylor(r) for r in order} == fresh, (d, m)
+        monkeypatch.setattr(trial, "find_center", lambda d: np.array([0.3, 0.0]))
+        q = trial.trial_quotient(d)
+        assert q.field_residual > 1e-2
+        assert q.value > trial._profile(d).mu1
+        assert not trial.certify_upper_bound(d, 1).valid
 
     def test_invalid_power(self):
         with pytest.raises(ValueError):
-            trial.trial_quotient(geo.Disk((0, 0), 1.0), 0)
+            trial.certify_upper_bound(geo.Disk((0, 0), 1.0), 0)
 
-    @pytest.mark.parametrize("m", [5, 8])
-    def test_orders_above_the_table_top(self, m):
-        # m > 4 asks for orders above the recurrence's top, evaluated directly
-        for d in (geo.Disk((0, 0), 1.0), geo.Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))):
-            q = trial.trial_quotient(d, m)
-            assert q.quadrature == pytest.approx(q.identity, rel=1e-12), d
-
-
-class TestRadialTable:
-    def test_low_orders_from_two_direct_calls(self, monkeypatch):
-        calls = []
-
-        def counting_jv(k, x):
-            calls.append(k)
-            return jv(k, x)
-
-        monkeypatch.setattr(trial, "_jv", counting_jv)
-        p = trial._profile(geo.Disk((0, 0), 1.0))
-        table = trial._RadialTable(p, np.linspace(0.0, 1.0, 101))
-        for k in range(10):
-            table.bessel(float(k))
-        assert len(calls) == 2
-        table.bessel(11.0)
-        assert len(calls) == 3
-
-    def test_columns_match_mpmath(self):
-        p = trial._profile(geo.Disk((0, 0), 1.0))
-        x = np.geomspace(1e-8, 10.0, 161)
-        table = trial._RadialTable(p, x / p.scale)
-        cols = np.array([table.bessel(float(k)) for k in range(10)])
-        xs = p.scale * table.r  # the arguments the table evaluated
-        with mpmath.workdps(40):
-            for i, xi in enumerate(xs):
-                ref = np.array([float(mpmath.besselj(k, mpmath.mpf(float(xi)))) for k in range(10)])
-                assert np.max(np.abs(cols[:, i] - ref)) <= 1e-14 * np.max(np.abs(ref)), xi
-
-    def test_underflow_falls_back_to_direct_values(self):
-        p = trial._profile(geo.Polygon(((0, 0), (1, 0), (1, 1), (0, 1))))
-        table = trial._RadialTable(p, np.array([1e-40, 1e-33, 0.3]))
-        x = p.scale * table.r[:2]
-        assert jv(9, x[1]) == 0.0  # scipy's J_9 underflows at both radii
-        for k in range(10):
-            col = table.bessel(float(k))
-            assert np.all(np.isfinite(col))
-            assert np.array_equal(col[:2], jv(k, x)), k
-
+    def test_one_quotient_serves_every_power(self, fresh_quotients):
+        d = corpus_domain("square")
+        certs = [trial.certify_upper_bound(d, m) for m in range(1, 5)]
+        assert trial.trial_quotient.cache_info().misses == 1
+        assert {c.quotient for c in certs} == {certs[0].quotient}
+        for m, c in enumerate(certs, start=1):
+            assert c.certified == (c.quotient + c.quotient_error) ** (2 * m)
 
 class TestCertificate:
     def test_disk_certificate(self):
@@ -375,40 +317,22 @@ class TestCertificate:
         assert cert.bound == upsilon1_poly_ball(Ball(2, r), 2)
         assert cert.valid
 
-    def test_spoiled_operator_is_invalid(self, monkeypatch):
-        # without its -(n-1)/r^2 term the operator inflates the quadrature
-        # error estimate along with the quotient, which must not widen the gate
-        exact = trial._apply_radial_operator
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_corpus_certificates(self, name):
+        # valid at every power; strict below the bound except on the disk
+        d = corpus_domain(name)
+        for m in range(1, 5):
+            cert = trial.certify_upper_bound(d, m)
+            assert cert.valid, (name, m)
+            assert cert.strict == (name != "disk"), (name, m)
+            assert (cert.certified < cert.bound) == cert.strict, (name, m)
 
-        def spoiled(terms, n, s):
-            out = exact(terms, n, s)
-            for key, coef in trial._terms_shift(terms, -2, n - 1).items():
-                out[key] = out.get(key, 0) + coef
-            return out
-
-        monkeypatch.setattr(trial, "_apply_radial_operator", spoiled)
-        disk = geo.Disk((0, 0), 1.0)
-        with pytest.raises(trial.QuotientMismatchError):
-            trial.trial_quotient(disk, 2)
-        for d in (disk, geo.Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))):
-            for m in range(1, 5):
-                assert not trial.certify_upper_bound(d, m).valid, (d, m)
-
-    def test_coefficients_beyond_doubles_invalidate(self):
-        # at R = 1e-11 the m = 4 Taylor coefficients exceed the double range
+    def test_tiny_disk_powers_stay_finite(self):
+        # at R = 1e-11 the m = 4 figures reach 1.7e180, inside the double range
         cert = trial.certify_upper_bound(geo.Disk((0, 0), 1e-11), 4)
-        assert not cert.valid
-        assert math.isnan(cert.quotient_quadrature)
-
-    def test_tables_hold_one_domain(self):
-        disk, square = geo.Disk((0, 0), 1.0), geo.Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))
-        for d in (disk, square):
-            for m in (1, 2):
-                assert trial.certify_upper_bound(d, m).valid
-        assert trial._domain_tables.cache_info().currsize == 1
-        hits = trial._domain_tables.cache_info().hits
-        assert len(trial._domain_tables(square)) == 2  # the fan at n and at n/2
-        assert trial._domain_tables.cache_info().hits == hits + 1
+        assert cert.valid and not cert.strict
+        assert cert.certified == pytest.approx(1.744e180, rel=1e-3)
+        assert math.isfinite(cert.certified)
 
     def test_json_fields_exact(self):
         cert = trial.certify_upper_bound(geo.Disk((0, 0), 1.0), 1)
@@ -422,20 +346,24 @@ class TestCertificate:
             "center",
             "field_residual",
             "mean_residuals",
-            "quotient_identity",
-            "quotient_quadrature",
+            "quotient",
+            "quotient_error",
+            "certified",
             "bound",
             "valid",
+            "strict",
         }
         assert payload["n"] == 2
         assert len(payload["center"]) == 2
         assert len(payload["mean_residuals"]) == 2
 
     def test_certificate_leaves_mpmath_unimported(self):
+        # nor the FEM it checks, nor exact rationals
         code = ("import sys\n"
-                "from neuspec import cli, geometry, trial\n"
+                "from neuspec import geometry, trial\n"
                 "assert trial.certify_upper_bound(geometry.Disk((0, 0), 1.0), 4).valid\n"
-                "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n")
+                "for name in ('mpmath', 'neuspec.fem', 'fractions'):\n"
+                "    assert name not in sys.modules, f'{name} was imported'\n")
         env = dict(os.environ, PYTHONPATH=str(Path(trial.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True)
