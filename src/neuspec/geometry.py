@@ -53,12 +53,15 @@ class _Piece:
     """One smooth piece of a boundary: at(t) gives the (n, 2) points and
     derivatives of a map t in [0, 1] -> R^2.  A periodic piece is the whole
     closed curve, smooth across t = 0, and `nodes` multiplies its trapezoid
-    rule; a straight piece is a segment."""
+    rule; a straight piece is a segment.  `corners` lists the t in (0, 1)
+    where a periodic piece is not smooth after all, and then t = 0 counts
+    as one too."""
 
     at: object
     periodic: bool = False
     straight: bool = False
     nodes: int = 1
+    corners: tuple = ()
 
 
 def _arc(center, rx, ry, start, sweep, periodic=False) -> _Piece:
@@ -115,6 +118,45 @@ def _crossings(piece: _Piece, x0, radius: float) -> np.ndarray:
     return np.sort(np.concatenate([t, grid[1:-1][vals[1:-1] == 0.0]]))
 
 
+# longest Gauss panel of Domain.boundary_rule, in units of its distance from
+# the center x0 of the rule, where the integrands of a fan about x0 are
+# singular: a panel of length L at distance h from x0 puts the singularity
+# at 2h/L of its half-length off the panel, and the n-point rule converges
+# like (1 + sqrt(2))^(-2n) at this ratio
+_PANEL_REACH = 2.0
+# rounds of halving, which bound the grading where x0 lies on the boundary
+_PANEL_HALVINGS = 30
+# points per panel of the polyline that measures its length and distance
+_PANEL_SAMPLES = 5
+
+
+def _graded_panels(piece: _Piece, x0, cuts: np.ndarray) -> np.ndarray:
+    """The panel ends `cuts`, with panels halved until each is at most
+    _PANEL_REACH times as long as its distance from x0.
+
+    Length and distance are those of the polyline through _PANEL_SAMPLES
+    points of the panel, exact on a segment.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    frac = np.linspace(0.0, 1.0, _PANEL_SAMPLES)
+    for _ in range(_PANEL_HALVINGS):
+        lo, hi = cuts[:-1], cuts[1:]
+        t = lo[:, None] + (hi - lo)[:, None] * frac
+        b = piece.at(t.ravel())[0].reshape(*t.shape, 2) - x0
+        a, chord = b[:, :-1], np.diff(b, axis=1)
+        length = np.hypot(chord[..., 0], chord[..., 1])
+        # distance from x0 (the origin here) to each chord
+        along = np.clip(-np.einsum("pck,pck->pc", a, chord)
+                        / np.maximum(length * length, 1e-300), 0.0, 1.0)
+        near = a + along[..., None] * chord
+        dist = np.hypot(near[..., 0], near[..., 1]).min(axis=1)
+        long = length.sum(axis=1) > _PANEL_REACH * dist
+        if not long.any():
+            break
+        cuts = np.sort(np.concatenate([cuts, 0.5 * (lo[long] + hi[long])]))
+    return cuts
+
+
 @dataclass(frozen=True)
 class Domain:
     """Base type for planar domains; use the concrete shapes below.
@@ -159,19 +201,25 @@ class Domain:
 
         sum_i w_i f(b_i, db_i) approximates the sum over the pieces of
         int_0^1 f(b(t), b'(t)) dt in each piece's own t, once
-        counterclockwise round the boundary.  A periodic piece takes the
-        periodic trapezoid rule on _PERIODIC_NODES * n nodes times its
-        node factor, which converges geometrically there; any other piece
-        takes one n-point Gauss panel per stretch between its crossings
-        with the circle |x - x0| = radius, where f may lose smoothness.
+        counterclockwise round the boundary.  A smooth periodic piece takes
+        the periodic trapezoid rule on _PERIODIC_NODES * n nodes times its
+        node factor, which converges geometrically there.  Any other piece
+        takes n-point Gauss panels: its node factor of equal stretches, cut
+        at its corners and where it crosses the circle |x - x0| = radius
+        (where f may lose smoothness), then graded toward x0
+        (_graded_panels).
         """
         parts = []
         for piece in self.pieces():
-            if piece.periodic:
+            if piece.periodic and not piece.corners:
                 m = _PERIODIC_NODES * n * piece.nodes
                 t, w = np.arange(m) / m, np.full(m, 1.0 / m)
             else:
-                cuts = np.concatenate([[0.0], _crossings(piece, x0, radius), [1.0]])
+                stretches = _PERIODIC_NODES * piece.nodes if piece.periodic else 1
+                cuts = np.unique(np.concatenate([
+                    np.linspace(0.0, 1.0, stretches + 1), piece.corners,
+                    _crossings(piece, x0, radius)]))
+                cuts = _graded_panels(piece, x0, cuts)
                 t, w = gauss_legendre(n)
                 t = (cuts[:-1, None] + np.diff(cuts)[:, None] * t).ravel()
                 w = (np.diff(cuts)[:, None] * w).ravel()
@@ -298,15 +346,18 @@ class Superellipse(Domain):
             raise GeometryError("superellipse exponent p must be finite and >= 2")
 
     def pieces(self):
-        """One periodic piece whose trapezoid rule takes ceil(p/8) times the
+        """One periodic piece whose quadrature takes ceil(p/8) times the
         base nodes.
 
         The corners the curve rounds off have an angular width of about
-        1/p, and the rule's geometric convergence slows in proportion.
-        Where p is not an even integer, |cos|^p is not smooth at the axes
-        and the convergence is only algebraic, of order about p + 1.
+        1/p, and the trapezoid rule's geometric convergence slows in
+        proportion.  Where p is not an even integer, |cos|^p is not smooth
+        at the axes, so the trapezoid rule would converge only like
+        n^-(p+1); the axes are then corners of the piece, and the Gauss
+        panels between them converge like n^-(2p+2).
         """
-        return (_Piece(self._at, periodic=True, nodes=math.ceil(self.p / 8)),)
+        corners = () if self.p % 2 == 0 else (0.25, 0.5, 0.75)
+        return (_Piece(self._at, periodic=True, nodes=math.ceil(self.p / 8), corners=corners),)
 
     def _at(self, t):
         ang = 2.0 * np.pi * np.asarray(t)
@@ -330,7 +381,7 @@ class Superellipse(Domain):
 
     def area(self):
         p = self.p
-        return 4.0 * self.a * self.b * _gamma(1 + 1 / p) ** 2 / _gamma(1 + 2 / p)
+        return float(4.0 * self.a * self.b * _gamma(1 + 1 / p) ** 2 / _gamma(1 + 2 / p))
 
     def centroid(self):
         return np.zeros(2)

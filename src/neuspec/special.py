@@ -24,8 +24,6 @@ from functools import lru_cache
 import numpy as np
 import numpy.typing as npt
 from scipy.special import gamma as _gamma
-from scipy.special import j0 as _j0
-from scipy.special import j1 as _j1
 from scipy.special import jv as _jv
 
 __all__ = [
@@ -197,10 +195,8 @@ def radial_profile_eval(p: RadialProfile, r):
     big = ~small
     if np.any(big):
         xb = x[big]
-        # scipy's J_0 and J_1 cost a fiftieth of jv's; J_nu' = J_(nu-1) - (nu/x) J_nu
-        # (DLMF 10.6.2)
-        jm, jb = (_j0(xb), _j1(xb)) if n == 2 else (_jv(nu - 1.0, xb), _jv(nu, xb))
-        jpb = jm - nu * jb / xb
+        jb = _jv(nu, xb)
+        jpb = 0.5 * (_jv(nu - 1.0, xb) - _jv(nu + 1.0, xb))
         w = xb ** (-a)
         g[big] = c * w * jb
         gp[big] = c * s * w * (jpb - a * jb / xb)

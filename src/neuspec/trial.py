@@ -86,7 +86,8 @@ def _fan(d: Domain, x0, n: int):
 
     x = x0 + rho (b(t) - x0), with weight w_t w_rho rho ((b - x0) x b'(t)),
     from d.boundary_rule(n, x0, R) in t, its panels split where the
-    boundary crosses the circle |x - x0| = R, and one n-point Gauss rule
+    boundary crosses the circle |x - x0| = R and graded toward x0, where
+    the integrands are singular, and one n-point Gauss rule
     in rho on each side of the ray's crossing with that circle,
     rho = R / |b - x0|.
     The weights are signed: the fan counts each point by the winding
@@ -123,14 +124,13 @@ def _moments(p: RadialProfile, dx, w):
             float(w @ (dg * dg + ratio * ratio)), float(w @ (g * g)))
 
 
-@lru_cache(maxsize=16)
 def find_center(d: Domain):
     """Zero of the centering field inside the convex hull of the domain.
 
     Damped Newton with a central-difference Jacobian from the centroid;
     the residual is scaled by int |g| dx and must reach CENTER_RESIDUAL_TOL.
     Raises CenterConvergenceError with the best residual if the iteration
-    budget runs out.  Memoized per domain.  The returned array is read-only.
+    budget runs out.  The returned array is read-only.
     """
     p = _profile(d)
     hull = d.hull()

@@ -498,7 +498,6 @@ class TestParser:
         """Reports built after others in one process equal fresh ones byte for byte."""
         def clear_shared_work():
             fem._pencil_solve.cache_clear()
-            trial.find_center.cache_clear()
             trial.trial_quotient.cache_clear()
 
         runs = [("disk", m) for m in (1, 2, 3, 4)] + [("square", 2), ("disk", 2)]

@@ -77,6 +77,24 @@ class TestFan:
         assert len(inside) > 3  # some edge crosses the circle
         assert np.all(inside.all(axis=1) | ~inside.any(axis=1))
 
+    def test_panels_graded_toward_the_center(self):
+        # the center of the thin L lies outside it, 0.85 from its long
+        # edges; each Gauss panel is at most _PANEL_REACH times as long as
+        # its distance from the center
+        d = geo.parse_domain(THIN_L)
+        x0 = trial.find_center(d)
+        assert not d.contains(np.array([x0]))[0]
+        panels = 0
+        for piece in d.pieces():
+            cuts = geo._graded_panels(piece, x0, np.array([0.0, 1.0]))
+            ends = piece.at(cuts)[0]
+            for a, b in zip(ends[:-1], ends[1:]):
+                # a segment that is its own closed polyline, there and back
+                dist = geo.distance_to_segments(x0[None, :], np.array([a, b]))[0]
+                assert math.dist(a, b) <= geo._PANEL_REACH * dist * (1 + 1e-12)
+            panels += len(cuts) - 1
+        assert panels > len(d.pieces())  # the long edges were split
+
     def test_certificate_builds_no_mesh(self, monkeypatch):
         calls = []
         triangulate = quadrature.triangulate
@@ -145,7 +163,7 @@ class TestFindCenter:
             for y in ys:
                 if not triangle.contains(np.array([[x, y]]))[0]:
                     continue
-                v, scale = _field_and_scale(triangle, (x, y), 12)
+                v, scale = _field_and_scale(triangle, (x, y))
                 r = np.hypot(*v) / scale
                 if r < best[0]:
                     best = (r, (x, y))
@@ -179,7 +197,6 @@ class TestFindCenter:
             return hull(pts)
 
         monkeypatch.setattr(geo, "ConvexHull", counting_hull)
-        trial.find_center.cache_clear()
         trial.trial_quotient.cache_clear()
         d = geo.Ellipse(1.3, 0.7)
         for m in (1, 2):
@@ -200,13 +217,10 @@ def _wrong_scale(p, r):
 
 @pytest.fixture
 def fresh_quotients():
-    """Forget every memoized center and quotient before and after the test."""
-    memos = (trial.find_center, trial.trial_quotient)
-    for fn in memos:
-        fn.cache_clear()
+    """Forget every memoized quotient before and after the test."""
+    trial.trial_quotient.cache_clear()
     yield
-    for fn in memos:
-        fn.cache_clear()
+    trial.trial_quotient.cache_clear()
 
 
 class TestTrialQuotient:
@@ -327,6 +341,19 @@ class TestCertificate:
             assert cert.strict == (name != "disk"), (name, m)
             assert (cert.certified < cert.bound) == cert.strict, (name, m)
 
+    @pytest.mark.parametrize("spec", [L_SHAPE, THIN_L, "superellipse:1,1,40",
+                                      "superellipse:1.3,0.8,2.5"])
+    def test_other_shapes_certify(self, spec):
+        # a center outside the domain (the thin L), narrow rounded corners
+        # (p = 40), and a boundary that is not smooth at the axes (p = 2.5)
+        d = geo.parse_domain(spec)
+        q = trial.trial_quotient(d)
+        assert q.error <= 1e-6 * q.value
+        for m in range(1, 5):
+            cert = trial.certify_upper_bound(d, m)
+            assert cert.valid is True and cert.strict is True, (spec, m)
+            json.loads(cert.to_json())
+
     def test_tiny_disk_powers_stay_finite(self):
         # at R = 1e-11 the m = 4 figures reach 1.7e180, inside the double range
         cert = trial.certify_upper_bound(geo.Disk((0, 0), 1e-11), 4)
@@ -358,13 +385,17 @@ class TestCertificate:
         assert len(payload["mean_residuals"]) == 2
 
     def test_certificate_leaves_mpmath_unimported(self):
-        # nor the FEM it checks, nor exact rationals
-        code = ("import sys\n"
-                "from neuspec import geometry, trial\n"
-                "assert trial.certify_upper_bound(geometry.Disk((0, 0), 1.0), 4).valid\n"
-                "for name in ('mpmath', 'neuspec.fem', 'fractions'):\n"
-                "    assert name not in sys.modules, f'{name} was imported'\n")
+        # with the whole package loaded, as the command line loads it, no
+        # mpmath; with the certificate alone, nor the FEM it checks, nor
+        # exact rationals
         env = dict(os.environ, PYTHONPATH=str(Path(trial.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+        for modules, unimported in (("cli, geometry, trial", ("mpmath",)),
+                                    ("geometry, trial", ("mpmath", "neuspec.fem", "fractions"))):
+            code = ("import sys\n"
+                    f"from neuspec import {modules}\n"
+                    "assert trial.certify_upper_bound(geometry.Disk((0, 0), 1.0), 4).valid\n"
+                    f"for name in {unimported!r}:\n"
+                    "    assert name not in sys.modules, f'{name} was imported'\n")
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, (modules, proc.stderr)
