@@ -23,6 +23,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .geometry import Domain
+from .special import bessel_orders
 
 __all__ = [
     "MpsBasis",
@@ -98,11 +99,13 @@ def _interior_points(d: Domain, count: int) -> np.ndarray:
 # callers alternate problems or truncations on one domain
 @functools.lru_cache(maxsize=4)
 def _collocation_geometry(d: Domain, n: int):
-    """The omega-independent part of the collocation blocks: boundary radii,
-    the distinct ones and the index from them back to the points, n.e_r and
-    n.e_t there, interior radii, the orders 0..n, and the cos/sin tables at
-    the boundary and interior points.  Every caller shares these arrays, so
-    they are read-only."""
+    """The omega-independent part of the collocation blocks: the distinct
+    boundary radii and the index from them back to the points, the
+    interior radii, the factors n.e_r cos(j theta), n.e_r sin(j theta),
+    n.e_t j sin(j theta) / r and n.e_t j cos(j theta) / r of the normal
+    derivative at the boundary points (those of the sines for j >= 1),
+    and the cos/sin tables at the interior points.  Every caller shares these arrays, so they are
+    read-only."""
     nb = 4 * n + 8
     t = (np.arange(nb) + 0.5) / nb
     bpts, normals = d.boundary_frame(t)
@@ -117,16 +120,19 @@ def _collocation_geometry(d: Domain, n: int):
     # unit radial/tangential directions at boundary points
     er = relb / rb[:, None]
     et = np.column_stack([-er[:, 1], er[:, 0]])
-    n_dot_r = np.sum(normals * er, axis=1)
-    n_dot_t = np.sum(normals * et, axis=1)
+    n_dot_r = np.sum(normals * er, axis=1)[:, None]
+    n_dot_t = np.sum(normals * et, axis=1)[:, None]
 
     # symmetric shapes repeat boundary radii exactly (the disk has 2
     # distinct ones), so the Bessel values are taken once per distinct radius
     rb_distinct, rb_index = np.unique(rb, return_inverse=True)
 
     orders = np.arange(n + 1, dtype=float)
-    out = (rb, rb_distinct, rb_index, ri, n_dot_r, n_dot_t, orders,
-           np.cos(orders[None, :] * thb[:, None]), np.sin(orders[None, :] * thb[:, None]),
+    cosb = np.cos(orders[None, :] * thb[:, None])
+    sinb = np.sin(orders[None, :] * thb[:, None])
+    jt = n_dot_t * orders[None, :] / rb[:, None]
+    out = (rb_distinct, rb_index, ri,
+           n_dot_r * cosb, n_dot_r * sinb[:, 1:], jt * sinb, (jt * cosb)[:, 1:],
            np.cos(orders[None, :] * thi[:, None]), np.sin(orders[None, :] * thi[:, None]))
     for arr in out:
         arr.flags.writeable = False
@@ -136,46 +142,48 @@ def _collocation_geometry(d: Domain, n: int):
 def _collocation_blocks(d: Domain, basis: MpsBasis):
     """Boundary-condition rows of each trial family, which together form a
     block-diagonal matrix, then the interior rows of all families."""
-    from scipy.special import ive, jv
-
     n = basis.N
     omega = basis.omega
-    rb, rb_distinct, rb_index, ri, n_dot_r, n_dot_t, orders, cosb, sinb, cosi, sini = (
+    rb_distinct, rb_index, ri, nr_cos, nr_sin, nt_jsin, nt_jcos, cosi, sini = (
         _collocation_geometry(d, n))
 
     def normal_rows(f, fp):
         # d/dn of f(w r) T(j theta): n_r w f' T + n_t f j T'/r
-        du_r_cos = omega * fp * cosb
-        du_r_sin = omega * fp * sinb
-        du_t_cos = -f * orders[None, :] * sinb / rb[:, None]
-        du_t_sin = f * orders[None, :] * cosb / rb[:, None]
-        rows_cos = n_dot_r[:, None] * du_r_cos + n_dot_t[:, None] * du_t_cos
-        rows_sin = n_dot_r[:, None] * du_r_sin + n_dot_t[:, None] * du_t_sin
-        return np.concatenate([rows_cos, rows_sin[:, 1:]], axis=1)
+        f = f[rb_index]
+        fp = omega * fp[rb_index]
+        rows_cos = fp * nr_cos - f * nt_jsin
+        rows_sin = fp[:, 1:] * nr_sin + f[:, 1:] * nt_jcos
+        return np.concatenate([rows_cos, rows_sin], axis=1)
 
-    # One Bessel evaluation per order and distinct radius: J on orders
-    # -1..n+1 and I on 0..n+1 at the boundary give the values and the
-    # derivatives J_j' = (J_(j-1) - J_(j+1)) / 2 and I_j' = (I_|j-1| +
-    # I_(j+1)) / 2; the interior rows need values only.
+    def interior_rows(f):
+        return np.concatenate([f * cosi, (f * sini)[:, 1:]], axis=1)
+
+    # One Bessel table per family, on orders 0..n+1 at the distinct
+    # boundary radii and the interior points together.  The boundary
+    # rows take the derivatives J_j' = (J_(j-1) - J_(j+1)) / 2, with
+    # J_(-1) = -J_1, and I_j' = (I_|j-1| + I_(j+1)) / 2; the interior rows
+    # take values only.
+    nd = rb_distinct.size
     xb = omega * rb_distinct
-    xi = omega * ri
-    jb = jv(np.arange(-1.0, n + 2.0)[None, :], xb[:, None])[rb_index]
-    bnd_j = normal_rows(jb[:, 1:-1], 0.5 * (jb[:, :-2] - jb[:, 2:]))
-    ji = jv(orders[None, :], xi[:, None])
-    int_j = np.concatenate([ji * cosi, (ji * sini)[:, 1:]], axis=1)
+    x = np.concatenate([xb, omega * ri])
+    jall = bessel_orders(x, n + 1)
+    jb = jall[:nd]
+    jpb = np.empty((nd, n + 1))
+    jpb[:, 0] = -jb[:, 1]
+    jpb[:, 1:] = 0.5 * (jb[:, :-2] - jb[:, 2:])
+    bnd_j = normal_rows(jb[:, :-1], jpb)
+    int_j = interior_rows(jall[nd:, :-1])
 
     if basis.problem == "laplace_neumann":
         return bnd_j, int_j
 
     # I_j * exp(-x_ref): the common factor is a pure column scaling (it
     # cancels in the subspace angles) and keeps large arguments finite.
-    x_ref = float(np.max(xb))
-    shift = np.exp(xb[:, None] - x_ref)[rb_index]
-    ib = ive(np.arange(n + 2.0)[None, :], xb[:, None])[rb_index]
-    ipb = 0.5 * (ib[:, np.abs(np.arange(n + 1) - 1)] + ib[:, 1:]) * shift
-    bnd_i = normal_rows(ib[:, :-1] * shift, ipb)
-    ii = ive(orders[None, :], xi[:, None]) * np.exp(xi[:, None] - x_ref)
-    int_i = np.concatenate([ii * cosi, (ii * sini)[:, 1:]], axis=1)
+    iall = bessel_orders(x, n + 1, modified=True) * np.exp(x - float(np.max(xb)))[:, None]
+    ib = iall[:nd]
+    ipb = 0.5 * (ib[:, np.abs(np.arange(n + 1) - 1)] + ib[:, 1:])
+    bnd_i = normal_rows(ib[:, :-1], ipb)
+    int_i = interior_rows(iall[nd:, :-1])
     # first condition: d/dn(u_J + u_I) = 0; second: d/dn(Delta u)/w^2 =
     # -d/dn u_J + d/dn u_I = 0 (the Laplacian acts as -w^2 and +w^2 on the
     # two families).  Their orthogonal combinations (first -/+ second)/sqrt2

@@ -1,6 +1,9 @@
+import functools
 import math
+import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -447,23 +450,76 @@ def _reference_sigma(d, basis):
 
 
 class TestCollocation:
-    # "offset0": the expansion center sits at the centroid
+    # "offset0": the expansion center sits at the centroid.  The Bessel
+    # tables come from the recurrence and the reference's from scipy's
+    # jv/ive, which differ by up to 5.9e-14 of a column's largest entry on
+    # this grid (stadium, N = 60, omega = 40); the reference is the one
+    # further from mpmath (scipy's high orders carry up to 7.7e-14
+    # relative error, the recurrence's 1.3e-15).
     @pytest.mark.parametrize("n", [1, 5, 20, 60], ids=lambda n: f"{n}-offset0")
     @pytest.mark.parametrize("name", ["disk", "ellipse-2.0", "stadium"])
-    def test_matches_reference_exactly(self, name, n, monkeypatch):
+    def test_matches_reference_exactly(self, name, n):
         d = corpus_domain(name)
+        for problem in ("laplace_neumann", "polyharm_neumann"):
+            for omega in (0.5, 2.3, 9.7, 40.0):
+                basis = mps.MpsBasis(problem, omega, n)
+                got = mps._collocation_blocks(d, basis)
+                want = _reference_blocks(d, basis)
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape
+                    assert np.all(np.abs(g - w) <= 7.1e-14 * np.max(np.abs(w), axis=0)), (problem, omega)
+
+    def test_sigma_no_further_from_exact_columns_than_scipy(self, monkeypatch):
+        # the mps-sweep window's lower end on ellipse-2.0 at N = 60, where
+        # sigma from the recurrence is 1.7e-10 (relative) from the sigma
+        # of the mpmath columns and sigma from scipy's columns 3.9e-9
+        d = corpus_domain("ellipse-2.0")
+        basis = mps.MpsBasis("laplace_neumann",
+                             0.5 * first_radial_deriv_zero(2) / d.equal_area_radius(), 60)
+
+        # each order is asked for three times, as values and in derivatives
+        @functools.cache
+        def mpmath_j(v, x):
+            with mpmath.workdps(30):
+                return float(mpmath.besselj(v, x))
+
+        def mpmath_jv(v, x):
+            v, x = np.broadcast_arrays(v, x)
+            return np.array([mpmath_j(a, b) for a, b in zip(v.ravel().tolist(), x.ravel().tolist())]
+                            ).reshape(v.shape)
+
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # rank warnings at large N
-            for problem in ("laplace_neumann", "polyharm_neumann"):
-                for omega in (0.5, 2.3, 9.7, 40.0):
-                    basis = mps.MpsBasis(problem, omega, n)
-                    got = mps._collocation_blocks(d, basis)
-                    want = _reference_blocks(d, basis)
-                    assert all(np.array_equal(g, w) for g, w in zip(got, want))
-                    sigma = mps.mps_sigma(d, basis)
-                    with monkeypatch.context() as m:
-                        m.setattr(mps, "_collocation_blocks", lambda d, b: want)
-                        assert mps.mps_sigma(d, basis) == sigma
+            warnings.simplefilter("ignore", RuntimeWarning)  # rank warnings at N = 60
+            got = mps.mps_sigma(d, basis)
+            sigmas = {}
+            for source in ("scipy", "mpmath"):
+                with monkeypatch.context() as m:
+                    if source == "mpmath":
+                        m.setattr(sys.modules[__name__], "jv", mpmath_jv)
+                    blocks = _reference_blocks(d, basis)
+                    m.setattr(mps, "_collocation_blocks", lambda d, b: blocks)
+                    sigmas[source] = mps.mps_sigma(d, basis)
+        assert abs(got - sigmas["mpmath"]) <= abs(sigmas["scipy"] - sigmas["mpmath"])
+
+    def test_sigma_at_large_argument(self, monkeypatch):
+        # omega r reaches 1224 on ellipse-1.5: the J recurrence runs about
+        # 1300 steps, through the oscillatory range, and still agrees with
+        # scipy to 8.3e-14 of a column's largest entry
+        d = corpus_domain("ellipse-1.5")
+        for problem in ("laplace_neumann", "polyharm_neumann"):
+            basis = mps.MpsBasis(problem, 1000.0, 20)
+            got = mps._collocation_blocks(d, basis)
+            want = _reference_blocks(d, basis)
+            for g, w in zip(got, want):
+                assert np.all(np.abs(g - w) <= 1e-13 * np.max(np.abs(w), axis=0)), problem
+            with warnings.catch_warnings(), monkeypatch.context() as m:
+                warnings.simplefilter("ignore", RuntimeWarning)  # rank warnings
+                sigma = mps.mps_sigma(d, basis)
+                m.setattr(mps, "_collocation_blocks", lambda d, b: want)
+                reference = mps.mps_sigma(d, basis)
+            assert math.isfinite(sigma)
+            assert abs(sigma - reference) <= 1e-14, problem
 
     @pytest.mark.parametrize("name", ["disk", "ellipse-2.0", "stadium"])
     def test_sigma_matches_one_stage_form(self, name):
@@ -512,21 +568,22 @@ class TestCollocation:
 
     def test_boundary_bessel_once_per_distinct_radius(self, disk, monkeypatch):
         n, omega = 20, 1.9
-        rb = mps._collocation_geometry(disk, n)[0]
-        distinct = np.unique(rb).size
-        assert distinct < rb.size
+        rb_distinct, rb_index, ri = mps._collocation_geometry(disk, n)[:3]
+        assert rb_distinct.size < rb_index.size
         calls = []
-        for fname in ("jv", "ive"):
-            def spy(v, x, real=getattr(scipy.special, fname), fname=fname):
-                calls.append((fname, np.ravel(x)))
-                return real(v, x)
-            monkeypatch.setattr(scipy.special, fname, spy)
+
+        def spy(x, top, modified=False, real=mps.bessel_orders):
+            calls.append((modified, np.ravel(x), top))
+            return real(x, top, modified)
+
+        monkeypatch.setattr(mps, "bessel_orders", spy)
         for problem in ("laplace_neumann", "polyharm_neumann"):
             mps._collocation_blocks(disk, mps.MpsBasis(problem, omega, n))
-        # the boundary calls are those at boundary arguments only
-        boundary = [(fname, x) for fname, x in calls if np.isin(x, omega * rb).all()]
-        assert {fname for fname, _ in boundary} == {"jv", "ive"}
-        assert all(x.size <= distinct for _, x in boundary)
+        # one table per family and problem, over each distinct boundary
+        # radius once and then the interior points
+        assert [modified for modified, _, _ in calls] == [False, False, True]
+        want = np.concatenate([omega * rb_distinct, omega * ri])
+        assert all(np.array_equal(x, want) and top == n + 1 for _, x, top in calls)
 
     def test_cached_geometry_is_read_only(self, disk):
         for arr in mps._collocation_geometry(disk, 5):
