@@ -15,10 +15,12 @@ import os
 import sys
 from contextlib import contextmanager
 
+import numpy as np
+
 from . import __version__
 from .ball import Ball, mu1_ball, neumann_spectrum_ball, spectrum_to_csv, upsilon1_poly_ball
 from .corpus import CORPUS, corpus_domain
-from .fem import convergence_study, eig_polyharmonic_neumann
+from .fem import convergence_study
 from .geometry import Domain, domain_spec_string, parse_domain
 from .meshing import load_mesh, save_mesh
 from .mps import mps_find, mps_scan
@@ -173,32 +175,46 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
+def _raised(study, m: int):
+    """The study of mu as one of Upsilon = mu^(2m): the per-mesh values,
+    Upsilon = best^(2m) and its bar (best + bar)^(2m) - best^(2m), which by
+    convexity covers (best -+ bar)^(2m) too.  OverflowError if any of them
+    leaves the range of positive doubles."""
+    best = study.best
+    with np.errstate(over="ignore", under="ignore"):
+        raised = np.array([*study.values, best, best + study.error_bar]) ** (2 * m)
+    values = [_in_range(float(v)) for v in raised[:-2]]
+    ups = _in_range(float(raised[-2]))
+    return values, ups, _in_range(float(raised[-1]) - ups)
+
+
 def build_verification_report(domain_spec: str, m: int, h_list, use_mps: bool = True) -> dict:
     """Assemble the full inequality-verification report for one domain.
 
     A failing step raises StageError naming it: "setup", "fem convergence
     study", "mps" or "certificate".
     """
+    h_list = tuple(float(h) for h in h_list)
     with _stage("setup"):
         d = _resolve_domain(domain_spec)
         # a bound that fell to 0 or inf would certify nothing
         bound = _in_range(upsilon1_poly_ball(Ball(2, d.equal_area_radius()), m))
 
     with _stage("fem convergence study"):
-        study = convergence_study(d, m, h_list)
-    ups_fem = study.best
-    error_bar = study.error_bar
+        study = convergence_study(d, h_list)
+        values, ups_fem, error_bar = _raised(study, m)
 
     ups_mps = None
-    # a window round a value that is not a positive double would be
-    # meaningless; upsilon1_mps then stays null and verify warns
-    if use_mps and d.is_smooth and m == 1 and 0.0 < ups_fem < math.inf:
-        w_est = ups_fem ** 0.25
+    use_mps = use_mps and d.is_smooth
+    if use_mps:
+        # MPS solves Delta^2 for omega with value omega^4, so
+        # Upsilon = omega^(4m); its window is centered on the FEM frequency
+        w_est = math.sqrt(study.best)
         with _stage("mps"):
             hits = mps_find(d, "polyharm_neumann", (0.75 * w_est, 1.25 * w_est), MPS_TRUNC)
-        good = [e for e in hits if e.sigma < MPS_SIGMA_TOL]
+            good = [_in_range(e.omega ** (4 * m)) for e in hits if e.sigma < MPS_SIGMA_TOL]
         if good:
-            ups_mps = min(good, key=lambda e: abs(e.value - ups_fem)).value
+            ups_mps = min(good, key=lambda v: abs(v - ups_fem))
 
     with _stage("certificate"):
         cert = certify_upper_bound(d, m)
@@ -220,13 +236,22 @@ def build_verification_report(domain_spec: str, m: int, h_list, use_mps: bool = 
         "strict": bool(margin > error_bar),
         "margin": margin,
         "nonsmooth": not d.is_smooth,
-        "convergence": json.loads(study.to_json()),
+        # in Upsilon units; the observed order is mu's, the same at every m
+        "convergence": {
+            "h": list(h_list),
+            "values": values,
+            "observed_order": study.observed_order,
+            "extrapolated": ups_fem if study.extrapolated is not None else None,
+            "error_bar": error_bar,
+            "monotone": study.monotone,
+            "m": m,
+        },
         "config": {
             "command": "verify",
             "domain": domain_spec_string(d),
             "m": m,
-            "h_list": [float(h) for h in h_list],
-            "mps": bool(use_mps and d.is_smooth and m == 1),
+            "h_list": list(h_list),
+            "mps": use_mps,
         },
     }
     return report
@@ -262,10 +287,10 @@ def cmd_verify(args) -> int:
         try:
             d = _resolve_domain(args.domain)
             mesh = study_mesh(d, h_list, len(h_list) - 1)
-            res = eig_polyharmonic_neumann(mesh, 1, args.m)
-            nv = len(mesh.vertices)
+            # the memoized study of the report
+            vector = convergence_study(d, h_list).vector
             save_mesh(mesh, _resolve_out(args.save_eigenfunction),
-                      vertex_values=res.vectors[:nv, 0])
+                      vertex_values=vector[:len(mesh.vertices)])
         except Exception as exc:  # noqa: BLE001
             print(f"verify failed during {stage}: {exc}", file=sys.stderr)
             return 1
@@ -373,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--domain", required=True,
                        help="domain spec (disk:.., ellipse:..) or corpus name "
                             f"({', '.join(CORPUS)})")
-    p_ver.add_argument("--m", type=int, choices=(1, 2, 3, 4), default=1,
-                       help="operator power: Delta^(2m)")
+    p_ver.add_argument("--m", type=_checked(int, lambda m: 1 <= m <= 8, "an integer in 1..8"),
+                       default=1, help="operator power: Delta^(2m), 1..8")
     p_ver.add_argument("--h-list", type=_h_list,
                        default=",".join(str(h) for h in DEFAULT_H_LIST),
                        help="at least 3 strictly descending mesh sizes, comma separated")

@@ -9,29 +9,25 @@ same vectors, and the reported value is mu^q; the independent particular-
 solutions module is what probes whether that squaring survives at the
 continuous level.
 
-One eigensolve per mesh serves every q; M, A and A + M share one sparsity
-pattern, built in one pass.  A mesh that is factored anyway is solved by
-shift-invert Lanczos (ARPACK mode 3, through scipy's eigsh) at sigma = -1
-on a sparse LU factor of A + M: a lattice mesh, the coarsest of a study,
-and every mesh of a study whose factor a finer mesh of it uses.  Only a
-refined mesh that nothing factors, the finest of a halving list, is solved
-by LOBPCG, started from its parent's vectors and preconditioned by a
-two-grid cycle whose coarse level is the parent's LU factor; at most one
-factor, that of the current parent, is kept.  Each pair's residual in the
-M^{-1} norm is bounded without a solve with M: every element mass matrix
-is |J| times one reference matrix, so M >= c0 diag(M) with c0 the least
-eigenvalue of that matrix scaled by its diagonal (Wathen 1987).
-The solve is memoized per (mesh, count), so the powers m of one
-mesh share it; meshes compare by identity, and study_mesh gives one
-mesh object per (domain, h list, position).
+M, A and A + M share one sparsity pattern, built in one pass.  A
+convergence study solves the pencil alone, once per domain and h list,
+and so serves every q.  It walks its meshes coarse to fine: each is solved
+by shift-invert Lanczos (ARPACK mode 3, through scipy's eigsh) at
+sigma = -1 on a sparse LU factor of A + M, except the finest mesh of a
+halving run, which nothing finer refines.  That one is solved by LOBPCG,
+started from its parent's vectors and preconditioned by a two-grid cycle
+whose coarse level is the parent's LU factor; at most one factor is alive
+at a time.  Each pair's residual in the M^{-1} norm is bounded without a
+solve with M: every element mass matrix is |J| times one reference
+matrix, so M >= c0 diag(M) with c0 the least eigenvalue of that matrix
+scaled by its diagonal (Wathen 1987).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -46,8 +42,6 @@ __all__ = [
     "EigResult",
     "ConvergenceStudy",
     "assemble",
-    "eig_neumann_laplacian",
-    "eig_polyharmonic_neumann",
     "convergence_study",
     "SolverError",
 ]
@@ -81,8 +75,7 @@ class EigResult:
     the constant mode; residuals are upper bounds on ||A v - mu M v|| in
     the M^{-1} norm at the pencil value mu (see _checked_pairs), where
     value = mu^q with q = 2m (q = 1 for the Laplacian).  power records m
-    (0 for the plain Laplacian).  vectors and residuals are read-only:
-    results for the same mesh share one solve.
+    (0 for the plain Laplacian).  vectors and residuals are read-only.
     """
 
     values: np.ndarray
@@ -246,7 +239,7 @@ def _column_dots(u, w):
 
 
 # the largest power m that eig_polyharmonic_neumann accepts
-_MAX_POWER = 4
+_MAX_POWER = 8
 
 # LOBPCG on a refined mesh: its residual tolerance (at 1e-10 the gate's
 # residual on ellipse-1.5 at h = 0.02 read 1.1e-8, above RESIDUAL_TOL) and
@@ -409,85 +402,54 @@ def _checked_pairs(op: OperatorPair, vecs, where: str):
     return mus, vecs, resid
 
 
-# The last mesh solved, as the coarse level of a refined mesh solved next:
-# its A + M and, if made, that matrix's LU factor.  So a mesh solved by
-# Lanczos is factored once, for its own solve and its child's; a mesh
-# solved by LOBPCG only if a child of it is solved after all; and no mesh
-# is assembled twice.  No other factor is kept, and convergence_study
-# empties it when it ends.
-_last_level = {}
+def _pencil_solve(mesh: Mesh, count: int, parent=None):
+    """The count + 1 smallest nonzero pencil values A v = mu M v of one
+    mesh, with vectors and residuals (_checked_pairs), and the LU factor
+    of A + M that found them.
 
-# The meshes of the running convergence_study that a finer mesh of it
-# refines, set from Mesh.parent and emptied when the study ends: each is
-# factored for that finer mesh anyway, so its own solve is Lanczos on that
-# factor, as a lattice mesh's is.
-_study_parents = set()
-
-
-def _coarse_factor(parent: Mesh):
-    """The LU factor of a parent's A + M, from _last_level or made now."""
-    shifted, lu = _last_level.pop(parent, (None, None))
-    _last_level.clear()  # drops any other factor before this one is made
-    if lu is None:
-        # a parent solved before some other mesh is assembled again
-        lu = _factor(assemble(parent).shifted if shifted is None else shifted)
-    return lu
-
-
-# a verify run solves one mesh per h, for every m
-@lru_cache(maxsize=16)
-def _pencil_solve(mesh: Mesh, count: int):
-    """The count + 1 smallest nonzero pencil values A v = mu M v of a mesh,
-    with vectors and residuals (_checked_pairs); _eigs returns count of them.
-
-    A lattice mesh, and a mesh in _study_parents, is solved by shift-invert
-    Lanczos on an LU factor of A + M.  Any other refined mesh starts LOBPCG
-    from its parent's count + 1 vectors and preconditions it with the
-    parent's factor (_two_grid_vectors); the extra mode lets each of its
-    values be checked against the parent's, so that a lost mode raises
-    SolverError instead of passing the gate as the wrong eigenvalue.
+    With parent None the mesh is solved by shift-invert Lanczos on its own
+    factor.  Otherwise parent is (factor, values, vectors) of mesh.parent,
+    from a solve with the same count: LOBPCG starts from those vectors and
+    is preconditioned with that factor (_two_grid_vectors), and the factor
+    returned is None.  The extra mode lets each of its values be checked
+    against the parent's, so that a lost mode raises SolverError instead
+    of passing the gate as the wrong eigenvalue.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    parent = mesh.parent
-    two_grid = parent is not None and mesh not in _study_parents
-    if two_grid:
-        parent_mus, parent_vectors, _ = _pencil_solve(parent, count)
-        coarse_lu = _coarse_factor(parent)
-    else:
-        _last_level.clear()  # the previous factor goes before this one is made
     op = assemble(mesh)
     if count + 3 >= op.dimension:
         raise ValueError("mesh too small for requested eigenvalue count")
     where = f"h={mesh.h:g}, ndof={op.dimension}"
-    if two_grid:
-        lu = None
-        vectors = _two_grid_vectors(op, coarse_lu, _transfer(mesh), parent_vectors, where)
-    else:
+    if parent is None:
         lu = _factor(op.shifted)
         vectors = _lanczos_vectors(op, lu, count + 1, where)
+    else:
+        lu, (coarse_lu, parent_mus, parent_vectors) = None, parent
+        vectors = _two_grid_vectors(op, coarse_lu, _transfer(mesh), parent_vectors, where)
     mus, vectors, residuals = _checked_pairs(op, vectors, where)
-    if two_grid and np.any(mus > parent_mus * (1.0 + _INDEX_SLACK)):
+    if parent is not None and np.any(mus > parent_mus * (1.0 + _INDEX_SLACK)):
         raise SolverError(f"two-grid LOBPCG lost a mode: pencil values {mus} above "
                           f"the parent mesh's {parent_mus} ({where})")
-    _last_level[mesh] = (op.shifted, lu)
-    return mus, vectors, residuals
+    return mus, vectors, residuals, lu
 
 
 def _eigs(mesh: Mesh, count: int, m: int) -> EigResult:
     q = max(1, 2 * m)
-    mus, vectors, residuals = _pencil_solve(mesh, count)
+    mus, vectors, residuals, _ = _pencil_solve(mesh, count)
     return EigResult(values=mus[:count]**q, vectors=vectors[:, :count],
                      residuals=residuals[:count], power=m)
 
 
 def eig_neumann_laplacian(mesh: Mesh, count: int) -> EigResult:
-    """Smallest `count` nonzero Neumann eigenvalues of the Laplacian."""
+    """Smallest `count` nonzero Neumann eigenvalues of the Laplacian, by
+    one Lanczos solve of this mesh alone."""
     return _eigs(mesh, count, 0)
 
 
 def eig_polyharmonic_neumann(mesh: Mesh, count: int, m: int) -> EigResult:
-    """Smallest `count` nonzero Neumann eigenvalues of Delta^(2m).
+    """Smallest `count` nonzero Neumann eigenvalues of Delta^(2m), by one
+    Lanczos solve of this mesh alone.
 
     The values are mu^(2m) for the pencil values mu of the Laplacian on
     the same mesh, which is exact for the mixed operator
@@ -504,11 +466,13 @@ def eig_polyharmonic_neumann(mesh: Mesh, count: int, m: int) -> EigResult:
 
 @dataclass(frozen=True)
 class ConvergenceStudy:
-    """Eigenvalue estimates over a mesh family with Richardson extrapolation.
+    """Estimates of the least nonzero pencil value mu over a mesh family,
+    with Richardson extrapolation.
 
     extrapolated is None when the value sequence is not monotone (the raw
     values are still reported); error_bar = |extrapolated - finest| or the
-    last increment when extrapolation is withheld.
+    last increment when extrapolation is withheld.  vector is the finest
+    mesh's M-normalized eigenvector, read-only.
     """
 
     h_list: tuple
@@ -517,26 +481,11 @@ class ConvergenceStudy:
     extrapolated: float | None
     error_bar: float
     monotone: bool
-    power: int
+    vector: np.ndarray = field(repr=False, compare=False)
 
     @property
     def best(self) -> float:
         return self.extrapolated if self.extrapolated is not None else self.values[-1]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "h": list(self.h_list),
-                "values": list(self.values),
-                "observed_order": self.observed_order,
-                "extrapolated": self.extrapolated,
-                "error_bar": self.error_bar,
-                "monotone": self.monotone,
-                "m": self.power,
-            },
-            sort_keys=True,
-            indent=2,
-        )
 
 
 def _triple_order(h, ratio):
@@ -565,36 +514,49 @@ def _triple_order(h, ratio):
     return 0.5 * (lo + hi)
 
 
-def convergence_study(d: Domain, m: int, h_list) -> ConvergenceStudy:
-    """Run the eigensolver over a descending mesh family and extrapolate.
+def _family_pairs(meshes):
+    """Yield each mesh's pairs (_pencil_solve, count 1), coarse to fine.
 
-    m = 0 studies the Laplacian; m >= 1 the operator Delta^(2m).  Each
-    consecutive triple of lowest-eigenvalue estimates gives a convergence
-    order for d ~ C h^p, their mean is the observed order, and one
-    Richardson step gives the extrapolated limit with error bar
-    |extrapolated - finest|.
+    Every mesh is solved by Lanczos on its own factor but the finest of
+    each halving run, which no finer mesh refines: that one is solved by
+    LOBPCG on its parent's factor.  Only that parent's factor and vectors
+    are kept past its solve, so at most one factor is alive at a time.
     """
-    h_list = tuple(float(h) for h in h_list)
+    two_grid = [mesh.parent is not None
+                and (k + 1 == len(meshes) or meshes[k + 1].parent is not mesh)
+                for k, mesh in enumerate(meshes)]
+    level = None
+    for k, mesh in enumerate(meshes):
+        mus, vectors, residuals, lu = _pencil_solve(mesh, 1, level)
+        level = (lu, mus, vectors) if k + 1 < len(meshes) and two_grid[k + 1] else None
+        del lu  # the factor goes before the next mesh is assembled
+        yield mus, vectors, residuals
+
+
+def convergence_study(d: Domain, h_list) -> ConvergenceStudy:
+    """Solve the Laplacian over a descending mesh family and extrapolate.
+
+    Each consecutive triple of lowest-eigenvalue estimates gives a
+    convergence order for d ~ C h^p, their mean is the observed order, and
+    one Richardson step gives the extrapolated limit with error bar
+    |extrapolated - finest|.  Memoized per (domain, h list): the value of
+    Delta^(2m) on a mesh is mu^(2m), so one study serves every power m.
+    """
+    return _study(d, tuple(float(h) for h in h_list))
+
+
+# a verify run studies one domain and h list for every m
+@lru_cache(maxsize=16)
+def _study(d: Domain, h_list: tuple) -> ConvergenceStudy:
     if len(h_list) < 3:
         raise ValueError("need at least 3 mesh sizes")
     if any(h_list[i] <= h_list[i + 1] for i in range(len(h_list) - 1)):
         raise ValueError("mesh sizes must be strictly descending")
 
-    def lowest(mesh: Mesh) -> float:
-        if m == 0:
-            res = eig_neumann_laplacian(mesh, 1)
-        else:
-            res = eig_polyharmonic_neumann(mesh, 1, m)
-        return float(res.values[0])
-
-    meshes = [study_mesh(d, h_list, k) for k in range(len(h_list))]
-    _study_parents.update(mesh.parent for mesh in meshes if mesh.parent is not None)
-    try:
-        values = tuple(lowest(mesh) for mesh in meshes)
-    finally:
-        _study_parents.clear()
-        _last_level.clear()  # the finest mesh has no child to serve
-
+    values = []
+    for mus, vectors, _ in _family_pairs([study_mesh(d, h_list, k) for k in range(len(h_list))]):
+        values.append(float(mus[0]))
+    values, vector = tuple(values), vectors[:, 0]
     diffs = [values[i] - values[i + 1] for i in range(len(values) - 1)]
     monotone = all(d > 0 for d in diffs) or all(d < 0 for d in diffs)
     if not monotone:
@@ -605,7 +567,7 @@ def convergence_study(d: Domain, m: int, h_list) -> ConvergenceStudy:
             extrapolated=None,
             error_bar=abs(diffs[-1]),
             monotone=False,
-            power=m,
+            vector=vector,
         )
     # one order per consecutive triple, from the increments alone, which
     # avoids assuming the limit
@@ -623,5 +585,5 @@ def convergence_study(d: Domain, m: int, h_list) -> ConvergenceStudy:
         extrapolated=extrapolated,
         error_bar=abs(extrapolated - values[-1]),
         monotone=True,
-        power=m,
+        vector=vector,
     )

@@ -51,10 +51,8 @@ def stadium_report():
 
 
 @pytest.fixture(scope="session")
-def disk_m2_study():
-    t0 = time.perf_counter()
-    study = fem.convergence_study(corpus_domain("disk"), 2, H_LIST)
-    return study, time.perf_counter() - t0
+def disk_m2_report():
+    return _report("disk", 2, use_mps=False)
 
 
 def test_criterion_1_biharmonic_disk(disk_report):
@@ -69,18 +67,18 @@ def test_criterion_1_biharmonic_disk(disk_report):
     )
 
 
-def test_criterion_2_poly_power_disk(disk_m2_study):
+def test_criterion_2_poly_power_disk(disk_m2_report):
     """Exact power algebra plus the m=2 FEM value on the disk."""
     b = Ball(2, 1.0)
     mu = mu1_ball(b)
     for m in range(1, 9):
         assert upsilon1_poly_ball(b, m) == mu ** (2 * m)
-    study, elapsed = disk_m2_study
-    rel_err = abs(study.best - EXACT_UPS1_M2) / EXACT_UPS1_M2
+    ups, elapsed = disk_m2_report["upsilon1_fem"], disk_m2_report["_elapsed"]
+    rel_err = abs(ups - EXACT_UPS1_M2) / EXACT_UPS1_M2
     assert rel_err <= 0.02
     assert elapsed < 180.0
     print(
-        f"\nACCEPTANCE 2 PASS: power algebra exact; disk m=2 FEM {study.best:.4f} "
+        f"\nACCEPTANCE 2 PASS: power algebra exact; disk m=2 FEM {ups:.4f} "
         f"vs exact {EXACT_UPS1_M2:.4f} (rel err {rel_err:.2e}, {elapsed:.1f}s < 180s)"
     )
 
@@ -164,7 +162,7 @@ def test_criterion_6_square_analytic_anchors():
 def test_criterion_7_cross_method_agreement():
     """Particular solutions agree with FEM on the ellipse and exactly on the disk."""
     ell = geo.Ellipse(1.5, 2.0 / 3.0)
-    study = fem.convergence_study(ell, 0, H_LIST)
+    study = fem.convergence_study(ell, H_LIST)
     hits = mps.mps_find(ell, "laplace_neumann", (0.8 * study.best**0.5, 1.2 * study.best**0.5), 20)
     good = [e for e in hits if e.sigma < 1e-6]
     assert good, "no converged indicator minima near the FEM estimate"

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from neuspec import cli, fem, trial
-from neuspec.ball import Ball, upsilon1_poly_ball
+from neuspec.ball import Ball, mu1_ball, upsilon1_poly_ball
 from neuspec.mps import MpsEigenvalue
 from neuspec.quadrature import cached_mesh, study_mesh
 
@@ -193,7 +193,7 @@ class TestVerifyCommand:
             assert exc.value.code == 2, h_list
             assert "mesh sizes" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("m", ["0", "5", "-1"])
+    @pytest.mark.parametrize("m", ["0", "9", "-1"])
     def test_power_out_of_range_exits_2(self, m, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--domain", "disk", "--m", m])
@@ -214,7 +214,7 @@ class TestVerifyCommand:
 
     def test_solver_failure_names_stage_and_mesh(self, monkeypatch, capsys):
         monkeypatch.setattr(fem, "RESIDUAL_TOL", 0.0)
-        fem._pencil_solve.cache_clear()  # a kept solve would skip the gate
+        fem._study.cache_clear()  # a kept study would skip the gate
         code = cli.main(["verify", "--domain", "square", "--h-list", "0.3,0.2,0.12",
                          "--no-mps"])
         assert code == 1
@@ -236,12 +236,12 @@ class TestVerifyCommand:
         assert cli.main(["plot", str(mode), "eigenfunction", "--out", str(svg)]) == 0
 
     def test_fem_value_above_bound_fails(self, monkeypatch, tmp_path):
-        def above_bound(d, m, h_list, **kwargs):
-            b = upsilon1_poly_ball(Ball(2, 1.0), m)
+        def above_bound(d, h_list):
+            b = mu1_ball(Ball(2, 1.0))
             return fem.ConvergenceStudy(
                 h_list=tuple(h_list), values=(1.3 * b, 1.25 * b, 1.22 * b),
                 observed_order=2.0, extrapolated=1.2 * b, error_bar=0.02 * b,
-                monotone=True, power=m)
+                monotone=True, vector=None)
 
         monkeypatch.setattr(cli, "convergence_study", above_bound)
         out = tmp_path / "report.json"
@@ -290,6 +290,37 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.startswith(
             "verify failed during setup: value 0.0 is outside the range of positive doubles")
         assert not out.exists()
+
+    def test_raised_value_beyond_doubles_fails_in_the_study(self, tmp_path):
+        # at radius 1e-19 the bound (j'11/R)^8 is 1.744e308, still a double,
+        # but mu_h^8 on the coarsest mesh lies above it and overflows
+        out = tmp_path / "tiny.json"
+        proc = run_cli(["verify", "--domain", "disk:0,0,1e-19", "--m", "4", "--h-list",
+                        "1.6e-20,1.2e-20,8e-21", "--no-mps", "--out", str(out)])
+        assert proc.returncode == 1
+        assert proc.stderr == ("verify failed during fem convergence study: value inf is "
+                               "outside the range of positive doubles\n")
+        assert not out.exists()
+
+    def test_highest_power(self, tmp_path):
+        out = tmp_path / "m8.json"
+        code = cli.main(["verify", "--domain", "square", "--m", "8", "--h-list",
+                         "0.16,0.12,0.08", "--no-mps", "--out", str(out)])
+        assert code == 0
+        rep = json.loads(out.read_text())
+        assert abs(rep["upsilon1_fem"] - math.pi**32) <= rep["upsilon1_fem_error_bar"]
+        assert rep["strict"] is True and rep["certificate"]["strict"] is True
+
+    def test_mps_at_every_power(self):
+        # one window, centered on the FEM frequency, serves every m
+        h_list = (0.16, 0.12, 0.08)
+        first, second = (cli.build_verification_report("ellipse-1.5", m, h_list)
+                         for m in (1, 2))
+        assert second["config"]["mps"] is True
+        assert second["upsilon1_mps"] == pytest.approx(first["upsilon1_mps"] ** 2, rel=1e-14)
+        assert cli._mps_warning(first) is None and cli._mps_warning(second) is None
+        assert (first["convergence"]["observed_order"]
+                == second["convergence"]["observed_order"])
 
     def test_save_eigenfunction_dumps_the_study_mesh(self, tmp_path):
         # the finest mesh of a halving list is the refined one, not a lattice
@@ -497,7 +528,7 @@ class TestParser:
     def test_warm_reports_equal_cold(self):
         """Reports built after others in one process equal fresh ones byte for byte."""
         def clear_shared_work():
-            fem._pencil_solve.cache_clear()
+            fem._study.cache_clear()
             trial.trial_quotient.cache_clear()
 
         runs = [("disk", m) for m in (1, 2, 3, 4)] + [("square", 2), ("disk", 2)]
@@ -509,13 +540,30 @@ class TestParser:
             cold = cli.build_verification_report(d, m, h_list, use_mps=False)
             assert cli._json_dump(report) == cli._json_dump(cold), (d, m)
 
-        # what the caches hand out cannot be written through
+        # what the caches and the solver hand out cannot be written through
         disk = cli._resolve_domain("disk")
         res = fem.eig_polyharmonic_neumann(cached_mesh(disk, 0.08), 1, 1)
         center = trial.find_center(disk)
-        for arr in (res.vectors, res.residuals, center):
+        for arr in (fem.convergence_study(disk, h_list).vector, res.vectors, res.residuals,
+                    center):
             with pytest.raises(ValueError):
                 arr[..., 0] = 1.0
+
+    def test_one_study_serves_every_power(self, monkeypatch):
+        solve, solved = fem._pencil_solve, []
+
+        def counting_solve(mesh, *args):
+            solved.append(mesh)
+            return solve(mesh, *args)
+
+        monkeypatch.setattr(fem, "_pencil_solve", counting_solve)
+        fem._study.cache_clear()
+        for domain in ("disk", "square"):
+            orders = {cli.build_verification_report(domain, m, (0.16, 0.12, 0.08),
+                                                    use_mps=False)["convergence"]["observed_order"]
+                      for m in (1, 2, 3, 4)}
+            assert len(orders) == 1, domain
+        assert len(solved) == 6
 
     def test_programmatic_report(self):
         report = cli.build_verification_report(

@@ -11,7 +11,7 @@ from neuspec import cli, fem
 from neuspec import geometry as geo
 from neuspec import meshing as msh
 from neuspec import quadrature
-from neuspec.ball import Ball, upsilon1_poly_ball
+from neuspec.ball import Ball, mu1_ball, upsilon1_poly_ball
 from neuspec.corpus import CORPUS, corpus_domain
 from neuspec.meshing import Mesh, load_mesh, save_mesh
 from neuspec.quadrature import cached_mesh, study_mesh
@@ -195,7 +195,6 @@ class TestLaplacianEigs:
 
     def test_serial_reproducibility(self, square_mesh):
         r1 = fem.eig_neumann_laplacian(square_mesh, 2)
-        fem._pencil_solve.cache_clear()  # so that r2 is a second solve
         r2 = fem.eig_neumann_laplacian(square_mesh, 2)
         assert r2.vectors is not r1.vectors
         assert np.array_equal(r1.values, r2.values)
@@ -206,17 +205,14 @@ def residual_norms(name):
     """The solver's residuals, _residual_bounds of r = A v - mu M v, and
     the exact ||r||_{M^-1} through a sparse LU of M, for the pairs of a
     corpus domain's lattice mesh at 0.16 and its refinements at 0.08 and
-    0.04 (the finest solved by LOBPCG, the others as a study would)."""
+    0.04, as a study solves them (the finest by LOBPCG)."""
     from scipy.sparse.linalg import splu
 
     d = corpus_domain(name)
-    h_list = (0.16, 0.08, 0.04)
-    fem.convergence_study(d, 1, h_list)
+    meshes = [study_mesh(d, (0.16, 0.08, 0.04), k) for k in range(3)]
     reported, bounds, exact = [], [], []
-    for k in range(3):
-        mesh = study_mesh(d, h_list, k)
+    for mesh, (mus, vecs, residuals) in zip(meshes, fem._family_pairs(meshes)):
         op = fem.assemble(mesh)
-        mus, vecs, residuals = fem._pencil_solve(mesh, 1)
         r = op.A @ vecs - (op.M @ vecs) * mus
         reported.append(residuals)
         bounds.append(fem._residual_bounds(op.M, r))
@@ -280,6 +276,13 @@ def refined_pair(name, h):
     return coarse, msh.refine(coarse, d)
 
 
+def two_grid_solve(coarse, fine, count=1):
+    """fine's pairs by LOBPCG on coarse's factor, from coarse's vectors,
+    as a study solves its finest mesh."""
+    mus, vectors, _, lu = fem._pencil_solve(coarse, count)
+    return fem._pencil_solve(fine, count, (lu, mus, vectors))
+
+
 class TestTransfer:
     def test_quadratics_carry_over_exactly(self, square):
         coarse = msh.triangulate(square, 0.2)
@@ -309,7 +312,7 @@ class TestTwoGrid:
     def test_finest_mesh_is_never_factored(self, monkeypatch):
         d = corpus_domain("ellipse-1.5")
         h_list = (0.16, 0.08, 0.04)
-        for cache in (quadrature.cached_mesh, quadrature._refined_mesh, fem._pencil_solve):
+        for cache in (quadrature.cached_mesh, quadrature._refined_mesh, fem._study):
             cache.cache_clear()
         factor, assemble = fem._factor, fem.assemble
         assembled, factored, alive, most_alive = [], [], [0], [0]
@@ -338,7 +341,7 @@ class TestTwoGrid:
 
         monkeypatch.setattr(fem, "_factor", counting_factor)
         monkeypatch.setattr(fem, "assemble", counting_assemble)
-        study = fem.convergence_study(d, 1, h_list)
+        study = fem.convergence_study(d, h_list)
         meshes = [study_mesh(d, h_list, k) for k in range(3)]
         assert meshes[2].parent is meshes[1] and meshes[1].parent is meshes[0]
         assert [mesh for mesh, _ in assembled] == meshes
@@ -356,7 +359,7 @@ class TestTwoGrid:
                                               ("square", (0.16, 0.08, 0.04, 0.02))])
     def test_lobpcg_runs_once_on_the_finest_mesh(self, name, h_list, monkeypatch):
         d = corpus_domain(name)
-        for cache in (quadrature.cached_mesh, quadrature._refined_mesh, fem._pencil_solve):
+        for cache in (quadrature.cached_mesh, quadrature._refined_mesh, fem._study):
             cache.cache_clear()
         factor, lanczos, two_grid = fem._factor, fem._lanczos_vectors, fem._two_grid_vectors
         paths, factored, alive, most_alive = [], [], [0], [0]
@@ -389,17 +392,16 @@ class TestTwoGrid:
         monkeypatch.setattr(fem, "_factor", counting_factor)
         monkeypatch.setattr(fem, "_lanczos_vectors", counting_lanczos)
         monkeypatch.setattr(fem, "_two_grid_vectors", counting_two_grid)
-        fem.convergence_study(d, 1, h_list)
+        fem.convergence_study(d, h_list)
         ndofs = [fem.assemble(study_mesh(d, h_list, k)).dimension for k in range(len(h_list))]
         assert paths == [("lanczos", n) for n in ndofs[:-1]] + [("lobpcg", ndofs[-1])]
         assert factored == ndofs[:-1]
         gc.collect()
         assert most_alive[0] == 1 and alive[0] == 0
-        assert not fem._study_parents
 
     def test_double_value_on_the_disk(self):
         coarse, fine = refined_pair("disk", 0.08)
-        mus = fem._pencil_solve(fine, 1)[0]
+        mus = two_grid_solve(coarse, fine)[0]
         op = fem.assemble(fine)
         lu = fem._factor(op.shifted)
         lanczos = fem._checked_pairs(op, fem._lanczos_vectors(op, lu, 2, "test"), "test")[0]
@@ -411,8 +413,7 @@ class TestTwoGrid:
                              ids=["second-and-third", "second-twice", "third-and-second"])
     def test_spoiled_start_never_passes_as_another_mode(self, name, columns, monkeypatch):
         coarse, fine = refined_pair(name, 0.08)
-        want = fem._pencil_solve(fine, 1)[0][0]
-        fem._pencil_solve.cache_clear()
+        want = two_grid_solve(coarse, fine)[0][0]
         # the parent's modes 2 and 3 hold none of mode 1
         parent_vectors = fem._pencil_solve(coarse, 2)[1]
         two_grid = fem._two_grid_vectors
@@ -423,7 +424,7 @@ class TestTwoGrid:
         monkeypatch.setattr(fem, "_two_grid_vectors", spoiled)
         ndof = len(p2_nodes(fine))
         try:
-            got = fem._pencil_solve(fine, 1)[0][0]
+            got = two_grid_solve(coarse, fine)[0][0]
         except fem.SolverError as exc:
             assert f"h=0.04, ndof={ndof}" in str(exc)
         else:
@@ -439,13 +440,13 @@ class TestTwoGrid:
         monkeypatch.setattr(fem, "_two_grid_vectors", lambda *args: modes[:, 1:])
         ndof = op.dimension
         with pytest.raises(fem.SolverError, match=f"lost a mode.*h=0.04, ndof={ndof}"):
-            fem._pencil_solve(fine, 1)
+            two_grid_solve(coarse, fine)
 
     def test_lobpcg_warning_stays_off_stderr(self, monkeypatch, capsys, recwarn, tmp_path):
         # one iteration cannot meet the gate; lobpcg's warning that it
         # stopped short must not surface, and the gate must fail the run
         monkeypatch.setattr(fem, "_LOBPCG_MAXITER", 1)
-        fem._pencil_solve.cache_clear()
+        fem._study.cache_clear()  # a kept study would skip the solve
         code = cli.main(["verify", "--domain", "ellipse-1.5", "--h-list", "0.16,0.08,0.04",
                          "--no-mps", "--out", str(tmp_path / "r.json")])
         err = capsys.readouterr().err
@@ -499,36 +500,35 @@ class TestPolyharmonicEigs:
         with pytest.raises(ValueError):
             fem.eig_polyharmonic_neumann(square_mesh, 1, 0)
         with pytest.raises(ValueError):
-            fem.eig_polyharmonic_neumann(square_mesh, 1, 5)
+            fem.eig_polyharmonic_neumann(square_mesh, 1, 9)
 
     def test_high_powers_converge_on_disk(self):
-        disk = geo.Disk((0, 0), 1.0)
+        study = fem.convergence_study(geo.Disk((0, 0), 1.0), (0.16, 0.12, 0.08))
+        assert study.monotone
         for m in (3, 4):
-            study = fem.convergence_study(disk, m, (0.16, 0.12, 0.08))
-            exact = upsilon1_poly_ball(Ball(2, 1.0), m)
-            assert study.monotone, m
-            assert abs(study.extrapolated - exact) <= study.error_bar, m
+            _, ups, bar = cli._raised(study, m)
+            assert abs(ups - upsilon1_poly_ball(Ball(2, 1.0), m)) <= bar, m
 
 
 class TestConvergence:
     def test_square_laplacian_extrapolation(self, square):
-        study = fem.convergence_study(square, 0, (0.2, 0.1, 0.05))
+        study = fem.convergence_study(square, (0.2, 0.1, 0.05))
         assert study.monotone
         assert study.extrapolated == pytest.approx(math.pi**2, rel=5e-4)
 
     def test_disk_p2_order_two(self):
         # the polygonized boundary caps P2 at h^2 on curved domains
-        study = fem.convergence_study(geo.Disk((0, 0), 1.0), 0, (0.12, 0.06, 0.03))
+        study = fem.convergence_study(geo.Disk((0, 0), 1.0), (0.12, 0.06, 0.03))
         assert study.observed_order == pytest.approx(2.0, abs=0.3)
 
     def test_error_bar_definition(self, square):
-        study = fem.convergence_study(square, 0, (0.2, 0.1, 0.05))
+        study = fem.convergence_study(square, (0.2, 0.1, 0.05))
         assert study.error_bar == abs(study.extrapolated - study.values[-1])
 
     def test_error_bar_is_honest(self, square):
         # the bar reported alongside the extrapolated value must cover the
         # true remaining error (analytic limit known here)
-        study = fem.convergence_study(square, 0, (0.2, 0.1, 0.05))
+        study = fem.convergence_study(square, (0.2, 0.1, 0.05))
         assert abs(study.extrapolated - math.pi**2) <= study.error_bar
         # and the change between the two finest meshes sits within the
         # coarser run's implied uncertainty
@@ -537,20 +537,20 @@ class TestConvergence:
         ) * (1 + 1e-12)
 
     def test_nongeometric_h_list_extrapolation(self):
-        study = fem.convergence_study(geo.Disk((0, 0), 1.0), 1, (0.16, 0.12, 0.08))
-        exact = upsilon1_poly_ball(Ball(2, 1.0), 1)
+        study = fem.convergence_study(geo.Disk((0, 0), 1.0), (0.16, 0.12, 0.08))
+        exact = mu1_ball(Ball(2, 1.0))
         assert abs(study.extrapolated - exact) < abs(study.values[-1] - exact)
 
     def test_input_validation(self, square):
         with pytest.raises(ValueError):
-            fem.convergence_study(square, 0, (0.1, 0.05))
+            fem.convergence_study(square, (0.1, 0.05))
         with pytest.raises(ValueError):
-            fem.convergence_study(square, 0, (0.05, 0.1, 0.2))
+            fem.convergence_study(square, (0.05, 0.1, 0.2))
 
     def test_rotated_domain_within_error_bars(self, square):
         rotated = moved_polygon(square, angle=0.6, about=(0.3, 0.3))
-        s0 = fem.convergence_study(square, 0, (0.2, 0.1, 0.05))
-        s1 = fem.convergence_study(rotated, 0, (0.2, 0.1, 0.05))
+        s0 = fem.convergence_study(square, (0.2, 0.1, 0.05))
+        s1 = fem.convergence_study(rotated, (0.2, 0.1, 0.05))
         tol = s0.error_bar + s1.error_bar + 1e-6 * s0.extrapolated
         assert abs(s0.extrapolated - s1.extrapolated) <= tol
 
@@ -565,7 +565,7 @@ class TestStudyMeshes:
 
         monkeypatch.setattr(quadrature, "triangulate", counting_triangulate)
         d = geo.Ellipse(1.3, 1.0 / 1.3)  # meshed by no other test, so not cached
-        study = fem.convergence_study(d, 1, (0.16, 0.08, 0.04))
+        study = fem.convergence_study(d, (0.16, 0.08, 0.04))
         assert calls == [0.16]
         assert study.monotone
         fine = study_mesh(d, study.h_list, 2)

@@ -243,13 +243,12 @@ class TestTrialQuotient:
 
     @pytest.mark.parametrize("name", list(CORPUS))
     def test_between_the_fem_value_and_the_ball(self, name):
-        # mu1 <= Q (Q is a Rayleigh quotient) and Q <= mu1(B) (Szego-Weinberger);
-        # mu1 = Upsilon^(1/2) from the FEM study of Delta^2
+        # mu1 <= Q (Q is a Rayleigh quotient) and Q <= mu1(B) (Szego-Weinberger)
         d = corpus_domain(name)
-        study = fem.convergence_study(d, 1, (0.16, 0.12, 0.08))
+        study = fem.convergence_study(d, (0.16, 0.12, 0.08))
         q = trial.trial_quotient(d).value
         mu_ball = trial._profile(d).mu1
-        assert math.sqrt(study.best - study.error_bar) <= q <= mu_ball * (1 + 1e-14)
+        assert study.best - study.error_bar <= q <= mu_ball * (1 + 1e-14)
 
     def test_ellipse_m2(self):
         # the one quotient, squared twice, certifies Delta^4 below the disk's value
