@@ -207,11 +207,12 @@ def build_verification_report(domain_spec: str, m: int, h_list, use_mps: bool = 
     ups_mps = None
     use_mps = use_mps and d.is_smooth
     if use_mps:
-        # MPS solves Delta^2 for omega with value omega^4, so
-        # Upsilon = omega^(4m); its window is centered on the FEM frequency
+        # Delta^(2m) has the Neumann Laplacian's frequencies omega (see
+        # neuspec.mps), so Upsilon = omega^(4m); the window is centered on
+        # the FEM frequency
         w_est = math.sqrt(study.best)
         with _stage("mps"):
-            hits = mps_find(d, "polyharm_neumann", (0.75 * w_est, 1.25 * w_est), MPS_TRUNC)
+            hits = mps_find(d, "laplace_neumann", (0.75 * w_est, 1.25 * w_est), MPS_TRUNC)
             good = [_in_range(e.omega ** (4 * m)) for e in hits if e.sigma < MPS_SIGMA_TOL]
         if good:
             ups_mps = min(good, key=lambda v: abs(v - ups_fem))
@@ -418,8 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("sigma-scan", help="sample the MPS indicator over a band")
     p_scan.add_argument("--domain", required=True)
-    p_scan.add_argument("--problem", choices=("laplace_neumann", "polyharm_neumann"),
-                        default="laplace_neumann")
     frequency = _checked(float, lambda v: 0 < v < math.inf, "a positive, finite frequency")
     p_scan.add_argument("--lo", type=frequency, required=True,
                         help="lowest frequency, below --hi")
@@ -437,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_sigma_scan(args) -> int:
     try:
         d = _resolve_domain(args.domain)
-        curve = mps_scan(d, args.problem, (args.lo, args.hi), args.trunc, args.grid)
+        curve = mps_scan(d, (args.lo, args.hi), args.trunc, args.grid)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"sigma-scan failed: {exc}", file=sys.stderr)
         return 1

@@ -5,9 +5,12 @@ Continuous quadratic (P2) Lagrange elements give a mass/stiffness pair
 are natural, so no constraints are imposed.  The order-2m operator is
 realized mixed as K_q = A (M^{-1} A)^(q-1) with q = 2m, so its discrete
 eigenpairs are exactly the q-th powers of the (A, M) pencil's with the
-same vectors, and the reported value is mu^q; the independent particular-
-solutions module is what probes whether that squaring survives at the
-continuous level.
+same vectors, and the reported value is mu^q.  The continuous problem
+squares the same way: du/dn = 0 belongs to the form domain, on which the
+form is diagonal in the Neumann Laplacian's eigenbasis, so Upsilon_k =
+mu_k^q (README); acceptance criterion 8 guards the discrete squaring,
+and the particular-solutions cross-check (`neuspec.mps`) checks mu
+itself.
 
 M, A and A + M share one sparsity pattern, built in one pass.  A
 convergence study solves the pencil alone, once per domain and h list,

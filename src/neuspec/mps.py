@@ -1,13 +1,20 @@
 """Eigenvalue detection by particular solutions on smooth planar domains.
 
 Trial functions are linear combinations of J_j(w r) cos/sin(j theta)
-about the domain's centroid; for the fourth-order problem the
-factorization of (Delta^2 - w^4) into (Delta - w^2)(Delta + w^2) adds the
-modified family I_j(w r) cos/sin(j theta), so both boundary conditions
-can be collocated exactly.  The indicator sigma(w) is the smallest
-singular value of the boundary block of an orthonormalized collocation
-matrix (boundary rows plus interior normalization rows); eigenfrequencies
-show up as sharp local minima.
+about the domain's centroid, and the one boundary condition collocated is
+du/dn = 0: the Neumann Laplacian's.  The indicator sigma(w) is the
+smallest singular value of the boundary block of an orthonormalized
+collocation matrix (boundary rows plus interior normalization rows);
+eigenfrequencies show up as sharp local minima.
+
+The fourth-order problem Delta^2 u = w^4 u with du/dn = d(Delta u)/dn = 0
+needs nothing more.  Its solutions split as u = v + z with Delta v = -w^2 v
+and Delta z = w^2 z, and the two conditions, du/dn = 0 and
+d(Delta u)/dn / w^2 = -dv/dn + dz/dn = 0, decouple into dv/dn = 0 and
+dz/dn = 0.  The second has no solution but z = 0: Green's formula gives
+int |grad z|^2 + w^2 int z^2 = int z dz/dn = 0.  So the eigenfrequencies
+of Delta^2 are those of the Neumann Laplacian, and an eigenvalue is
+reported as w^2 or w^4 from the same minimum of sigma (`mps_find`).
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ __all__ = [
     "mps_find",
 ]
 
-_PROBLEMS = ("laplace_neumann", "polyharm_neumann")
+# the power of omega that mps_find reports as each problem's eigenvalue
+_PROBLEMS = {"laplace_neumann": 2, "polyharm_neumann": 4}
 # intervals of the default scan grid, the one mps_find brackets minima on
 _SCAN_INTERVALS = 100
 _INTERIOR_SEED = 777
@@ -42,15 +50,12 @@ _INTERIOR_SEED = 777
 
 @dataclass(frozen=True)
 class MpsBasis:
-    """Trial basis description: problem kind, frequency, truncation."""
+    """Trial basis description: frequency and truncation."""
 
-    problem: str
     omega: float
     N: int
 
     def __post_init__(self):
-        if self.problem not in _PROBLEMS:
-            raise ValueError(f"problem must be one of {_PROBLEMS}")
         if not (self.omega > 0 and math.isfinite(self.omega)):
             raise ValueError("trial frequency must be positive")
         if not (1 <= self.N <= 60):
@@ -96,7 +101,7 @@ def _interior_points(d: Domain, count: int) -> np.ndarray:
 
 
 # one entry serves every sigma of a scan and its refinement; a few more let
-# callers alternate problems or truncations on one domain
+# callers alternate truncations or domains
 @functools.lru_cache(maxsize=4)
 def _collocation_geometry(d: Domain, n: int):
     """The omega-independent part of the collocation blocks: the distinct
@@ -140,57 +145,30 @@ def _collocation_geometry(d: Domain, n: int):
 
 
 def _collocation_blocks(d: Domain, basis: MpsBasis):
-    """Boundary-condition rows of each trial family, which together form a
-    block-diagonal matrix, then the interior rows of all families."""
+    """The boundary-condition rows and the interior rows of the trial
+    family."""
     n = basis.N
     omega = basis.omega
     rb_distinct, rb_index, ri, nr_cos, nr_sin, nt_jsin, nt_jcos, cosi, sini = (
         _collocation_geometry(d, n))
 
-    def normal_rows(f, fp):
-        # d/dn of f(w r) T(j theta): n_r w f' T + n_t f j T'/r
-        f = f[rb_index]
-        fp = omega * fp[rb_index]
-        rows_cos = fp * nr_cos - f * nt_jsin
-        rows_sin = fp[:, 1:] * nr_sin + f[:, 1:] * nt_jcos
-        return np.concatenate([rows_cos, rows_sin], axis=1)
-
-    def interior_rows(f):
-        return np.concatenate([f * cosi, (f * sini)[:, 1:]], axis=1)
-
-    # One Bessel table per family, on orders 0..n+1 at the distinct
-    # boundary radii and the interior points together.  The boundary
-    # rows take the derivatives J_j' = (J_(j-1) - J_(j+1)) / 2, with
-    # J_(-1) = -J_1, and I_j' = (I_|j-1| + I_(j+1)) / 2; the interior rows
-    # take values only.
+    # One Bessel table, on orders 0..n+1 at the distinct boundary radii
+    # and the interior points together.  The boundary rows take the
+    # derivatives J_j' = (J_(j-1) - J_(j+1)) / 2, with J_(-1) = -J_1; the
+    # interior rows take values only.
     nd = rb_distinct.size
-    xb = omega * rb_distinct
-    x = np.concatenate([xb, omega * ri])
-    jall = bessel_orders(x, n + 1)
+    jall = bessel_orders(omega * np.concatenate([rb_distinct, ri]), n + 1)
     jb = jall[:nd]
     jpb = np.empty((nd, n + 1))
     jpb[:, 0] = -jb[:, 1]
     jpb[:, 1:] = 0.5 * (jb[:, :-2] - jb[:, 2:])
-    bnd_j = normal_rows(jb[:, :-1], jpb)
-    int_j = interior_rows(jall[nd:, :-1])
-
-    if basis.problem == "laplace_neumann":
-        return bnd_j, int_j
-
-    # I_j * exp(-x_ref): the common factor is a pure column scaling (it
-    # cancels in the subspace angles) and keeps large arguments finite.
-    iall = bessel_orders(x, n + 1, modified=True) * np.exp(x - float(np.max(xb)))[:, None]
-    ib = iall[:nd]
-    ipb = 0.5 * (ib[:, np.abs(np.arange(n + 1) - 1)] + ib[:, 1:])
-    bnd_i = normal_rows(ib[:, :-1], ipb)
-    int_i = interior_rows(iall[nd:, :-1])
-    # first condition: d/dn(u_J + u_I) = 0; second: d/dn(Delta u)/w^2 =
-    # -d/dn u_J + d/dn u_I = 0 (the Laplacian acts as -w^2 and +w^2 on the
-    # two families).  Their orthogonal combinations (first -/+ second)/sqrt2
-    # turn the rows [[B_J, B_I], [-B_J, B_I]] into diag(sqrt2 B_J, sqrt2 B_I),
-    # which leaves sigma unchanged.
-    root2 = math.sqrt(2.0)
-    return root2 * bnd_j, root2 * bnd_i, np.concatenate([int_j, int_i], axis=1)
+    # d/dn of J_j(w r) T(j theta): n_r w J_j' T + n_t J_j j T'/r
+    f = jb[rb_index, :-1]
+    fp = omega * jpb[rb_index]
+    boundary = np.concatenate([fp * nr_cos - f * nt_jsin,
+                               fp[:, 1:] * nr_sin + f[:, 1:] * nt_jcos], axis=1)
+    ji = jall[nd:, :-1]
+    return boundary, np.concatenate([ji * cosi, (ji * sini)[:, 1:]], axis=1)
 
 
 def mps_sigma(d: Domain, basis: MpsBasis) -> float:
@@ -200,30 +178,22 @@ def mps_sigma(d: Domain, basis: MpsBasis) -> float:
     [0, 1] by construction.  With A = [A_B; A_I] the column-scaled
     boundary and interior rows, sigma is the smallest singular value of
     the boundary rows of A's Q factor.  Two Householder QRs give it: the
-    R factor T of A_B, one per family since A_B is block diagonal, has
-    ||T x|| = ||A_B x||, so the top rows of the Q factor of [T; A_I] have
-    the same singular values.  LAPACK's triangular-pentagonal QR (dtpqrt)
-    factors [T; A_I] with reflectors [e_i; v_i], so with one block its Q
-    is I - W T_f W^T for W = [I; V] and its top k-by-k block is exactly
-    I - T_f: Q itself is never formed.  (Q_B = A_B R^-1 would skip a Q
-    factor too, but its error grows with the condition number of A.)
+    R factor T of A_B has ||T x|| = ||A_B x||, so the top rows of the Q
+    factor of [T; A_I] have the same singular values.  LAPACK's
+    triangular-pentagonal QR (dtpqrt) factors [T; A_I] with reflectors
+    [e_i; v_i], so with one block its Q is I - W T_f W^T for W = [I; V]
+    and its top k-by-k block is exactly I - T_f: Q itself is never
+    formed.  (Q_B = A_B R^-1 would skip a Q factor too, but its error
+    grows with the condition number of A.)
     """
-    *families, interior = _collocation_blocks(d, basis)
-    scale = np.sqrt(np.concatenate([np.sum(b * b, axis=0) for b in families])
-                    + np.sum(interior * interior, axis=0))
+    boundary, interior = _collocation_blocks(d, basis)
+    scale = np.sqrt(np.sum(boundary * boundary, axis=0) + np.sum(interior * interior, axis=0))
     good = scale > 1e-280
     k = int(np.count_nonzero(good))
     # dtpqrt reads only the upper triangle of T, so the reflectors that
-    # dgeqrf leaves below each family's diagonal may stay there
-    tri = np.zeros((k, k), order="F")
-    col = row = 0
-    for b in families:
-        g, s = good[col:col + b.shape[1]], scale[col:col + b.shape[1]]
-        col += b.shape[1]
-        r = lapack.dgeqrf(_scaled_columns(b, g, s), overwrite_a=1)[0]
-        n = r.shape[1]
-        tri[row:row + n, row:row + n] = r[:n]
-        row += n
+    # dgeqrf leaves below the diagonal may stay there; A_B has more rows
+    # (4N + 8) than columns (2N + 1), so T is its top k rows
+    tri = lapack.dgeqrf(_scaled_columns(boundary, good, scale), overwrite_a=1)[0][:k]
     # one block (nb = k), so that T_f is k-by-k and I - T_f is Q's top block
     r, _, t, _ = lapack.dtpqrt(0, k, tri, _scaled_columns(interior, good, scale),
                                overwrite_a=1, overwrite_b=1)
@@ -260,19 +230,17 @@ def _check_scan(d: Domain, interval, n_grid: int) -> np.ndarray:
     return np.linspace(lo, hi, n_grid + 1)
 
 
-def _sigma_at(d: Domain, problem: str, N: int):
-    """sigma as a function of omega alone, for one domain, problem and
-    truncation."""
+def _sigma_at(d: Domain, N: int):
+    """sigma as a function of omega alone, for one domain and truncation."""
     def f(w):
-        return mps_sigma(d, MpsBasis(problem=problem, omega=float(w), N=N))
+        return mps_sigma(d, MpsBasis(omega=float(w), N=N))
     return f
 
 
-def mps_scan(d: Domain, problem: str, interval, N: int,
-             n_grid: int = _SCAN_INTERVALS) -> SigmaCurve:
+def mps_scan(d: Domain, interval, N: int, n_grid: int = _SCAN_INTERVALS) -> SigmaCurve:
     """Sample sigma(omega) on a uniform grid over the interval."""
     omegas = _check_scan(d, interval, n_grid)
-    f = _sigma_at(d, problem, N)
+    f = _sigma_at(d, N)
     return SigmaCurve(omegas=tuple(float(w) for w in omegas),
                       sigmas=tuple(f(w) for w in omegas))
 
@@ -398,19 +366,22 @@ def mps_find(d: Domain, problem: str, interval, N: int) -> list[MpsEigenvalue]:
     than both grid neighbours is a minimum; parabolic steps on sigma^2
     then refine it to 1e-9 of the interval width.  A minimum at the first
     or last grid point is not reported.  Returns one entry per minimum
-    (possibly none), converting the frequency by value = omega^2 for the
-    Laplacian and omega^4 for the fourth-order problem; sigma at the
-    minimum is the quality score.
+    (possibly none); sigma at the minimum is the quality score.  Both
+    problems have the same minima (see the module docstring); the
+    problem only sets the reported value, omega^2 for the Laplacian and
+    omega^4 for the fourth-order problem.
     """
+    if problem not in _PROBLEMS:
+        raise ValueError(f"problem must be one of {tuple(_PROBLEMS)}")
+    power = _PROBLEMS[problem]
     omegas = _check_scan(d, interval, _SCAN_INTERVALS)
-    f = _sigma_at(d, problem, N)
+    f = _sigma_at(d, N)
     count = d.area() * (omegas[-1] ** 2 - omegas[0] ** 2) / (4.0 * math.pi)
     stride = _COARSE_STRIDE if count <= _COARSE_MAX_COUNT else 1
     sigmas = _coarse_to_fine_scan(f, omegas, stride)
 
     out = []
     tol = 1e-9 * (omegas[-1] - omegas[0])
-    power = 2 if problem == "laplace_neumann" else 4
     for i in range(1, len(omegas) - 1):
         bracket = sigmas[i - 1:i + 2]
         if None not in bracket and bracket[1] < bracket[0] and bracket[1] < bracket[2]:

@@ -11,12 +11,13 @@ g'(0) = s/n in every dimension.  Eigenvalues come from zeros of the
 radial derivative: mu = (nu/R)^2 with nu a zero of d/dr[r^(-(n-2)/2)
 J_{j+(n-2)/2}(r)] for harmonic degree j.
 
-Single Bessel values are delegated to scipy.special.  Tables of J_k or
-I_k e^-x over consecutive orders k = 0..top, which the particular
-solutions need at every collocation point, come from Miller's backward
-recurrence normalized by scipy's order-0 or order-1 value
-(`bessel_orders`).  Zero isolation and the profile algebra are
-implemented here.
+Single Bessel values are delegated to scipy.special.  Tables of J_k over
+consecutive orders k = 0..top, which the particular solutions need at
+every collocation point, come from Miller's backward recurrence
+normalized by scipy's order-0 or order-1 value (`bessel_orders`); J is
+the only family they need, since they solve the Laplacian alone (see
+`neuspec.mps`).  Zero isolation and the profile algebra are implemented
+here.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from functools import lru_cache
 import numpy as np
 import numpy.typing as npt
 from scipy.special import gamma as _gamma
-from scipy.special import i0e as _i0e
 from scipy.special import j0 as _j0
 from scipy.special import j1 as _j1
 from scipy.special import jv as _jv
@@ -100,62 +100,58 @@ def bessel_j_prime(nu: float, x) -> float | npt.NDArray:
 _MILLER_LOG_TOL = -40.0
 
 
-def _miller_start(top: int, x: float, sign: float) -> int:
+def _miller_start(top: int, x: float) -> int:
     """Order to start the backward recurrence from for orders 0..top at
     arguments up to x.
 
-    Each step down from order k shrinks the unwanted solution (Y_k for J,
-    K_k for I) relative to the wanted one by rho_k^2, where rho_k =
-    x / (k + sqrt(k^2 + sign x^2)) is the Debye estimate of f_k / f_(k-1)
-    (sign -1 for J, where rho_k = 1 below the turning point k = x, and +1
-    for I).  The start is the first order past top at which the product
-    of those factors is below exp(_MILLER_LOG_TOL): about max(top, x)
-    plus a few x^(1/3) steps for J, and top + sqrt(40 x) at most for I.
+    Each step down from order k shrinks the unwanted solution Y_k
+    relative to J_k by rho_k^2, where rho_k = x / (k + sqrt(k^2 - x^2))
+    is the Debye estimate of J_k / J_(k-1), and rho_k = 1 below the
+    turning point k = x.  The start is the first order past top at which
+    the product of those factors is below exp(_MILLER_LOG_TOL): about
+    max(top, x) plus a few x^(1/3) steps.
     """
     k, log_c = top, 0.0
     while log_c > _MILLER_LOG_TOL:
         k += 1
-        rho = min(x / (k + math.sqrt(max(k * k + sign * x * x, 0.0))), 1.0)
+        rho = min(x / (k + math.sqrt(max(k * k - x * x, 0.0))), 1.0)
         if rho == 0.0:
             break
         log_c += 2.0 * math.log(rho)
     return k
 
 
-def bessel_orders(x, top: int, modified: bool = False) -> npt.NDArray:
-    """J_k(x), or I_k(x) e^-x if modified, for k = 0..top: one row per x.
+def bessel_orders(x, top: int) -> npt.NDArray:
+    """J_k(x) for k = 0..top: one row per x.
 
     Miller's algorithm (Gautschi, SIAM Rev. 9 (1967) 24-82): the backward
-    recurrence f_(k-1) = (2k/x) f_k -+ f_(k+1) (minus for J, plus for I),
-    started from zero above the top order (`_miller_start`), followed by
-    one normalization.  It runs on the ratios r_k = f_k / f_(k-1) =
-    x / (2k -+ x r_(k+1)), which need no rescaling: they stay finite for
-    every x >= 0 however far the values underflow.  The values are the
-    products of the ratios times scipy's i0e for I, and for J times j0 or
-    j1, whichever is larger in magnitude at x, so that no row is
-    normalized at a zero of J_0.  The cost is about max(top, x) vector
-    steps over all x at once.
+    recurrence J_(k-1) = (2k/x) J_k - J_(k+1), started from zero above the
+    top order (`_miller_start`), followed by one normalization.  It runs
+    on the ratios r_k = J_k / J_(k-1) = x / (2k - x r_(k+1)), which need
+    no rescaling: they stay finite for every x >= 0 however far the
+    values underflow.  The values are the products of the ratios times
+    scipy's j0 or j1, whichever is larger in magnitude at x, so that no
+    row is normalized at a zero of J_0.  The cost is about max(top, x)
+    vector steps over all x at once.
     """
     xa = _check_argument(x).ravel()
-    sign = 1.0 if modified else -1.0
-    start = _miller_start(top, float(xa.max(initial=0.0)), sign)
-    combine = np.add if modified else np.subtract
+    start = _miller_start(top, float(xa.max(initial=0.0)))
     # at x = 0, q = inf gives r = 0, and at a zero of J_0, r_1 = inf is
     # never used
     with np.errstate(divide="ignore", invalid="ignore"):
-        # q[k - 1] = 1 / r_k = (2k -+ x r_(k+1)) / x, from r_(start + 1) = 0
+        # q[k - 1] = 1 / r_k = (2k - x r_(k+1)) / x, from r_(start + 1) = 0
         q = np.empty((start + 1, xa.size))
         q[start] = np.inf
         r = np.empty(xa.size)
         for k in range(start, 0, -1):
             np.divide(xa, q[k], out=r)
-            combine(2.0 * k, r, out=r)
+            np.subtract(2.0 * k, r, out=r)
             np.divide(r, xa, out=q[k - 1])
         # Where J_(k-1) vanishes to rounding (x at one of its zeros),
         # q[k - 1] = 0, r_k = inf and r_(k-1) = 1 / (2(k-1)/x - inf) = 0,
         # whose product is NaN; the orders below recover.  As in Lentz's
         # method, q[k - 1] = 1e-30 and the q[k - 2] it implies keep that
-        # product near its value, -1.  I has no zeros.
+        # product near its value, -1.
         zero = q[1:top] == 0.0
         if zero.any():
             ks, rows = np.nonzero(zero)
@@ -163,17 +159,13 @@ def bessel_orders(x, top: int, modified: bool = False) -> npt.NDArray:
             q[ks, rows] = 2.0 * (ks + 1) / xa[rows] - 1e30
         out = np.empty((top + 1, xa.size))
         np.divide(1.0, q[:top], out=out[1:])
-        if modified:
-            out[0] = scale = _i0e(xa)
-        else:
-            # each row is normalized at whichever of J_0 and J_1 is larger
-            # there; with J_1 the products start at order 2, and J_0 =
-            # J_1 q[0]
-            f0, f1 = _j0(xa), _j1(xa)
-            swap = np.abs(f1) > np.abs(f0)
-            scale = np.where(swap, f1, f0)
-            out[0] = np.where(swap, f1 * q[0], f0)
-            np.copyto(out[1], 1.0, where=swap)
+        # each row is normalized at whichever of J_0 and J_1 is larger
+        # there; with J_1 the products start at order 2, and J_0 = J_1 q[0]
+        f0, f1 = _j0(xa), _j1(xa)
+        swap = np.abs(f1) > np.abs(f0)
+        scale = np.where(swap, f1, f0)
+        out[0] = np.where(swap, f1 * q[0], f0)
+        np.copyto(out[1], 1.0, where=swap)
     np.cumprod(out[1:], axis=0, out=out[1:])
     out[1:] *= scale
     return out.T

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
-from scipy.special import ive, jv
+from scipy.special import jv
 
 from neuspec import geometry as geo
 from neuspec import mps
@@ -29,38 +29,33 @@ def disk_omega():
 
 class TestSigma:
     def test_dip_at_eigenfrequency(self, disk, disk_omega):
-        basis = mps.MpsBasis("laplace_neumann", disk_omega, 15)
+        basis = mps.MpsBasis(disk_omega, 15)
         assert mps.mps_sigma(disk, basis) < 1e-8
 
     def test_large_away_from_spectrum(self, disk):
-        basis = mps.MpsBasis("laplace_neumann", 1.5, 15)
+        basis = mps.MpsBasis(1.5, 15)
         assert mps.mps_sigma(disk, basis) > 1e-2
-
-    def test_polyharmonic_dip(self, disk, disk_omega):
-        basis = mps.MpsBasis("polyharm_neumann", disk_omega, 15)
-        assert mps.mps_sigma(disk, basis) < 1e-8
 
     def test_sigma_in_unit_interval(self, disk):
         for w in (0.7, 1.5, 2.9):
-            for problem in ("laplace_neumann", "polyharm_neumann"):
-                s = mps.mps_sigma(disk, mps.MpsBasis(problem, w, 10))
-                assert 0.0 <= s <= 1.0
+            s = mps.mps_sigma(disk, mps.MpsBasis(w, 10))
+            assert 0.0 <= s <= 1.0
 
     def test_translation_invariance(self, disk_omega):
         base = geo.Disk((0, 0), 1.0)
         moved = geo.Disk((5.0, -2.0), 1.0)
         for w in (1.5, disk_omega):
-            s0 = mps.mps_sigma(base, mps.MpsBasis("laplace_neumann", w, 12))
-            s1 = mps.mps_sigma(moved, mps.MpsBasis("laplace_neumann", w, 12))
+            s0 = mps.mps_sigma(base, mps.MpsBasis(w, 12))
+            s1 = mps.mps_sigma(moved, mps.MpsBasis(w, 12))
             assert abs(s0 - s1) < 1e-10
 
-    def test_basis_validation(self):
+    def test_basis_validation(self, disk):
+        with pytest.raises(ValueError, match="problem must be one of"):
+            mps.mps_find(disk, "dirichlet", (1.5, 2.0), 10)
         with pytest.raises(ValueError):
-            mps.MpsBasis("dirichlet", 1.0, 10)
+            mps.MpsBasis(-1.0, 10)
         with pytest.raises(ValueError):
-            mps.MpsBasis("laplace_neumann", -1.0, 10)
-        with pytest.raises(ValueError):
-            mps.MpsBasis("laplace_neumann", 1.0, 61)
+            mps.MpsBasis(1.0, 61)
 
 
 class TestFind:
@@ -78,6 +73,20 @@ class TestFind:
         good = [e for e in found if e.sigma < 1e-6]
         assert len(good) == 1
         assert good[0].value == pytest.approx(disk_omega**4, rel=1e-7)
+
+    # the mps-sweep windows and truncations: Delta^2 has the Neumann
+    # Laplacian's frequencies, so the two problems share every minimum
+    @pytest.mark.parametrize("n", [20, 30])
+    @pytest.mark.parametrize("name", ["disk", "ellipse-1.5"])
+    def test_problems_share_their_minima(self, name, n):
+        d = corpus_domain(name)
+        window = np.array([0.5, 1.05]) * first_radial_deriv_zero(2) / d.equal_area_radius()
+        second = mps.mps_find(d, "laplace_neumann", window, n)
+        fourth = mps.mps_find(d, "polyharm_neumann", window, n)
+        assert len(second) >= 1
+        assert [(e.omega, e.sigma) for e in fourth] == [(e.omega, e.sigma) for e in second]
+        assert all(e.value == e.omega**4 for e in fourth)
+        assert all(e.value == e.omega**2 for e in second)
 
     def test_empty_result_without_minima(self, disk):
         found = mps.mps_find(disk, "laplace_neumann", (0.5, 1.2), 12)
@@ -99,11 +108,11 @@ def _reference_find(d, problem, interval, N):
     """mps_find as first written: sigma at all 101 grid points, then the
     same refinement at every grid point lower than both neighbours."""
     omegas = mps._check_scan(d, interval, mps._SCAN_INTERVALS)
-    f = mps._sigma_at(d, problem, N)
+    f = mps._sigma_at(d, N)
     sigmas = [f(w) for w in omegas]
     out = []
     tol = 1e-9 * (omegas[-1] - omegas[0])
-    power = 2 if problem == "laplace_neumann" else 4
+    power = mps._PROBLEMS[problem]
     for i in range(1, len(omegas) - 1):
         if sigmas[i] < sigmas[i - 1] and sigmas[i] < sigmas[i + 1]:
             w_star, s_star = mps._parabolic_refine(f, omegas[i - 1:i + 2], sigmas[i - 1:i + 2], tol)
@@ -127,7 +136,7 @@ class TestCoarseScan:
         grid = list(np.linspace(lo, hi, mps._SCAN_INTERVALS + 1))
         evaluated = []
 
-        def sigma_at(d, problem, N):
+        def sigma_at(d, N):
             def f(w):
                 if w in grid:
                     # exactly the index, so that symmetric curves tie
@@ -191,14 +200,14 @@ class TestCoarseScan:
 
 @pytest.fixture(scope="class")
 def shared_sigma():
-    """mps._sigma_at with sigma remembered per (domain, problem, N, omega),
-    so the reference and the scan evaluate each omega once between them."""
+    """mps._sigma_at with sigma remembered per (domain, N, omega), so the
+    reference and the scan evaluate each omega once between them."""
     memo = {}
     sigma_at = mps._sigma_at
 
-    def memo_sigma_at(d, problem, N):
-        f = sigma_at(d, problem, N)
-        seen = memo.setdefault((d, problem, N), {})
+    def memo_sigma_at(d, N):
+        f = sigma_at(d, N)
+        seen = memo.setdefault((d, N), {})
 
         def g(w):
             if w not in seen:
@@ -335,7 +344,7 @@ class TestRefine:
 
 class TestCurve:
     def test_csv_format(self, disk):
-        curve = mps.mps_scan(disk, "laplace_neumann", (1.5, 2.5), 10, n_grid=8)
+        curve = mps.mps_scan(disk, (1.5, 2.5), 10, n_grid=8)
         text = curve.to_csv()
         lines = text.strip().splitlines()
         assert lines[0] == "omega,sigma"
@@ -351,7 +360,7 @@ class TestCurve:
 
         monkeypatch.setattr(mps, "mps_sigma", no_sigma)
         with pytest.raises(ValueError, match="n_grid"):
-            mps.mps_scan(disk, "laplace_neumann", (1.5, 2.5), 10, n_grid=n_grid)
+            mps.mps_scan(disk, (1.5, 2.5), 10, n_grid=n_grid)
 
 
 class TestNonSmooth:
@@ -363,18 +372,14 @@ class TestNonSmooth:
         monkeypatch.setattr(mps, "mps_sigma", no_sigma)
         d = corpus_domain(name)
         with pytest.raises(ValueError, match="particular solutions need a smooth domain"):
-            mps.mps_scan(d, "laplace_neumann", (1.0, 2.0), 10)
+            mps.mps_scan(d, (1.0, 2.0), 10)
         with pytest.raises(ValueError, match="particular solutions need a smooth domain"):
             mps.mps_find(d, "polyharm_neumann", (1.0, 2.0), 10)
 
 
-def _reference_blocks(d, basis, coupled=False):
-    """The collocation blocks as first written: three jv/ive calls per block
-    for values and derivatives, and the geometry rebuilt on every call.
-
-    For the fourth-order problem, coupled=True returns the boundary rows of
-    the two conditions, [[B_J, B_I], [-B_J, B_I]], as one block; otherwise
-    the rows come decoupled as the blocks sqrt2 B_J and sqrt2 B_I."""
+def _reference_blocks(d, basis):
+    """The collocation blocks as first written: three jv calls per block
+    for values and derivatives, and the geometry rebuilt on every call."""
     n, omega = basis.N, basis.omega
     center = d.centroid()
     nb = 4 * n + 8
@@ -403,45 +408,23 @@ def _reference_blocks(d, basis, coupled=False):
         vprime = 0.5 * (jv(orders[None, :] - 1.0, x[:, None]) - jv(orders[None, :] + 1.0, x[:, None]))
         return vals, vprime
 
-    def i_block(x, x_ref):
-        shift = np.exp(x[:, None] - x_ref)
-        vals = ive(orders[None, :], x[:, None]) * shift
-        vprime = 0.5 * (ive(np.abs(orders[None, :] - 1.0), x[:, None])
-                        + ive(orders[None, :] + 1.0, x[:, None])) * shift
-        return vals, vprime
-
-    def normal_rows(f, fp):
-        du_r_cos = omega * fp * cosb
-        du_r_sin = omega * fp * sinb
-        du_t_cos = -f * orders[None, :] * sinb / rb[:, None]
-        du_t_sin = f * orders[None, :] * cosb / rb[:, None]
-        rows_cos = n_dot_r[:, None] * du_r_cos + n_dot_t[:, None] * du_t_cos
-        rows_sin = n_dot_r[:, None] * du_r_sin + n_dot_t[:, None] * du_t_sin
-        return np.concatenate([rows_cos, rows_sin[:, 1:]], axis=1)
-
     jb, jpb = j_block(omega * rb)
     ji, _ = j_block(omega * ri)
-    bnd_j = normal_rows(jb, jpb)
-    int_j = np.concatenate([ji * cosi, (ji * sini)[:, 1:]], axis=1)
-    if basis.problem == "laplace_neumann":
-        return bnd_j, int_j
-    x_ref = float(np.max(omega * rb))
-    ib, ipb = i_block(omega * rb, x_ref)
-    ii, _ = i_block(omega * ri, x_ref)
-    bnd_i = normal_rows(ib, ipb)
-    int_i = np.concatenate([ii * cosi, (ii * sini)[:, 1:]], axis=1)
-    interior = np.concatenate([int_j, int_i], axis=1)
-    if coupled:
-        boundary = np.concatenate([np.concatenate([bnd_j, bnd_i], axis=1),
-                                   np.concatenate([-bnd_j, bnd_i], axis=1)], axis=0)
-        return boundary, interior
-    return math.sqrt(2.0) * bnd_j, math.sqrt(2.0) * bnd_i, interior
+    du_r_cos = omega * jpb * cosb
+    du_r_sin = omega * jpb * sinb
+    du_t_cos = -jb * orders[None, :] * sinb / rb[:, None]
+    du_t_sin = jb * orders[None, :] * cosb / rb[:, None]
+    rows_cos = n_dot_r[:, None] * du_r_cos + n_dot_t[:, None] * du_t_cos
+    rows_sin = n_dot_r[:, None] * du_r_sin + n_dot_t[:, None] * du_t_sin
+    boundary = np.concatenate([rows_cos, rows_sin[:, 1:]], axis=1)
+    return boundary, np.concatenate([ji * cosi, (ji * sini)[:, 1:]], axis=1)
 
 
 def _reference_sigma(d, basis):
-    """sigma as first written: the Q factor of the whole column-scaled
-    collocation matrix, formed explicitly, and the SVD of its boundary rows."""
-    boundary, interior = _reference_blocks(d, basis, coupled=True)
+    """sigma in one stage, from the program's own collocation blocks: the
+    Q factor of the whole column-scaled collocation matrix, formed
+    explicitly, and the SVD of its boundary rows."""
+    boundary, interior = mps._collocation_blocks(d, basis)
     a = np.concatenate([boundary, interior], axis=0)
     scale = np.linalg.norm(a, axis=0)
     good = scale > 1e-280
@@ -452,7 +435,7 @@ def _reference_sigma(d, basis):
 class TestCollocation:
     # "offset0": the expansion center sits at the centroid.  The Bessel
     # tables come from the recurrence and the reference's from scipy's
-    # jv/ive, which differ by up to 5.9e-14 of a column's largest entry on
+    # jv, which differ by up to 5.9e-14 of a column's largest entry on
     # this grid (stadium, N = 60, omega = 40); the reference is the one
     # further from mpmath (scipy's high orders carry up to 7.7e-14
     # relative error, the recurrence's 1.3e-15).
@@ -460,23 +443,21 @@ class TestCollocation:
     @pytest.mark.parametrize("name", ["disk", "ellipse-2.0", "stadium"])
     def test_matches_reference_exactly(self, name, n):
         d = corpus_domain(name)
-        for problem in ("laplace_neumann", "polyharm_neumann"):
-            for omega in (0.5, 2.3, 9.7, 40.0):
-                basis = mps.MpsBasis(problem, omega, n)
-                got = mps._collocation_blocks(d, basis)
-                want = _reference_blocks(d, basis)
-                assert len(got) == len(want)
-                for g, w in zip(got, want):
-                    assert g.shape == w.shape
-                    assert np.all(np.abs(g - w) <= 7.1e-14 * np.max(np.abs(w), axis=0)), (problem, omega)
+        for omega in (0.5, 2.3, 9.7, 40.0):
+            basis = mps.MpsBasis(omega, n)
+            got = mps._collocation_blocks(d, basis)
+            want = _reference_blocks(d, basis)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert np.all(np.abs(g - w) <= 7.1e-14 * np.max(np.abs(w), axis=0)), omega
 
     def test_sigma_no_further_from_exact_columns_than_scipy(self, monkeypatch):
         # the mps-sweep window's lower end on ellipse-2.0 at N = 60, where
         # sigma from the recurrence is 1.7e-10 (relative) from the sigma
         # of the mpmath columns and sigma from scipy's columns 3.9e-9
         d = corpus_domain("ellipse-2.0")
-        basis = mps.MpsBasis("laplace_neumann",
-                             0.5 * first_radial_deriv_zero(2) / d.equal_area_radius(), 60)
+        basis = mps.MpsBasis(0.5 * first_radial_deriv_zero(2) / d.equal_area_radius(), 60)
 
         # each order is asked for three times, as values and in derivatives
         @functools.cache
@@ -507,52 +488,49 @@ class TestCollocation:
         # 1300 steps, through the oscillatory range, and still agrees with
         # scipy to 8.3e-14 of a column's largest entry
         d = corpus_domain("ellipse-1.5")
-        for problem in ("laplace_neumann", "polyharm_neumann"):
-            basis = mps.MpsBasis(problem, 1000.0, 20)
-            got = mps._collocation_blocks(d, basis)
-            want = _reference_blocks(d, basis)
-            for g, w in zip(got, want):
-                assert np.all(np.abs(g - w) <= 1e-13 * np.max(np.abs(w), axis=0)), problem
-            with warnings.catch_warnings(), monkeypatch.context() as m:
-                warnings.simplefilter("ignore", RuntimeWarning)  # rank warnings
-                sigma = mps.mps_sigma(d, basis)
-                m.setattr(mps, "_collocation_blocks", lambda d, b: want)
-                reference = mps.mps_sigma(d, basis)
-            assert math.isfinite(sigma)
-            assert abs(sigma - reference) <= 1e-14, problem
+        basis = mps.MpsBasis(1000.0, 20)
+        got = mps._collocation_blocks(d, basis)
+        want = _reference_blocks(d, basis)
+        for g, w in zip(got, want):
+            assert np.all(np.abs(g - w) <= 1e-13 * np.max(np.abs(w), axis=0))
+        with warnings.catch_warnings(), monkeypatch.context() as m:
+            warnings.simplefilter("ignore", RuntimeWarning)  # rank warnings
+            sigma = mps.mps_sigma(d, basis)
+            m.setattr(mps, "_collocation_blocks", lambda d, b: want)
+            reference = mps.mps_sigma(d, basis)
+        assert math.isfinite(sigma)
+        assert abs(sigma - reference) <= 1e-14
 
     @pytest.mark.parametrize("name", ["disk", "ellipse-2.0", "stadium"])
     def test_sigma_matches_one_stage_form(self, name):
         d = corpus_domain(name)
         window = np.array([0.5, 1.05]) * first_radial_deriv_zero(2) / d.equal_area_radius()
-        for problem in ("laplace_neumann", "polyharm_neumann"):
-            for n in (5, 20, 30):
-                minima = [e.omega for e in mps.mps_find(d, problem, window, n)]
-                for omega in [*np.linspace(*window, 25), *minima]:
-                    basis = mps.MpsBasis(problem, float(omega), n)
-                    got, want = mps.mps_sigma(d, basis), _reference_sigma(d, basis)
-                    assert abs(got - want) <= 1e-12 * want + 1e-15, (problem, n, omega)
+        for n in (5, 20, 30):
+            minima = [e.omega for e in mps.mps_find(d, "laplace_neumann", window, n)]
+            for omega in [*np.linspace(*window, 25), *minima]:
+                basis = mps.MpsBasis(float(omega), n)
+                got, want = mps.mps_sigma(d, basis), _reference_sigma(d, basis)
+                assert abs(got - want) <= 1e-12 * want + 1e-15, (n, omega)
 
-    # at these low frequencies the high orders underflow: 56 of the 242
-    # columns for the fourth-order problem on the disk
+    # at these low frequencies the high orders underflow: 30 of the 121
+    # columns on the disk, 8 of the 81 on the stadium
     @pytest.mark.parametrize("name, omega, n", [("disk", 0.01, 60), ("stadium", 1e-3, 40)])
     def test_sigma_with_dropped_columns(self, name, omega, n):
         d = corpus_domain(name)
-        for problem in ("laplace_neumann", "polyharm_neumann"):
-            basis = mps.MpsBasis(problem, omega, n)
-            a = np.concatenate(_reference_blocks(d, basis, coupled=True), axis=0)
-            assert np.any(np.linalg.norm(a, axis=0) <= 1e-280)
-            got, want = mps.mps_sigma(d, basis), _reference_sigma(d, basis)
-            assert abs(got - want) <= 1e-12 * want + 1e-15, problem
+        basis = mps.MpsBasis(omega, n)
+        a = np.concatenate(_reference_blocks(d, basis), axis=0)
+        assert np.any(np.linalg.norm(a, axis=0) <= 1e-280)
+        got, want = mps.mps_sigma(d, basis), _reference_sigma(d, basis)
+        assert abs(got - want) <= 1e-12 * want + 1e-15
 
     def test_rank_deficient_collocation_warns(self, disk, monkeypatch):
-        boundary, interior = mps._collocation_blocks(disk, mps.MpsBasis("laplace_neumann", 1.5, 8))
+        boundary, interior = mps._collocation_blocks(disk, mps.MpsBasis(1.5, 8))
         boundary, interior = boundary.copy(), interior.copy()
         boundary[:, 3] = boundary[:, 2]
         interior[:, 3] = interior[:, 2]
         monkeypatch.setattr(mps, "_collocation_blocks", lambda d, b: (boundary, interior))
         with pytest.warns(RuntimeWarning, match="nearly rank deficient"):
-            sigma = mps.mps_sigma(disk, mps.MpsBasis("laplace_neumann", 1.5, 8))
+            sigma = mps.mps_sigma(disk, mps.MpsBasis(1.5, 8))
         assert 0.0 <= sigma <= 1.0
 
     def test_top_block_of_q_is_identity_minus_t(self):
@@ -572,18 +550,18 @@ class TestCollocation:
         assert rb_distinct.size < rb_index.size
         calls = []
 
-        def spy(x, top, modified=False, real=mps.bessel_orders):
-            calls.append((modified, np.ravel(x), top))
-            return real(x, top, modified)
+        def spy(x, top, real=mps.bessel_orders):
+            calls.append((np.ravel(x), top))
+            return real(x, top)
 
         monkeypatch.setattr(mps, "bessel_orders", spy)
-        for problem in ("laplace_neumann", "polyharm_neumann"):
-            mps._collocation_blocks(disk, mps.MpsBasis(problem, omega, n))
-        # one table per family and problem, over each distinct boundary
-        # radius once and then the interior points
-        assert [modified for modified, _, _ in calls] == [False, False, True]
-        want = np.concatenate([omega * rb_distinct, omega * ri])
-        assert all(np.array_equal(x, want) and top == n + 1 for _, x, top in calls)
+        mps._collocation_blocks(disk, mps.MpsBasis(omega, n))
+        # one table per call, over each distinct boundary radius once and
+        # then the interior points
+        assert len(calls) == 1
+        x, top = calls[0]
+        assert np.array_equal(x, np.concatenate([omega * rb_distinct, omega * ri]))
+        assert top == n + 1
 
     def test_cached_geometry_is_read_only(self, disk):
         for arr in mps._collocation_geometry(disk, 5):

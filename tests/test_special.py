@@ -124,7 +124,7 @@ class TestRecurrenceInvariant:
 
 
 class TestBesselOrders:
-    """Tables of J_k(x) and I_k(x) e^-x, k = 0..61, from Miller's recurrence."""
+    """Tables of J_k(x), k = 0..61, from Miller's recurrence."""
 
     TOP = 61
     # log-spaced over [1e-12, 200], with the first zeros j_0,1 of J_0 and
@@ -132,43 +132,33 @@ class TestBesselOrders:
     XS = np.unique(np.concatenate([np.geomspace(1e-12, 200.0, 60),
                                    [2.404825557695773, 3.8317059702075125]]))
 
-    @pytest.mark.parametrize("modified", [False, True], ids=["J", "I"])
-    def test_against_mpmath(self, modified):
-        from scipy.special import ive, jv
+    def test_against_mpmath(self):
+        from scipy.special import jv
 
         with mpmath.workdps(40):
-            if modified:
-                exact = [[mpmath.besseli(k, x) * mpmath.exp(-x) for k in range(self.TOP + 1)]
-                         for x in self.XS]
-            else:
-                exact = [[mpmath.besselj(k, x) for k in range(self.TOP + 1)] for x in self.XS]
+            exact = [[mpmath.besselj(k, x) for k in range(self.TOP + 1)] for x in self.XS]
         exact = np.array(exact, dtype=float)
-        got = sp.bessel_orders(self.XS, self.TOP, modified=modified)
-        scipy_values = (ive if modified else jv)(np.arange(self.TOP + 1.0)[None, :], self.XS[:, None])
+        got = sp.bessel_orders(self.XS, self.TOP)
+        scipy_values = jv(np.arange(self.TOP + 1.0)[None, :], self.XS[:, None])
         row_max = np.max(np.abs(exact), axis=1)
 
         def worst(values):
             return np.max(np.max(np.abs(values - exact), axis=1) / row_max)
 
-        # measured: 2.2e-15 for J (scipy 4.2e-14, at x = 200) and 6.4e-16
-        # for I e^-x (scipy 2.9e-15)
+        # measured: 2.2e-15 (scipy 4.2e-14, at x = 200)
         assert got.shape == exact.shape
         assert worst(got) <= 2.0 * worst(scipy_values)
 
-    @pytest.mark.parametrize("modified", [False, True], ids=["J", "I"])
-    def test_finite_down_to_tiny_arguments(self, modified):
+    def test_finite_down_to_tiny_arguments(self):
         xs = np.array([1e-300, 1e-200, 1e-100, 1e-30, 1e-12, 1e-3, 1.0, 1e3])
-        got = sp.bessel_orders(xs, self.TOP, modified=modified)
+        got = sp.bessel_orders(xs, self.TOP)
         assert np.all(np.isfinite(got))
-        # J_0 = 1 and I_0 e^-x = 1 to rounding at the tiny arguments, and
-        # J_1 = I_1 = x / 2 there
+        # J_0 = 1 to rounding at the tiny arguments, and J_1 = x / 2 there
         assert got[:4, 0] == pytest.approx(1.0, rel=1e-15)
         assert got[:4, 1] == pytest.approx(xs[:4] / 2, rel=1e-15)
 
     def test_zero_argument_and_orders(self):
         assert sp.bessel_orders(0.0, 3).tolist() == [[1.0, 0.0, 0.0, 0.0]]
-        assert sp.bessel_orders([0.0, 1.0], 0, modified=True)[:, 0] == pytest.approx(
-            [1.0, mpmath.besseli(0, 1) * math.exp(-1)], rel=1e-15)
         with pytest.raises(ValueError):
             sp.bessel_orders([-1.0], 3)
 

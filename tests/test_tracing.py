@@ -36,7 +36,7 @@ def test_sigma_evals_count_every_omega(monkeypatch):
 
     monkeypatch.setattr(mps, "mps_sigma", counted)
     disk = Disk((0.0, 0.0), 1.0)
-    mps.mps_scan(disk, "laplace_neumann", (1.5, 2.5), 10, n_grid=100)
+    mps.mps_scan(disk, (1.5, 2.5), 10, n_grid=100)
     assert len(calls) == 101
     calls.clear()
     # the mps-sweep window on the disk: 26 coarse grid values (every 4th of
