@@ -21,14 +21,17 @@ from . import __version__
 from .ball import Ball, mu1_ball, neumann_spectrum_ball, spectrum_to_csv, upsilon1_poly_ball
 from .corpus import CORPUS, corpus_domain
 from .fem import convergence_study
-from .geometry import Domain, domain_spec_string, parse_domain
-from .meshing import load_mesh, save_mesh
+from .geometry import Domain, GeometryError, domain_spec_string, parse_domain
+from .meshing import MeshQualityError, load_mesh, maps_boundary, save_mesh
 from .mps import mps_find, mps_scan
 from .plots import convergence_svg, eigenfunction_svg, sigma_curve_svg
 from .quadrature import study_mesh
 from .trial import certify_upper_bound
 
 DEFAULT_H_LIST = (0.08, 0.04, 0.02)
+# verify's default on shapes with a smooth curved piece, whose meshes map
+# their curved edges (meshing.maps_boundary), so that P2 converges like h^4
+MAPPED_H_LIST = (0.16, 0.08, 0.04)
 # largest MPS indicator accepted as an eigenvalue, and the angular
 # truncation of the MPS cross-check
 MPS_SIGMA_TOL = 1e-6
@@ -175,6 +178,23 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
+def default_h_list(d: Domain) -> tuple:
+    """verify's h list for d: MAPPED_H_LIST if d's meshes map curved edges
+    and the mesher builds that list's meshes, else DEFAULT_H_LIST.
+
+    Only the mesher's refusal (GeometryError, MeshQualityError) falls back;
+    the meshes built stay memoized for the study.
+    """
+    if maps_boundary(d):
+        try:
+            for k in range(len(MAPPED_H_LIST)):
+                study_mesh(d, MAPPED_H_LIST, k)
+            return MAPPED_H_LIST
+        except (GeometryError, MeshQualityError):
+            pass
+    return DEFAULT_H_LIST
+
+
 def _raised(study, m: int):
     """The study of mu as one of Upsilon = mu^(2m): the per-mesh values,
     Upsilon = best^(2m) and its bar (best + bar)^(2m) - best^(2m), which by
@@ -188,19 +208,21 @@ def _raised(study, m: int):
     return values, ups, _in_range(float(raised[-1]) - ups)
 
 
-def build_verification_report(domain_spec: str, m: int, h_list, use_mps: bool = True) -> dict:
+def build_verification_report(domain_spec: str, m: int, h_list=None,
+                              use_mps: bool = True) -> dict:
     """Assemble the full inequality-verification report for one domain.
 
+    h_list None takes default_h_list; config.h_list records the list used.
     A failing step raises StageError naming it: "setup", "fem convergence
     study", "mps" or "certificate".
     """
-    h_list = tuple(float(h) for h in h_list)
     with _stage("setup"):
         d = _resolve_domain(domain_spec)
         # a bound that fell to 0 or inf would certify nothing
         bound = _in_range(upsilon1_poly_ball(Ball(2, d.equal_area_radius()), m))
 
     with _stage("fem convergence study"):
+        h_list = default_h_list(d) if h_list is None else tuple(float(h) for h in h_list)
         study = convergence_study(d, h_list)
         values, ups_fem, error_bar = _raised(study, m)
 
@@ -274,9 +296,9 @@ def _mps_warning(report: dict) -> str | None:
 
 
 def cmd_verify(args) -> int:
-    h_list = args.h_list
     try:
-        report = build_verification_report(args.domain, args.m, h_list, use_mps=not args.no_mps)
+        report = build_verification_report(args.domain, args.m, args.h_list,
+                                           use_mps=not args.no_mps)
     except StageError as exc:
         print(f"verify failed during {exc}", file=sys.stderr)
         return 1
@@ -287,6 +309,7 @@ def cmd_verify(args) -> int:
         stage = "eigenfunction dump"
         try:
             d = _resolve_domain(args.domain)
+            h_list = report["config"]["h_list"]
             mesh = study_mesh(d, h_list, len(h_list) - 1)
             # the memoized study of the report
             vector = convergence_study(d, h_list).vector
@@ -402,8 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--m", type=_checked(int, lambda m: 1 <= m <= 8, "an integer in 1..8"),
                        default=1, help="operator power: Delta^(2m), 1..8")
     p_ver.add_argument("--h-list", type=_h_list,
-                       default=",".join(str(h) for h in DEFAULT_H_LIST),
-                       help="at least 3 strictly descending mesh sizes, comma separated")
+                       help="at least 3 strictly descending mesh sizes, comma separated "
+                            f"(default {','.join(map(str, MAPPED_H_LIST))} on shapes with a "
+                            "smooth curved piece, if they mesh at it, else "
+                            f"{','.join(map(str, DEFAULT_H_LIST))})")
     p_ver.add_argument("--no-mps", action="store_true",
                        help="skip the particular-solutions cross-check")
     p_ver.add_argument("--save-eigenfunction", metavar="PATH",

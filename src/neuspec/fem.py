@@ -2,7 +2,12 @@
 
 Continuous quadratic (P2) Lagrange elements give a mass/stiffness pair
 (M, A); both Neumann-type boundary conditions of the even-order problems
-are natural, so no constraints are imposed.  The order-2m operator is
+are natural, so no constraints are imposed.  A triangle with an edge on a
+smooth curved piece of the boundary is isoparametric: its quadratic map
+runs through that edge's node on the curve (Mesh.edge_nodes), which
+restores the h^4 convergence of P2 eigenvalues that straight boundary
+edges cap at h^2 (Lenoir, SIAM J. Numer. Anal. 23 (1986) 562-580).
+Every other triangle is affine.  The order-2m operator is
 realized mixed as K_q = A (M^{-1} A)^(q-1) with q = 2m, so its discrete
 eigenpairs are exactly the q-th powers of the (A, M) pencil's with the
 same vectors, and the reported value is mu^q.  The continuous problem
@@ -21,9 +26,10 @@ halving run, which nothing finer refines.  That one is solved by LOBPCG,
 started from its parent's vectors and preconditioned by a two-grid cycle
 whose coarse level is the parent's LU factor; at most one factor is alive
 at a time.  Each pair's residual in the M^{-1} norm is bounded without a
-solve with M: every element mass matrix is |J| times one reference
-matrix, so M >= c0 diag(M) with c0 the least eigenvalue of that matrix
-scaled by its diagonal (Wathen 1987).
+solve with M: every element mass matrix is >= c0 times its diagonal, so
+M >= c0 diag(M) (Wathen 1987).  c0 is the least eigenvalue of the
+diagonally scaled mass of the affine elements, which are |J| times one
+reference matrix, and of each mapped element, whichever is least.
 """
 
 from __future__ import annotations
@@ -62,7 +68,9 @@ class SolverError(RuntimeError):
 class OperatorPair:
     """Assembled P2 mass and stiffness operators of one mesh, with the
     positive definite shift A - _SHIFT M that the eigensolvers factor and
-    smooth with."""
+    smooth with.  M carries jacobi_ratio, which _residual_bounds reads: the
+    least diagonally scaled eigenvalue of the mesh's mapped element masses
+    relative to the affine elements' _mass_jacobi_min(), capped at 1."""
 
     M: sp.csr_matrix
     A: sp.csr_matrix
@@ -131,20 +139,32 @@ def _reference_mass():
     return np.einsum("q,qi,qj->ij", w, n_vals, n_vals)
 
 
+def _jacobi_min(masses) -> float:
+    """The least eigenvalue of the element masses (n, 6, 6), each scaled by
+    its diagonal, diag(Me)^-1/2 Me diag(Me)^-1/2."""
+    scale = 1.0 / np.sqrt(np.einsum("nii->ni", masses))
+    return float(np.linalg.eigvalsh(scale[:, :, None] * masses * scale[:, None, :]).min())
+
+
 @lru_cache(maxsize=1)
 def _mass_jacobi_min() -> float:
-    """c0 of the residual bound, about 0.392: the least eigenvalue of the
-    reference mass R scaled by its diagonal, diag(R)^-1/2 R diag(R)^-1/2.
+    """c0 of the residual bound on affine elements, about 0.392: the least
+    eigenvalue of the reference mass R scaled by its diagonal.
 
-    Every element mass is |J| R, so it is >= c0 times its own diagonal,
-    and summing over the elements gives M >= c0 diag(M).
+    An affine element's mass is |J| R, so it is >= c0 times its own
+    diagonal.  A mapped element's mass is not a multiple of R, and its own
+    value lies lower (0.3904 to 0.3920 on the smooth corpus at the default
+    h list); assemble records the least one over this as M.jacobi_ratio,
+    and _residual_bounds uses c0 M.jacobi_ratio, so that summing over the
+    elements gives M >= c0 M.jacobi_ratio diag(M).
     """
-    mat = _reference_mass()
-    scale = 1.0 / np.sqrt(np.diag(mat))
-    return float(np.linalg.eigvalsh(scale[:, None] * mat * scale[None, :])[0])
+    return _jacobi_min(_reference_mass()[None])
 
 
 def _p2_matrices(mesh: Mesh):
+    """Element masses and stiffnesses (nt, 6, 6), each triangle's dofs, and
+    the dof count.  The triangles of mesh.curved_edges take _mapped_matrices;
+    every other one is affine."""
     # the edges first: their numbering is kept with the mesh, and made
     # after the element arrays it split the freed heap that the COO arrays
     # reuse, which raised a verify run's peak RSS at h = 0.02 from 115 to
@@ -159,14 +179,48 @@ def _p2_matrices(mesh: Mesh):
     gram = np.einsum("tak,tbk,t->tab", gradl, gradl, jac)
     ref_stiff = np.einsum("q,qia,qjb->abij", w, dndl, dndl)
     ke = (gram.reshape(-1, 9) @ ref_stiff.reshape(9, 36)).reshape(-1, 6, 6)
+    if mesh.curved_edges is not None:
+        curved, me[curved], ke[curved] = _mapped_matrices(mesh)
 
     nv = len(mesh.vertices)
     dofs = np.concatenate([mesh.triangles, nv + conn_e], axis=1)  # (nt, 6)
     return me, ke, dofs, nv + n_edges
 
 
+def _mapped_matrices(mesh: Mesh):
+    """The triangles of mesh.curved_edges, and their isoparametric P2 mass
+    and stiffness matrices.
+
+    The map x(xi) = sum_j X_j N_j(xi) runs through the element's six
+    nodes X_j: its vertices, the curve node of each curved edge and the
+    midpoint of each straight one.  Both matrices take the 6-point rule
+    with the map's Jacobian J at each point: mass sum_q w_q |J| N_i N_j,
+    stiffness sum_q w_q |J| (J^-T grad N_i) . (J^-T grad N_j).  Raises
+    ValueError where |J| is not positive at a point of the rule.
+    """
+    tri, edge = mesh.curved_edges.T
+    curved = np.unique(tri)
+    corners = mesh.vertices[mesh.triangles[curved]]
+    nodes = np.concatenate([corners, 0.5 * (corners + corners[:, [1, 2, 0]])], axis=1)
+    nodes[np.searchsorted(curved, tri), 3 + edge] = mesh.edge_nodes
+    n_vals, dndl, w = _p2_reference()
+    dndxi = dndl[:, :, 1:] - dndl[:, :, :1]  # (nq, 6, 2): d/dxi, d/deta
+    jac = np.einsum("tjk,qjl->tqkl", nodes, dndxi)  # dx_k / dxi_l
+    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+    if np.any(det <= 0.0):
+        raise ValueError("a curved element's map is degenerate or inverted")
+    inv_t = np.stack([np.stack([jac[..., 1, 1], -jac[..., 1, 0]], axis=-1),
+                      np.stack([-jac[..., 0, 1], jac[..., 0, 0]], axis=-1)],
+                     axis=-2) / det[..., None, None]  # J^-T
+    grad = np.einsum("tqkl,qil->tqik", inv_t, dndxi)
+    wdet = w * det
+    me = np.einsum("tq,qi,qj->tij", wdet, n_vals, n_vals)
+    ke = np.einsum("tq,tqik,tqjk->tij", wdet, grad, grad)
+    return curved, me, ke
+
+
 def assemble(mesh: Mesh) -> OperatorPair:
-    """P2 mass and stiffness; the dofs are the vertices, then the edge midpoints.
+    """P2 mass and stiffness; the dofs are the vertices, then the edge nodes.
 
     M and A come out of one COO-to-CSR pass, as the real and imaginary
     parts of one complex array: scipy orders the entries of a row by their
@@ -180,6 +234,12 @@ def assemble(mesh: Mesh) -> OperatorPair:
     if np.any(triangle_jacobians(mesh.vertices, mesh.triangles) <= 0.0):
         raise ValueError("mesh contains a degenerate or inverted triangle")
     me, ke, dofs, ndof = _p2_matrices(mesh)
+    jacobi_ratio = 1.0
+    if mesh.curved_edges is not None:
+        # over the reference mass's own value: _residual_bounds scales
+        # _mass_jacobi_min() by it
+        mapped = me[np.unique(mesh.curved_edges[:, 0])]
+        jacobi_ratio = min(1.0, _jacobi_min(mapped) / _jacobi_min(_reference_mass()[None]))
     both = np.empty(me.shape, dtype=complex)
     both.real, both.imag = me, ke
     del me, ke  # each del in assemble lowers its peak memory
@@ -212,9 +272,11 @@ def assemble(mesh: Mesh) -> OperatorPair:
             mat.eliminate_zeros()
         return mat
 
+    mass = on_pattern(m_data, sp.csr_matrix)
+    mass.jacobi_ratio = jacobi_ratio
     # the shift's pattern and values are exactly symmetric, so its CSR
     # arrays are its CSC arrays
-    return OperatorPair(M=on_pattern(m_data, sp.csr_matrix),
+    return OperatorPair(M=mass,
                         A=on_pattern(a_data, sp.csr_matrix),
                         shifted=on_pattern(a_data - _SHIFT * m_data, sp.csc_matrix),
                         dimension=ndof)
@@ -292,9 +354,11 @@ def _transfer(mesh: Mesh) -> sp.csr_matrix:
     end, 3/4 at the edge's midpoint, -1/8 at the far end), or halfway
     between two midpoints of a parent triangle (1/2 at each, 1/4 at the
     third midpoint, -1/8 at the two vertices their edges do not share).
-    Where refine moved a boundary midpoint onto the curve these are the
-    weights of the straight parent element, which a preconditioner and a
-    start block can afford.
+    These are the weights of an affine parent element.  A mapped parent
+    element (Mesh.curved_edges) keeps them too: its curve node is the
+    child's vertex there, so that row is exact, but its basis functions
+    take other values at the child's edge nodes inside it.  A
+    preconditioner and a start block can afford that.
     """
     parent = mesh.parent
     nv = len(parent.vertices)
@@ -367,13 +431,16 @@ def _two_grid_vectors(op: OperatorPair, coarse_lu, transfer, start, where: str):
 
 def _residual_bounds(mass, r):
     """Upper bounds sqrt(r^T D^-1 r / c0) on ||r||_{M^-1} per column of r,
-    with D = diag(M) and c0 = _mass_jacobi_min().
+    with D = diag(M) and c0 = _mass_jacobi_min() times mass.jacobi_ratio
+    (assemble): the least scaled eigenvalue of the affine and the mapped
+    element masses.
 
-    Since M >= c0 D, each is at least the exact norm, and at most
+    Since M >= c0 D, each is at least the exact norm, and at most about
     sqrt(c1 / c0) = 2.29 times it, c1 the largest eigenvalue of the scaled
     reference mass.
     """
-    return np.sqrt(_column_dots(r, r / mass.diagonal()[:, None]) / _mass_jacobi_min())
+    c0 = _mass_jacobi_min() * mass.jacobi_ratio
+    return np.sqrt(_column_dots(r, r / mass.diagonal()[:, None]) / c0)
 
 
 def _checked_pairs(op: OperatorPair, vecs, where: str):

@@ -6,7 +6,9 @@ lattice points, keeps the triangles whose centroid lies inside the
 domain, and relaxes interior vertices with a few passes of neighbor
 averaging (re-running Delaunay after each pass).  Deterministic for
 fixed inputs.  refine halves a mesh's h by splitting every triangle
-into four, with new boundary vertices on the exact curve.
+into four, with new boundary vertices on the exact curve.  Both record the
+boundary edges on smooth curved pieces with their quadratic nodes on the
+curve, through which the FEM maps those triangles.
 
 Containment is the domain's own test.  The curved shapes are convex, so
 the polyline bounds the convex hull of the mesh points and the region
@@ -27,7 +29,8 @@ from .geometry import Domain, GeometryError, Polygon, _near_distance, boundary_p
 # not called here: the benchmark's tracer wraps neuspec.meshing.point_in_polygon
 from .geometry import point_in_polygon  # noqa: F401
 
-__all__ = ["Mesh", "triangulate", "refine", "save_mesh", "load_mesh", "MeshQualityError"]
+__all__ = ["Mesh", "triangulate", "refine", "maps_boundary", "save_mesh", "load_mesh",
+           "MeshQualityError"]
 
 MIN_ANGLE_DEG = 20.0
 MIN_AREA_FACTOR = 1e-3
@@ -50,8 +53,19 @@ class Mesh:
         boundary parameter s in [0, 1) of Domain.boundary_at at each
         boundary vertex, NaN at the others.  None when the mesh has none
         (polygons, loaded meshes).
+    curved_edges : (k, 2) int array or None; the boundary edges that lie
+        on a smooth curved piece of the domain (not straight, no corners),
+        each as (triangle, e) for the edge from the triangle's vertex e to
+        vertex e + 1 mod 3.  None when there are none (polygons, cornered
+        superellipses, loaded meshes).
+    edge_nodes : (k, 2) float array or None; the P2 node of each curved
+        edge, on the curve at the mean of its end vertices' boundary
+        parameters, where refine puts the child vertex.  The FEM maps the
+        triangles of these edges isoparametrically through them.
     parent : the mesh that refine split to make this one, None on lattice
         and loaded meshes.
+
+    vertices, triangles, areas and area describe the polygonized domain.
 
     Meshes are immutable and compare and hash by identity, so that caches
     such as the FEM pencil solves can key on them.
@@ -62,10 +76,13 @@ class Mesh:
     boundary_flags: np.ndarray
     h: float
     boundary_params: np.ndarray | None = None
+    curved_edges: np.ndarray | None = field(default=None, repr=False)
+    edge_nodes: np.ndarray | None = field(default=None, repr=False)
     parent: Mesh | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        for name in ("vertices", "triangles", "boundary_flags", "boundary_params"):
+        for name in ("vertices", "triangles", "boundary_flags", "boundary_params",
+                     "curved_edges", "edge_nodes"):
             if getattr(self, name) is not None:
                 getattr(self, name).setflags(write=False)
 
@@ -222,13 +239,59 @@ def triangulate(d: Domain, h: float) -> Mesh:
         flags = flags[used]
         params = None if params is None else params[used]
         tris = remap[tris]
+    tris = np.ascontiguousarray(tris)
+    curved_edges, edge_nodes = _curved_edges(d, tris, params)
     return Mesh(
         vertices=np.ascontiguousarray(points),
-        triangles=np.ascontiguousarray(tris),
+        triangles=tris,
         boundary_flags=flags,
         h=float(h),
         boundary_params=params,
+        curved_edges=curved_edges,
+        edge_nodes=edge_nodes,
     )
+
+
+def _midway(ta, tb):
+    """The boundary parameter halfway from ta to tb the short way round, modulo 1."""
+    step = (tb - ta + 0.5) % 1.0 - 0.5
+    return (ta + 0.5 * step) % 1.0
+
+
+def _smooth_curve(piece) -> bool:
+    """Whether a boundary piece is curved and smooth throughout."""
+    return not (piece.straight or piece.corners)
+
+
+def maps_boundary(d: Domain) -> bool:
+    """Whether meshes of d get curved edges: d has a smooth curved piece."""
+    return any(map(_smooth_curve, d.pieces()))
+
+
+def _curved_edges(d: Domain, tris: np.ndarray, params):
+    """Mesh.curved_edges and Mesh.edge_nodes of a mesh of d with vertex
+    parameters params (None on a polygon); (None, None) when there are none.
+
+    A boundary edge is one that a single triangle has.  Its parameters
+    fall in one piece of d, the one holding their midway value, since every
+    piece starts at a polyline vertex.
+    """
+    pieces = d.pieces()
+    smooth = np.array([_smooth_curve(piece) for piece in pieces])
+    if params is None or not smooth.any():
+        return None, None
+    ends = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    pairs = np.sort(ends, axis=1).astype(np.int64)
+    keys = pairs[:, 0] * len(params) + pairs[:, 1]
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    edges = np.nonzero(counts[inverse.reshape(-1)] == 1)[0]  # ids 3 t + e
+    s = _midway(*params[ends[edges]].T)
+    k = len(pieces)
+    on_smooth = smooth[np.minimum((k * s).astype(int), k - 1)]
+    edges, s = edges[on_smooth], s[on_smooth]
+    if not len(edges):
+        return None, None
+    return np.column_stack([edges // 3, edges % 3]), d.boundary_at(s)[0]
 
 
 def _edge_numbering(mesh: Mesh):
@@ -269,10 +332,8 @@ def refine(mesh: Mesh, d: Domain) -> Mesh:
     mids = 0.5 * (mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]])
     params = None
     if curved:
-        ta, tb = mesh.boundary_params[ends[on_boundary]].T
-        step = (tb - ta + 0.5) % 1.0 - 0.5  # the short way round
         params = np.full(n_edges, np.nan)
-        params[on_boundary] = (ta + 0.5 * step) % 1.0
+        params[on_boundary] = _midway(*mesh.boundary_params[ends[on_boundary]].T)
         mids[on_boundary] = d.boundary_at(params[on_boundary])[0]
         params = np.concatenate([mesh.boundary_params, params])
 
@@ -288,12 +349,15 @@ def refine(mesh: Mesh, d: Domain) -> Mesh:
             f"refinement to h={h:g} missed the quality bounds: min angle "
             f"{_triangle_angles(points, children).min():.2f} deg, min area "
             f"{0.5 * triangle_jacobians(points, children).min():.3g}")
+    curved_edges, edge_nodes = _curved_edges(d, children, params)
     return Mesh(
         vertices=points,
         triangles=children,
         boundary_flags=np.concatenate([mesh.boundary_flags, on_boundary]),
         h=h,
         boundary_params=params,
+        curved_edges=curved_edges,
+        edge_nodes=edge_nodes,
         parent=mesh,
     )
 

@@ -292,10 +292,11 @@ class TestVerifyCommand:
         assert not out.exists()
 
     def test_raised_value_beyond_doubles_fails_in_the_study(self, tmp_path):
-        # at radius 1e-19 the bound (j'11/R)^8 is 1.744e308, still a double,
-        # but mu_h^8 on the coarsest mesh lies above it and overflows
+        # at this radius the bound (j'11/R)^16 is 2.0e-5 below the largest
+        # double, but mu_h on the coarsest mesh (h = 0.16 R) lies 5e-6 above
+        # (j'11/R)^2, so mu_h^8 overflows
         out = tmp_path / "tiny.json"
-        proc = run_cli(["verify", "--domain", "disk:0,0,1e-19", "--m", "4", "--h-list",
+        proc = run_cli(["verify", "--domain", "disk:0,0,9.9810898e-20", "--m", "4", "--h-list",
                         "1.6e-20,1.2e-20,8e-21", "--no-mps", "--out", str(out)])
         assert proc.returncode == 1
         assert proc.stderr == ("verify failed during fem convergence study: value inf is "
@@ -386,6 +387,52 @@ class TestVerifyCommand:
         p2 = run_cli(args)
         assert p1.returncode == p2.returncode
         assert p1.stdout == p2.stdout
+
+
+def regular_polygon(n: int) -> str:
+    """Spec of the regular n-gon inscribed in the unit circle."""
+    return "polygon:" + ";".join(f"{math.cos(2 * math.pi * k / n)!r},"
+                                 f"{math.sin(2 * math.pi * k / n)!r}" for k in range(n))
+
+
+class TestDefaultHList:
+    @pytest.mark.parametrize("name", ["disk", "ellipse-1.2", "ellipse-1.5", "ellipse-2.0",
+                                      "stadium", "square", "triangle"])
+    def test_corpus_defaults(self, name):
+        d = cli._resolve_domain(name)
+        want = cli.DEFAULT_H_LIST if name in ("square", "triangle") else cli.MAPPED_H_LIST
+        assert cli.default_h_list(d) == want
+
+    @pytest.mark.parametrize("spec", [
+        # cornered superellipses keep straight elements and the fine list
+        "superellipse:1,1,2.05", "superellipse:1,1,2.2", "superellipse:1,1,2.5",
+        # the mesher refuses the coarse list: refine's quality at 0.04, a
+        # 0.06 straight shorter than 0.16 / 2, a perimeter below 8 * 0.16
+        "superellipse:1,1,40", "stadium:0.03,1", "disk:0,0,0.15",
+        # polygons keep the fine list; the 128-gon's edges are 0.049 long
+        regular_polygon(64), regular_polygon(128),
+    ], ids=["se-2.05", "se-2.2", "se-2.5", "se-40", "stadium-0.03", "disk-0.15", "64-gon",
+            "128-gon"])
+    def test_non_corpus_inputs_take_the_fine_list(self, spec, tmp_path):
+        # each exits 0, as it did when the fine list was every shape's default
+        out = tmp_path / "r.json"
+        assert cli.main(["verify", "--domain", spec, "--no-mps", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["h_list"] == list(cli.DEFAULT_H_LIST)
+        assert report["convergence"]["h"] == list(cli.DEFAULT_H_LIST)
+
+    def test_solver_failure_takes_no_second_list(self, monkeypatch, capsys):
+        lists = []
+
+        def failing_study(d, h_list):
+            lists.append(h_list)
+            raise fem.SolverError("no convergence")
+
+        monkeypatch.setattr(cli, "convergence_study", failing_study)
+        assert cli.main(["verify", "--domain", "ellipse-1.5", "--no-mps"]) == 1
+        assert lists == [cli.MAPPED_H_LIST]
+        assert capsys.readouterr().err == ("verify failed during fem convergence study: "
+                                           "no convergence\n")
 
 
 class TestPlotCommand:

@@ -245,6 +245,67 @@ class TestResidualBound:
         assert np.any(bounds < exact)
 
 
+class TestMappedElements:
+    def test_straight_nodes_give_the_affine_element(self, square_mesh):
+        # mapped through its edge midpoints, every triangle is affine again
+        tris, verts = square_mesh.triangles, square_mesh.vertices
+        nt = len(tris)
+        mapped = Mesh(vertices=verts, triangles=tris, boundary_flags=square_mesh.boundary_flags,
+                      h=square_mesh.h,
+                      curved_edges=np.column_stack([np.repeat(np.arange(nt), 3),
+                                                    np.tile(np.arange(3), nt)]),
+                      edge_nodes=0.5 * (verts[tris] + verts[tris[:, [1, 2, 0]]]).reshape(-1, 2))
+        for got, want in zip(fem._p2_matrices(mapped)[:2], fem._p2_matrices(square_mesh)[:2]):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_gate_constant_bounds_the_mass(self, k):
+        # the disk at h = 0.16 and its refinement: M >= c0 diag(M) for the
+        # c0 the residual gate uses, which its mapped elements lower
+        from scipy.sparse.linalg import eigsh
+
+        mesh = study_mesh(corpus_domain("disk"), (0.16, 0.08), k)
+        op = fem.assemble(mesh)
+        c0 = fem._mass_jacobi_min() * op.M.jacobi_ratio
+        assert op.M.jacobi_ratio < 1.0
+        scale = sp.diags(1.0 / np.sqrt(op.M.diagonal()))
+        least = eigsh((scale @ op.M @ scale).tocsc(), k=1, sigma=0.0,
+                      return_eigenvectors=False)[0]
+        assert least >= c0
+
+    def test_mass_measures_the_curved_area(self):
+        d = corpus_domain("disk")
+        for k in (0, 1):
+            mesh = study_mesh(d, (0.16, 0.08), k)
+            total = float(fem.assemble(mesh).M.sum())
+            assert abs(total - d.area()) <= 1e-3 * abs(mesh.area - d.area()), k
+
+    def test_loaded_mesh_assembles_straight(self, tmp_path):
+        mesh = cached_mesh(corpus_domain("disk"), 0.16)
+        path = tmp_path / "disk.txt"
+        save_mesh(mesh, path)
+        loaded, _ = load_mesh(path)
+        assert loaded.curved_edges is None
+        op = fem.assemble(loaded)
+        assert op.M.jacobi_ratio == 1.0
+        assert float(op.M.sum()) == pytest.approx(mesh.area, rel=1e-13)
+        _, ke, _, _ = fem._p2_matrices(mesh)
+        affine = fem._p2_matrices(loaded)[1]
+        straight = np.ones(len(mesh.triangles), dtype=bool)
+        straight[mesh.curved_edges[:, 0]] = False
+        assert np.array_equal(affine[straight], ke[straight])
+        assert not np.allclose(affine[~straight], ke[~straight])
+
+    def test_folded_map_is_refused(self):
+        # the node of edge 01 pulled past the opposite vertex
+        tri = single_triangle_mesh()
+        folded = Mesh(vertices=tri.vertices, triangles=tri.triangles,
+                      boundary_flags=tri.boundary_flags, h=1.0,
+                      curved_edges=np.array([[0, 0]]), edge_nodes=np.array([[0.5, 1.2]]))
+        with pytest.raises(ValueError, match="curved element"):
+            fem.assemble(folded)
+
+
 class TestMassSolve:
     def test_one_factor_per_mesh(self, square, monkeypatch):
         factor, calls = fem._factor, []
@@ -516,10 +577,13 @@ class TestConvergence:
         assert study.monotone
         assert study.extrapolated == pytest.approx(math.pi**2, rel=5e-4)
 
-    def test_disk_p2_order_two(self):
-        # the polygonized boundary caps P2 at h^2 on curved domains
-        study = fem.convergence_study(geo.Disk((0, 0), 1.0), (0.12, 0.06, 0.03))
-        assert study.observed_order == pytest.approx(2.0, abs=0.3)
+    def test_mapped_p2_order_four(self):
+        # straight boundary edges capped P2 at h^2 on curved domains; the
+        # mapped ones give back h^4 at both lists verify uses
+        for name in ("disk", "ellipse-1.5"):
+            for h_list in (cli.MAPPED_H_LIST, cli.DEFAULT_H_LIST):
+                study = fem.convergence_study(corpus_domain(name), h_list)
+                assert study.observed_order >= 3.5, (name, h_list, study.observed_order)
 
     def test_error_bar_definition(self, square):
         study = fem.convergence_study(square, (0.2, 0.1, 0.05))
@@ -594,7 +658,11 @@ class TestStudyMeshes:
         gradn = np.einsum("qij,tjk->qtik", dndl, gradl)
         want = np.einsum("q,qtik,qtjk,t->tij", w, gradn, gradn, jac)
         _, got, _, _ = fem._p2_matrices(mesh)
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        # the triangles with a curved edge are mapped (TestMappedElements)
+        affine = np.ones(len(mesh.triangles), dtype=bool)
+        affine[mesh.curved_edges[:, 0]] = False
+        assert 0 < np.sum(~affine) < np.sum(affine)
+        assert np.abs(got - want)[affine].max() <= 1e-14 * np.abs(want).max()
 
 
 class TestEigenfunctionDump:
