@@ -68,14 +68,15 @@ class SolverError(RuntimeError):
 class OperatorPair:
     """Assembled P2 mass and stiffness operators of one mesh, with the
     positive definite shift A - _SHIFT M that the eigensolvers factor and
-    smooth with.  M carries jacobi_ratio, which _residual_bounds reads: the
-    least diagonally scaled eigenvalue of the mesh's mapped element masses
-    relative to the affine elements' _mass_jacobi_min(), capped at 1."""
+    smooth with, and the c0 of _residual_bounds: the least diagonally
+    scaled eigenvalue of the element masses, _mass_jacobi_min() or a
+    mapped element's lower one."""
 
     M: sp.csr_matrix
     A: sp.csr_matrix
     shifted: sp.csc_matrix
     dimension: int
+    c0: float
 
 
 @dataclass(frozen=True)
@@ -154,9 +155,8 @@ def _mass_jacobi_min() -> float:
     An affine element's mass is |J| R, so it is >= c0 times its own
     diagonal.  A mapped element's mass is not a multiple of R, and its own
     value lies lower (0.3904 to 0.3920 on the smooth corpus at the default
-    h list); assemble records the least one over this as M.jacobi_ratio,
-    and _residual_bounds uses c0 M.jacobi_ratio, so that summing over the
-    elements gives M >= c0 M.jacobi_ratio diag(M).
+    h list); assemble takes the least of them all as OperatorPair.c0, so
+    that summing over the elements gives M >= c0 diag(M).
     """
     return _jacobi_min(_reference_mass()[None])
 
@@ -234,12 +234,9 @@ def assemble(mesh: Mesh) -> OperatorPair:
     if np.any(triangle_jacobians(mesh.vertices, mesh.triangles) <= 0.0):
         raise ValueError("mesh contains a degenerate or inverted triangle")
     me, ke, dofs, ndof = _p2_matrices(mesh)
-    jacobi_ratio = 1.0
+    c0 = _mass_jacobi_min()
     if mesh.curved_edges is not None:
-        # over the reference mass's own value: _residual_bounds scales
-        # _mass_jacobi_min() by it
-        mapped = me[np.unique(mesh.curved_edges[:, 0])]
-        jacobi_ratio = min(1.0, _jacobi_min(mapped) / _jacobi_min(_reference_mass()[None]))
+        c0 = min(c0, _jacobi_min(me[np.unique(mesh.curved_edges[:, 0])]))
     both = np.empty(me.shape, dtype=complex)
     both.real, both.imag = me, ke
     del me, ke  # each del in assemble lowers its peak memory
@@ -272,14 +269,12 @@ def assemble(mesh: Mesh) -> OperatorPair:
             mat.eliminate_zeros()
         return mat
 
-    mass = on_pattern(m_data, sp.csr_matrix)
-    mass.jacobi_ratio = jacobi_ratio
     # the shift's pattern and values are exactly symmetric, so its CSR
     # arrays are its CSC arrays
-    return OperatorPair(M=mass,
+    return OperatorPair(M=on_pattern(m_data, sp.csr_matrix),
                         A=on_pattern(a_data, sp.csr_matrix),
                         shifted=on_pattern(a_data - _SHIFT * m_data, sp.csc_matrix),
-                        dimension=ndof)
+                        dimension=ndof, c0=c0)
 
 
 # ---------------------------------------------------------------------------
@@ -429,18 +424,16 @@ def _two_grid_vectors(op: OperatorPair, coarse_lu, transfer, start, where: str):
     return vecs
 
 
-def _residual_bounds(mass, r):
+def _residual_bounds(op: OperatorPair, r):
     """Upper bounds sqrt(r^T D^-1 r / c0) on ||r||_{M^-1} per column of r,
-    with D = diag(M) and c0 = _mass_jacobi_min() times mass.jacobi_ratio
-    (assemble): the least scaled eigenvalue of the affine and the mapped
-    element masses.
+    with D = diag(M) and c0 = op.c0: the least scaled eigenvalue of the
+    affine and the mapped element masses.
 
     Since M >= c0 D, each is at least the exact norm, and at most about
     sqrt(c1 / c0) = 2.29 times it, c1 the largest eigenvalue of the scaled
     reference mass.
     """
-    c0 = _mass_jacobi_min() * mass.jacobi_ratio
-    return np.sqrt(_column_dots(r, r / mass.diagonal()[:, None]) / c0)
+    return np.sqrt(_column_dots(r, r / op.M.diagonal()[:, None]) / op.c0)
 
 
 def _checked_pairs(op: OperatorPair, vecs, where: str):
@@ -462,7 +455,7 @@ def _checked_pairs(op: OperatorPair, vecs, where: str):
     mus, vecs = mus[rank], vecs[:, rank]
 
     r = op.A @ vecs - (op.M @ vecs) * mus
-    resid = _residual_bounds(op.M, r)
+    resid = _residual_bounds(op, r)
     if np.any(resid > RESIDUAL_TOL * np.maximum(1.0, mus)):
         raise SolverError(
             f"eigensolver residuals {resid} above tolerance ({where}; pencil values {mus})"
@@ -629,31 +622,25 @@ def _study(d: Domain, h_list: tuple) -> ConvergenceStudy:
     values, vector = tuple(values), vectors[:, 0]
     diffs = [values[i] - values[i + 1] for i in range(len(values) - 1)]
     monotone = all(d > 0 for d in diffs) or all(d < 0 for d in diffs)
-    if not monotone:
-        return ConvergenceStudy(
-            h_list=h_list,
-            values=values,
-            observed_order=None,
-            extrapolated=None,
-            error_bar=abs(diffs[-1]),
-            monotone=False,
-            vector=vector,
-        )
-    # one order per consecutive triple, from the increments alone, which
-    # avoids assuming the limit
-    orders = [_triple_order(h_list[i:i + 3], diffs[i] / diffs[i + 1])
-              for i in range(len(values) - 2)]
-    orders = [p for p in orders if p is not None]
-    observed = float(np.mean(orders)) if orders else None
-    p = observed if observed and observed > 0.5 else 2.0
-    r = (h_list[-2] / h_list[-1]) ** p
-    extrapolated = values[-1] + (values[-1] - values[-2]) / (r - 1.0)
+    observed = extrapolated = None
+    error_bar = abs(diffs[-1])
+    if monotone:
+        # one order per consecutive triple, from the increments alone, which
+        # avoids assuming the limit
+        orders = [_triple_order(h_list[i:i + 3], diffs[i] / diffs[i + 1])
+                  for i in range(len(values) - 2)]
+        orders = [p for p in orders if p is not None]
+        observed = float(np.mean(orders)) if orders else None
+        p = observed if observed and observed > 0.5 else 2.0
+        r = (h_list[-2] / h_list[-1]) ** p
+        extrapolated = values[-1] + (values[-1] - values[-2]) / (r - 1.0)
+        error_bar = abs(extrapolated - values[-1])
     return ConvergenceStudy(
         h_list=h_list,
         values=values,
         observed_order=observed,
         extrapolated=extrapolated,
-        error_bar=abs(extrapolated - values[-1]),
-        monotone=True,
+        error_bar=error_bar,
+        monotone=monotone,
         vector=vector,
     )

@@ -4,9 +4,10 @@ Shapes are immutable dataclasses whose boundary is a tuple of smooth
 pieces, each an exact parameterization: one periodic piece for a smooth
 closed curve, arcs and segments for a stadium, one segment per polygon
 edge.  Curved pieces are discretized by curvature-adaptive polylines
-whose vertices lie exactly on the analytic curve, and meshing and the FEM
-work on that polygonized domain; the trial certificate integrates over
-the exact one from Domain.boundary_rule.
+whose vertices lie exactly on the analytic curve.  Meshing works on that
+polygonized domain, and the FEM maps the triangles on smooth curved
+pieces back onto the curve through Domain.boundary_at; the trial
+certificate integrates over the exact domain from Domain.boundary_rule.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ class Domain:
 
     Concrete shapes implement pieces(), the boundary as a tuple of _Piece
     traversed once counterclockwise, each starting where the one before
-    ends; and contains(points), area(), centroid() and diameter().
+    ends; and contains(points), area() and centroid().
     """
 
     @property
@@ -258,9 +259,6 @@ class Disk(Domain):
     def centroid(self):
         return np.array(self.center)
 
-    def diameter(self):
-        return 2.0 * self.radius
-
 
 @dataclass(frozen=True)
 class Ellipse(Domain):
@@ -284,9 +282,6 @@ class Ellipse(Domain):
 
     def centroid(self):
         return np.zeros(2)
-
-    def diameter(self):
-        return 2.0 * max(self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -321,9 +316,6 @@ class Stadium(Domain):
 
     def centroid(self):
         return np.zeros(2)
-
-    def diameter(self):
-        return 2.0 * (self.halflength + self.radius)
 
 
 @dataclass(frozen=True)
@@ -386,9 +378,6 @@ class Superellipse(Domain):
     def centroid(self):
         return np.zeros(2)
 
-    def diameter(self):
-        return 2.0 * max(self.a, self.b)
-
 
 @dataclass(frozen=True)
 class Polygon(Domain):
@@ -444,12 +433,6 @@ class Polygon(Domain):
         cx = np.sum((v[:, 0] + w[:, 0]) * cross) / (3.0 * np.sum(cross))
         cy = np.sum((v[:, 1] + w[:, 1]) * cross) / (3.0 * np.sum(cross))
         return np.array([cx, cy])
-
-    def diameter(self):
-        v = self.vertex_array
-        lo = v.min(axis=0)
-        hi = v.max(axis=0)
-        return float(np.hypot(*(hi - lo)))
 
 
 def _signed_area2(v: np.ndarray) -> float:

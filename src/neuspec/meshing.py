@@ -67,8 +67,8 @@ class Mesh:
 
     vertices, triangles, areas and area describe the polygonized domain.
 
-    Meshes are immutable and compare and hash by identity, so that caches
-    such as the FEM pencil solves can key on them.
+    Meshes are immutable and compare and hash by identity: their fields
+    are arrays, which give no single truth value to compare by.
     """
 
     vertices: np.ndarray
@@ -93,9 +93,6 @@ class Mesh:
     @property
     def area(self) -> float:
         return float(np.sum(self.areas))
-
-    def min_angle_deg(self) -> float:
-        return float(np.min(_triangle_angles(self.vertices, self.triangles)))
 
     @cached_property
     def _edges(self):

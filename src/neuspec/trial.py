@@ -111,76 +111,79 @@ def _fan(d: Domain, x0, n: int):
     return offsets[keep], w[keep]
 
 
+def _radial(p: RadialProfile, dx):
+    """r = |x - x0|, g, g' and g / r at offsets dx = x - x0; g / r takes its
+    analytic limit s / 2 at r = 0."""
+    r = np.hypot(dx[:, 0], dx[:, 1])
+    g, dg = _profile_values(p, r)
+    ratio = np.full_like(r, p.scale / p.n)
+    pos = r > 1e-300
+    ratio[pos] = g[pos] / r[pos]
+    return r, g, dg, ratio
+
+
 def _moments(p: RadialProfile, dx, w):
     """Integrals on a fan about x0 with offsets dx = x - x0: the field
     v_i = int g (x - x0)_i / r, the scale int |g|, int g'^2 + g^2 / r^2
     and int g^2."""
-    r = np.hypot(dx[:, 0], dx[:, 1])
-    g, dg = _profile_values(p, r)
-    ratio = np.full_like(r, p.scale / p.n)  # analytic limit of g/r at 0
-    pos = r > 1e-300
-    ratio[pos] = g[pos] / r[pos]
+    _, g, dg, ratio = _radial(p, dx)
     return ((w * ratio) @ dx, float(w @ np.abs(g)),
             float(w @ (dg * dg + ratio * ratio)), float(w @ (g * g)))
+
+
+def _field_jacobian(p: RadialProfile, dx, w):
+    """_moments' field v and scale int |g|, and the derivative of v in x0,
+    -int (g' - g / r) e e^T + (g / r) I dx with e = (x - x0) / r, on the
+    same fan.
+
+    The Jacobian's integrand has the eigenvalues g' along e and g / r
+    across it, and g' >= 0, g / r > 0, so it is negative definite.
+    """
+    r, g, dg, ratio = _radial(p, dx)
+    e = np.divide(dx, r[:, None], out=np.zeros_like(dx), where=r[:, None] > 1e-300)
+    jac = -(e.T @ ((w * (dg - ratio))[:, None] * e) + float(w @ ratio) * np.eye(2))
+    return (w * ratio) @ dx, float(w @ np.abs(g)), jac
 
 
 def find_center(d: Domain):
     """Zero of the centering field inside the convex hull of the domain.
 
-    Damped Newton with a central-difference Jacobian from the centroid;
-    the residual is scaled by int |g| dx and must reach CENTER_RESIDUAL_TOL.
-    Raises CenterConvergenceError with the best residual if the iteration
-    budget runs out.  The returned array is read-only.
+    Damped Newton on the field's exact Jacobian (_field_jacobian) from the
+    centroid, backtracking on residual growth or a step out of the hull;
+    the residual is scaled by int |g| dx and must reach
+    CENTER_RESIDUAL_TOL.  Raises CenterConvergenceError with the last
+    residual if the iteration stalls.  The returned array is read-only.
     """
     p = _profile(d)
     hull = d.hull()
-    diam = d.diameter()
-    fd_step = 1e-5 * diam
 
     def field(x):
-        return _moments(p, *_fan(d, x, _FAN_NODES))[:2]
+        v, scale, jac = _field_jacobian(p, *_fan(d, x, _FAN_NODES))
+        return v, float(np.hypot(*v)) / scale, jac
 
     x = np.array(d.centroid(), dtype=float)
-    v, scale = field(x)
-    best = (float(np.hypot(*v)) / scale, x.copy())
+    v, res, jac = field(x)
     for _ in range(60):
-        res = float(np.hypot(*v)) / scale
-        if res < best[0]:
-            best = (res, x.copy())
         if res <= CENTER_RESIDUAL_TOL:
-            return _read_only(x)
-        jac = np.empty((2, 2))
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = fd_step
-            vp, _ = field(x + e)
-            vm, _ = field(x - e)
-            jac[:, k] = (vp - vm) / (2.0 * fd_step)
-        try:
-            step = np.linalg.solve(jac, -v)
-        except np.linalg.LinAlgError:
-            step = -v * diam / scale
-        # damping: backtrack on residual growth or hull exit
+            break
+        step = np.linalg.solve(jac, -v)
         lam = 1.0
         for _ in range(40):
             cand = x + lam * step
-            inside = point_in_polygon(cand[None, :], hull)[0]
-            if inside:
-                vc, scale = field(cand)
+            if point_in_polygon(cand[None, :], hull)[0]:
+                vc, rc, jc = field(cand)
                 if np.hypot(*vc) <= (1.0 - 1e-4 * lam) * np.hypot(*v) or res < 1e-9:
-                    x, v = cand, vc
+                    x, v, res, jac = cand, vc, rc, jc
                     break
             lam *= 0.5
         else:
             break
-    v, scale = field(x)
-    res = float(np.hypot(*v)) / scale
-    if res <= CENTER_RESIDUAL_TOL:
-        return _read_only(x)
-    raise CenterConvergenceError(
-        f"centering residual {best[0]:.3e} did not reach tol {CENTER_RESIDUAL_TOL:.1e} "
-        f"(best point {best[1].tolist()})"
-    )
+    if res > CENTER_RESIDUAL_TOL:
+        raise CenterConvergenceError(
+            f"centering residual {res:.3e} did not reach tol {CENTER_RESIDUAL_TOL:.1e} "
+            f"(last point {x.tolist()})"
+        )
+    return _read_only(x)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -4,9 +4,12 @@ A name listed in a module's ``__all__`` must be imported or loaded by code
 somewhere under ``src/neuspec``, outside its own definition and outside
 ``__all__``; a mention in a docstring does not count.  The acceptance suite
 checks a few definitions of the paper directly, and only those are exempt.
+Likewise every public method or property of a class must be reached as
+``.name`` by code under ``src/neuspec``, outside its own definition.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "neuspec"
@@ -54,3 +57,23 @@ def test_every_public_name_has_a_caller():
         and not any(n == name and (m, owner) != (module, name) for m, owner, n in uses)
     ]
     assert not idle, f"public names that nothing in src/neuspec reaches: {idle}"
+
+
+def _attributes(node):
+    """How often each name is reached as .name within node."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
+def test_every_public_member_has_a_caller():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    reached = sum((_attributes(tree) for tree in trees.values()), Counter())
+    idle = [
+        f"{module}.{cls.name}.{member.name}"
+        for module, tree in trees.items()
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for member in cls.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not member.name.startswith("_")
+        and reached[member.name] <= _attributes(member)[member.name]
+    ]
+    assert not idle, f"public methods and properties that nothing in src/neuspec reaches: {idle}"

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -215,7 +216,7 @@ def residual_norms(name):
         op = fem.assemble(mesh)
         r = op.A @ vecs - (op.M @ vecs) * mus
         reported.append(residuals)
-        bounds.append(fem._residual_bounds(op.M, r))
+        bounds.append(fem._residual_bounds(op, r))
         exact.append(np.sqrt(np.einsum("ij,ij->j", r, splu(op.M.tocsc()).solve(r))))
     return np.concatenate(reported), np.concatenate(bounds), np.concatenate(exact)
 
@@ -231,16 +232,22 @@ class TestResidualBound:
     def test_bound_is_attained_on_one_element(self):
         # on one triangle M = |J| R, and r = D^1/2 y with y the least
         # eigenvector of D^-1/2 M D^-1/2 meets the bound with equality
-        mass = fem.assemble(single_triangle_mesh()).M
+        op = fem.assemble(single_triangle_mesh())
+        mass = op.M
         scale = np.sqrt(mass.diagonal())
         y = np.linalg.eigh(mass.toarray() / np.outer(scale, scale))[1][:, :1]
         r = scale[:, None] * y
         exact = np.sqrt(r[:, 0] @ np.linalg.solve(mass.toarray(), r[:, 0]))
-        assert fem._residual_bounds(mass, r)[0] == pytest.approx(exact, rel=1e-12)
+        assert fem._residual_bounds(op, r)[0] == pytest.approx(exact, rel=1e-12)
 
     def test_doubled_constant_is_caught(self, monkeypatch):
-        doubled = 2.0 * fem._mass_jacobi_min()
-        monkeypatch.setattr(fem, "_mass_jacobi_min", lambda: doubled)
+        assemble = fem.assemble
+
+        def doubled(mesh):
+            op = assemble(mesh)
+            return dataclasses.replace(op, c0=2.0 * op.c0)
+
+        monkeypatch.setattr(fem, "assemble", doubled)
         _, bounds, exact = residual_norms("ellipse-1.5")
         assert np.any(bounds < exact)
 
@@ -266,8 +273,8 @@ class TestMappedElements:
 
         mesh = study_mesh(corpus_domain("disk"), (0.16, 0.08), k)
         op = fem.assemble(mesh)
-        c0 = fem._mass_jacobi_min() * op.M.jacobi_ratio
-        assert op.M.jacobi_ratio < 1.0
+        c0 = op.c0
+        assert c0 < fem._mass_jacobi_min()
         scale = sp.diags(1.0 / np.sqrt(op.M.diagonal()))
         least = eigsh((scale @ op.M @ scale).tocsc(), k=1, sigma=0.0,
                       return_eigenvectors=False)[0]
@@ -287,7 +294,7 @@ class TestMappedElements:
         loaded, _ = load_mesh(path)
         assert loaded.curved_edges is None
         op = fem.assemble(loaded)
-        assert op.M.jacobi_ratio == 1.0
+        assert op.c0 == fem._mass_jacobi_min()
         assert float(op.M.sum()) == pytest.approx(mesh.area, rel=1e-13)
         _, ke, _, _ = fem._p2_matrices(mesh)
         affine = fem._p2_matrices(loaded)[1]

@@ -208,7 +208,7 @@ class TestPieces:
     def test_pieces_join(self, spec):
         d = geo.parse_domain(spec)
         pieces = d.pieces()
-        scale = d.diameter()
+        scale = np.ptp(d.hull(), axis=0).max()
         for piece, after in zip(pieces, pieces[1:] + pieces[:1]):
             end = piece.at(np.array([1.0]))[0]
             start = after.at(np.array([0.0]))[0]

@@ -14,7 +14,7 @@ def check_mesh_contract(mesh, h):
     areas = mesh.areas
     assert np.all(areas > 0), "orientation"
     assert areas.min() >= msh.MIN_AREA_FACTOR * h * h
-    assert mesh.min_angle_deg() >= msh.MIN_ANGLE_DEG
+    assert msh._triangle_angles(v, t).min() >= msh.MIN_ANGLE_DEG
     # conforming: each edge appears in at most two triangles, with
     # opposite orientations when shared
     seen = {}

@@ -204,6 +204,59 @@ class TestFindCenter:
         assert calls == [512]
 
 
+# centers found by damped Newton on a central-difference Jacobian, a
+# second route to the same zeros
+NEWTON_CENTERS = {
+    CORPUS["triangle"]: (0.771313283369637, 0.37697121064986255),
+    L_SHAPE: (0.8150167293681588, 0.8150167293681588),
+    THIN_L: (0.8505959771815137, 0.850595977181521),
+}
+
+
+def _extent(d):
+    return np.ptp(d.hull(), axis=0).max()
+
+
+class TestNewton:
+    @pytest.mark.parametrize("spec", NEWTON_CENTERS)
+    def test_jacobian_matches_central_differences(self, spec):
+        d = geo.parse_domain(spec)
+        step = 1e-5 * _extent(d)
+        for x0 in (d.centroid(), trial.find_center(d)):
+            v, scale, jac = trial._field_jacobian(trial._profile(d),
+                                                  *trial._fan(d, x0, trial._FAN_NODES))
+            field, field_scale = _field_and_scale(d, x0)
+            assert np.array_equal(v, field) and scale == field_scale
+            diff = np.column_stack([(_field(d, x0 + e) - _field(d, x0 - e)) / (2.0 * step)
+                                    for e in step * np.eye(2)])
+            assert np.abs(jac - diff).max() <= 1e-6 * np.abs(jac).max()
+
+    @pytest.mark.parametrize("spec", NEWTON_CENTERS)
+    def test_jacobian_is_negative_definite(self, spec):
+        # at the centroid, the center and halfway from the centroid to
+        # each hull vertex
+        d = geo.parse_domain(spec)
+        p = trial._profile(d)
+        points = [d.centroid(), trial.find_center(d), *(0.5 * (d.hull() + d.centroid()))]
+        for x0 in points:
+            jac = trial._field_jacobian(p, *trial._fan(d, x0, trial._FAN_NODES))[2]
+            assert np.all(np.linalg.eigvalsh(jac + jac.T) < 0.0), (x0, jac)
+
+    @pytest.mark.parametrize("spec", [*NEWTON_CENTERS, *(CORPUS[n] for n in CORPUS if n != "triangle")])
+    def test_fans_per_center(self, monkeypatch, spec):
+        # a shape whose centroid is the center takes one fan
+        fan, calls = trial._fan, []
+        monkeypatch.setattr(trial, "_fan", lambda *args: calls.append(args) or fan(*args))
+        trial.find_center(geo.parse_domain(spec))
+        assert len(calls) <= (6 if spec in NEWTON_CENTERS else 1)
+
+    @pytest.mark.parametrize("spec", NEWTON_CENTERS)
+    def test_center_matches_the_difference_newton(self, spec):
+        d = geo.parse_domain(spec)
+        gap = np.hypot(*(trial.find_center(d) - NEWTON_CENTERS[spec]))
+        assert gap <= 1e-12 * _extent(d)
+
+
 def _unclamped(p, r):
     """g(r) = J_1(s r) on the whole plane: not held constant past R."""
     return radial_profile_eval(p, r)
