@@ -43,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import Domain
-from .meshing import Mesh, _edge_numbering, triangle_jacobians
+from .meshing import Mesh, triangle_jacobians
 from .quadrature import study_mesh, triangle_rule
 
 __all__ = [
@@ -86,8 +86,8 @@ class EigResult:
     values are ascending; vectors are M-orthonormal and M-orthogonal to
     the constant mode; residuals are upper bounds on ||A v - mu M v|| in
     the M^{-1} norm at the pencil value mu (see _checked_pairs), where
-    value = mu^q with q = 2m (q = 1 for the Laplacian).  power records m
-    (0 for the plain Laplacian).  vectors and residuals are read-only.
+    value = mu^(2m).  power records m.  vectors and residuals are
+    read-only.
     """
 
     values: np.ndarray
@@ -169,7 +169,7 @@ def _p2_matrices(mesh: Mesh):
     # after the element arrays it split the freed heap that the COO arrays
     # reuse, which raised a verify run's peak RSS at h = 0.02 from 115 to
     # 123 MB
-    conn_e, n_edges = _edge_numbering(mesh)
+    conn_e, n_edges = mesh._edges.conn, mesh._edges.count
     _, dndl, w = _p2_reference()
     gradl, jac = _barycentric_gradients(mesh)
 
@@ -357,7 +357,7 @@ def _transfer(mesh: Mesh) -> sp.csr_matrix:
     """
     parent = mesh.parent
     nv = len(parent.vertices)
-    conn, n_edges = _edge_numbering(parent)
+    conn, n_edges = parent._edges.conn, parent._edges.count
     ends = np.empty((n_edges, 2), dtype=int)
     ends[conn.ravel()] = parent.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
     a, b = ends.T
@@ -373,18 +373,18 @@ def _transfer(mesh: Mesh) -> sp.csr_matrix:
 
     # the child's edge ids, looked up by their vertex pairs in its sorted table
     n_child = len(mesh.vertices)
-    _, n_child_edges, keys, edge_ids = mesh._edges
+    child = mesh._edges
     parent_dofs = np.arange(nv + n_edges)
     rows, cols, vals = [parent_dofs], [parent_dofs], [np.ones(nv + n_edges)]
     for (p, q), dofs, weights in blocks:
         key = np.minimum(p, q).astype(np.int64) * n_child + np.maximum(p, q)
-        row = n_child + edge_ids[np.searchsorted(keys, key)]
+        row = n_child + child.ids[np.searchsorted(child.keys, key)]
         for dof, weight in zip(dofs, weights):
             rows.append(row)
             cols.append(dof)
             vals.append(np.full(len(row), weight))
     return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n_child + n_child_edges, nv + n_edges))
+                         shape=(n_child + child.count, nv + n_edges))
 
 
 def _two_grid_vectors(op: OperatorPair, coarse_lu, transfer, start, where: str):
@@ -497,19 +497,6 @@ def _pencil_solve(mesh: Mesh, count: int, parent=None):
     return mus, vectors, residuals, lu
 
 
-def _eigs(mesh: Mesh, count: int, m: int) -> EigResult:
-    q = max(1, 2 * m)
-    mus, vectors, residuals, _ = _pencil_solve(mesh, count)
-    return EigResult(values=mus[:count]**q, vectors=vectors[:, :count],
-                     residuals=residuals[:count], power=m)
-
-
-def eig_neumann_laplacian(mesh: Mesh, count: int) -> EigResult:
-    """Smallest `count` nonzero Neumann eigenvalues of the Laplacian, by
-    one Lanczos solve of this mesh alone."""
-    return _eigs(mesh, count, 0)
-
-
 def eig_polyharmonic_neumann(mesh: Mesh, count: int, m: int) -> EigResult:
     """Smallest `count` nonzero Neumann eigenvalues of Delta^(2m), by one
     Lanczos solve of this mesh alone.
@@ -520,7 +507,9 @@ def eig_polyharmonic_neumann(mesh: Mesh, count: int, m: int) -> EigResult:
     """
     if not (1 <= m <= _MAX_POWER):
         raise ValueError(f"operator power m must be in 1..{_MAX_POWER}")
-    return _eigs(mesh, count, m)
+    mus, vectors, residuals, _ = _pencil_solve(mesh, count)
+    return EigResult(values=mus[:count]**(2 * m), vectors=vectors[:, :count],
+                     residuals=residuals[:count], power=m)
 
 
 # ---------------------------------------------------------------------------

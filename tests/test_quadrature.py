@@ -7,6 +7,7 @@ from conftest import mesh_quadrature
 
 from neuspec import geometry as geo
 from neuspec import quadrature as quad
+from neuspec.meshing import triangle_jacobians
 
 
 class TestTriangleRules:
@@ -71,4 +72,5 @@ class TestIntegrate:
     def test_mesh_quadrature_weight_sum(self):
         mesh = quad.cached_mesh(geo.Disk((0, 0), 1.0), 0.1)
         _, w = mesh_quadrature(mesh)
-        assert float(np.sum(w)) == pytest.approx(mesh.area, rel=1e-13)
+        area = float(np.sum(0.5 * triangle_jacobians(mesh.vertices, mesh.triangles)))
+        assert float(np.sum(w)) == pytest.approx(area, rel=1e-13)

@@ -33,6 +33,8 @@ def _field(d, x0):
 
 L_SHAPE = "polygon:0,0;2,0;2,1;1,1;1,2;0,2"
 THIN_L = "polygon:0,0;4,0;4,0.25;0.25,0.25;0.25,4;0,4"
+# ellipses of axis ratio 4.7 to 10
+THIN_ELLIPSES = ["ellipse:2.1,0.45", "ellipse:2,0.4", "ellipse:3,0.5", "ellipse:3,0.3"]
 
 
 class TestFan:
@@ -66,6 +68,23 @@ class TestFan:
         exact = (np.array([-1.0, 1.0]) * math.sqrt(0.75) + 2.3) / 4.0
         assert np.allclose(t, exact, rtol=0, atol=1e-15)
         assert len(geo._crossings(piece, np.array([0.0, 3.0]), 1.0)) == 0
+
+    def test_crossings_at_samples(self):
+        # |4t - 2|^2 = 1 at the samples t = 1/4 and 3/4, where f changes
+        # sign; on the tangent segment f only touches 0, at t = 1/2
+        through = geo._segment((-2.0, 0.0), (2.0, 0.0))
+        assert np.array_equal(geo._crossings(through, np.zeros(2), 1.0), [0.25, 0.75])
+        tangent = geo._segment((-2.0, 1.0), (2.0, 1.0))
+        assert len(geo._crossings(tangent, np.zeros(2), 1.0)) == 0
+
+    def test_disk_on_its_own_circle(self):
+        # about its center the unit disk's piece lies on |x| = 1, where f is
+        # rounding noise: no crossing, and the rule keeps its 8 panels
+        d = geo.Disk((0, 0), 1.0)
+        assert len(geo._crossings(d.pieces()[0], np.zeros(2), 1.0)) == 0
+        b, _, w = d.boundary_rule(trial._FAN_NODES, np.zeros(2), 1.0)
+        assert len(b) == 8 * trial._FAN_NODES == 192
+        assert abs(w.sum() - 1.0) <= 1e-15
 
     def test_panels_split_at_the_crossings(self, triangle):
         x0 = trial.find_center(triangle)
@@ -394,10 +413,12 @@ class TestCertificate:
             assert (cert.certified < cert.bound) == cert.strict, (name, m)
 
     @pytest.mark.parametrize("spec", [L_SHAPE, THIN_L, "superellipse:1,1,40",
-                                      "superellipse:1.3,0.8,2.5"])
+                                      "superellipse:1.3,0.8,2.5", "superellipse:1,1,8",
+                                      *THIN_ELLIPSES, "ellipse:8,0.125"])
     def test_other_shapes_certify(self, spec):
         # a center outside the domain (the thin L), narrow rounded corners
-        # (p = 40), and a boundary that is not smooth at the axes (p = 2.5)
+        # (p = 40), a boundary that is not smooth at the axes (p = 2.5), and
+        # ellipses up to 64:1
         d = geo.parse_domain(spec)
         q = trial.trial_quotient(d)
         assert q.error <= 1e-6 * q.value
@@ -405,6 +426,20 @@ class TestCertificate:
             cert = trial.certify_upper_bound(d, m)
             assert cert.valid is True and cert.strict is True, (spec, m)
             json.loads(cert.to_json())
+
+    @pytest.mark.parametrize("spec", [*THIN_ELLIPSES, "superellipse:1,1,8",
+                                      *(CORPUS[name] for name in CORPUS if name != "triangle")])
+    def test_error_at_the_rounding_floor(self, spec):
+        # Gauss panels cut where the circle |x - x0| = R crosses a curve
+        # converge geometrically there, down to the rounding of the sums
+        cert = trial.certify_upper_bound(geo.parse_domain(spec), 1)
+        assert cert.valid
+        assert cert.quotient_error <= 1e-12 * cert.quotient
+
+    def test_thin_ellipse_report_certifies(self):
+        report = cli.build_verification_report("ellipse:2,0.4", 1, use_mps=False)
+        assert report["certificate"]["valid"] and report["certificate"]["strict"]
+        assert report["inequality_holds"]
 
     def test_tiny_disk_powers_stay_finite(self):
         # at R = 1e-11 the m = 4 figures reach 1.7e180, inside the double range
