@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .special import first_radial_deriv_zero, radial_deriv_zeros
 
 __all__ = [
+    "MAX_POWER",
     "Ball",
     "SpectrumEntry",
     "mu1_ball",
@@ -25,6 +26,9 @@ __all__ = [
     "angular_multiplicity",
     "spectrum_to_csv",
 ]
+
+# the largest power m of Delta^(2m) that neuspec accepts, from 1 on
+MAX_POWER = 8
 
 
 @dataclass(frozen=True)
@@ -67,8 +71,8 @@ def upsilon1_ball(b: Ball) -> float:
 
 def upsilon1_poly_ball(b: Ball, m: int) -> float:
     """First nonzero Neumann eigenvalue of Delta^(2m): mu1^(2m)."""
-    if not (1 <= m <= 8):
-        raise ValueError("power must satisfy 1 <= m <= 8")
+    if not (1 <= m <= MAX_POWER):
+        raise ValueError(f"power must satisfy 1 <= m <= {MAX_POWER}")
     return mu1_ball(b) ** (2 * m)
 
 

@@ -18,20 +18,16 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .ball import Ball, mu1_ball, neumann_spectrum_ball, spectrum_to_csv, upsilon1_poly_ball
+from .ball import (MAX_POWER, Ball, mu1_ball, neumann_spectrum_ball, spectrum_to_csv,
+                   upsilon1_poly_ball)
 from .corpus import CORPUS, corpus_domain
-from .fem import convergence_study
-from .geometry import Domain, GeometryError, domain_spec_string, parse_domain
-from .meshing import MeshQualityError, load_mesh, maps_boundary, save_mesh
+from .fem import DEFAULT_H_LIST, MAPPED_H_LIST, convergence_study
+from .geometry import Domain, domain_spec_string, parse_domain
+from .meshing import load_mesh, save_mesh
 from .mps import mps_find, mps_scan
 from .plots import convergence_svg, eigenfunction_svg, sigma_curve_svg
-from .quadrature import study_mesh
 from .trial import certify_upper_bound
 
-DEFAULT_H_LIST = (0.08, 0.04, 0.02)
-# verify's default on shapes with a smooth curved piece, whose meshes map
-# their curved edges (meshing.maps_boundary), so that P2 converges like h^4
-MAPPED_H_LIST = (0.16, 0.08, 0.04)
 # largest MPS indicator accepted as an eigenvalue, and the angular
 # truncation of the MPS cross-check
 MPS_SIGMA_TOL = 1e-6
@@ -178,23 +174,6 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
-def default_h_list(d: Domain) -> tuple:
-    """verify's h list for d: MAPPED_H_LIST if d's meshes map curved edges
-    and the mesher builds that list's meshes, else DEFAULT_H_LIST.
-
-    Only the mesher's refusal (GeometryError, MeshQualityError) falls back;
-    the meshes built stay memoized for the study.
-    """
-    if maps_boundary(d):
-        try:
-            for k in range(len(MAPPED_H_LIST)):
-                study_mesh(d, MAPPED_H_LIST, k)
-            return MAPPED_H_LIST
-        except (GeometryError, MeshQualityError):
-            pass
-    return DEFAULT_H_LIST
-
-
 def _raised(study, m: int):
     """The study of mu as one of Upsilon = mu^(2m): the per-mesh values,
     Upsilon = best^(2m) and its bar (best + bar)^(2m) - best^(2m), which by
@@ -212,7 +191,8 @@ def build_verification_report(domain_spec: str, m: int, h_list=None,
                               use_mps: bool = True) -> dict:
     """Assemble the full inequality-verification report for one domain.
 
-    h_list None takes default_h_list; config.h_list records the list used.
+    h_list None takes convergence_study's default; config.h_list records
+    the list used.
     A failing step raises StageError naming it: "setup", "fem convergence
     study", "mps" or "certificate".
     """
@@ -222,8 +202,8 @@ def build_verification_report(domain_spec: str, m: int, h_list=None,
         bound = _in_range(upsilon1_poly_ball(Ball(2, d.equal_area_radius()), m))
 
     with _stage("fem convergence study"):
-        h_list = default_h_list(d) if h_list is None else tuple(float(h) for h in h_list)
         study = convergence_study(d, h_list)
+        h_list = study.h_list
         values, ups_fem, error_bar = _raised(study, m)
 
     ups_mps = None
@@ -308,13 +288,10 @@ def cmd_verify(args) -> int:
     if args.save_eigenfunction:
         stage = "eigenfunction dump"
         try:
-            d = _resolve_domain(args.domain)
-            h_list = report["config"]["h_list"]
-            mesh = study_mesh(d, h_list, len(h_list) - 1)
             # the memoized study of the report
-            vector = convergence_study(d, h_list).vector
-            save_mesh(mesh, _resolve_out(args.save_eigenfunction),
-                      vertex_values=vector[:len(mesh.vertices)])
+            study = convergence_study(_resolve_domain(args.domain), report["config"]["h_list"])
+            save_mesh(study.mesh, _resolve_out(args.save_eigenfunction),
+                      vertex_values=study.vector[:len(study.mesh.vertices)])
         except Exception as exc:  # noqa: BLE001
             print(f"verify failed during {stage}: {exc}", file=sys.stderr)
             return 1
@@ -403,6 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"neuspec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    power = _checked(int, lambda m: 1 <= m <= MAX_POWER, f"an integer in 1..{MAX_POWER}")
 
     p_ball = sub.add_parser("ball", help="exact Neumann values on a ball")
     p_ball.add_argument("--n", type=_checked(int, lambda n: 2 <= n <= 16, "an integer in 2..16"),
@@ -410,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ball.add_argument("--R", type=_checked(float, lambda v: 0 < v < math.inf,
                                              "a positive, finite radius"),
                         default=1.0, help="ball radius")
-    p_ball.add_argument("--m", type=_checked(int, lambda m: 1 <= m <= 8, "an integer in 1..8"),
-                        default=1, help="operator power: Delta^(2m), 1..8")
+    p_ball.add_argument("--m", type=power, default=1,
+                        help=f"operator power: Delta^(2m), 1..{MAX_POWER}")
     p_ball.add_argument("--count", type=_checked(int, lambda n: n >= 1, "an integer >= 1"),
                         default=5, help="spectrum entries to list")
     p_ball.add_argument("--out", help="artifact path (relative paths join the output dir)")
@@ -422,8 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--domain", required=True,
                        help="domain spec (disk:.., ellipse:..) or corpus name "
                             f"({', '.join(CORPUS)})")
-    p_ver.add_argument("--m", type=_checked(int, lambda m: 1 <= m <= 8, "an integer in 1..8"),
-                       default=1, help="operator power: Delta^(2m), 1..8")
+    p_ver.add_argument("--m", type=power, default=1,
+                       help=f"operator power: Delta^(2m), 1..{MAX_POWER}")
     p_ver.add_argument("--h-list", type=_h_list,
                        help="at least 3 strictly descending mesh sizes, comma separated "
                             f"(default {','.join(map(str, MAPPED_H_LIST))} on shapes with a "

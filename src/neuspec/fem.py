@@ -19,8 +19,11 @@ itself.
 
 M, A and A + M share one sparsity pattern, built in one pass.  A
 convergence study solves the pencil alone, once per domain and h list,
-and so serves every q.  It walks its meshes coarse to fine: each is solved
-by shift-invert Lanczos (ARPACK mode 3, through scipy's eigsh) at
+and so serves every q; with no list given it picks verify's default.  It
+builds its meshes first: the lattice mesh at each h, except along a run
+of halving steps, where each mesh is the red refinement of the one
+before.  Then it walks them coarse to fine: each is solved by
+shift-invert Lanczos (ARPACK mode 3, through scipy's eigsh) at
 sigma = -1 on a sparse LU factor of A + M, except the finest mesh of a
 halving run, which nothing finer refines.  That one is solved by LOBPCG,
 started from its parent's vectors and preconditioned by a two-grid cycle
@@ -42,9 +45,10 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import Domain
-from .meshing import Mesh, triangle_jacobians
-from .quadrature import study_mesh, triangle_rule
+from .ball import MAX_POWER
+from .geometry import Domain, GeometryError
+from .meshing import Mesh, MeshQualityError, maps_boundary, refine, triangle_jacobians
+from .quadrature import cached_mesh, triangle_rule
 
 __all__ = [
     "OperatorPair",
@@ -53,8 +57,15 @@ __all__ = [
     "assemble",
     "convergence_study",
     "SolverError",
+    "DEFAULT_H_LIST",
+    "MAPPED_H_LIST",
 ]
 
+# a convergence study's mesh sizes when none are given: MAPPED_H_LIST on
+# shapes whose meshes map curved edges (meshing.maps_boundary), where P2
+# converges like h^4, if the mesher builds its meshes; else DEFAULT_H_LIST
+DEFAULT_H_LIST = (0.08, 0.04, 0.02)
+MAPPED_H_LIST = (0.16, 0.08, 0.04)
 RESIDUAL_TOL = 1e-9
 _SHIFT = -1.0
 _SEED = 20240
@@ -298,9 +309,6 @@ def _column_dots(u, w):
     return np.einsum("ij,ij->j", u, w)
 
 
-# the largest power m that eig_polyharmonic_neumann accepts
-_MAX_POWER = 8
-
 # LOBPCG on a refined mesh: its residual tolerance (at 1e-10 the gate's
 # residual on ellipse-1.5 at h = 0.02 read 1.1e-8, above RESIDUAL_TOL) and
 # an iteration cap far above the 11 to 19 iterations the corpus takes
@@ -339,8 +347,8 @@ def _lanczos_vectors(op: OperatorPair, lu, n_modes: int, where: str):
     return vecs[:, np.argsort(mus)[1:]]  # the constant mode leads
 
 
-def _transfer(mesh: Mesh) -> sp.csr_matrix:
-    """P2 prolongation P from mesh.parent to mesh, its red refinement.
+def _transfer(parent: Mesh, mesh: Mesh) -> sp.csr_matrix:
+    """P2 prolongation P from parent to mesh, its red refinement.
 
     Row i holds the parent's P2 basis functions at the child's dof i.  The
     child's vertices are the parent's dofs in the same numbering, so their
@@ -355,7 +363,6 @@ def _transfer(mesh: Mesh) -> sp.csr_matrix:
     take other values at the child's edge nodes inside it.  A
     preconditioner and a start block can afford that.
     """
-    parent = mesh.parent
     nv = len(parent.vertices)
     conn, n_edges = parent._edges.conn, parent._edges.count
     ends = np.empty((n_edges, 2), dtype=int)
@@ -465,18 +472,19 @@ def _checked_pairs(op: OperatorPair, vecs, where: str):
     return mus, vecs, resid
 
 
-def _pencil_solve(mesh: Mesh, count: int, parent=None):
+def _pencil_solve(mesh: Mesh, count: int, coarse=None):
     """The count + 1 smallest nonzero pencil values A v = mu M v of one
     mesh, with vectors and residuals (_checked_pairs), and the LU factor
     of A + M that found them.
 
-    With parent None the mesh is solved by shift-invert Lanczos on its own
-    factor.  Otherwise parent is (factor, values, vectors) of mesh.parent,
-    from a solve with the same count: LOBPCG starts from those vectors and
-    is preconditioned with that factor (_two_grid_vectors), and the factor
-    returned is None.  The extra mode lets each of its values be checked
-    against the parent's, so that a lost mode raises SolverError instead
-    of passing the gate as the wrong eigenvalue.
+    With coarse None the mesh is solved by shift-invert Lanczos on its own
+    factor.  Otherwise coarse is (parent, factor, values, vectors): the
+    mesh that refine split to make this one, and its solve with the same
+    count.  LOBPCG starts from those vectors and is preconditioned with
+    that factor (_two_grid_vectors), and the factor returned is None.  The
+    extra mode lets each of its values be checked against the parent's,
+    so that a lost mode raises SolverError instead of passing the gate as
+    the wrong eigenvalue.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -484,14 +492,15 @@ def _pencil_solve(mesh: Mesh, count: int, parent=None):
     if count + 3 >= op.dimension:
         raise ValueError("mesh too small for requested eigenvalue count")
     where = f"h={mesh.h:g}, ndof={op.dimension}"
-    if parent is None:
+    if coarse is None:
         lu = _factor(op.shifted)
         vectors = _lanczos_vectors(op, lu, count + 1, where)
     else:
-        lu, (coarse_lu, parent_mus, parent_vectors) = None, parent
-        vectors = _two_grid_vectors(op, coarse_lu, _transfer(mesh), parent_vectors, where)
+        lu, (parent, coarse_lu, parent_mus, parent_vectors) = None, coarse
+        vectors = _two_grid_vectors(op, coarse_lu, _transfer(parent, mesh), parent_vectors,
+                                    where)
     mus, vectors, residuals = _checked_pairs(op, vectors, where)
-    if parent is not None and np.any(mus > parent_mus * (1.0 + _INDEX_SLACK)):
+    if coarse is not None and np.any(mus > parent_mus * (1.0 + _INDEX_SLACK)):
         raise SolverError(f"two-grid LOBPCG lost a mode: pencil values {mus} above "
                           f"the parent mesh's {parent_mus} ({where})")
     return mus, vectors, residuals, lu
@@ -505,8 +514,8 @@ def eig_polyharmonic_neumann(mesh: Mesh, count: int, m: int) -> EigResult:
     the same mesh, which is exact for the mixed operator
     K = A (M^{-1} A)^(2m-1).
     """
-    if not (1 <= m <= _MAX_POWER):
-        raise ValueError(f"operator power m must be in 1..{_MAX_POWER}")
+    if not (1 <= m <= MAX_POWER):
+        raise ValueError(f"operator power m must be in 1..{MAX_POWER}")
     mus, vectors, residuals, _ = _pencil_solve(mesh, count)
     return EigResult(values=mus[:count]**(2 * m), vectors=vectors[:, :count],
                      residuals=residuals[:count], power=m)
@@ -524,7 +533,7 @@ class ConvergenceStudy:
     extrapolated is None when the value sequence is not monotone (the raw
     values are still reported); error_bar = |extrapolated - finest| or the
     last increment when extrapolation is withheld.  vector is the finest
-    mesh's M-normalized eigenvector, read-only.
+    mesh's M-normalized eigenvector, read-only, and mesh that mesh.
     """
 
     h_list: tuple
@@ -534,6 +543,7 @@ class ConvergenceStudy:
     error_bar: float
     monotone: bool
     vector: np.ndarray = field(repr=False, compare=False)
+    mesh: Mesh = field(repr=False, compare=False)
 
     @property
     def best(self) -> float:
@@ -566,26 +576,7 @@ def _triple_order(h, ratio):
     return 0.5 * (lo + hi)
 
 
-def _family_pairs(meshes):
-    """Yield each mesh's pairs (_pencil_solve, count 1), coarse to fine.
-
-    Every mesh is solved by Lanczos on its own factor but the finest of
-    each halving run, which no finer mesh refines: that one is solved by
-    LOBPCG on its parent's factor.  Only that parent's factor and vectors
-    are kept past its solve, so at most one factor is alive at a time.
-    """
-    two_grid = [mesh.parent is not None
-                and (k + 1 == len(meshes) or meshes[k + 1].parent is not mesh)
-                for k, mesh in enumerate(meshes)]
-    level = None
-    for k, mesh in enumerate(meshes):
-        mus, vectors, residuals, lu = _pencil_solve(mesh, 1, level)
-        level = (lu, mus, vectors) if k + 1 < len(meshes) and two_grid[k + 1] else None
-        del lu  # the factor goes before the next mesh is assembled
-        yield mus, vectors, residuals
-
-
-def convergence_study(d: Domain, h_list) -> ConvergenceStudy:
+def convergence_study(d: Domain, h_list=None) -> ConvergenceStudy:
     """Solve the Laplacian over a descending mesh family and extrapolate.
 
     Each consecutive triple of lowest-eigenvalue estimates gives a
@@ -593,20 +584,44 @@ def convergence_study(d: Domain, h_list) -> ConvergenceStudy:
     one Richardson step gives the extrapolated limit with error bar
     |extrapolated - finest|.  Memoized per (domain, h list): the value of
     Delta^(2m) on a mesh is mu^(2m), so one study serves every power m.
+
+    h_list None takes MAPPED_H_LIST where maps_boundary(d), falling back
+    to DEFAULT_H_LIST only when the mesher refuses that list's meshes
+    (GeometryError, MeshQualityError, raised before any solve); every
+    other shape takes DEFAULT_H_LIST.  study.h_list records the list used.
     """
-    return _study(d, tuple(float(h) for h in h_list))
+    if h_list is not None:
+        return _study(d, tuple(float(h) for h in h_list))
+    if maps_boundary(d):
+        try:
+            return _study(d, MAPPED_H_LIST)
+        except (GeometryError, MeshQualityError):
+            pass
+    return _study(d, DEFAULT_H_LIST)
 
 
 # a verify run studies one domain and h list for every m
 @lru_cache(maxsize=16)
 def _study(d: Domain, h_list: tuple) -> ConvergenceStudy:
+    """The study over h_list, its meshes all built before any solve."""
     if len(h_list) < 3:
         raise ValueError("need at least 3 mesh sizes")
     if any(h_list[i] <= h_list[i + 1] for i in range(len(h_list) - 1)):
         raise ValueError("mesh sizes must be strictly descending")
 
-    values = []
-    for mus, vectors, _ in _family_pairs([study_mesh(d, h_list, k) for k in range(len(h_list))]):
+    # refines[k]: mesh k is the red refinement of mesh k - 1, h having
+    # halved; every other mesh is the memoized lattice mesh at its h
+    refines = [False] + [a == 2.0 * b for a, b in zip(h_list, h_list[1:])] + [False]
+    meshes = []
+    for k, h in enumerate(h_list):
+        meshes.append(refine(meshes[-1], d) if refines[k] else cached_mesh(d, h))
+    values, coarse = [], None
+    for k, mesh in enumerate(meshes):
+        mus, vectors, _, lu = _pencil_solve(mesh, 1, coarse)
+        # the finest mesh of a halving run, which nothing refines, is solved
+        # on its parent's factor, the only factor kept past its solve
+        coarse = (mesh, lu, mus, vectors) if refines[k + 1] and not refines[k + 2] else None
+        del lu  # the factor goes before the next mesh is assembled
         values.append(float(mus[0]))
     values, vector = tuple(values), vectors[:, 0]
     diffs = [values[i] - values[i + 1] for i in range(len(values) - 1)]
@@ -632,4 +647,5 @@ def _study(d: Domain, h_list: tuple) -> ConvergenceStudy:
         error_bar=error_bar,
         monotone=monotone,
         vector=vector,
+        mesh=meshes[-1],
     )

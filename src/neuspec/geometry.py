@@ -96,7 +96,8 @@ def _segment(a, b) -> _Piece:
 # the Newton steps that refine each one
 _CROSSING_SAMPLES = 32
 _CROSSING_STEPS = 4
-# |f| / radius^2 below which _crossings reads a sample as on the circle
+# |f| / (radius (radius + |x0|)) below which _crossings reads a sample as
+# on the circle: the rounding of b - x0 grows with |x0|
 _CROSSING_ROUNDING = 1e-12
 
 
@@ -105,21 +106,24 @@ def _crossings(piece: _Piece, x0, radius: float) -> np.ndarray:
 
     Sign changes of f(t) = |b(t) - x0|^2 - radius^2 on _CROSSING_SAMPLES
     intervals, each refined from its secant point by Newton steps kept in
-    its bracket.  Samples with |f| <= _CROSSING_ROUNDING radius^2 count as
-    0, and one is a crossing only where its neighbours have opposite signs:
-    a disk's piece about its own center, all rounding noise in f, has none.
+    its bracket.  Samples with |f| <= _CROSSING_ROUNDING radius
+    (radius + |x0|) count as 0, and one is a crossing only where its
+    neighbours have opposite signs: a disk's piece about its own center,
+    all rounding noise in f, has none, wherever the disk lies.
     Two crossings in one interval (a near tangency, where the piece barely
     enters the circle) go unseen.
     """
+    x0 = np.asarray(x0, dtype=float)
+
     def f(t):
         b, db = piece.at(t)
-        dx = b - np.asarray(x0, dtype=float)[None, :]
+        dx = b - x0[None, :]
         return (np.einsum("ij,ij->i", dx, dx) - radius * radius,
                 2.0 * np.einsum("ij,ij->i", dx, db))
 
     grid = np.linspace(0.0, 1.0, _CROSSING_SAMPLES + 1)
     vals = f(grid)[0]
-    vals[np.abs(vals) <= _CROSSING_ROUNDING * radius * radius] = 0.0
+    vals[np.abs(vals) <= _CROSSING_ROUNDING * radius * (radius + math.hypot(*x0))] = 0.0
     i = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
     lo, hi = grid[i], grid[i + 1]
     t = lo + (hi - lo) * vals[i] / (vals[i] - vals[i + 1])

@@ -65,10 +65,10 @@ class Mesh:
         edge, on the curve at the mean of its end vertices' boundary
         parameters, where refine puts the child vertex.  The FEM maps the
         triangles of these edges isoparametrically through them.
-    parent : the mesh that refine split to make this one, None on lattice
-        and loaded meshes.
 
-    vertices and triangles describe the polygonized domain.
+    vertices and triangles describe the polygonized domain.  A refined
+    mesh keeps no link to the mesh it was split from; the convergence study
+    that refines it (neuspec.fem) holds both.
 
     Meshes are immutable and compare and hash by identity: their fields
     are arrays, which give no single truth value to compare by.
@@ -81,7 +81,6 @@ class Mesh:
     boundary_params: np.ndarray | None = None
     curved_edges: np.ndarray | None = field(default=None, repr=False)
     edge_nodes: np.ndarray | None = field(default=None, repr=False)
-    parent: Mesh | None = field(default=None, repr=False)
 
     def __post_init__(self):
         for name in ("vertices", "triangles", "boundary_flags", "boundary_params",
@@ -339,7 +338,6 @@ def refine(mesh: Mesh, d: Domain) -> Mesh:
         boundary_params=params,
         curved_edges=curved_edges,
         edge_nodes=edge_nodes,
-        parent=mesh,
     )
 
 

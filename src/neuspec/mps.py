@@ -245,10 +245,13 @@ def mps_scan(d: Domain, interval, N: int, n_grid: int = _SCAN_INTERVALS) -> Sigm
                       sigmas=tuple(f(w) for w in omegas))
 
 
-# the refinement below needs about 5 steps at a sharp minimum; bisection
-# alone, when every parabola fails, narrows a scan bracket to 1e-9 of the
-# window in under 60
-_REFINE_STEPS = 60
+# the refinement below needs about 7 steps at a sharp minimum and at most
+# 46 on synthetic cusps |d|^p, p >= 0.1; bisection alone, when every
+# parabola fails, narrowed such scan brackets to 1e-13 of the window in 63
+# to 76 steps
+_REFINE_STEPS = 80
+# mps_find refines each minimum to this fraction of the window width
+_REFINE_TOL = 1e-13
 
 
 def _parabolic_vertex(pts):
@@ -275,8 +278,10 @@ def _parabolic_refine(f, xs, sigmas, tol):
     [lo, hi] around the best point.  A vertex that is not finite, not a
     minimum or not inside (lo, hi) is replaced by the midpoint of the
     larger side; one within tol/2 of the best point by a step of tol/2
-    toward the larger side.  Stops once a step or the bracket is at most
-    tol; the given sigmas are not evaluated again.
+    toward the larger side.  Stops once the bracket is at most tol, up to
+    the rounding of its ends: two failed steps of tol/2 leave it exactly
+    that wide, and one ulp wider in floating point.  The given sigmas are
+    not evaluated again.
     """
     # (x, sigma) from lowest sigma up; the sort is stable, so on a tie the
     # point seen first stays ahead, the scan's middle point first of all
@@ -284,7 +289,7 @@ def _parabolic_refine(f, xs, sigmas, tol):
     seen.sort(key=itemgetter(1))
     lo, hi = float(xs[0]), float(xs[2])
     for _ in range(_REFINE_STEPS):
-        if hi - lo <= tol:
+        if hi - lo <= tol + math.ulp(hi):
             break
         x_best, s_best = seen[0]
         v = _parabolic_vertex([(x, s * s) for x, s in seen[:3]])
@@ -300,8 +305,6 @@ def _parabolic_refine(f, xs, sigmas, tol):
             lo, hi = (v, hi) if v < x_best else (lo, v)
         seen.append((v, s))
         seen.sort(key=itemgetter(1))
-        if abs(v - x_best) <= tol:
-            break
     return seen[0]
 
 
@@ -364,8 +367,8 @@ def mps_find(d: Domain, problem: str, interval, N: int) -> list[MpsEigenvalue]:
     descent.  A window where Weyl's law expects more than 2
     eigenfrequencies is scanned in full.  Each evaluated grid point lower
     than both grid neighbours is a minimum; parabolic steps on sigma^2
-    then refine it to 1e-9 of the interval width.  A minimum at the first
-    or last grid point is not reported.  Returns one entry per minimum
+    then refine it to _REFINE_TOL of the interval width.  A minimum at the
+    first or last grid point is not reported.  Returns one entry per minimum
     (possibly none); sigma at the minimum is the quality score.  Both
     problems have the same minima (see the module docstring); the
     problem only sets the reported value, omega^2 for the Laplacian and
@@ -381,7 +384,7 @@ def mps_find(d: Domain, problem: str, interval, N: int) -> list[MpsEigenvalue]:
     sigmas = _coarse_to_fine_scan(f, omegas, stride)
 
     out = []
-    tol = 1e-9 * (omegas[-1] - omegas[0])
+    tol = _REFINE_TOL * (omegas[-1] - omegas[0])
     for i in range(1, len(omegas) - 1):
         bracket = sigmas[i - 1:i + 2]
         if None not in bracket and bracket[1] < bracket[0] and bracket[1] < bracket[2]:

@@ -1,7 +1,9 @@
-"""Triangle quadrature and the memoized meshes the FEM assembles on.
+"""Triangle quadrature and the memoized lattice meshes the FEM assembles on.
 
 One symmetric 6-point rule, exact to total degree 4, on the reference
-triangle (0,0), (1,0), (0,1); its weights sum to the area 1/2.
+triangle (0,0), (1,0), (0,1); its weights sum to the area 1/2.  A
+convergence study (neuspec.fem) takes its lattice meshes from cached_mesh
+and refines them itself.
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import Domain
-from .meshing import Mesh, refine, triangulate
+from .meshing import Mesh, triangulate
 
-__all__ = ["triangle_rule", "study_mesh"]
+__all__ = ["triangle_rule", "cached_mesh"]
 
 
 def _orbit1(a):
@@ -34,25 +36,3 @@ def triangle_rule():
 def cached_mesh(d: Domain, h: float) -> Mesh:
     """Deterministic memoized triangulation (domains are immutable)."""
     return triangulate(d, h)
-
-
-@lru_cache(maxsize=16)
-def _refined_mesh(d: Domain, h: float, levels: int) -> Mesh:
-    """The lattice mesh at h refined `levels` times, memoized."""
-    coarse = cached_mesh(d, h) if levels == 1 else _refined_mesh(d, h, levels - 1)
-    return refine(coarse, d)
-
-
-def study_mesh(d: Domain, h_list, k: int) -> Mesh:
-    """The mesh of a convergence study over h_list at position k.
-
-    Along a run of halving steps, h_(j-1) == 2 h_j, each mesh is the red
-    refinement of the one before; every other mesh is the lattice mesh at
-    its h.  The mesh thus depends on h_list alone, and equal runs share
-    one memoized mesh object.
-    """
-    hs = [float(h) for h in h_list[:k + 1]]
-    j = k
-    while j > 0 and hs[j - 1] == 2.0 * hs[j]:
-        j -= 1
-    return cached_mesh(d, hs[k]) if j == k else _refined_mesh(d, hs[j], k - j)

@@ -7,9 +7,11 @@ import sys
 import pytest
 
 from neuspec import cli, fem, trial
-from neuspec.ball import Ball, mu1_ball, upsilon1_poly_ball
+from neuspec.ball import MAX_POWER, Ball, mu1_ball, upsilon1_poly_ball
+from neuspec.geometry import GeometryError
+from neuspec.meshing import MeshQualityError
 from neuspec.mps import MpsEigenvalue
-from neuspec.quadrature import cached_mesh, study_mesh
+from neuspec.quadrature import cached_mesh
 
 RUN = [sys.executable, "-m", "neuspec.cli"]
 
@@ -241,7 +243,7 @@ class TestVerifyCommand:
             return fem.ConvergenceStudy(
                 h_list=tuple(h_list), values=(1.3 * b, 1.25 * b, 1.22 * b),
                 observed_order=2.0, extrapolated=1.2 * b, error_bar=0.02 * b,
-                monotone=True, vector=None)
+                monotone=True, vector=None, mesh=None)
 
         monkeypatch.setattr(cli, "convergence_study", above_bound)
         out = tmp_path / "report.json"
@@ -331,10 +333,13 @@ class TestVerifyCommand:
                          "--save-eigenfunction", str(mode)])
         assert code == 0
         d = cli._resolve_domain("ellipse-1.5")
-        fine = study_mesh(d, (0.08, 0.04, 0.02), 2)
+        study = fem.convergence_study(d, (0.08, 0.04, 0.02))
+        fine = study.mesh
         assert len(fine.triangles) == 16 * len(cached_mesh(d, 0.08).triangles)
-        nv, nt = (int(v) for v in mode.read_text().splitlines()[0].split()[2:])
+        lines = mode.read_text().splitlines()
+        nv, nt = (int(v) for v in lines[0].split()[2:])
         assert (nv, nt) == (len(fine.vertices), len(fine.triangles))
+        assert float(lines[1].split()[3]) == study.vector[0]
 
     def test_mps_window_at_large_scale(self):
         # the window follows the FEM value at any scale; a floor at 1e-10
@@ -400,8 +405,8 @@ class TestDefaultHList:
                                       "stadium", "square", "triangle"])
     def test_corpus_defaults(self, name):
         d = cli._resolve_domain(name)
-        want = cli.DEFAULT_H_LIST if name in ("square", "triangle") else cli.MAPPED_H_LIST
-        assert cli.default_h_list(d) == want
+        want = fem.DEFAULT_H_LIST if name in ("square", "triangle") else fem.MAPPED_H_LIST
+        assert fem.convergence_study(d).h_list == want
 
     @pytest.mark.parametrize("spec", [
         # cornered superellipses keep straight elements and the fine list
@@ -418,19 +423,41 @@ class TestDefaultHList:
         out = tmp_path / "r.json"
         assert cli.main(["verify", "--domain", spec, "--no-mps", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        assert report["config"]["h_list"] == list(cli.DEFAULT_H_LIST)
-        assert report["convergence"]["h"] == list(cli.DEFAULT_H_LIST)
+        assert report["config"]["h_list"] == list(fem.DEFAULT_H_LIST)
+        assert report["convergence"]["h"] == list(fem.DEFAULT_H_LIST)
+
+    @pytest.mark.parametrize("error, falls_back", [
+        (MeshQualityError("refused"), True), (GeometryError("refused"), True),
+        (RuntimeError("not the mesher's refusal"), False),
+    ], ids=["quality", "geometry", "other"])
+    def test_only_the_mesher_refusal_falls_back(self, error, falls_back, monkeypatch):
+        d = cli._resolve_domain("disk")
+        refine = fem.refine
+
+        def refusing(mesh, domain):
+            if mesh.h == fem.MAPPED_H_LIST[0]:
+                raise error
+            return refine(mesh, domain)
+
+        monkeypatch.setattr(fem, "refine", refusing)
+        fem._study.cache_clear()  # a kept study would build no mesh
+        if falls_back:
+            assert fem.convergence_study(d).h_list == fem.DEFAULT_H_LIST
+        else:
+            with pytest.raises(RuntimeError, match="not the mesher"):
+                fem.convergence_study(d)
 
     def test_solver_failure_takes_no_second_list(self, monkeypatch, capsys):
-        lists = []
+        sizes = []
 
-        def failing_study(d, h_list):
-            lists.append(h_list)
+        def failing_solve(mesh, count, coarse=None):
+            sizes.append(mesh.h)
             raise fem.SolverError("no convergence")
 
-        monkeypatch.setattr(cli, "convergence_study", failing_study)
+        monkeypatch.setattr(fem, "_pencil_solve", failing_solve)
+        fem._study.cache_clear()  # a kept study would skip the solve
         assert cli.main(["verify", "--domain", "ellipse-1.5", "--no-mps"]) == 1
-        assert lists == [cli.MAPPED_H_LIST]
+        assert sizes == [fem.MAPPED_H_LIST[0]]
         assert capsys.readouterr().err == ("verify failed during fem convergence study: "
                                            "no convergence\n")
 
@@ -570,6 +597,27 @@ class TestParser:
     def test_missing_command_exits_2(self):
         proc = run_cli([])
         assert proc.returncode == 2
+
+    def test_power_range_is_one_name(self, capsys):
+        # every path that takes m accepts 1..MAX_POWER and refuses the next
+        top = MAX_POWER
+        assert top == 8
+        parser = cli.build_parser()
+        for command in (["ball"], ["verify", "--domain", "disk"]):
+            assert parser.parse_args(command + ["--m", str(top)]).m == top
+            with pytest.raises(SystemExit) as exc:
+                cli.main(command + ["--m", str(top + 1)])
+            assert exc.value.code == 2
+            assert f"expected an integer in 1..{top}" in capsys.readouterr().err
+        disk = cli._resolve_domain("disk")
+        with pytest.raises(ValueError, match=f"m <= {top}"):
+            upsilon1_poly_ball(Ball(2, 1.0), top + 1)
+        with pytest.raises(ValueError, match=f"1..{top}"):
+            fem.eig_polyharmonic_neumann(cached_mesh(disk, 0.16), 1, top + 1)
+        with pytest.raises(ValueError, match=f"m <= {top}"):
+            trial.certify_upper_bound(disk, top + 1)
+        with pytest.raises(cli.StageError, match=f"^setup: .*m <= {top}"):
+            cli.build_verification_report("disk", top + 1, use_mps=False)
 
     def test_warm_reports_equal_cold(self):
         """Reports built after others in one process equal fresh ones byte for byte."""

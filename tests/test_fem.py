@@ -15,7 +15,7 @@ from neuspec import quadrature
 from neuspec.ball import Ball, mu1_ball, upsilon1_poly_ball
 from neuspec.corpus import CORPUS, corpus_domain
 from neuspec.meshing import Mesh, load_mesh, save_mesh
-from neuspec.quadrature import cached_mesh, study_mesh
+from neuspec.quadrature import cached_mesh
 
 
 def single_triangle_mesh():
@@ -23,6 +23,36 @@ def single_triangle_mesh():
     tris = np.array([[0, 1, 2]])
     flags = np.array([True, True, True])
     return Mesh(vertices=verts, triangles=tris, boundary_flags=flags, h=1.0)
+
+
+def refined_mesh(d, h):
+    """The red refinement of d's memoized lattice mesh at h: the second mesh
+    of a study's halving run from h."""
+    return msh.refine(cached_mesh(d, h), d)
+
+
+def halving_family(d, h_list):
+    """The meshes of a study over a halving list: the lattice mesh at its
+    first h, then each refinement of the one before."""
+    meshes = [cached_mesh(d, h_list[0])]
+    for _ in h_list[1:]:
+        meshes.append(msh.refine(meshes[-1], d))
+    return meshes
+
+
+def study_solves(monkeypatch, d, h_list):
+    """The study of d over h_list, run afresh past its memo, and per solve,
+    coarse to fine: (mesh, the parent mesh its two-grid solve started
+    from or None, pencil values, vectors, residuals)."""
+    solve, solves = fem._pencil_solve, []
+
+    def recorded(mesh, count, coarse=None):
+        mus, vectors, residuals, lu = solve(mesh, count, coarse)
+        solves.append((mesh, coarse[0] if coarse else None, mus, vectors, residuals))
+        return mus, vectors, residuals, lu
+
+    monkeypatch.setattr(fem, "_pencil_solve", recorded)
+    return fem._study.__wrapped__(d, tuple(h_list)), solves
 
 
 def edge_numbering_reference(mesh):
@@ -117,7 +147,7 @@ class TestAssembly:
     @pytest.mark.parametrize("make_mesh", [
         single_triangle_mesh,
         lambda: cached_mesh(geo.Polygon(((0, 0), (1, 0), (1, 1), (0, 1))), 0.1),
-        lambda: study_mesh(corpus_domain("ellipse-1.5"), (0.08, 0.04), 1),
+        lambda: refined_mesh(corpus_domain("ellipse-1.5"), 0.08),
     ], ids=["reference-triangle", "square-lattice", "ellipse-refined"])
     def test_one_pass_matches_two_passes(self, make_mesh):
         # the first two have stiffness entries that cancel to exactly 0
@@ -134,7 +164,7 @@ class TestAssembly:
     def test_assembly_peak_memory(self):
         # two COO passes and sparse-sum symmetrization peaked at 5.1 times
         # the bytes of the M and A they returned
-        mesh = study_mesh(corpus_domain("ellipse-1.5"), (0.08, 0.04, 0.02), 0)
+        mesh = cached_mesh(corpus_domain("ellipse-1.5"), 0.08)
         tracemalloc.start()
         try:
             op = fem.assemble(mesh)
@@ -209,17 +239,17 @@ class TestLaplacianEigs:
         assert np.array_equal(vectors1, vectors2)
 
 
-def residual_norms(name):
+def residual_norms(name, monkeypatch):
     """The solver's residuals, _residual_bounds of r = A v - mu M v, and
     the exact ||r||_{M^-1} through a sparse LU of M, for the pairs of a
     corpus domain's lattice mesh at 0.16 and its refinements at 0.08 and
     0.04, as a study solves them (the finest by LOBPCG)."""
     from scipy.sparse.linalg import splu
 
-    d = corpus_domain(name)
-    meshes = [study_mesh(d, (0.16, 0.08, 0.04), k) for k in range(3)]
+    _, solves = study_solves(monkeypatch, corpus_domain(name), (0.16, 0.08, 0.04))
+    assert [parent is None for _, parent, *_ in solves] == [True, True, False]
     reported, bounds, exact = [], [], []
-    for mesh, (mus, vecs, residuals) in zip(meshes, fem._family_pairs(meshes)):
+    for mesh, _, mus, vecs, residuals in solves:
         op = fem.assemble(mesh)
         r = op.A @ vecs - (op.M @ vecs) * mus
         reported.append(residuals)
@@ -230,8 +260,8 @@ def residual_norms(name):
 
 class TestResidualBound:
     @pytest.mark.parametrize("name", CORPUS)
-    def test_bound_brackets_the_exact_norm(self, name):
-        reported, bounds, exact = residual_norms(name)
+    def test_bound_brackets_the_exact_norm(self, name, monkeypatch):
+        reported, bounds, exact = residual_norms(name, monkeypatch)
         assert np.array_equal(reported, bounds)
         assert np.all(exact <= bounds), (exact, bounds)
         assert np.all(bounds <= 2.3 * exact), (exact, bounds)
@@ -255,7 +285,7 @@ class TestResidualBound:
             return dataclasses.replace(op, c0=2.0 * op.c0)
 
         monkeypatch.setattr(fem, "assemble", doubled)
-        _, bounds, exact = residual_norms("ellipse-1.5")
+        _, bounds, exact = residual_norms("ellipse-1.5", monkeypatch)
         assert np.any(bounds < exact)
 
 
@@ -278,7 +308,8 @@ class TestMappedElements:
         # c0 the residual gate uses, which its mapped elements lower
         from scipy.sparse.linalg import eigsh
 
-        mesh = study_mesh(corpus_domain("disk"), (0.16, 0.08), k)
+        d = corpus_domain("disk")
+        mesh = cached_mesh(d, 0.16) if k == 0 else refined_mesh(d, 0.16)
         op = fem.assemble(mesh)
         c0 = op.c0
         assert c0 < fem._mass_jacobi_min()
@@ -289,8 +320,7 @@ class TestMappedElements:
 
     def test_mass_measures_the_curved_area(self):
         d = corpus_domain("disk")
-        for k in (0, 1):
-            mesh = study_mesh(d, (0.16, 0.08), k)
+        for k, mesh in enumerate((cached_mesh(d, 0.16), refined_mesh(d, 0.16))):
             total = float(fem.assemble(mesh).M.sum())
             straight = float(np.sum(0.5 * msh.triangle_jacobians(mesh.vertices, mesh.triangles)))
             assert abs(total - d.area()) <= 1e-3 * abs(straight - d.area()), k
@@ -357,14 +387,14 @@ def two_grid_solve(coarse, fine, count=1):
     """fine's pairs by LOBPCG on coarse's factor, from coarse's vectors,
     as a study solves its finest mesh."""
     mus, vectors, _, lu = fem._pencil_solve(coarse, count)
-    return fem._pencil_solve(fine, count, (lu, mus, vectors))
+    return fem._pencil_solve(fine, count, (coarse, lu, mus, vectors))
 
 
 class TestTransfer:
     def test_quadratics_carry_over_exactly(self, square):
         coarse = msh.triangulate(square, 0.2)
         fine = msh.refine(coarse, square)
-        transfer = fem._transfer(fine)
+        transfer = fem._transfer(coarse, fine)
 
         def quadratic(p):
             x, y = p[:, 0], p[:, 1]
@@ -375,7 +405,7 @@ class TestTransfer:
 
     def test_rows_sum_to_one_and_parent_dofs_are_the_identity(self):
         coarse, fine = refined_pair("ellipse-1.5", 0.16)
-        transfer = fem._transfer(fine)
+        transfer = fem._transfer(coarse, fine)
         n_coarse, n_fine = len(p2_nodes(coarse)), len(p2_nodes(fine))
         assert transfer.shape == (n_fine, n_coarse)
         assert np.all(transfer @ np.ones(n_coarse) == 1.0)
@@ -389,7 +419,7 @@ class TestTwoGrid:
     def test_finest_mesh_is_never_factored(self, monkeypatch):
         d = corpus_domain("ellipse-1.5")
         h_list = (0.16, 0.08, 0.04)
-        for cache in (quadrature.cached_mesh, quadrature._refined_mesh, fem._study):
+        for cache in (quadrature.cached_mesh, fem._study):
             cache.cache_clear()
         factor, assemble = fem._factor, fem.assemble
         assembled, factored, alive, most_alive = [], [], [0], [0]
@@ -419,9 +449,12 @@ class TestTwoGrid:
         monkeypatch.setattr(fem, "_factor", counting_factor)
         monkeypatch.setattr(fem, "assemble", counting_assemble)
         study = fem.convergence_study(d, h_list)
-        meshes = [study_mesh(d, h_list, k) for k in range(3)]
-        assert meshes[2].parent is meshes[1] and meshes[1].parent is meshes[0]
-        assert [mesh for mesh, _ in assembled] == meshes
+        meshes = [mesh for mesh, _ in assembled]
+        assert meshes[0] is cached_mesh(d, 0.16) and study.mesh is meshes[2]
+        for coarse, fine in zip(meshes, meshes[1:]):  # nested: each refines the last
+            assert fine.h == 0.5 * coarse.h
+            assert np.array_equal(fine.vertices[:len(coarse.vertices)], coarse.vertices)
+            assert len(fine.triangles) == 4 * len(coarse.triangles)
         ndofs = [ndof for _, ndof in assembled]
         assert factored == ndofs[:2]
         gc.collect()
@@ -436,7 +469,7 @@ class TestTwoGrid:
                                               ("square", (0.16, 0.08, 0.04, 0.02))])
     def test_lobpcg_runs_once_on_the_finest_mesh(self, name, h_list, monkeypatch):
         d = corpus_domain(name)
-        for cache in (quadrature.cached_mesh, quadrature._refined_mesh, fem._study):
+        for cache in (quadrature.cached_mesh, fem._study):
             cache.cache_clear()
         factor, lanczos, two_grid = fem._factor, fem._lanczos_vectors, fem._two_grid_vectors
         paths, factored, alive, most_alive = [], [], [0], [0]
@@ -470,7 +503,8 @@ class TestTwoGrid:
         monkeypatch.setattr(fem, "_lanczos_vectors", counting_lanczos)
         monkeypatch.setattr(fem, "_two_grid_vectors", counting_two_grid)
         fem.convergence_study(d, h_list)
-        ndofs = [fem.assemble(study_mesh(d, h_list, k)).dimension for k in range(len(h_list))]
+        ndofs = [n for _, n in paths]
+        assert ndofs == sorted(set(ndofs))
         assert paths == [("lanczos", n) for n in ndofs[:-1]] + [("lobpcg", ndofs[-1])]
         assert factored == ndofs[:-1]
         gc.collect()
@@ -544,8 +578,8 @@ class TestSmoother:
 
         d = corpus_domain(name)
         for h_list in ((0.16, 0.08, 0.04), (0.08, 0.04, 0.02)):
-            for k in range(3):
-                shifted = fem.assemble(study_mesh(d, h_list, k)).shifted
+            for k, mesh in enumerate(halving_family(d, h_list)):
+                shifted = fem.assemble(mesh).shifted
                 scale = sp.diags(1.0 / np.sqrt(shifted.diagonal()))
                 v0 = np.random.default_rng(3).standard_normal(shifted.shape[0])
                 lam_max = eigsh(scale @ shifted @ scale, k=1, which="LA", v0=v0, tol=1e-8,
@@ -597,7 +631,7 @@ class TestConvergence:
         # straight boundary edges capped P2 at h^2 on curved domains; the
         # mapped ones give back h^4 at both lists verify uses
         for name in ("disk", "ellipse-1.5"):
-            for h_list in (cli.MAPPED_H_LIST, cli.DEFAULT_H_LIST):
+            for h_list in (fem.MAPPED_H_LIST, fem.DEFAULT_H_LIST):
                 study = fem.convergence_study(corpus_domain(name), h_list)
                 assert study.observed_order >= 3.5, (name, h_list, study.observed_order)
 
@@ -648,24 +682,42 @@ class TestStudyMeshes:
         study = fem.convergence_study(d, (0.16, 0.08, 0.04))
         assert calls == [0.16]
         assert study.monotone
-        fine = study_mesh(d, study.h_list, 2)
+        fine = study.mesh
         assert fine.h == 0.04
         assert len(fine.triangles) == 16 * len(cached_mesh(d, 0.16).triangles)
 
-    def test_non_halving_list_uses_lattice_meshes(self):
+    def test_non_halving_list_uses_lattice_meshes(self, monkeypatch):
         d = corpus_domain("disk")
         h_list = (0.16, 0.12, 0.08)
-        for k, h in enumerate(h_list):
-            assert study_mesh(d, h_list, k) is cached_mesh(d, h)
+        study, solves = study_solves(monkeypatch, d, h_list)
+        for (mesh, parent, *_), h in zip(solves, h_list):
+            assert mesh is cached_mesh(d, h) and parent is None
+        assert study.mesh is cached_mesh(d, 0.08)
 
-    def test_refinement_starts_at_each_halving_run(self):
+    def test_refinement_starts_at_each_halving_run(self, monkeypatch):
         d = corpus_domain("square")
         h_list = (0.2, 0.15, 0.075, 0.05)
-        assert study_mesh(d, h_list, 1) is cached_mesh(d, 0.15)
-        refined = study_mesh(d, h_list, 2)
-        assert refined is study_mesh(d, (0.15, 0.075), 1)
+        _, solves = study_solves(monkeypatch, d, h_list)
+        meshes = [mesh for mesh, *_ in solves]
+        assert meshes[0] is cached_mesh(d, 0.2)
+        assert meshes[1] is cached_mesh(d, 0.15)
+        refined = meshes[2]
+        assert refined.h == 0.075
+        assert np.array_equal(refined.vertices[:len(meshes[1].vertices)], meshes[1].vertices)
         assert len(refined.triangles) == 4 * len(cached_mesh(d, 0.15).triangles)
-        assert study_mesh(d, h_list, 3) is cached_mesh(d, 0.05)
+        assert meshes[3] is cached_mesh(d, 0.05)
+        # two-grid LOBPCG on the finest mesh of the run alone
+        assert [parent for _, parent, *_ in solves] == [None, None, meshes[1], None]
+
+    def test_two_halving_runs_take_two_grid_each(self, monkeypatch):
+        d = corpus_domain("square")
+        h_list = (0.2, 0.1, 0.07, 0.035)
+        study, solves = study_solves(monkeypatch, d, h_list)
+        meshes = [mesh for mesh, *_ in solves]
+        assert meshes[0] is cached_mesh(d, 0.2) and meshes[2] is cached_mesh(d, 0.07)
+        assert [mesh.h for mesh in meshes] == list(h_list)
+        assert [parent for _, parent, *_ in solves] == [None, meshes[0], None, meshes[2]]
+        assert study.mesh is meshes[3] and study.monotone
 
     def test_gram_stiffness_matches_quadrature(self):
         mesh = cached_mesh(corpus_domain("ellipse-1.5"), 0.08)

@@ -111,7 +111,7 @@ def _reference_find(d, problem, interval, N):
     f = mps._sigma_at(d, N)
     sigmas = [f(w) for w in omegas]
     out = []
-    tol = 1e-9 * (omegas[-1] - omegas[0])
+    tol = mps._REFINE_TOL * (omegas[-1] - omegas[0])
     power = mps._PROBLEMS[problem]
     for i in range(1, len(omegas) - 1):
         if sigmas[i] < sigmas[i - 1] and sigmas[i] < sigmas[i + 1]:
@@ -340,6 +340,27 @@ class TestRefine:
         assert (x, s) == (1.01, 0.25)
         assert all(xs[0] < e < xs[2] for e, _ in evals)
         assert len(evals) <= mps._REFINE_STEPS
+
+
+class TestVerifyCrossCheck:
+    """MPS measures its own minimum in verify's window, centered on the FEM
+    frequency, instead of stopping on the grid point at that center."""
+
+    def test_disk_meets_the_exact_value(self, disk_omega):
+        from neuspec import cli
+
+        for m in (1, 2, 3, 4):
+            report = cli.build_verification_report("disk", m)
+            exact = disk_omega ** (4 * m)
+            assert abs(report["upsilon1_mps"] - exact) <= 1e-12 * exact, m
+
+    def test_ellipse_value_is_its_own(self):
+        from neuspec import cli
+
+        report = cli.build_verification_report("ellipse-1.5", 1)
+        ups_mps, ups_fem = report["upsilon1_mps"], report["upsilon1_fem"]
+        # a stop on the center's grid point read 1 ulp from the FEM value
+        assert 1e-12 * ups_fem < abs(ups_mps - ups_fem) <= report["upsilon1_fem_error_bar"]
 
 
 class TestCurve:

@@ -86,6 +86,18 @@ class TestFan:
         assert len(b) == 8 * trial._FAN_NODES == 192
         assert abs(w.sum() - 1.0) <= 1e-15
 
+    @pytest.mark.parametrize("cx", [0.0, 1e3, 1e5])
+    def test_displaced_disk_on_its_own_circle(self, cx):
+        # the rounding of b - x0 grows with |x0|; at cx = 1e5 a threshold
+        # scaled by R^2 alone read 20 false crossings
+        d = geo.Disk((cx, 0.0), 1.0)
+        x0 = np.asarray(trial.find_center(d))
+        assert np.array_equal(x0, [cx, 0.0])
+        assert len(geo._crossings(d.pieces()[0], x0, 1.0)) == 0
+        b, _, _ = d.boundary_rule(trial._FAN_NODES, x0, 1.0)
+        assert len(b) == 192
+        assert trial.certify_upper_bound(d, 1).valid
+
     def test_panels_split_at_the_crossings(self, triangle):
         x0 = trial.find_center(triangle)
         radius = triangle.equal_area_radius()
