@@ -234,7 +234,7 @@ def build_verification_report(domain_spec: str, m: int, h_list=None,
         "upsilon1_fem_error_bar": error_bar,
         "upsilon1_mps": ups_mps,
         "bound": bound,
-        "certificate": json.loads(cert.to_json()),
+        "certificate": cert.to_dict(),
         "inequality_holds": bool(ups_fem - error_bar <= bound),
         "strict": bool(margin > error_bar),
         "margin": margin,

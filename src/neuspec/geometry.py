@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import ConvexHull, cKDTree
+from scipy.spatial import cKDTree
 from scipy.special import gamma as _gamma
 
 __all__ = [
@@ -206,11 +206,6 @@ class Domain:
             on = which == i
             b[on], db[on] = piece.at(u[on] - i)
         return b, k * db
-
-    def hull(self) -> np.ndarray:
-        """Counterclockwise vertices of the convex hull of 512 boundary points."""
-        pts = self.boundary_at(np.arange(512) / 512.0)[0]
-        return pts[ConvexHull(pts).vertices]
 
     def boundary_rule(self, n: int, x0, radius: float):
         """(b, db, w): boundary points b(t), tangents b'(t) and weights in t.
@@ -429,10 +424,6 @@ class Polygon(Domain):
 
     def area(self):
         return 0.5 * _signed_area2(self.vertex_array)
-
-    def hull(self):
-        v = self.vertex_array
-        return v[ConvexHull(v).vertices]
 
     def centroid(self):
         v = self.vertex_array

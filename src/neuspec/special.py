@@ -81,18 +81,22 @@ def bessel_j(nu: float, x) -> float | npt.NDArray:
     return _scalar_or_array(x, _jv(nu, xa))
 
 
-def bessel_j_prime(nu: float, x) -> float | npt.NDArray:
-    """First derivative dJ_nu/dx via J_nu' = (J_{nu-1} - J_{nu+1})/2.
+def _jv_derivatives(nu: float, x, second: bool = False):
+    """(J_nu, J_nu') at x, and J_nu'' with `second`, by the recurrences
+    J_nu' = (J_{nu-1} - J_{nu+1})/2, which reduces to J_0' = -J_1, and
+    J_nu'' = (J_{nu-2} - 2 J_nu + J_{nu+2})/4."""
+    j = _jv(nu, x)
+    jp = -_jv(1.0, x) if nu == 0.0 else 0.5 * (_jv(nu - 1.0, x) - _jv(nu + 1.0, x))
+    if not second:
+        return j, jp
+    return j, jp, 0.25 * (_jv(nu - 2.0, x) - 2.0 * j + _jv(nu + 2.0, x))
 
-    The order-zero case reduces to J_0' = -J_1.
-    """
+
+def bessel_j_prime(nu: float, x) -> float | npt.NDArray:
+    """First derivative dJ_nu/dx (_jv_derivatives)."""
     nu = _check_order(nu)
     xa = _check_argument(x)
-    if nu == 0.0:
-        out = -_jv(1.0, xa)
-    else:
-        out = 0.5 * (_jv(nu - 1.0, xa) - _jv(nu + 1.0, xa))
-    return _scalar_or_array(x, out)
+    return _scalar_or_array(x, _jv_derivatives(nu, xa)[1])
 
 
 # Miller's recurrence starts where the solution it suppresses has shrunk,
@@ -279,8 +283,7 @@ def radial_profile_eval(p: RadialProfile, r):
     big = ~small
     if np.any(big):
         xb = x[big]
-        jb = _jv(nu, xb)
-        jpb = 0.5 * (_jv(nu - 1.0, xb) - _jv(nu + 1.0, xb))
+        jb, jpb = _jv_derivatives(nu, xb)
         w = xb ** (-a)
         g[big] = c * w * jb
         gp[big] = c * s * w * (jpb - a * jb / xb)
@@ -303,9 +306,7 @@ def radial_profile_second(p: RadialProfile, r):
     nu = n / 2.0
     c = _profile_constant(n)
     x = s * r_arr
-    j0 = _jv(nu, x)
-    j1 = 0.5 * (_jv(nu - 1.0, x) - _jv(nu + 1.0, x))
-    j2 = 0.25 * (_jv(nu - 2.0, x) - 2.0 * j0 + _jv(nu + 2.0, x))
+    j0, j1, j2 = _jv_derivatives(nu, x, second=True)
     w = x ** (-a)
     gpp = c * s * s * w * (j2 - 2.0 * a * j1 / x + a * (a + 1.0) * j0 / (x * x))
     if np.ndim(r) == 0:
@@ -324,16 +325,13 @@ def _deriv_indicator(n: int, j: int, r: npt.NDArray) -> npt.NDArray:
     through r = 0, which keeps the sign scan honest near the origin.
     """
     a = (n - 2) / 2.0
-    nu = j + a
-    jp = 0.5 * (_jv(nu - 1.0, r) - _jv(nu + 1.0, r)) if nu > 0 else -_jv(1.0, r)
-    return r * jp - a * _jv(nu, r)
+    jnu, jp = _jv_derivatives(j + a, r)
+    return r * jp - a * jnu
 
 
 def _deriv_indicator_prime(n: int, j: int, r: npt.NDArray) -> npt.NDArray:
     a = (n - 2) / 2.0
-    nu = j + a
-    jp = 0.5 * (_jv(nu - 1.0, r) - _jv(nu + 1.0, r)) if nu > 0 else -_jv(1.0, r)
-    jpp = 0.25 * (_jv(nu - 2.0, r) - 2.0 * _jv(nu, r) + _jv(nu + 2.0, r))
+    _, jp, jpp = _jv_derivatives(j + a, r, second=True)
     return (1.0 - a) * jp + r * jpp
 
 

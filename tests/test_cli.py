@@ -637,7 +637,7 @@ class TestParser:
         # what the caches and the solver hand out cannot be written through
         disk = cli._resolve_domain("disk")
         res = fem.eig_polyharmonic_neumann(cached_mesh(disk, 0.08), 1, 1)
-        center = trial.find_center(disk)
+        center = trial.find_center(disk)[0]
         for arr in (fem.convergence_study(disk, h_list).vector, res.vectors, res.residuals,
                     center):
             with pytest.raises(ValueError):

@@ -3,7 +3,8 @@
 The report raises the study's mu to Upsilon = mu^(2m) with the bar
 (mu + bar)^(2m) - mu^(2m); on domains with a closed-form mu1 the raised
 bar must cover the exact Upsilon at every power m.  No disk, however
-placed or scaled, may come out strictly below the bound.
+placed or scaled, may come out strictly below the bound, and shapes near
+the disk must.
 """
 
 import json
@@ -62,3 +63,22 @@ def test_no_disk_is_strict(spec, radius, tmp_path):
         assert rep["strict"] is False, m
         assert rep["certificate"]["valid"] is True, m
         assert rep["certificate"]["strict"] is False, m
+
+
+def _regular_polygon(n):
+    return "polygon:" + ";".join(
+        f"{math.cos(2 * math.pi * k / n)!r},{math.sin(2 * math.pi * k / n)!r}" for k in range(n))
+
+
+# the 32-gon comes closest: its margin is about 1e-4 of the bound and
+# more than 70 of its bars
+NEAR_DISKS = {"8-gon": _regular_polygon(8), "32-gon": _regular_polygon(32),
+              "superellipse-2.5": "superellipse:1,1,2.5"}
+
+
+@pytest.mark.parametrize("h_list", H_LISTS, ids=["coarse", "default"])
+@pytest.mark.parametrize("spec", list(NEAR_DISKS.values()), ids=list(NEAR_DISKS))
+def test_near_disks_are_strict(spec, h_list):
+    rep = cli.build_verification_report(spec, 1, h_list, use_mps=False)
+    assert rep["strict"] is True
+    assert rep["certificate"]["valid"] is True and rep["certificate"]["strict"] is True
