@@ -4,8 +4,17 @@ Trial functions are linear combinations of J_j(w r) cos/sin(j theta)
 about the domain's centroid, and the one boundary condition collocated is
 du/dn = 0: the Neumann Laplacian's.  The indicator sigma(w) is the
 smallest singular value of the boundary block of an orthonormalized
-collocation matrix (boundary rows plus interior normalization rows);
-eigenfrequencies show up as sharp local minima.
+collocation matrix (boundary rows, divided by w so that sigma has no
+units, plus interior normalization rows); eigenfrequencies show up as
+sharp local minima.
+
+Every smooth shape neuspec parses (disk, ellipse, stadium, superellipse)
+is symmetric in both axes through its centroid, and its boundary rule
+maps to itself under both mirrors; `mps_sigma` rests on that assumption
+and does not check it (tests/test_mps.py does, on every smooth shape).
+The trial functions then split into four parity classes, the
+eigenfunctions too, and sigma is the least of four class sigmas, each
+from the points in the open first quadrant about the centroid.
 
 The fourth-order problem Delta^2 u = w^4 u with du/dn = d(Delta u)/dn = 0
 needs nothing more.  Its solutions split as u = v + z with Delta v = -w^2 v
@@ -83,16 +92,16 @@ class MpsEigenvalue:
 
 
 def _interior_points(d: Domain, count: int) -> np.ndarray:
-    """Deterministic interior normalization points (fixed-seed rejection)."""
+    """Deterministic interior normalization points in the open first
+    quadrant about the centroid (fixed-seed rejection)."""
     rng = np.random.Generator(np.random.PCG64(_INTERIOR_SEED))
     t = np.arange(256) / 256.0
-    b = d.boundary_at(t)[0]
-    lo = b.min(axis=0)
-    hi = b.max(axis=0)
+    lo = d.centroid()
+    hi = d.boundary_at(t)[0].max(axis=0)
     out = []
     while len(out) < count:
         cand = lo + rng.random((4 * count, 2)) * (hi - lo)
-        keep = d.contains(cand)
+        keep = d.contains(cand) & np.all(cand > lo, axis=1)
         for p in cand[keep]:
             out.append(p)
             if len(out) == count:
@@ -104,19 +113,26 @@ def _interior_points(d: Domain, count: int) -> np.ndarray:
 # callers alternate truncations or domains
 @functools.lru_cache(maxsize=4)
 def _collocation_geometry(d: Domain, n: int):
-    """The omega-independent part of the collocation blocks: the distinct
-    boundary radii and the index from them back to the points, the
-    interior radii, the factors n.e_r cos(j theta), n.e_r sin(j theta),
-    n.e_t j sin(j theta) / r and n.e_t j cos(j theta) / r of the normal
-    derivative at the boundary points (those of the sines for j >= 1),
-    and the cos/sin tables at the interior points.  Every caller shares these arrays, so they are
-    read-only."""
+    """The omega-independent part of the collocation blocks, at the points
+    in the open first quadrant about the centroid: those of the boundary
+    rule t = (i + 1/2) / (4N + 8) (N + 2 of them on the corpus shapes,
+    fewer where the rule puts points on the axes, which are dropped) and
+    N // 2 + 1 interior points.
+
+    Returns the distinct boundary radii and the index from them back to
+    the points, the interior radii, the unitless factors n.e_r cos(j
+    theta), n.e_r sin(j theta), n.e_t j sin(j theta) and n.e_t j cos(j
+    theta) of the normal derivative at the boundary points (those of the
+    sines for j >= 1), and the cos/sin tables at the interior points.
+    Every caller shares these arrays, so they are read-only."""
     nb = 4 * n + 8
     t = (np.arange(nb) + 0.5) / nb
     bpts, normals = d.boundary_frame(t)
     c = d.centroid()[None, :]
     relb = bpts - c
-    reli = _interior_points(d, 2 * n + 4) - c
+    quadrant = np.all(relb > 0.0, axis=1)
+    relb, normals = relb[quadrant], normals[quadrant]
+    reli = _interior_points(d, n // 2 + 1) - c
     rb = np.hypot(relb[:, 0], relb[:, 1])
     ri = np.hypot(reli[:, 0], reli[:, 1])
     thb = np.arctan2(relb[:, 1], relb[:, 0])
@@ -128,14 +144,14 @@ def _collocation_geometry(d: Domain, n: int):
     n_dot_r = np.sum(normals * er, axis=1)[:, None]
     n_dot_t = np.sum(normals * et, axis=1)[:, None]
 
-    # symmetric shapes repeat boundary radii exactly (the disk has 2
-    # distinct ones), so the Bessel values are taken once per distinct radius
+    # the disk repeats boundary radii exactly, so the Bessel values are
+    # taken once per distinct radius
     rb_distinct, rb_index = np.unique(rb, return_inverse=True)
 
     orders = np.arange(n + 1, dtype=float)
     cosb = np.cos(orders[None, :] * thb[:, None])
     sinb = np.sin(orders[None, :] * thb[:, None])
-    jt = n_dot_t * orders[None, :] / rb[:, None]
+    jt = n_dot_t * orders[None, :]
     out = (rb_distinct, rb_index, ri,
            n_dot_r * cosb, n_dot_r * sinb[:, 1:], jt * sinb, (jt * cosb)[:, 1:],
            np.cos(orders[None, :] * thi[:, None]), np.sin(orders[None, :] * thi[:, None]))
@@ -145,8 +161,8 @@ def _collocation_geometry(d: Domain, n: int):
 
 
 def _collocation_blocks(d: Domain, basis: MpsBasis):
-    """The boundary-condition rows and the interior rows of the trial
-    family."""
+    """The boundary-condition rows, divided by omega, and the interior
+    rows of the trial family, at the first-quadrant points."""
     n = basis.N
     omega = basis.omega
     rb_distinct, rb_index, ri, nr_cos, nr_sin, nt_jsin, nt_jcos, cosi, sini = (
@@ -157,65 +173,101 @@ def _collocation_blocks(d: Domain, basis: MpsBasis):
     # derivatives J_j' = (J_(j-1) - J_(j+1)) / 2, with J_(-1) = -J_1; the
     # interior rows take values only.
     nd = rb_distinct.size
-    jall = bessel_orders(omega * np.concatenate([rb_distinct, ri]), n + 1)
+    xb = omega * rb_distinct
+    jall = bessel_orders(np.concatenate([xb, omega * ri]), n + 1)
     jb = jall[:nd]
     jpb = np.empty((nd, n + 1))
     jpb[:, 0] = -jb[:, 1]
     jpb[:, 1:] = 0.5 * (jb[:, :-2] - jb[:, 2:])
-    # d/dn of J_j(w r) T(j theta): n_r w J_j' T + n_t J_j j T'/r
-    f = jb[rb_index, :-1]
-    fp = omega * jpb[rb_index]
+    # d/dn of J_j(w r) T(j theta), over w: n_r J_j' T + n_t J_j j T' / (w r)
+    f = (jb[:, :-1] / xb[:, None])[rb_index]
+    fp = jpb[rb_index]
     boundary = np.concatenate([fp * nr_cos - f * nt_jsin,
                                fp[:, 1:] * nr_sin + f[:, 1:] * nt_jcos], axis=1)
     ji = jall[nd:, :-1]
     return boundary, np.concatenate([ji * cosi, (ji * sini)[:, 1:]], axis=1)
 
 
+def _parity_classes(n: int):
+    """The columns of the four D2 parity classes, in the layout of
+    _collocation_blocks (column j holds cos j theta, column n + j sin j
+    theta): cos with j even, cos with j odd, sin with j odd, sin with j
+    even (j >= 2).  The mirrors (x, y) -> (x, -y) and (x, y) -> (-x, y)
+    about the centroid multiply each class by its own pair of signs."""
+    j = np.arange(n + 1)
+    return j[0::2], j[1::2], n + j[1::2], n + j[2::2]
+
+
 def mps_sigma(d: Domain, basis: MpsBasis) -> float:
-    """Smallest boundary singular value of the orthonormalized trial space.
+    """Smallest boundary singular value of the orthonormalized trial space,
+    the least of the four parity classes' values.
 
     Values near zero certify an eigenfrequency; the indicator lies in
-    [0, 1] by construction.  With A = [A_B; A_I] the column-scaled
-    boundary and interior rows, sigma is the smallest singular value of
-    the boundary rows of A's Q factor.  Two Householder QRs give it: the
-    R factor T of A_B has ||T x|| = ||A_B x||, so the top rows of the Q
-    factor of [T; A_I] have the same singular values.  LAPACK's
-    triangular-pentagonal QR (dtpqrt) factors [T; A_I] with reflectors
-    [e_i; v_i], so with one block its Q is I - W T_f W^T for W = [I; V]
-    and its top k-by-k block is exactly I - T_f: Q itself is never
-    formed.  (Q_B = A_B R^-1 would skip a Q factor too, but its error
-    grows with the condition number of A.)
+    [0, 1] by construction and has no units.  It is the indicator of the
+    whole mirror orbit of the first-quadrant points (on every smooth
+    shape, the boundary rule's points less any on the axes).  A row at a
+    mirror image g p is chi_c(g) = +-1 times the row at p on the columns
+    of class c (`_parity_classes`), so the collocation matrix on the
+    orbit is orthogonally equivalent to block-diag(2 A_c), with A_c class
+    c's columns at the first-quadrant points.  Its Q factor is then block
+    diagonal, and sigma is the least of the class sigmas; each class runs
+    on at most N/2 + 1 columns.  No eigenvalue is lost, since every
+    eigenfunction is a sum of class eigenfunctions of the same
+    eigenvalue, and the kink where two class sigmas cross is never a
+    local minimum.
+
+    With A = [A_B; A_I] a class's column-scaled boundary and interior
+    rows, its sigma is the smallest singular value of the boundary rows of
+    A's Q factor.  Two Householder QRs give it: the R factor T of A_B has
+    ||T x|| = ||A_B x||, so the top rows of the Q factor of [T; A_I] have
+    the same singular values.  LAPACK's triangular-pentagonal QR (dtpqrt)
+    factors [T; A_I] with reflectors [e_i; v_i], so with one block its Q
+    is I - W T_f W^T for W = [I; V] and its top k-by-k block is exactly
+    I - T_f: Q itself is never formed.  (Q_B = A_B R^-1 would skip a Q
+    factor too, but its error grows with the condition number of A.)
     """
     boundary, interior = _collocation_blocks(d, basis)
     scale = np.sqrt(np.sum(boundary * boundary, axis=0) + np.sum(interior * interior, axis=0))
-    good = scale > 1e-280
-    k = int(np.count_nonzero(good))
-    # dtpqrt reads only the upper triangle of T, so the reflectors that
-    # dgeqrf leaves below the diagonal may stay there; A_B has more rows
-    # (4N + 8) than columns (2N + 1), so T is its top k rows
-    tri = lapack.dgeqrf(_scaled_columns(boundary, good, scale), overwrite_a=1)[0][:k]
-    # one block (nb = k), so that T_f is k-by-k and I - T_f is Q's top block
-    r, _, t, _ = lapack.dtpqrt(0, k, tri, _scaled_columns(interior, good, scale),
-                               overwrite_a=1, overwrite_b=1)
-    # [T; A_I] has the R factor of A
-    diag = np.abs(np.diag(r))
-    if diag.min() < 1e-14 * diag.max():
-        warnings.warn(
-            f"collocation matrix nearly rank deficient at omega={basis.omega:g}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    t *= -1.0
-    t[np.diag_indices(k)] += 1.0
-    _, sv, _, info = lapack.dgesdd(t, compute_uv=0, overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dgesdd failed with info={info} at omega={basis.omega:g}")
-    return float(sv[-1])
+    # one scaled copy of each block with every class's kept columns side by
+    # side, so that a class is a contiguous column slice
+    classes = [cols[scale[cols] > 1e-280] for cols in _parity_classes(basis.N)]
+    order = np.concatenate(classes)
+    a_b = _scaled_columns(boundary, order, scale)
+    a_i = _scaled_columns(interior, order, scale)
+    sigma = math.inf
+    stop = 0
+    for cols in classes:
+        k = cols.size
+        if k == 0:
+            continue
+        start, stop = stop, stop + k
+        # dtpqrt reads only the upper triangle of T, so the reflectors that
+        # dgeqrf leaves below the diagonal may stay there; A_B has more rows
+        # (N + 1 or N + 2) than a class has columns (at most N/2 + 1), so T
+        # is its top k rows
+        tri = lapack.dgeqrf(a_b[:, start:stop], overwrite_a=1)[0][:k]
+        # one block (nb = k), so that T_f is k-by-k and I - T_f is Q's top block
+        r, _, t, _ = lapack.dtpqrt(0, k, tri, a_i[:, start:stop], overwrite_a=1, overwrite_b=1)
+        # [T; A_I] has the R factor of A
+        diag = np.abs(np.diag(r))
+        if diag.min() < 1e-14 * diag.max():
+            warnings.warn(
+                f"collocation matrix nearly rank deficient at omega={basis.omega:g}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        t *= -1.0
+        t[np.diag_indices(k)] += 1.0
+        _, sv, _, info = lapack.dgesdd(t, compute_uv=0, overwrite_a=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dgesdd failed with info={info} at omega={basis.omega:g}")
+        sigma = min(sigma, float(sv[-1]))
+    return sigma
 
 
-def _scaled_columns(a: np.ndarray, keep: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """a[:, keep] / scale[keep] in the column-major order LAPACK takes."""
-    return (a.T[keep] / scale[keep, None]).T
+def _scaled_columns(a: np.ndarray, cols: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """a[:, cols] / scale[cols] in the column-major order LAPACK takes."""
+    return (a.T[cols] / scale[cols, None]).T
 
 
 def _check_scan(d: Domain, interval, n_grid: int) -> np.ndarray:
@@ -311,7 +363,7 @@ def _parabolic_refine(f, xs, sigmas, tol):
 # The coarse pass of mps_find takes every 4th point of the 101-point grid
 # (4 divides _SCAN_INTERVALS, so both ends are coarse points).  On the
 # windows (0.5, 1.05) j'_11 / R of the mps-sweep benchmark each sigma
-# minimum has monotone sides of 9 to 65 grid cells, but neighbouring
+# minimum has monotone sides of 9 to 60 grid cells, but neighbouring
 # eigenfrequencies can sit closer than 4 cells: on the unit disk at
 # N = 10 the window (1, 10) loses the minimum near 8.0152.  So a
 # window where Weyl's law, |Omega| (hi^2 - lo^2) / (4 pi), expects more
