@@ -9,7 +9,6 @@ and its eigenfunctions are the n coordinate modes g(r) x_i / r.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -146,13 +145,11 @@ def neumann_spectrum_ball(b: Ball, count: int, power: int = 1) -> list[SpectrumE
     return entries
 
 
-def spectrum_to_csv(b: Ball, entries, power: int, stream=None) -> str:
-    """Serialize spectrum entries as CSV with 17 significant digits."""
-    buf = stream if stream is not None else io.StringIO()
-    buf.write("power,n,R,j,l,multiplicity,value\n")
+def spectrum_to_csv(b: Ball, entries, power: int, stream) -> None:
+    """Write spectrum entries to stream as CSV with 17 significant digits."""
+    stream.write("power,n,R,j,l,multiplicity,value\n")
     for e in entries:
-        buf.write(
+        stream.write(
             f"{power},{b.n},{b.radius:.17g},{e.degree},{e.radial_index},"
             f"{e.multiplicity},{e.value:.17g}\n"
         )
-    return buf.getvalue() if stream is None else ""

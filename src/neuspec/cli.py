@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 
 import numpy as np
 
@@ -139,15 +140,7 @@ def cmd_ball(args) -> int:
                 "mu1": mu,
                 "upsilon1": ups,
                 "upsilon1_poly": ups_m,
-                "spectrum": [
-                    {
-                        "value": e.value,
-                        "degree": e.degree,
-                        "radial_index": e.radial_index,
-                        "multiplicity": e.multiplicity,
-                    }
-                    for e in entries
-                ],
+                "spectrum": [asdict(e) for e in entries],
             }
             with open(out, "w") as fh:
                 fh.write(_json_dump(payload))

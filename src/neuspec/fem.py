@@ -112,10 +112,13 @@ class EigResult:
 # ---------------------------------------------------------------------------
 
 def _barycentric_gradients(mesh: Mesh):
-    """Gradients of the barycentric coordinates (nt, 3, 2) and the Jacobians."""
+    """Gradients of the barycentric coordinates (nt, 3, 2) and the Jacobians.
+    Raises ValueError where a Jacobian is not positive."""
     v = mesh.vertices
     t = mesh.triangles
     jac = triangle_jacobians(v, t)
+    if np.any(jac <= 0.0):
+        raise ValueError("mesh contains a degenerate or inverted triangle")
     p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
     g1 = np.stack([p1[:, 1] - p2[:, 1], p2[:, 0] - p1[:, 0]], axis=1) / jac[:, None]
     g2 = np.stack([p2[:, 1] - p0[:, 1], p0[:, 0] - p2[:, 0]], axis=1) / jac[:, None]
@@ -176,10 +179,11 @@ def _p2_matrices(mesh: Mesh):
     """Element masses and stiffnesses (nt, 6, 6), each triangle's dofs, and
     the dof count.  The triangles of mesh.curved_edges take _mapped_matrices;
     every other one is affine."""
-    # the edges first: their numbering is kept with the mesh, and made
-    # after the element arrays it split the freed heap that the COO arrays
-    # reuse, which raised a verify run's peak RSS at h = 0.02 from 115 to
-    # 123 MB
+    # the edges first: their table is kept with the mesh, and made after
+    # the element arrays it split the freed heap that the COO arrays reuse.
+    # A curved mesh has made it already, when built; on the square and the
+    # triangle at 0.08, 0.04, 0.02 it raised a verify run's peak RSS from
+    # 88 to 89-90 MB
     conn_e, n_edges = mesh._edges.conn, mesh._edges.count
     _, dndl, w = _p2_reference()
     gradl, jac = _barycentric_gradients(mesh)
@@ -242,8 +246,6 @@ def assemble(mesh: Mesh) -> OperatorPair:
     is formed there too.  An entry that comes out exactly 0 is dropped, as
     a sparse sum drops it, so a matrix with one gets its own pattern.
     """
-    if np.any(triangle_jacobians(mesh.vertices, mesh.triangles) <= 0.0):
-        raise ValueError("mesh contains a degenerate or inverted triangle")
     me, ke, dofs, ndof = _p2_matrices(mesh)
     c0 = _mass_jacobi_min()
     if mesh.curved_edges is not None:
@@ -365,9 +367,7 @@ def _transfer(parent: Mesh, mesh: Mesh) -> sp.csr_matrix:
     """
     nv = len(parent.vertices)
     conn, n_edges = parent._edges.conn, parent._edges.count
-    ends = np.empty((n_edges, 2), dtype=int)
-    ends[conn.ravel()] = parent.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    a, b = ends.T
+    a, b = parent._edges.ends.T
     mid = nv + np.arange(n_edges)
     v, m = parent.triangles, nv + conn
     # (ends of the child edge, parent dofs, basis values at its midpoint);
@@ -614,7 +614,7 @@ def _study(d: Domain, h_list: tuple) -> ConvergenceStudy:
     refines = [False] + [a == 2.0 * b for a, b in zip(h_list, h_list[1:])] + [False]
     meshes = []
     for k, h in enumerate(h_list):
-        meshes.append(refine(meshes[-1], d) if refines[k] else cached_mesh(d, h))
+        meshes.append(refine(meshes[-1]) if refines[k] else cached_mesh(d, h))
     values, coarse = [], None
     for k, mesh in enumerate(meshes):
         mus, vectors, _, lu = _pencil_solve(mesh, 1, coarse)

@@ -6,9 +6,11 @@ lattice points, keeps the triangles whose centroid lies inside the
 domain, and relaxes interior vertices with a few passes of neighbor
 averaging (re-running Delaunay after each pass).  Deterministic for
 fixed inputs.  refine halves a mesh's h by splitting every triangle
-into four, with new boundary vertices on the exact boundary.  Both record the
-boundary edges on smooth curved pieces with their quadratic nodes on the
-curve, through which the FEM maps those triangles.
+into four, with new boundary vertices on the exact boundary.  Every mesh
+they make carries its domain, and records the boundary edges on smooth
+curved pieces with their quadratic nodes on the curve, through which the
+FEM maps those triangles.  What the boundary is comes from one place, the
+mesh's edge table (Mesh._edges).
 
 Containment is the domain's own test.  The curved shapes are convex, so
 the polyline bounds the convex hull of the mesh points and the region
@@ -38,7 +40,7 @@ MIN_AREA_FACTOR = 1e-3
 SMOOTHING_PASSES = 3
 
 
-_Edges = namedtuple("_Edges", "conn count keys ids")
+_Edges = namedtuple("_Edges", "conn count keys ids ends boundary")
 
 
 class MeshQualityError(RuntimeError):
@@ -51,24 +53,27 @@ class Mesh:
 
     vertices : (nv, 2) float array
     triangles : (nt, 3) int array, counterclockwise
-    boundary_flags : (nv,) bool array, True for boundary vertices
     h : target edge length the mesh was built for
     boundary_params : (nv,) float array or None; the boundary parameter s
         in [0, 1) of Domain.boundary_at at each boundary vertex, NaN at the
         others.  None on loaded meshes.
+    domain : the Domain the mesh was built for, or None (loaded meshes)
     curved_edges : (k, 2) int array or None; the boundary edges that lie
         on a smooth curved piece of the domain (not straight, no corners),
         each as (triangle, e) for the edge from the triangle's vertex e to
         vertex e + 1 mod 3.  None when there are none (polygons, cornered
-        superellipses, loaded meshes).
+        superellipses, loaded meshes).  Found from the domain and the edge
+        table when not given.
     edge_nodes : (k, 2) float array or None; the P2 node of each curved
         edge, on the curve at the mean of its end vertices' boundary
         parameters, where refine puts the child vertex.  The FEM maps the
         triangles of these edges isoparametrically through them.
 
-    vertices and triangles describe the polygonized domain.  A refined
-    mesh keeps no link to the mesh it was split from; the convergence study
-    that refines it (neuspec.fem) holds both.
+    The boundary is read from one edge table, Mesh._edges: its edges of a
+    single triangle, whose ends are the boundary vertices.  vertices and
+    triangles describe the polygonized domain.  A refined mesh keeps no
+    link to the mesh it was split from; the convergence study that refines
+    it (neuspec.fem) holds both.
 
     Meshes are immutable and compare and hash by identity: their fields
     are arrays, which give no single truth value to compare by.
@@ -76,39 +81,48 @@ class Mesh:
 
     vertices: np.ndarray
     triangles: np.ndarray
-    boundary_flags: np.ndarray
     h: float
     boundary_params: np.ndarray | None = None
+    domain: Domain | None = field(default=None, repr=False)
     curved_edges: np.ndarray | None = field(default=None, repr=False)
     edge_nodes: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        for name in ("vertices", "triangles", "boundary_flags", "boundary_params",
-                     "curved_edges", "edge_nodes"):
+        if self.domain is not None and self.curved_edges is None:
+            curved = _curved_edges(self)
+            object.__setattr__(self, "curved_edges", curved[0])
+            object.__setattr__(self, "edge_nodes", curved[1])
+        for name in ("vertices", "triangles", "boundary_params", "curved_edges", "edge_nodes"):
             if getattr(self, name) is not None:
                 getattr(self, name).setflags(write=False)
 
     @cached_property
     def _edges(self) -> _Edges:
-        """The edges, numbered by first appearance, made once: conn, the
-        (nt, 3) ids of each triangle's edges 01, 12, 20; count; and keys,
+        """The edge table, numbered by first appearance, made once: conn,
+        the (nt, 3) ids of each triangle's edges 01, 12, 20; count; keys,
         the sorted i * nv + j of the edges' vertex pairs i < j, with the
-        edge ids at them.  refine and the FEM read them; arrays read-only."""
-        pairs = np.sort(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        edge ids at them; ends, each edge's vertices as its first triangle
+        runs them; and boundary, True on the edges of one triangle.  The
+        boundary, refine and the FEM read them; arrays read-only."""
+        ends = self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        pairs = np.sort(ends, axis=1)
         # one integer key per vertex pair: a 1-D unique is far faster than a row-wise one
         keys = pairs[:, 0].astype(np.int64) * len(self.vertices) + pairs[:, 1]
-        keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        keys, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True,
+                                                 return_counts=True)
+        order = np.argsort(first)
         rank = np.empty(len(first), dtype=int)
-        rank[np.argsort(first)] = np.arange(len(first))
+        rank[order] = np.arange(len(first))
         conn = rank[inverse.reshape(-1)].reshape(-1, 3)
+        ends, boundary = ends[first[order]], counts[order] == 1
         # copied once the temporaries are freed, so that what the mesh keeps
         # does not pin the heap above them (that raised the peak RSS of a
         # verify run by up to 5 MB)
-        del pairs, first, inverse
-        keys, rank = keys.copy(), rank.copy()
-        for arr in (conn, keys, rank):
+        del pairs, first, inverse, counts, order
+        keys, rank, ends, boundary = keys.copy(), rank.copy(), ends.copy(), boundary.copy()
+        for arr in (conn, keys, rank, ends, boundary):
             arr.setflags(write=False)
-        return _Edges(conn, len(keys), keys, rank)
+        return _Edges(conn, len(keys), keys, rank, ends, boundary)
 
 
 def triangle_jacobians(verts: np.ndarray, tris: np.ndarray) -> np.ndarray:
@@ -217,8 +231,6 @@ def triangulate(d: Domain, h: float) -> Mesh:
             f"min angle {angles[worst].min():.2f} deg"
         )
 
-    flags = np.zeros(len(points), dtype=bool)
-    flags[:n_boundary] = True
     params = np.full(len(points), np.nan)
     params[:n_boundary] = poly_params
     used = np.unique(tris)
@@ -227,20 +239,10 @@ def triangulate(d: Domain, h: float) -> Mesh:
         remap = -np.ones(len(points), dtype=int)
         remap[used] = np.arange(len(used))
         points = points[used]
-        flags = flags[used]
         params = params[used]
         tris = remap[tris]
-    tris = np.ascontiguousarray(tris)
-    curved_edges, edge_nodes = _curved_edges(d, tris, params)
-    return Mesh(
-        vertices=np.ascontiguousarray(points),
-        triangles=tris,
-        boundary_flags=flags,
-        h=float(h),
-        boundary_params=params,
-        curved_edges=curved_edges,
-        edge_nodes=edge_nodes,
-    )
+    return Mesh(vertices=np.ascontiguousarray(points), triangles=np.ascontiguousarray(tris),
+                h=float(h), boundary_params=params, domain=d)
 
 
 def _midway(ta, tb):
@@ -259,34 +261,32 @@ def maps_boundary(d: Domain) -> bool:
     return any(map(_smooth_curve, d.pieces()))
 
 
-def _curved_edges(d: Domain, tris: np.ndarray, params):
-    """Mesh.curved_edges and Mesh.edge_nodes of a mesh of d with vertex
-    parameters params; (None, None) when there are none.
+def _curved_edges(mesh: Mesh):
+    """Mesh.curved_edges and Mesh.edge_nodes from the mesh's domain and edge
+    table; (None, None) when there are none.
 
-    A boundary edge is one that a single triangle has.  Its parameters
-    fall in one piece of d, the one holding their midway value, since every
-    piece starts at a polyline vertex.
+    The boundary edges, in the order 3 t + e of (triangle, e), are the
+    entries of Mesh._edges.conn on its boundary.  Their parameters fall in
+    one piece of the domain, the one holding their midway value, since
+    every piece starts at a polyline vertex.
     """
-    pieces = d.pieces()
+    pieces = mesh.domain.pieces()
     smooth = np.array([_smooth_curve(piece) for piece in pieces])
     if not smooth.any():
         return None, None
-    ends = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    pairs = np.sort(ends, axis=1).astype(np.int64)
-    keys = pairs[:, 0] * len(params) + pairs[:, 1]
-    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    edges = np.nonzero(counts[inverse.reshape(-1)] == 1)[0]  # ids 3 t + e
-    s = _midway(*params[ends[edges]].T)
+    table = mesh._edges
+    tri, edge = np.nonzero(table.boundary[table.conn])
+    s = _midway(*mesh.boundary_params[table.ends[table.conn[tri, edge]]].T)
     k = len(pieces)
     on_smooth = smooth[np.minimum((k * s).astype(int), k - 1)]
-    edges, s = edges[on_smooth], s[on_smooth]
-    if not len(edges):
+    if not on_smooth.any():
         return None, None
-    return np.column_stack([edges // 3, edges % 3]), d.boundary_at(s)[0]
+    return (np.column_stack([tri[on_smooth], edge[on_smooth]]),
+            mesh.domain.boundary_at(s[on_smooth])[0])
 
 
-def refine(mesh: Mesh, d: Domain) -> Mesh:
-    """Red refinement of a mesh of d: every triangle splits into four, h halves.
+def refine(mesh: Mesh) -> Mesh:
+    """Red refinement of a mesh: every triangle splits into four, h halves.
 
     The new vertices are the edge midpoints, numbered after the old
     vertices in Mesh._edges' order.  The children are ordered by
@@ -294,27 +294,24 @@ def refine(mesh: Mesh, d: Domain) -> Mesh:
     factor depends on the dof numbering, and with each parent's four
     children kept together the factor at h = 0.02 took 3 to 13 times as
     long for about the same fill.
-    The midpoint of a boundary edge is put on the boundary, at the mean of
-    its end vertices' boundary parameters modulo 1, so the mesh must carry
-    them (meshes from triangulate and refine do).  Raises GeometryError
-    for a mesh without parameters (a loaded one), and MeshQualityError
-    naming h when a child misses the quality bounds of triangulate (its
-    area bound also keeps every Jacobian positive).
+    The midpoint of a boundary edge is put on the mesh's domain, at the
+    mean of its end vertices' boundary parameters modulo 1, so the mesh
+    must carry both (meshes from triangulate and refine do).  Raises
+    GeometryError for a mesh without them (a loaded one), and
+    MeshQualityError naming h when a child misses the quality bounds of
+    triangulate (its area bound also keeps every Jacobian positive).
     """
-    if mesh.boundary_params is None:
-        raise GeometryError("refine needs the boundary parameters of the mesh, "
+    if mesh.domain is None or mesh.boundary_params is None:
+        raise GeometryError("refine needs the domain and boundary parameters of the mesh, "
                             "which a loaded mesh does not carry")
     h = 0.5 * mesh.h
     nv = len(mesh.vertices)
     tris = mesh.triangles
-    conn, n_edges = mesh._edges.conn, mesh._edges.count
-    ends = np.empty((n_edges, 2), dtype=int)
-    ends[conn.ravel()] = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    on_boundary = np.bincount(conn.ravel(), minlength=n_edges) == 1
+    conn, ends, on_boundary = mesh._edges.conn, mesh._edges.ends, mesh._edges.boundary
     mids = 0.5 * (mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]])
-    params = np.full(n_edges, np.nan)
+    params = np.full(len(ends), np.nan)
     params[on_boundary] = _midway(*mesh.boundary_params[ends[on_boundary]].T)
-    mids[on_boundary] = d.boundary_at(params[on_boundary])[0]
+    mids[on_boundary] = mesh.domain.boundary_at(params[on_boundary])[0]
     params = np.concatenate([mesh.boundary_params, params])
 
     e01, e12, e20 = (nv + conn).T
@@ -329,16 +326,8 @@ def refine(mesh: Mesh, d: Domain) -> Mesh:
             f"refinement to h={h:g} missed the quality bounds: min angle "
             f"{_triangle_angles(points, children).min():.2f} deg, min area "
             f"{0.5 * triangle_jacobians(points, children).min():.3g}")
-    curved_edges, edge_nodes = _curved_edges(d, children, params)
-    return Mesh(
-        vertices=points,
-        triangles=children,
-        boundary_flags=np.concatenate([mesh.boundary_flags, on_boundary]),
-        h=h,
-        boundary_params=params,
-        curved_edges=curved_edges,
-        edge_nodes=edge_nodes,
-    )
+    return Mesh(vertices=points, triangles=children, h=h, boundary_params=params,
+                domain=mesh.domain)
 
 
 def _quality_ok(points: np.ndarray, tris: np.ndarray, h: float) -> bool:
@@ -354,11 +343,15 @@ def _quality_ok(points: np.ndarray, tris: np.ndarray, h: float) -> bool:
 # ---------------------------------------------------------------------------
 
 def save_mesh(mesh: Mesh, path, vertex_values=None) -> None:
-    """Write `mesh v1` text format; optional per-vertex value column."""
+    """Write `mesh v1` text format; optional per-vertex value column.
+
+    A vertex's flag is 1 where it ends a boundary edge of Mesh._edges."""
+    flags = np.zeros(len(mesh.vertices), dtype=int)
+    flags[mesh._edges.ends[mesh._edges.boundary]] = 1
     with open(path, "w") as fh:
         fh.write(f"mesh v1 {len(mesh.vertices)} {len(mesh.triangles)}\n")
         for i, (x, y) in enumerate(mesh.vertices):
-            line = f"{x:.17g} {y:.17g} {int(mesh.boundary_flags[i])}"
+            line = f"{x:.17g} {y:.17g} {flags[i]}"
             if vertex_values is not None:
                 line += f" {vertex_values[i]:.17g}"
             fh.write(line + "\n")
@@ -370,7 +363,8 @@ def load_mesh(path):
     """Read the `mesh v1` text format.
 
     Returns (mesh, vertex_values) where vertex_values is None unless the
-    file carries the optional per-vertex column.
+    file carries the optional per-vertex column.  The boundary flags are
+    not kept: the mesh's edge table gives its boundary.
     """
     with open(path) as fh:
         header = fh.readline().split()
@@ -378,14 +372,13 @@ def load_mesh(path):
             raise ValueError(f"unrecognized mesh header: {' '.join(header)!r}")
         nv, nt = int(header[2]), int(header[3])
         verts = np.empty((nv, 2))
-        flags = np.zeros(nv, dtype=bool)
         values = None
         for i in range(nv):
             parts = fh.readline().split()
             if len(parts) not in (3, 4):
                 raise ValueError(f"bad vertex line {i + 2}")
             verts[i] = (float(parts[0]), float(parts[1]))
-            flags[i] = bool(int(parts[2]))
+            int(parts[2])  # the flag must parse, though the edge table gives it again
             if len(parts) == 4:
                 if values is None:
                     values = np.empty(nv)
@@ -395,4 +388,4 @@ def load_mesh(path):
             tris[i] = [int(v) for v in fh.readline().split()]
     edge = verts[tris[:, 1]] - verts[tris[:, 0]]
     h = float(np.median(np.hypot(edge[:, 0], edge[:, 1])))
-    return Mesh(vertices=verts, triangles=tris, boundary_flags=flags, h=h), values
+    return Mesh(vertices=verts, triangles=tris, h=h), values

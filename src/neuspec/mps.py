@@ -29,7 +29,6 @@ reported as w^2 or w^4 from the same minimum of sigma (`mps_find`).
 from __future__ import annotations
 
 import functools
-import io
 import math
 import warnings
 from operator import itemgetter
@@ -76,12 +75,10 @@ class SigmaCurve:
     omegas: tuple
     sigmas: tuple
 
-    def to_csv(self, stream=None) -> str:
-        buf = stream if stream is not None else io.StringIO()
-        buf.write("omega,sigma\n")
+    def to_csv(self, stream) -> None:
+        stream.write("omega,sigma\n")
         for w, s in zip(self.omegas, self.sigmas):
-            buf.write(f"{w:.17g},{s:.17g}\n")
-        return buf.getvalue() if stream is None else ""
+            stream.write(f"{w:.17g},{s:.17g}\n")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ serves each center: centering's last fan gives Q too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import isfinite
 
@@ -261,24 +261,11 @@ class TrialCertificate:
         """The fields for strict JSON: a float that is not finite (a power
         that left the double range) becomes None, written as null."""
         def num(x):
-            return x if isfinite(x) else None
+            if isinstance(x, tuple):
+                return [num(v) for v in x]
+            return None if isinstance(x, float) and not isfinite(x) else x
 
-        return {
-            "domain": self.domain,
-            "m": self.m,
-            "n": self.n,
-            "area": num(self.area),
-            "R": num(self.R),
-            "center": [num(x) for x in self.center],
-            "field_residual": num(self.field_residual),
-            "mean_residuals": [num(x) for x in self.mean_residuals],
-            "quotient": num(self.quotient),
-            "quotient_error": num(self.quotient_error),
-            "certified": num(self.certified),
-            "bound": num(self.bound),
-            "valid": self.valid,
-            "strict": self.strict,
-        }
+        return {key: num(value) for key, value in asdict(self).items()}
 
 
 def certify_upper_bound(d: Domain, m: int) -> TrialCertificate:

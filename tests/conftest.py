@@ -80,12 +80,12 @@ def richardson_integral():
     """Integral over a domain with one Richardson step over meshes at h and h/2.
 
     Polygonizing a curved boundary leaves an O(h^2) error, which the step
-    removes.  The refinement ratio comes from the achieved boundary-vertex
-    counts, since rounding the vertex count distorts the nominal h ratio.
+    removes.  The refinement ratio comes from the achieved boundary-edge
+    counts, since rounding the edge count distorts the nominal h ratio.
     """
     def integrate(d, f, h):
         coarse, fine = cached_mesh(d, h), cached_mesh(d, 0.5 * h)
-        ratio = (np.sum(fine.boundary_flags) / np.sum(coarse.boundary_flags)) ** 2
+        ratio = (np.sum(fine._edges.boundary) / np.sum(coarse._edges.boundary)) ** 2
         assert ratio > 1.0
         val_c, val_f = _mesh_integral(coarse, f), _mesh_integral(fine, f)
         return val_f + (val_f - val_c) / (ratio - 1.0)

@@ -103,8 +103,9 @@ class TestSpectrum:
 
     def test_csv_export(self, disk):
         entries = bl.neumann_spectrum_ball(disk, 2, power=2)
-        text = bl.spectrum_to_csv(disk, entries, 2)
-        lines = text.strip().splitlines()
+        buf = io.StringIO()
+        bl.spectrum_to_csv(disk, entries, 2, buf)
+        lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "power,n,R,j,l,multiplicity,value"
         first = lines[1].split(",")
         assert first[0] == "2" and first[1] == "2"

@@ -434,10 +434,10 @@ class TestDefaultHList:
         d = cli._resolve_domain("disk")
         refine = fem.refine
 
-        def refusing(mesh, domain):
+        def refusing(mesh):
             if mesh.h == fem.MAPPED_H_LIST[0]:
                 raise error
-            return refine(mesh, domain)
+            return refine(mesh)
 
         monkeypatch.setattr(fem, "refine", refusing)
         fem._study.cache_clear()  # a kept study would build no mesh

@@ -21,14 +21,13 @@ from neuspec.quadrature import cached_mesh
 def single_triangle_mesh():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2]])
-    flags = np.array([True, True, True])
-    return Mesh(vertices=verts, triangles=tris, boundary_flags=flags, h=1.0)
+    return Mesh(vertices=verts, triangles=tris, h=1.0)
 
 
 def refined_mesh(d, h):
     """The red refinement of d's memoized lattice mesh at h: the second mesh
     of a study's halving run from h."""
-    return msh.refine(cached_mesh(d, h), d)
+    return msh.refine(cached_mesh(d, h))
 
 
 def halving_family(d, h_list):
@@ -36,7 +35,7 @@ def halving_family(d, h_list):
     first h, then each refinement of the one before."""
     meshes = [cached_mesh(d, h_list[0])]
     for _ in h_list[1:]:
-        meshes.append(msh.refine(meshes[-1], d))
+        meshes.append(msh.refine(meshes[-1]))
     return meshes
 
 
@@ -56,14 +55,20 @@ def study_solves(monkeypatch, d, h_list):
 
 
 def edge_numbering_reference(mesh):
-    """Edge numbering by a dict of sorted vertex pairs, in first-seen order."""
-    edges = {}
+    """Edge numbering by a dict of sorted vertex pairs, in first-seen order:
+    conn, the edge count, each edge's ends as first seen, and whether one
+    triangle alone has it."""
+    edges, ends, counts = {}, [], []
     conn = np.empty((len(mesh.triangles), 3), dtype=int)
     for i, tri in enumerate(mesh.triangles):
         for e, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
             key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
             conn[i, e] = edges.setdefault(key, len(edges))
-    return conn, len(edges)
+            if conn[i, e] == len(ends):
+                ends.append((tri[a], tri[b]))
+                counts.append(0)
+            counts[conn[i, e]] += 1
+    return conn, len(edges), np.array(ends), np.array(counts) == 1
 
 
 def two_pass_reference(mesh):
@@ -179,18 +184,26 @@ class TestAssembly:
     def test_edge_numbering_matches_reference(self):
         mesh = cached_mesh(corpus_domain("ellipse-1.5"), 0.08)
         conn, n_edges = mesh._edges.conn, mesh._edges.count
-        ref_conn, ref_n = edge_numbering_reference(mesh)
+        ref_conn, ref_n, ref_ends, ref_boundary = edge_numbering_reference(mesh)
         assert n_edges == ref_n
         assert conn.dtype == ref_conn.dtype
         assert np.array_equal(conn, ref_conn)
+        assert np.array_equal(mesh._edges.ends, ref_ends)
+        assert np.array_equal(mesh._edges.boundary, ref_boundary)
 
     def test_edge_numbering_is_made_once_per_mesh(self, square):
         coarse = msh.triangulate(square, 0.2)
         conn = coarse._edges.conn
-        msh.refine(coarse, square)
+        msh.refine(coarse)
         fem.assemble(coarse)
         assert coarse._edges.conn is conn
         assert not conn.flags.writeable
+
+    def test_inverted_triangle_is_refused(self):
+        tri = single_triangle_mesh()
+        flipped = Mesh(vertices=tri.vertices, triangles=tri.triangles[:, [0, 2, 1]], h=1.0)
+        with pytest.raises(ValueError, match="degenerate or inverted triangle"):
+            fem.assemble(flipped)
 
 
 def laplacian_pairs(mesh, count):
@@ -294,8 +307,7 @@ class TestMappedElements:
         # mapped through its edge midpoints, every triangle is affine again
         tris, verts = square_mesh.triangles, square_mesh.vertices
         nt = len(tris)
-        mapped = Mesh(vertices=verts, triangles=tris, boundary_flags=square_mesh.boundary_flags,
-                      h=square_mesh.h,
+        mapped = Mesh(vertices=verts, triangles=tris, h=square_mesh.h,
                       curved_edges=np.column_stack([np.repeat(np.arange(nt), 3),
                                                     np.tile(np.arange(3), nt)]),
                       edge_nodes=0.5 * (verts[tris] + verts[tris[:, [1, 2, 0]]]).reshape(-1, 2))
@@ -345,8 +357,7 @@ class TestMappedElements:
     def test_folded_map_is_refused(self):
         # the node of edge 01 pulled past the opposite vertex
         tri = single_triangle_mesh()
-        folded = Mesh(vertices=tri.vertices, triangles=tri.triangles,
-                      boundary_flags=tri.boundary_flags, h=1.0,
+        folded = Mesh(vertices=tri.vertices, triangles=tri.triangles, h=1.0,
                       curved_edges=np.array([[0, 0]]), edge_nodes=np.array([[0.5, 1.2]]))
         with pytest.raises(ValueError, match="curved element"):
             fem.assemble(folded)
@@ -369,10 +380,7 @@ class TestMassSolve:
 def p2_nodes(mesh):
     """Coordinates of a mesh's P2 dofs: the vertices, then the straight
     edge midpoints in Mesh._edges' order."""
-    conn, n_edges = mesh._edges.conn, mesh._edges.count
-    ends = np.empty((n_edges, 2), dtype=int)
-    ends[conn.ravel()] = mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    return np.vstack([mesh.vertices, mesh.vertices[ends].mean(axis=1)])
+    return np.vstack([mesh.vertices, mesh.vertices[mesh._edges.ends].mean(axis=1)])
 
 
 def refined_pair(name, h):
@@ -380,7 +388,7 @@ def refined_pair(name, h):
     objects, so that no memoized solve serves them."""
     d = corpus_domain(name)
     coarse = msh.triangulate(d, h)
-    return coarse, msh.refine(coarse, d)
+    return coarse, msh.refine(coarse)
 
 
 def two_grid_solve(coarse, fine, count=1):
@@ -393,7 +401,7 @@ def two_grid_solve(coarse, fine, count=1):
 class TestTransfer:
     def test_quadratics_carry_over_exactly(self, square):
         coarse = msh.triangulate(square, 0.2)
-        fine = msh.refine(coarse, square)
+        fine = msh.refine(coarse)
         transfer = fem._transfer(coarse, fine)
 
         def quadratic(p):

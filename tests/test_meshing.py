@@ -5,11 +5,18 @@ import pytest
 
 from neuspec import geometry as geo
 from neuspec import meshing as msh
-from neuspec.corpus import corpus_domain
+from neuspec.corpus import CORPUS, SMOOTH, corpus_domain
 
 
 def mesh_area(mesh):
     return float(np.sum(0.5 * msh.triangle_jacobians(mesh.vertices, mesh.triangles)))
+
+
+def boundary_vertices(mesh):
+    """The vertices that end a boundary edge of the mesh's edge table."""
+    flags = np.zeros(len(mesh.vertices), dtype=bool)
+    flags[mesh._edges.ends[mesh._edges.boundary]] = True
+    return flags
 
 
 def check_mesh_contract(mesh, h):
@@ -30,7 +37,7 @@ def check_mesh_contract(mesh, h):
     for i, j in list(seen):
         assert seen.get((j, i), True)
     # interior edge lengths within a factor 2 of h
-    bflag = mesh.boundary_flags
+    bflag = ~np.isnan(mesh.boundary_params)
     for tri in t[: min(len(t), 400)]:
         for a, b in ((0, 1), (1, 2), (2, 0)):
             if bflag[tri[a]] and bflag[tri[b]]:
@@ -72,7 +79,7 @@ class TestTriangulate:
     def test_boundary_vertices_on_polyline(self):
         d = geo.Disk((0, 0), 1.0)
         mesh = msh.triangulate(d, 0.1)
-        b = mesh.vertices[mesh.boundary_flags]
+        b = mesh.vertices[boundary_vertices(mesh)]
         assert np.abs(np.hypot(b[:, 0], b[:, 1]) - 1.0).max() < 1e-14
 
     def test_deterministic(self):
@@ -145,9 +152,13 @@ class TestSlivers:
         pairs = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
         edges, count = np.unique(pairs, axis=0, return_counts=True)
         one_sided = edges[count == 1]
-        assert np.all(mesh.boundary_flags[one_sided])
+        polyline = ~np.isnan(mesh.boundary_params)
+        assert np.all(polyline[one_sided])
         ends = np.bincount(one_sided.ravel(), minlength=len(mesh.vertices))
-        assert np.array_equal(ends, 2 * mesh.boundary_flags)
+        assert np.array_equal(ends, 2 * polyline)
+        # the edge table's boundary is the same set of edges
+        table = np.sort(mesh._edges.ends[mesh._edges.boundary], axis=1)
+        assert np.array_equal(table[np.lexsort(table.T[::-1])], one_sided)
 
 
 def curve_residual(d, pts):
@@ -171,14 +182,14 @@ class TestRefine:
         d = corpus_domain(name)
         mesh = msh.triangulate(d, 0.08)
         for h in (0.04, 0.02):
-            fine = msh.refine(mesh, d)
+            fine = msh.refine(mesh)
             assert fine.h == h
             assert len(fine.triangles) == 4 * len(mesh.triangles)
             assert msh._quality_ok(fine.vertices, fine.triangles, h)
             assert np.array_equal(fine.vertices[:len(mesh.vertices)], mesh.vertices)
             new = np.arange(len(fine.vertices)) >= len(mesh.vertices)
-            new_boundary = fine.vertices[new & fine.boundary_flags]
-            assert len(new_boundary) == np.sum(mesh.boundary_flags)
+            new_boundary = fine.vertices[new & boundary_vertices(fine)]
+            assert len(new_boundary) == np.sum(boundary_vertices(mesh))
             if isinstance(d, (geo.Disk, geo.Ellipse, geo.Stadium)):
                 assert curve_residual(d, new_boundary).max() <= 1e-14
             if isinstance(d, geo.Polygon):
@@ -189,17 +200,28 @@ class TestRefine:
 
     def test_conforming(self):
         d = corpus_domain("ellipse-1.5")
-        fine = msh.refine(msh.triangulate(d, 0.16), d)
+        fine = msh.refine(msh.triangulate(d, 0.16))
         check_mesh_contract(fine, 0.08)
 
     def test_boundary_parameters_follow_the_curve(self):
         for name in ("ellipse-2.0", "stadium", "triangle"):
             d = corpus_domain(name)
-            fine = msh.refine(msh.triangulate(d, 0.08), d)
-            s = fine.boundary_params
-            assert np.array_equal(np.isnan(s), ~fine.boundary_flags)
-            b, _ = d.boundary_at(s[fine.boundary_flags])
-            assert np.array_equal(b, fine.vertices[fine.boundary_flags]), name
+            fine = msh.refine(msh.triangulate(d, 0.08))
+            s, flags = fine.boundary_params, boundary_vertices(fine)
+            assert np.array_equal(np.isnan(s), ~flags)
+            b, _ = d.boundary_at(s[flags])
+            assert np.array_equal(b, fine.vertices[flags]), name
+
+    @pytest.mark.parametrize("name", SMOOTH)
+    def test_curved_edge_children_sit_at_the_edge_nodes(self, name):
+        # the child vertex refine puts on each curved edge is that edge's
+        # P2 node, bit for bit, so the mapped parent element and its
+        # children share the curve there
+        mesh = msh.triangulate(corpus_domain(name), 0.16)
+        fine = msh.refine(mesh)
+        tri, edge = mesh.curved_edges.T
+        child = len(mesh.vertices) + mesh._edges.conn[tri, edge]
+        assert np.array_equal(fine.vertices[child], mesh.edge_nodes)
 
     def test_loaded_curved_mesh_is_refused(self, tmp_path):
         d = corpus_domain("disk")
@@ -208,7 +230,7 @@ class TestRefine:
         loaded, _ = msh.load_mesh(path)
         assert loaded.boundary_params is None
         with pytest.raises(geo.GeometryError, match="boundary parameters"):
-            msh.refine(loaded, d)
+            msh.refine(loaded)
 
     def test_loaded_polygon_mesh_is_refused(self, tmp_path):
         # a polygon's mesh carries boundary parameters too, and refine
@@ -218,14 +240,14 @@ class TestRefine:
         msh.save_mesh(msh.triangulate(d, 0.2), path)
         loaded, _ = msh.load_mesh(path)
         with pytest.raises(geo.GeometryError, match="boundary parameters"):
-            msh.refine(loaded, d)
+            msh.refine(loaded)
 
     def test_quality_failure_names_h(self, monkeypatch):
         d = corpus_domain("disk")
         mesh = msh.triangulate(d, 0.16)
         monkeypatch.setattr(msh, "MIN_ANGLE_DEG", 89.0)
         with pytest.raises(msh.MeshQualityError, match="h=0.08"):
-            msh.refine(mesh, d)
+            msh.refine(mesh)
 
 
 class TestMeshIO:
@@ -240,7 +262,24 @@ class TestMeshIO:
         assert values is None
         assert np.array_equal(back.triangles, mesh.triangles)
         assert np.allclose(back.vertices, mesh.vertices, rtol=0, atol=0)
-        assert np.array_equal(back.boundary_flags, mesh.boundary_flags)
+        again = tmp_path / "again.txt"
+        msh.save_mesh(back, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_flags_are_the_polyline_vertices(self, name, tmp_path):
+        # the flag column, read off the edge table, marks exactly the
+        # vertices with a boundary parameter: the polyline's and the ones
+        # refine put on the boundary
+        d = corpus_domain(name)
+        mesh = msh.triangulate(d, 0.16)
+        for k, m in enumerate((mesh, msh.refine(mesh))):
+            path = tmp_path / f"{k}.txt"
+            msh.save_mesh(m, path)
+            lines = path.read_text().splitlines()[1:1 + len(m.vertices)]
+            flags = "".join(line.split()[2] for line in lines)
+            want = "".join("0" if np.isnan(s) else "1" for s in m.boundary_params)
+            assert flags == want, k
 
     def test_roundtrip_with_values(self, tmp_path):
         mesh = msh.triangulate(geo.Disk((0, 0), 1.0), 0.3)

@@ -1,4 +1,5 @@
 import functools
+import io
 import math
 import sys
 import warnings
@@ -366,8 +367,9 @@ class TestVerifyCrossCheck:
 class TestCurve:
     def test_csv_format(self, disk):
         curve = mps.mps_scan(disk, (1.5, 2.5), 10, n_grid=8)
-        text = curve.to_csv()
-        lines = text.strip().splitlines()
+        buf = io.StringIO()
+        curve.to_csv(buf)
+        lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "omega,sigma"
         assert len(lines) == 10
         w, s = lines[1].split(",")

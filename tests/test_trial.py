@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -137,6 +138,7 @@ class TestFan:
 
         monkeypatch.setattr(quadrature, "triangulate", counting)
         quadrature.cached_mesh.cache_clear()
+        fem._study.cache_clear()  # a kept study would build no mesh
         report = cli.build_verification_report(CORPUS["square"], 1, [0.16, 0.12, 0.08],
                                                use_mps=False)
         assert report["certificate"]["valid"]
@@ -486,6 +488,13 @@ class TestCertificate:
         assert payload["n"] == 2
         assert len(payload["center"]) == 2
         assert len(payload["mean_residuals"]) == 2
+
+    def test_nonfinite_fields_become_null(self):
+        cert = trial.certify_upper_bound(geo.Disk((0, 0), 1.0), 1)
+        payload = dataclasses.replace(cert, certified=math.inf, center=(math.nan, 0.0)).to_dict()
+        assert payload["certified"] is None and payload["center"] == [None, 0.0]
+        assert payload["bound"] == cert.bound and payload["valid"] is True
+        json.dumps(payload, allow_nan=False)
 
     def test_certificate_leaves_mpmath_unimported(self):
         # with the whole package loaded, as the command line loads it, no
