@@ -4,7 +4,7 @@ Continuous quadratic (P2) Lagrange elements give a mass/stiffness pair
 (M, A); both Neumann-type boundary conditions of the even-order problems
 are natural, so no constraints are imposed.  A triangle with an edge on a
 smooth curved piece of the boundary is isoparametric: its quadratic map
-runs through that edge's node on the curve (Mesh.edge_nodes), which
+runs through that edge's node on the curve (Mesh.curved_edges), which
 restores the h^4 convergence of P2 eigenvalues that straight boundary
 edges cap at h^2 (Lenoir, SIAM J. Numer. Anal. 23 (1986) 562-580).
 Every other triangle is affine.  The order-2m operator is
@@ -169,22 +169,23 @@ def _mass_jacobi_min() -> float:
     An affine element's mass is |J| R, so it is >= c0 times its own
     diagonal.  A mapped element's mass is not a multiple of R, and its own
     value lies lower (0.3904 to 0.3920 on the smooth corpus at the default
-    h list); assemble takes the least of them all as OperatorPair.c0, so
+    h list); _p2_matrices takes the least of them all as OperatorPair.c0, so
     that summing over the elements gives M >= c0 diag(M).
     """
     return _jacobi_min(_reference_mass()[None])
 
 
 def _p2_matrices(mesh: Mesh):
-    """Element masses and stiffnesses (nt, 6, 6), each triangle's dofs, and
-    the dof count.  The triangles of mesh.curved_edges take _mapped_matrices;
-    every other one is affine."""
-    # the edges first: their table is kept with the mesh, and made after
-    # the element arrays it split the freed heap that the COO arrays reuse.
-    # A curved mesh has made it already, when built; on the square and the
-    # triangle at 0.08, 0.04, 0.02 it raised a verify run's peak RSS from
-    # 88 to 89-90 MB
+    """Element masses and stiffnesses (nt, 6, 6), each triangle's dofs, the
+    dof count and the c0 of OperatorPair.  The triangles of
+    mesh.curved_edges take _mapped_matrices; every other one is affine."""
+    # the mesh's records first: both are kept with the mesh, and made after
+    # the element arrays they split the freed heap that the COO arrays
+    # reuse.  At 0.08, 0.04, 0.02 that raised a verify run's peak RSS from
+    # 88 to 89-90 MB on the square and the triangle, and from 116 to 123-124
+    # MB on ellipse-1.5
     conn_e, n_edges = mesh._edges.conn, mesh._edges.count
+    curved = mesh.curved_edges
     _, dndl, w = _p2_reference()
     gradl, jac = _barycentric_gradients(mesh)
 
@@ -194,17 +195,19 @@ def _p2_matrices(mesh: Mesh):
     gram = np.einsum("tak,tbk,t->tab", gradl, gradl, jac)
     ref_stiff = np.einsum("q,qia,qjb->abij", w, dndl, dndl)
     ke = (gram.reshape(-1, 9) @ ref_stiff.reshape(9, 36)).reshape(-1, 6, 6)
-    if mesh.curved_edges is not None:
-        curved, me[curved], ke[curved] = _mapped_matrices(mesh)
+    c0 = _mass_jacobi_min()
+    if curved is not None:
+        mapped, me[mapped], ke[mapped] = _mapped_matrices(mesh, *curved)
+        c0 = min(c0, _jacobi_min(me[mapped]))
 
     nv = len(mesh.vertices)
     dofs = np.concatenate([mesh.triangles, nv + conn_e], axis=1)  # (nt, 6)
-    return me, ke, dofs, nv + n_edges
+    return me, ke, dofs, nv + n_edges, c0
 
 
-def _mapped_matrices(mesh: Mesh):
-    """The triangles of mesh.curved_edges, and their isoparametric P2 mass
-    and stiffness matrices.
+def _mapped_matrices(mesh: Mesh, edges, nodes):
+    """The triangles of the edges and nodes of Mesh.curved_edges, and their
+    isoparametric P2 mass and stiffness matrices.
 
     The map x(xi) = sum_j X_j N_j(xi) runs through the element's six
     nodes X_j: its vertices, the curve node of each curved edge and the
@@ -213,14 +216,14 @@ def _mapped_matrices(mesh: Mesh):
     stiffness sum_q w_q |J| (J^-T grad N_i) . (J^-T grad N_j).  Raises
     ValueError where |J| is not positive at a point of the rule.
     """
-    tri, edge = mesh.curved_edges.T
+    tri, edge = edges.T
     curved = np.unique(tri)
     corners = mesh.vertices[mesh.triangles[curved]]
-    nodes = np.concatenate([corners, 0.5 * (corners + corners[:, [1, 2, 0]])], axis=1)
-    nodes[np.searchsorted(curved, tri), 3 + edge] = mesh.edge_nodes
+    x = np.concatenate([corners, 0.5 * (corners + corners[:, [1, 2, 0]])], axis=1)
+    x[np.searchsorted(curved, tri), 3 + edge] = nodes
     n_vals, dndl, w = _p2_reference()
     dndxi = dndl[:, :, 1:] - dndl[:, :, :1]  # (nq, 6, 2): d/dxi, d/deta
-    jac = np.einsum("tjk,qjl->tqkl", nodes, dndxi)  # dx_k / dxi_l
+    jac = np.einsum("tjk,qjl->tqkl", x, dndxi)  # dx_k / dxi_l
     det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
     if np.any(det <= 0.0):
         raise ValueError("a curved element's map is degenerate or inverted")
@@ -246,10 +249,7 @@ def assemble(mesh: Mesh) -> OperatorPair:
     is formed there too.  An entry that comes out exactly 0 is dropped, as
     a sparse sum drops it, so a matrix with one gets its own pattern.
     """
-    me, ke, dofs, ndof = _p2_matrices(mesh)
-    c0 = _mass_jacobi_min()
-    if mesh.curved_edges is not None:
-        c0 = min(c0, _jacobi_min(me[np.unique(mesh.curved_edges[:, 0])]))
+    me, ke, dofs, ndof, c0 = _p2_matrices(mesh)
     both = np.empty(me.shape, dtype=complex)
     both.real, both.imag = me, ke
     del me, ke  # each del in assemble lowers its peak memory

@@ -184,7 +184,8 @@ class Domain:
 
     @property
     def is_smooth(self) -> bool:
-        return True
+        """Whether the boundary has a curved piece: False on a polygon."""
+        return not all(piece.straight for piece in self.pieces())
 
     def equal_area_radius(self) -> float:
         """Radius of the disk with the domain's area."""
@@ -406,10 +407,6 @@ class Polygon(Domain):
         if _self_intersects(arr):
             raise GeometryError("polygon boundary self-intersects")
         object.__setattr__(self, "vertices", verts)
-
-    @property
-    def is_smooth(self) -> bool:
-        return False
 
     @property
     def vertex_array(self):

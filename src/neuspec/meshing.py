@@ -7,10 +7,10 @@ domain, and relaxes interior vertices with a few passes of neighbor
 averaging (re-running Delaunay after each pass).  Deterministic for
 fixed inputs.  refine halves a mesh's h by splitting every triangle
 into four, with new boundary vertices on the exact boundary.  Every mesh
-they make carries its domain, and records the boundary edges on smooth
-curved pieces with their quadratic nodes on the curve, through which the
-FEM maps those triangles.  What the boundary is comes from one place, the
-mesh's edge table (Mesh._edges).
+they make carries its domain; the boundary edges on smooth curved pieces,
+with their quadratic nodes on the curve, through which the FEM maps those
+triangles, are worked out from it when first read.  What the boundary is
+comes from one place, the mesh's edge table (Mesh._edges).
 
 Containment is the domain's own test.  The curved shapes are convex, so
 the polyline bounds the convex hull of the mesh points and the region
@@ -41,6 +41,7 @@ SMOOTHING_PASSES = 3
 
 
 _Edges = namedtuple("_Edges", "conn count keys ids ends boundary")
+_CurvedEdges = namedtuple("_CurvedEdges", "edges nodes")
 
 
 class MeshQualityError(RuntimeError):
@@ -58,22 +59,13 @@ class Mesh:
         in [0, 1) of Domain.boundary_at at each boundary vertex, NaN at the
         others.  None on loaded meshes.
     domain : the Domain the mesh was built for, or None (loaded meshes)
-    curved_edges : (k, 2) int array or None; the boundary edges that lie
-        on a smooth curved piece of the domain (not straight, no corners),
-        each as (triangle, e) for the edge from the triangle's vertex e to
-        vertex e + 1 mod 3.  None when there are none (polygons, cornered
-        superellipses, loaded meshes).  Found from the domain and the edge
-        table when not given.
-    edge_nodes : (k, 2) float array or None; the P2 node of each curved
-        edge, on the curve at the mean of its end vertices' boundary
-        parameters, where refine puts the child vertex.  The FEM maps the
-        triangles of these edges isoparametrically through them.
 
-    The boundary is read from one edge table, Mesh._edges: its edges of a
-    single triangle, whose ends are the boundary vertices.  vertices and
-    triangles describe the polygonized domain.  A refined mesh keeps no
-    link to the mesh it was split from; the convergence study that refines
-    it (neuspec.fem) holds both.
+    These are all a mesh holds.  The rest is worked out from them when
+    first read, and kept: the edge table Mesh._edges, whose edges of a
+    single triangle are the boundary, and from it Mesh._boundary_nodes and
+    Mesh.curved_edges.  vertices and triangles describe the polygonized
+    domain.  A refined mesh keeps no link to the mesh it was split from;
+    the convergence study that refines it (neuspec.fem) holds both.
 
     Meshes are immutable and compare and hash by identity: their fields
     are arrays, which give no single truth value to compare by.
@@ -84,17 +76,11 @@ class Mesh:
     h: float
     boundary_params: np.ndarray | None = None
     domain: Domain | None = field(default=None, repr=False)
-    curved_edges: np.ndarray | None = field(default=None, repr=False)
-    edge_nodes: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.domain is not None and self.curved_edges is None:
-            curved = _curved_edges(self)
-            object.__setattr__(self, "curved_edges", curved[0])
-            object.__setattr__(self, "edge_nodes", curved[1])
-        for name in ("vertices", "triangles", "boundary_params", "curved_edges", "edge_nodes"):
-            if getattr(self, name) is not None:
-                getattr(self, name).setflags(write=False)
+        for arr in (self.vertices, self.triangles, self.boundary_params):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @cached_property
     def _edges(self) -> _Edges:
@@ -123,6 +109,41 @@ class Mesh:
         for arr in (conn, keys, rank, ends, boundary):
             arr.setflags(write=False)
         return _Edges(conn, len(keys), keys, rank, ends, boundary)
+
+    @cached_property
+    def _boundary_nodes(self):
+        """(s, points) of each boundary edge of Mesh._edges, in its order: the
+        parameter midway between its ends' and the domain's point there,
+        refine's child vertex and a curved edge's P2 node.  Read-only."""
+        table = self._edges
+        s = _midway(*self.boundary_params[table.ends[table.boundary]].T)
+        points = self.domain.boundary_at(s)[0]
+        for arr in (s, points):
+            arr.setflags(write=False)
+        return s, points
+
+    @cached_property
+    def curved_edges(self) -> _CurvedEdges | None:
+        """The boundary edges on a smooth curved piece of the domain (not
+        straight, no corners), in the order of Mesh._edges: edges, (k, 2)
+        ints (triangle, e) for the edge from the triangle's vertex e to
+        vertex e + 1 mod 3, and nodes, their P2 nodes from
+        Mesh._boundary_nodes, through which the FEM maps their triangles.
+        Read-only; None when there are none (polygons, cornered
+        superellipses, loaded meshes).  An edge lies in the piece holding
+        its midway parameter: every piece starts at a polyline vertex.
+        """
+        if self.domain is None or not maps_boundary(self.domain):
+            return None
+        smooth = np.array([_smooth_curve(piece) for piece in self.domain.pieces()])
+        table, (s, points) = self._edges, self._boundary_nodes
+        on_smooth = smooth[np.minimum((len(smooth) * s).astype(int), len(smooth) - 1)]
+        tri, edge = np.nonzero(table.boundary[table.conn])
+        order = np.argsort(table.conn[tri, edge])
+        record = _CurvedEdges(np.column_stack([tri, edge])[order[on_smooth]], points[on_smooth])
+        for arr in record:
+            arr.setflags(write=False)
+        return record
 
 
 def triangle_jacobians(verts: np.ndarray, tris: np.ndarray) -> np.ndarray:
@@ -261,30 +282,6 @@ def maps_boundary(d: Domain) -> bool:
     return any(map(_smooth_curve, d.pieces()))
 
 
-def _curved_edges(mesh: Mesh):
-    """Mesh.curved_edges and Mesh.edge_nodes from the mesh's domain and edge
-    table; (None, None) when there are none.
-
-    The boundary edges, in the order 3 t + e of (triangle, e), are the
-    entries of Mesh._edges.conn on its boundary.  Their parameters fall in
-    one piece of the domain, the one holding their midway value, since
-    every piece starts at a polyline vertex.
-    """
-    pieces = mesh.domain.pieces()
-    smooth = np.array([_smooth_curve(piece) for piece in pieces])
-    if not smooth.any():
-        return None, None
-    table = mesh._edges
-    tri, edge = np.nonzero(table.boundary[table.conn])
-    s = _midway(*mesh.boundary_params[table.ends[table.conn[tri, edge]]].T)
-    k = len(pieces)
-    on_smooth = smooth[np.minimum((k * s).astype(int), k - 1)]
-    if not on_smooth.any():
-        return None, None
-    return (np.column_stack([tri[on_smooth], edge[on_smooth]]),
-            mesh.domain.boundary_at(s[on_smooth])[0])
-
-
 def refine(mesh: Mesh) -> Mesh:
     """Red refinement of a mesh: every triangle splits into four, h halves.
 
@@ -295,9 +292,10 @@ def refine(mesh: Mesh) -> Mesh:
     children kept together the factor at h = 0.02 took 3 to 13 times as
     long for about the same fill.
     The midpoint of a boundary edge is put on the mesh's domain, at the
-    mean of its end vertices' boundary parameters modulo 1, so the mesh
-    must carry both (meshes from triangulate and refine do).  Raises
-    GeometryError for a mesh without them (a loaded one), and
+    mean of its end vertices' boundary parameters modulo 1 (its
+    Mesh._boundary_nodes), so the mesh must carry both (meshes from
+    triangulate and refine do).  Raises GeometryError for a mesh without
+    them (a loaded one), and
     MeshQualityError naming h when a child misses the quality bounds of
     triangulate (its area bound also keeps every Jacobian positive).
     """
@@ -310,8 +308,7 @@ def refine(mesh: Mesh) -> Mesh:
     conn, ends, on_boundary = mesh._edges.conn, mesh._edges.ends, mesh._edges.boundary
     mids = 0.5 * (mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]])
     params = np.full(len(ends), np.nan)
-    params[on_boundary] = _midway(*mesh.boundary_params[ends[on_boundary]].T)
-    mids[on_boundary] = mesh.domain.boundary_at(params[on_boundary])[0]
+    params[on_boundary], mids[on_boundary] = mesh._boundary_nodes
     params = np.concatenate([mesh.boundary_params, params])
 
     e01, e12, e20 = (nv + conn).T

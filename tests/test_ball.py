@@ -111,11 +111,6 @@ class TestSpectrum:
         assert first[0] == "2" and first[1] == "2"
         assert float(first[6]) == entries[0].value  # 17 digits round-trip
 
-    def test_stream_export(self, disk):
-        buf = io.StringIO()
-        bl.spectrum_to_csv(disk, bl.neumann_spectrum_ball(disk, 1), 1, stream=buf)
-        assert buf.getvalue().startswith("power,")
-
 
 class TestValidation:
     def test_ball_invariants(self):

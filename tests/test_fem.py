@@ -74,7 +74,7 @@ def edge_numbering_reference(mesh):
 def two_pass_reference(mesh):
     """M, A and the factor input A - _SHIFT M as each COO-to-CSR pass of its
     own and sparse sums build them; the shift goes to CSC last."""
-    me, ke, dofs, ndof = fem._p2_matrices(mesh)
+    me, ke, dofs, ndof, _ = fem._p2_matrices(mesh)
     k = dofs.shape[1]
     rows = np.repeat(dofs, k, axis=1).ravel()
     cols = np.tile(dofs, (1, k)).ravel()
@@ -307,11 +307,11 @@ class TestMappedElements:
         # mapped through its edge midpoints, every triangle is affine again
         tris, verts = square_mesh.triangles, square_mesh.vertices
         nt = len(tris)
-        mapped = Mesh(vertices=verts, triangles=tris, h=square_mesh.h,
-                      curved_edges=np.column_stack([np.repeat(np.arange(nt), 3),
-                                                    np.tile(np.arange(3), nt)]),
-                      edge_nodes=0.5 * (verts[tris] + verts[tris[:, [1, 2, 0]]]).reshape(-1, 2))
-        for got, want in zip(fem._p2_matrices(mapped)[:2], fem._p2_matrices(square_mesh)[:2]):
+        edges = np.column_stack([np.repeat(np.arange(nt), 3), np.tile(np.arange(3), nt)])
+        nodes = 0.5 * (verts[tris] + verts[tris[:, [1, 2, 0]]]).reshape(-1, 2)
+        mapped, me, ke = fem._mapped_matrices(square_mesh, edges, nodes)
+        assert np.array_equal(mapped, np.arange(nt))
+        for got, want in zip((me, ke), fem._p2_matrices(square_mesh)[:2]):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("k", [0, 1])
@@ -347,20 +347,18 @@ class TestMappedElements:
         assert op.c0 == fem._mass_jacobi_min()
         area = float(np.sum(0.5 * msh.triangle_jacobians(mesh.vertices, mesh.triangles)))
         assert float(op.M.sum()) == pytest.approx(area, rel=1e-13)
-        _, ke, _, _ = fem._p2_matrices(mesh)
+        ke = fem._p2_matrices(mesh)[1]
         affine = fem._p2_matrices(loaded)[1]
         straight = np.ones(len(mesh.triangles), dtype=bool)
-        straight[mesh.curved_edges[:, 0]] = False
+        straight[mesh.curved_edges.edges[:, 0]] = False
         assert np.array_equal(affine[straight], ke[straight])
         assert not np.allclose(affine[~straight], ke[~straight])
 
     def test_folded_map_is_refused(self):
         # the node of edge 01 pulled past the opposite vertex
-        tri = single_triangle_mesh()
-        folded = Mesh(vertices=tri.vertices, triangles=tri.triangles, h=1.0,
-                      curved_edges=np.array([[0, 0]]), edge_nodes=np.array([[0.5, 1.2]]))
         with pytest.raises(ValueError, match="curved element"):
-            fem.assemble(folded)
+            fem._mapped_matrices(single_triangle_mesh(), np.array([[0, 0]]),
+                                 np.array([[0.5, 1.2]]))
 
 
 class TestMassSolve:
@@ -733,10 +731,10 @@ class TestStudyMeshes:
         gradl, jac = fem._barycentric_gradients(mesh)
         gradn = np.einsum("qij,tjk->qtik", dndl, gradl)
         want = np.einsum("q,qtik,qtjk,t->tij", w, gradn, gradn, jac)
-        _, got, _, _ = fem._p2_matrices(mesh)
+        got = fem._p2_matrices(mesh)[1]
         # the triangles with a curved edge are mapped (TestMappedElements)
         affine = np.ones(len(mesh.triangles), dtype=bool)
-        affine[mesh.curved_edges[:, 0]] = False
+        affine[mesh.curved_edges.edges[:, 0]] = False
         assert 0 < np.sum(~affine) < np.sum(affine)
         assert np.abs(got - want)[affine].max() <= 1e-14 * np.abs(want).max()
 

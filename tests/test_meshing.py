@@ -216,12 +216,32 @@ class TestRefine:
     def test_curved_edge_children_sit_at_the_edge_nodes(self, name):
         # the child vertex refine puts on each curved edge is that edge's
         # P2 node, bit for bit, so the mapped parent element and its
-        # children share the curve there
-        mesh = msh.triangulate(corpus_domain(name), 0.16)
+        # children share the curve there, whether the curved edges were
+        # read before the refinement or not
+        d = corpus_domain(name)
+        for read_first in (True, False):
+            mesh = msh.triangulate(d, 0.16)
+            if read_first:
+                assert mesh.curved_edges is not None
+            fine = msh.refine(mesh)
+            tri, edge = mesh.curved_edges.edges.T
+            child = len(mesh.vertices) + mesh._edges.conn[tri, edge]
+            assert np.array_equal(fine.vertices[child], mesh.curved_edges.nodes), read_first
+
+    def test_curved_edges_are_made_when_read(self):
+        # triangulate and refine build no record of the curved edges; the
+        # first read makes it, read-only, and the mesh keeps it
+        mesh = msh.triangulate(corpus_domain("ellipse-1.5"), 0.16)
         fine = msh.refine(mesh)
-        tri, edge = mesh.curved_edges.T
-        child = len(mesh.vertices) + mesh._edges.conn[tri, edge]
-        assert np.array_equal(fine.vertices[child], mesh.edge_nodes)
+        assert "curved_edges" not in mesh.__dict__
+        assert "curved_edges" not in fine.__dict__
+        record = fine.curved_edges
+        assert fine.curved_edges is record
+        for arr in record:
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            record.nodes[0, 0] = 0.0
+        assert msh.triangulate(corpus_domain("square"), 0.2).curved_edges is None
 
     def test_loaded_curved_mesh_is_refused(self, tmp_path):
         d = corpus_domain("disk")

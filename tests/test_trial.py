@@ -382,6 +382,27 @@ class TestTrialQuotient:
         trial.trial_quotient(geo.parse_domain(spec))
         assert calls == [trial._FAN_NODES, trial._FAN_NODES // 2]
 
+    def test_failed_centering_falls_back_to_the_centroid(self, monkeypatch, fresh_quotients,
+                                                         tmp_path):
+        # the quotient is taken about the centroid, and its residuals say
+        # whether that is the center: on the triangle it is not, so the
+        # certificate is invalid and verify fails, with its report written
+        def unconverged(d):
+            raise trial.CenterConvergenceError("no center")
+
+        monkeypatch.setattr(trial, "find_center", unconverged)
+        cert = trial.certify_upper_bound(corpus_domain("triangle"), 1)
+        assert not cert.valid
+        assert cert.field_residual == pytest.approx(0.0503, abs=1e-4)
+        assert cert.center == pytest.approx((0.8, 0.36667), abs=1e-5)
+        # the ellipse's centroid is its center
+        assert trial.certify_upper_bound(corpus_domain("ellipse-1.5"), 1).valid
+        out = tmp_path / "report.json"
+        argv = ["verify", "--domain", "triangle", "--no-mps", "--h-list", "0.16,0.12,0.08",
+                "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert json.loads(out.read_text())["certificate"]["valid"] is False
+
     def test_invalid_power(self):
         with pytest.raises(ValueError):
             trial.certify_upper_bound(geo.Disk((0, 0), 1.0), 0)
