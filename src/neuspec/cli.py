@@ -279,14 +279,13 @@ def cmd_verify(args) -> int:
     if warning:
         print(f"verify warning during mps: {warning}", file=sys.stderr)
     if args.save_eigenfunction:
-        stage = "eigenfunction dump"
         try:
             # the memoized study of the report
             study = convergence_study(_resolve_domain(args.domain), report["config"]["h_list"])
             save_mesh(study.mesh, _resolve_out(args.save_eigenfunction),
                       vertex_values=study.vector[:len(study.mesh.vertices)])
         except Exception as exc:  # noqa: BLE001
-            print(f"verify failed during {stage}: {exc}", file=sys.stderr)
+            print(f"verify failed during eigenfunction dump: {exc}", file=sys.stderr)
             return 1
     text = _json_dump(report)
     out = _resolve_out(args.out)
@@ -345,10 +344,10 @@ def cmd_plot(args) -> int:
             except KeyError as exc:
                 raise ValueError(f"convergence JSON missing field {exc}") from None
         elif args.kind == "eigenfunction":
-            mesh, values = load_mesh(args.input)
+            vertices, triangles, values = load_mesh(args.input)
             if values is None:
                 raise ValueError("mesh file carries no per-vertex value column")
-            svg = eigenfunction_svg(mesh.vertices, mesh.triangles, values)
+            svg = eigenfunction_svg(vertices, triangles, values)
         else:  # pragma: no cover - argparse restricts choices
             raise ValueError(f"unknown plot kind {args.kind}")
     except Exception as exc:  # noqa: BLE001 - CLI boundary

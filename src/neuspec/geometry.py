@@ -15,7 +15,7 @@ Gauss panels on every piece.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -576,8 +576,7 @@ def boundary_polyline(d: Domain, h_b: float):
     pieces = d.pieces()
     samples = _dense_samples(d)
     perimeter = sum(x if piece.straight else x[0][-1] for piece, x in zip(pieces, samples))
-    curved = not all(piece.straight for piece in pieces)
-    if curved and h_b > perimeter / 8.0:
+    if d.is_smooth and h_b > perimeter / 8.0:
         raise GeometryError(
             f"boundary spacing {h_b:g} too large for perimeter {perimeter:g}"
         )
@@ -618,7 +617,7 @@ def boundary_polyline(d: Domain, h_b: float):
 # Construction and parsing
 # ---------------------------------------------------------------------------
 
-# each shape and the parameters its spec takes, in order
+# each shape and its spec's parameters: its dataclass fields in order, flattened
 _SHAPES = {
     "disk": (Disk, "cx,cy,R"),
     "ellipse": (Ellipse, "a,b"),
@@ -673,15 +672,12 @@ def _num(x) -> str:
 
 
 def domain_spec_string(d: Domain) -> str:
-    """Canonical spec string for a domain (inverse of :func:`parse_domain`)."""
-    if isinstance(d, Disk):
-        return f"disk:{_num(d.center[0])},{_num(d.center[1])},{_num(d.radius)}"
-    if isinstance(d, Ellipse):
-        return f"ellipse:{_num(d.a)},{_num(d.b)}"
-    if isinstance(d, Stadium):
-        return f"stadium:{_num(d.halflength)},{_num(d.radius)}"
-    if isinstance(d, Superellipse):
-        return f"superellipse:{_num(d.a)},{_num(d.b)},{_num(d.p)}"
+    """Canonical spec string for a domain (inverse of :func:`parse_domain`):
+    its _SHAPES kind and its dataclass fields in order, the disk's center
+    flattened."""
     if isinstance(d, Polygon):
         return "polygon:" + ";".join(f"{_num(x)},{_num(y)}" for x, y in d.vertices)
-    raise GeometryError(f"cannot serialize {type(d).__name__}")
+    kind = {shape: kind for kind, (shape, _) in _SHAPES.items()}.get(type(d))
+    if kind is None:
+        raise GeometryError(f"cannot serialize {type(d).__name__}")
+    return f"{kind}:" + ",".join(map(_num, np.hstack([getattr(d, f.name) for f in fields(d)])))

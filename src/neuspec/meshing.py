@@ -55,10 +55,10 @@ class Mesh:
     vertices : (nv, 2) float array
     triangles : (nt, 3) int array, counterclockwise
     h : target edge length the mesh was built for
-    boundary_params : (nv,) float array or None; the boundary parameter s
-        in [0, 1) of Domain.boundary_at at each boundary vertex, NaN at the
-        others.  None on loaded meshes.
-    domain : the Domain the mesh was built for, or None (loaded meshes)
+    boundary_params : (nv,) float array; the boundary parameter s in
+        [0, 1) of Domain.boundary_at at each boundary vertex, NaN at the
+        others
+    domain : the Domain the mesh was built for
 
     These are all a mesh holds.  The rest is worked out from them when
     first read, and kept: the edge table Mesh._edges, whose edges of a
@@ -74,13 +74,12 @@ class Mesh:
     vertices: np.ndarray
     triangles: np.ndarray
     h: float
-    boundary_params: np.ndarray | None = None
-    domain: Domain | None = field(default=None, repr=False)
+    boundary_params: np.ndarray
+    domain: Domain = field(repr=False)
 
     def __post_init__(self):
         for arr in (self.vertices, self.triangles, self.boundary_params):
-            if arr is not None:
-                arr.setflags(write=False)
+            arr.setflags(write=False)
 
     @cached_property
     def _edges(self) -> _Edges:
@@ -130,10 +129,10 @@ class Mesh:
         vertex e + 1 mod 3, and nodes, their P2 nodes from
         Mesh._boundary_nodes, through which the FEM maps their triangles.
         Read-only; None when there are none (polygons, cornered
-        superellipses, loaded meshes).  An edge lies in the piece holding
-        its midway parameter: every piece starts at a polyline vertex.
+        superellipses).  An edge lies in the piece holding its midway
+        parameter: every piece starts at a polyline vertex.
         """
-        if self.domain is None or not maps_boundary(self.domain):
+        if not maps_boundary(self.domain):
             return None
         smooth = np.array([_smooth_curve(piece) for piece in self.domain.pieces()])
         table, (s, points) = self._edges, self._boundary_nodes
@@ -293,15 +292,10 @@ def refine(mesh: Mesh) -> Mesh:
     long for about the same fill.
     The midpoint of a boundary edge is put on the mesh's domain, at the
     mean of its end vertices' boundary parameters modulo 1 (its
-    Mesh._boundary_nodes), so the mesh must carry both (meshes from
-    triangulate and refine do).  Raises GeometryError for a mesh without
-    them (a loaded one), and
-    MeshQualityError naming h when a child misses the quality bounds of
-    triangulate (its area bound also keeps every Jacobian positive).
+    Mesh._boundary_nodes).  Raises MeshQualityError naming h when a child
+    misses the quality bounds of triangulate (its area bound also keeps
+    every Jacobian positive).
     """
-    if mesh.domain is None or mesh.boundary_params is None:
-        raise GeometryError("refine needs the domain and boundary parameters of the mesh, "
-                            "which a loaded mesh does not carry")
     h = 0.5 * mesh.h
     nv = len(mesh.vertices)
     tris = mesh.triangles
@@ -357,32 +351,42 @@ def save_mesh(mesh: Mesh, path, vertex_values=None) -> None:
 
 
 def load_mesh(path):
-    """Read the `mesh v1` text format.
+    """Read the `mesh v1` text format as plot data.
 
-    Returns (mesh, vertex_values) where vertex_values is None unless the
-    file carries the optional per-vertex column.  The boundary flags are
-    not kept: the mesh's edge table gives its boundary.
+    Returns (vertices, triangles, vertex_values): (nv, 2) floats, (nt, 3)
+    ints, and the per-vertex column or None when the file carries none.
+    The flag column must parse but is not returned.  A mesh file is input
+    from outside the program: a malformed header or line, a coordinate or
+    value that is not finite, or a triangle index outside 0..nv-1 raises
+    ValueError naming the header or the line.
     """
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 4 or header[0] != "mesh" or header[1] != "v1":
+        if len(header) != 4 or header[:2] != ["mesh", "v1"] or not all(map(str.isdigit, header[2:])):
             raise ValueError(f"unrecognized mesh header: {' '.join(header)!r}")
         nv, nt = int(header[2]), int(header[3])
-        verts = np.empty((nv, 2))
-        values = None
+        table, width = np.empty((nv, 4)), None
         for i in range(nv):
             parts = fh.readline().split()
-            if len(parts) not in (3, 4):
-                raise ValueError(f"bad vertex line {i + 2}")
-            verts[i] = (float(parts[0]), float(parts[1]))
-            int(parts[2])  # the flag must parse, though the edge table gives it again
-            if len(parts) == 4:
-                if values is None:
-                    values = np.empty(nv)
-                values[i] = float(parts[3])
+            width = width or len(parts)
+            try:
+                int(parts[2])  # the flag must parse, though the plot does not read it
+                table[i, :len(parts)] = [float(v) for v in parts]
+                ok = len(parts) == width and np.isfinite(table[i, :width]).all()
+            except (IndexError, ValueError):
+                ok = False
+            if not ok:
+                raise ValueError(f"vertex line {i + 2}: want finite 'x y flag' or 'x y flag "
+                                 f"value', the same on every line, got {' '.join(parts)!r}")
         tris = np.empty((nt, 3), dtype=int)
         for i in range(nt):
-            tris[i] = [int(v) for v in fh.readline().split()]
-    edge = verts[tris[:, 1]] - verts[tris[:, 0]]
-    h = float(np.median(np.hypot(edge[:, 0], edge[:, 1])))
-    return Mesh(vertices=verts, triangles=tris, h=h), values
+            parts = fh.readline().split()
+            try:
+                tris[i] = [int(v) for v in parts]
+                ok = 0 <= tris[i].min() and tris[i].max() < nv
+            except ValueError:
+                ok = False
+            if not ok:
+                raise ValueError(f"triangle line {nv + i + 2}: want three vertex indices "
+                                 f"in 0..{nv - 1}, got {' '.join(parts)!r}")
+    return table[:, :2].copy(), tris, table[:, 3].copy() if width == 4 else None

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import sys
@@ -22,6 +23,16 @@ from neuspec import fem  # noqa: E402
 from neuspec.geometry import Polygon  # noqa: E402
 from neuspec.meshing import triangle_jacobians  # noqa: E402
 from neuspec.quadrature import cached_mesh, triangle_rule  # noqa: E402
+
+
+def benchmark_spans():
+    """benchmark/spans.py, the tracer's targets, loaded read-only as a
+    module of its own."""
+    path = os.path.join(os.path.dirname(_SRC), "benchmark", "spans.py")
+    spec = importlib.util.spec_from_file_location("benchmark_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
 
 
 def moved_polygon(poly, shift=(0.0, 0.0), angle=0.0, about=(0.0, 0.0)):

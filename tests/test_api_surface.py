@@ -5,12 +5,16 @@ somewhere under ``src/neuspec``, outside its own definition and outside
 ``__all__``; a mention in a docstring does not count.  The acceptance suite
 checks a few definitions of the paper directly, and only those are exempt.
 Likewise every public method or property of a class must be reached as
-``.name`` by code under ``src/neuspec``, outside its own definition.
+``.name`` by code under ``src/neuspec``, outside its own definition.  And
+every name a module imports must be loaded in that module or listed in its
+``__all__``, unless the benchmark's tracer wraps it there.
 """
 
 import ast
 from collections import Counter
 from pathlib import Path
+
+from conftest import benchmark_spans
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "neuspec"
 
@@ -77,3 +81,29 @@ def test_every_public_member_has_a_caller():
         and reached[member.name] <= _attributes(member)[member.name]
     ]
     assert not idle, f"public methods and properties that nothing in src/neuspec reaches: {idle}"
+
+
+def _unused_imports(tree):
+    """The names the module's imports bind that it never loads or exports."""
+    bound = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return bound - loaded - set(_exported(tree))
+
+
+def test_every_import_is_used():
+    # the tracer wraps re-imports that their module never calls, such as
+    # meshing.point_in_polygon
+    wrapped = {(module, attribute) for module, attribute, _ in benchmark_spans().TARGETS}
+    unused = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in sorted(_unused_imports(ast.parse(path.read_text())))
+        if (f"neuspec.{path.stem}", name) not in wrapped
+    ]
+    assert not unused, f"imported names that nothing in their module uses: {unused}"

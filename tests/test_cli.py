@@ -546,6 +546,22 @@ class TestPlotCommand:
         proc = run_cli(["plot", str(dump), "eigenfunction", "--out", str(tmp_path / "x.svg")])
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("vertex, triangle, named", [
+        ("0 0 1 0.3", "0 1 -1", "triangle line 5"),
+        ("0 0 1 0.3", "0 1 7", "triangle line 5"),
+        ("nan 0 1 0.3", "0 1 2", "vertex line 2"),
+    ], ids=["negative-index", "index-past-end", "nan-coordinate"])
+    def test_bad_mesh_file_fails(self, vertex, triangle, named, tmp_path):
+        # a mesh file is input from outside the program: unchecked, an index
+        # -1 wraps to the last vertex and a NaN reaches the SVG
+        dump = tmp_path / "bad.txt"
+        dump.write_text(f"mesh v1 3 1\n{vertex}\n1 0 1 0.5\n0 1 1 0.1\n{triangle}\n")
+        svg = tmp_path / "bad.svg"
+        proc = run_cli(["plot", str(dump), "eigenfunction", "--out", str(svg)])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("plot failed: ") and named in proc.stderr
+        assert not svg.exists()
+
 
 class TestSigmaScanCommand:
     @pytest.mark.parametrize("flags, named", [

@@ -62,6 +62,19 @@ class TestParsing:
             assert again == d
         for name, spec in CORPUS.items():
             assert geo.domain_spec_string(corpus_domain(name)) == spec
+        # the canonical form: the shape's fields in order, each the shortest
+        # round-trip float without a trailing '.0'
+        for spec, canonical in (
+            ("disk:3,-2,0.5", "disk:3,-2,0.5"),
+            ("disk:1e6,0,1", "disk:1000000,0,1"),
+            ("superellipse:1.3,0.8,2.5", "superellipse:1.3,0.8,2.5"),
+            ("stadium:0.01,1.0", "stadium:0.01,1"),
+            ("ellipse:1e-300,5e300", "ellipse:1e-300,5e+300"),
+            ("polygon:0,0;2,0;2,1;1,1;1,2;0,2", "polygon:0,0;2,0;2,1;1,1;1,2;0,2"),
+        ):
+            assert geo.domain_spec_string(geo.parse_domain(spec)) == canonical
+        with pytest.raises(geo.GeometryError, match="cannot serialize Domain"):
+            geo.domain_spec_string(geo.Domain())
 
     def test_polygon_from_file(self, tmp_path):
         path = tmp_path / "square.txt"

@@ -2,23 +2,13 @@
 refactor that moves or deletes one of them would break every traced run."""
 
 import importlib
-import importlib.util
 import time
-from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
-
-
-def _load_spans():
-    """benchmark/spans.py, loaded read-only as a module of its own."""
-    spec = importlib.util.spec_from_file_location("benchmark_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+from conftest import benchmark_spans
 
 
 def test_trace_targets_resolve():
-    spans = _load_spans()
+    spans = benchmark_spans()
     assert spans.TARGETS
     for module, attribute, _ in spans.TARGETS:
         target = getattr(importlib.import_module(module), attribute, None)
@@ -58,7 +48,7 @@ def test_traced_verify_fills_every_layer(monkeypatch, tmp_path):
     layer, so a refactor of the study's call paths cannot empty one."""
     from neuspec import cli, fem, quadrature, trial
 
-    spans = _load_spans()
+    spans = benchmark_spans()
     for module, attribute, _ in spans.TARGETS:
         # monkeypatch puts back every attribute the tracer replaces
         module = importlib.import_module(module)
