@@ -21,13 +21,13 @@ import numpy as np
 from . import __version__
 from .ball import (MAX_POWER, Ball, mu1_ball, neumann_spectrum_ball, spectrum_to_csv,
                    upsilon1_poly_ball)
-from .corpus import CORPUS, corpus_domain
+from .corpus import CORPUS
 from .fem import DEFAULT_H_LIST, MAPPED_H_LIST, convergence_study
 from .geometry import Domain, domain_spec_string, parse_domain
 from .meshing import load_mesh, save_mesh
 from .mps import mps_find, mps_scan
 from .plots import convergence_svg, eigenfunction_svg, sigma_curve_svg
-from .trial import certify_upper_bound
+from .trial import certify_upper_bound, failed_checks
 
 # largest MPS indicator accepted as an eigenvalue, and the angular
 # truncation of the MPS cross-check
@@ -38,22 +38,16 @@ MPS_TRUNC = 20
 MPS_FEM_BARS = 2.0
 
 
-def _out_dir() -> str:
-    return os.environ.get("NEUSPEC_OUTDIR", ".")
-
-
 def _resolve_out(path: str | None):
     if path is None:
         return None
     if os.path.isabs(path) or os.path.dirname(path):
         return path
-    return os.path.join(_out_dir(), path)
+    return os.path.join(os.environ.get("NEUSPEC_OUTDIR", "."), path)
 
 
 def _resolve_domain(spec: str) -> Domain:
-    if spec in CORPUS:
-        return corpus_domain(spec)
-    return parse_domain(spec)
+    return parse_domain(CORPUS.get(spec, spec))
 
 
 def _h_list(text: str) -> tuple:
@@ -268,6 +262,24 @@ def _mps_warning(report: dict) -> str | None:
     return None
 
 
+def _failed_conditions(report: dict) -> list:
+    """Why verify exits 1 with a report: one line per failed condition, by stage."""
+    conv, lines = report["convergence"], []
+    if conv["extrapolated"] is None:
+        h = ", ".join(f"{v:g}" for v in conv["h"][-3:])
+        lines.append("fem convergence study: " + (
+            f"observed order {conv['observed_order']} at h = {h} not above 0.5"
+            if conv["monotone"] else "values not monotone"))
+    if not report["certificate"]["valid"]:
+        why = failed_checks(parse_domain(report["domain"]))
+        lines.append("certificate: " + "; ".join(why))
+    if not report["inequality_holds"]:
+        low = report["upsilon1_fem"] - report["upsilon1_fem_error_bar"]
+        lines.append(f"inequality: upsilon1_fem - error_bar = {low!r} "
+                     f"above bound {report['bound']!r}")
+    return lines
+
+
 def cmd_verify(args) -> int:
     try:
         report = build_verification_report(args.domain, args.m, args.h_list,
@@ -299,12 +311,10 @@ def cmd_verify(args) -> int:
         )
     else:
         sys.stdout.write(text)
-    ok = (
-        report["inequality_holds"]
-        and report["certificate"]["valid"]
-        and report["convergence"]["monotone"]
-    )
-    return 0 if ok else 1
+    failed = _failed_conditions(report)
+    for line in failed:
+        print(f"verify check failed: {line}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------

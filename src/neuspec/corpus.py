@@ -17,9 +17,6 @@ CORPUS: dict[str, str] = {
     "triangle": "polygon:0,0;2,0;0.4,1.1",
 }
 
-SMOOTH = ("disk", "ellipse-1.2", "ellipse-1.5", "ellipse-2.0", "stadium")
-NONSMOOTH = ("square", "triangle")
-
 
 def corpus_domain(name: str) -> Domain:
     try:

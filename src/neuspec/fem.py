@@ -530,10 +530,10 @@ class ConvergenceStudy:
     """Estimates of the least nonzero pencil value mu over a mesh family,
     with Richardson extrapolation.
 
-    extrapolated is None when the value sequence is not monotone (the raw
-    values are still reported); error_bar = |extrapolated - finest| or the
-    last increment when extrapolation is withheld.  vector is the finest
-    mesh's M-normalized eigenvector, read-only, and mesh that mesh.
+    extrapolated is None unless the values are monotone and the finest
+    triple's observed order is above 0.5; error_bar = |extrapolated -
+    finest|, or the last increment when extrapolation is withheld.  vector is
+    the finest mesh's M-normalized eigenvector, read-only, and mesh that mesh.
     """
 
     h_list: tuple
@@ -579,9 +579,9 @@ def _triple_order(h, ratio):
 def convergence_study(d: Domain, h_list=None) -> ConvergenceStudy:
     """Solve the Laplacian over a descending mesh family and extrapolate.
 
-    Each consecutive triple of lowest-eigenvalue estimates gives a
-    convergence order for d ~ C h^p, their mean is the observed order, and
-    one Richardson step gives the extrapolated limit with error bar
+    The finest triple of lowest-eigenvalue estimates gives the observed
+    order p of d ~ C h^p; where the values are monotone and p > 0.5, one
+    Richardson step with p gives the extrapolated limit with error bar
     |extrapolated - finest|.  Memoized per (domain, h list): the value of
     Delta^(2m) on a mesh is mu^(2m), so one study serves every power m.
 
@@ -626,26 +626,14 @@ def _study(d: Domain, h_list: tuple) -> ConvergenceStudy:
     values, vector = tuple(values), vectors[:, 0]
     diffs = [values[i] - values[i + 1] for i in range(len(values) - 1)]
     monotone = all(d > 0 for d in diffs) or all(d < 0 for d in diffs)
-    observed = extrapolated = None
-    error_bar = abs(diffs[-1])
-    if monotone:
-        # one order per consecutive triple, from the increments alone, which
-        # avoids assuming the limit
-        orders = [_triple_order(h_list[i:i + 3], diffs[i] / diffs[i + 1])
-                  for i in range(len(values) - 2)]
-        orders = [p for p in orders if p is not None]
-        observed = float(np.mean(orders)) if orders else None
-        p = observed if observed and observed > 0.5 else 2.0
-        r = (h_list[-2] / h_list[-1]) ** p
+    # the finest triple's order, from its increments alone, which avoids
+    # assuming the limit; only the finest step is extrapolated
+    observed = _triple_order(h_list[-3:], diffs[-2] / diffs[-1]) if monotone else None
+    extrapolated, error_bar = None, abs(diffs[-1])
+    if observed is not None and observed > 0.5:
+        r = (h_list[-2] / h_list[-1]) ** observed
         extrapolated = values[-1] + (values[-1] - values[-2]) / (r - 1.0)
         error_bar = abs(extrapolated - values[-1])
-    return ConvergenceStudy(
-        h_list=h_list,
-        values=values,
-        observed_order=observed,
-        extrapolated=extrapolated,
-        error_bar=error_bar,
-        monotone=monotone,
-        vector=vector,
-        mesh=meshes[-1],
-    )
+    return ConvergenceStudy(h_list=h_list, values=values, observed_order=observed,
+                            extrapolated=extrapolated, error_bar=error_bar, monotone=monotone,
+                            vector=vector, mesh=meshes[-1])

@@ -172,13 +172,10 @@ def _hex_lattice(d: Domain, poly: np.ndarray, h: float) -> np.ndarray:
     row_h = h * math.sqrt(3.0) / 2.0
     nrows = int((hi[1] - lo[1]) / row_h) + 1
     ncols = int((hi[0] - lo[0]) / h) + 2
-    pts = []
-    for i in range(nrows + 1):
-        y = lo[1] + i * row_h
-        x0 = lo[0] + (0.5 * h if i % 2 else 0.0)
-        xs = x0 + h * np.arange(ncols)
-        pts.append(np.column_stack([xs, np.full_like(xs, y)]))
-    pts = np.vstack(pts)
+    rows = np.arange(nrows + 1)
+    # odd rows shifted by half a step
+    xs = (lo[0] + np.where(rows % 2, 0.5 * h, 0.0))[:, None] + h * np.arange(ncols)
+    pts = np.column_stack([xs.ravel(), np.repeat(lo[1] + rows * row_h, ncols)])
     pts = pts[d.contains(pts)]
     if len(pts) == 0:
         return pts.reshape(0, 2)
@@ -207,16 +204,13 @@ def _delaunay_inside(points: np.ndarray, d: Domain, n_boundary: int, h: float) -
 def _smooth_interior(points: np.ndarray, tris: np.ndarray, n_boundary: int) -> np.ndarray:
     """One neighbor-averaging pass over interior vertices."""
     nv = len(points)
-    acc = np.zeros((nv, 2))
-    cnt = np.zeros(nv)
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        np.add.at(acc, tris[:, a], points[tris[:, b]])
-        np.add.at(cnt, tris[:, a], 1.0)
-        np.add.at(acc, tris[:, b], points[tris[:, a]])
-        np.add.at(cnt, tris[:, b], 1.0)
+    # edges 01, 12, 20 both ways, so each vertex sums its neighbors in that order
+    dst = tris[:, [0, 1, 1, 2, 2, 0]].T.ravel()
+    src = tris[:, [1, 0, 2, 1, 0, 2]].T.ravel()
+    cnt = np.bincount(dst, minlength=nv)
+    acc = np.column_stack([np.bincount(dst, points[src, k], nv) for k in (0, 1)])
     out = points.copy()
-    interior = np.arange(nv) >= n_boundary
-    ok = interior & (cnt > 0)
+    ok = (np.arange(nv) >= n_boundary) & (cnt > 0)
     out[ok] = acc[ok] / cnt[ok, None]
     return out
 
@@ -358,7 +352,8 @@ def load_mesh(path):
     The flag column must parse but is not returned.  A mesh file is input
     from outside the program: a malformed header or line, a coordinate or
     value that is not finite, or a triangle index outside 0..nv-1 raises
-    ValueError naming the header or the line.
+    ValueError naming the header or the line, as does a file with nothing
+    to draw.
     """
     with open(path) as fh:
         header = fh.readline().split()
@@ -378,6 +373,9 @@ def load_mesh(path):
             if not ok:
                 raise ValueError(f"vertex line {i + 2}: want finite 'x y flag' or 'x y flag "
                                  f"value', the same on every line, got {' '.join(parts)!r}")
+        if not nv or not np.ptp(table[:, :2], axis=0).any():  # the plot scales by the span
+            raise ValueError("mesh file has nothing to draw: " + ("every vertex at one point"
+                                                                  if nv else "no vertices"))
         tris = np.empty((nt, 3), dtype=int)
         for i in range(nt):
             parts = fh.readline().split()

@@ -43,6 +43,7 @@ __all__ = [
     "find_center",
     "trial_quotient",
     "certify_upper_bound",
+    "failed_checks",
     "CenterConvergenceError",
 ]
 
@@ -268,26 +269,31 @@ class TrialCertificate:
         return {key: num(value) for key, value in asdict(self).items()}
 
 
+def failed_checks(d: Domain) -> list:
+    """The checks that d's certificate fails, the same at every m, as
+    'name value above cap': the centering residuals against their
+    tolerances, the error estimate against _QUAD_ERROR_CAP of Q, and Q
+    against mu1(B_R) within the larger of that cap and 3 error estimates."""
+    q, mu_ball = trial_quotient(d), _profile(d).mu1
+    checks = (("field residual", q.field_residual, FIELD_RESIDUAL_TOL),
+              ("mean residual", np.max(q.mean_residuals), MEAN_RESIDUAL_TOL),  # nan fails
+              ("quotient error", q.error, _QUAD_ERROR_CAP * q.value),
+              ("Q - mu1(B)", q.value - mu_ball, max(_QUAD_ERROR_CAP * mu_ball, 3.0 * q.error)))
+    return [f"{name} {value:.3e} above {cap:.3e}" for name, value, cap in checks
+            if not value <= cap]
+
+
 def certify_upper_bound(d: Domain, m: int) -> TrialCertificate:
     """The domain's quotient Q as a certificate for Delta^(2m): certified =
     (Q + error)^(2m).
 
-    Valid when the centering residuals are within tolerance, the error
-    estimate within _QUAD_ERROR_CAP of Q, and Q not above mu1(B_R) beyond
-    the larger of that cap and 3 error estimates; strict when also
-    certified < bound.
+    Valid when failed_checks(d) is empty; strict when also certified < bound.
     """
     bound = upsilon1_poly_ball(Ball(2, d.equal_area_radius()), m)
-    mu_ball = _profile(d).mu1
     q = trial_quotient(d)
     with np.errstate(over="ignore"):
         certified = float(np.float64(q.value + q.error) ** (2 * m))
-    valid = (
-        q.field_residual <= FIELD_RESIDUAL_TOL
-        and all(res <= MEAN_RESIDUAL_TOL for res in q.mean_residuals)
-        and q.error <= _QUAD_ERROR_CAP * q.value
-        and q.value - mu_ball <= max(_QUAD_ERROR_CAP * mu_ball, 3.0 * q.error)
-    )
+    valid = not failed_checks(d)
     return TrialCertificate(
         domain=domain_spec_string(d),
         m=m,

@@ -20,9 +20,14 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from neuspec import fem  # noqa: E402
+from neuspec.corpus import CORPUS, corpus_domain  # noqa: E402
 from neuspec.geometry import Polygon  # noqa: E402
 from neuspec.meshing import triangle_jacobians  # noqa: E402
 from neuspec.quadrature import cached_mesh, triangle_rule  # noqa: E402
+
+# the corpus names by whether the domain's boundary is smooth, in corpus order
+SMOOTH = tuple(name for name in CORPUS if corpus_domain(name).is_smooth)
+NONSMOOTH = tuple(name for name in CORPUS if not corpus_domain(name).is_smooth)
 
 
 def benchmark_spans():

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import moved_polygon, splitting_quotients
+from conftest import SMOOTH, moved_polygon, splitting_quotients
 
 from neuspec import fem
 from neuspec import geometry as geo
@@ -19,7 +19,7 @@ from neuspec import mps
 from neuspec import trial
 from neuspec.ball import Ball, mu1_ball, upsilon1_ball, upsilon1_poly_ball
 from neuspec.cli import _mps_warning, build_verification_report
-from neuspec.corpus import CORPUS, SMOOTH, corpus_domain
+from neuspec.corpus import CORPUS, corpus_domain
 from neuspec.quadrature import cached_mesh
 
 H_LIST = (0.08, 0.04, 0.02)

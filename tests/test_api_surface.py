@@ -7,7 +7,9 @@ checks a few definitions of the paper directly, and only those are exempt.
 Likewise every public method or property of a class must be reached as
 ``.name`` by code under ``src/neuspec``, outside its own definition.  And
 every name a module imports must be loaded in that module or listed in its
-``__all__``, unless the benchmark's tracer wraps it there.
+``__all__``, unless the benchmark's tracer wraps it there.  And every name
+a module assigns at its top level, other than ``__all__``, must be loaded
+by code somewhere under ``src/neuspec``.
 """
 
 import ast
@@ -107,3 +109,26 @@ def test_every_import_is_used():
         if (f"neuspec.{path.stem}", name) not in wrapped
     ]
     assert not unused, f"imported names that nothing in their module uses: {unused}"
+
+
+def _assigned(tree):
+    """The names the module's top-level statements assign, other than __all__."""
+    targets = [
+        target
+        for node in tree.body
+        for target in (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    ]
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)} - {"__all__"}
+
+
+def test_every_module_level_name_is_loaded():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    loaded = {name for module, tree in trees.items() for _, _, name in _uses(module, tree)}
+    idle = [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in sorted(_assigned(tree))
+        if name not in loaded
+    ]
+    assert not idle, f"module-level names that nothing in src/neuspec loads: {idle}"

@@ -237,7 +237,7 @@ class TestVerifyCommand:
         svg = tmp_path / "mode.svg"
         assert cli.main(["plot", str(mode), "eigenfunction", "--out", str(svg)]) == 0
 
-    def test_fem_value_above_bound_fails(self, monkeypatch, tmp_path):
+    def test_fem_value_above_bound_fails(self, monkeypatch, tmp_path, capsys):
         def above_bound(d, h_list):
             b = mu1_ball(Ball(2, 1.0))
             return fem.ConvergenceStudy(
@@ -255,6 +255,63 @@ class TestVerifyCommand:
         assert rep["inequality_holds"] is False
         assert rep["strict"] is False
         assert rep["certificate"]["valid"] is True
+        below = rep["upsilon1_fem"] - rep["upsilon1_fem_error_bar"]
+        assert capsys.readouterr().err == (
+            f"verify check failed: inequality: upsilon1_fem - error_bar = {below!r} "
+            f"above bound {rep['bound']!r}\n")
+
+    def test_non_monotone_study_fails_naming_it(self, monkeypatch, tmp_path, capsys):
+        def non_monotone(d, h_list):
+            b = mu1_ball(Ball(2, 1.0))
+            return fem.ConvergenceStudy(
+                h_list=tuple(h_list), values=(0.99 * b, 0.98 * b, 0.985 * b),
+                observed_order=None, extrapolated=None, error_bar=0.005 * b,
+                monotone=False, vector=None, mesh=None)
+
+        monkeypatch.setattr(cli, "convergence_study", non_monotone)
+        out = tmp_path / "report.json"
+        code = cli.main(["verify", "--domain", "disk", "--h-list", "0.16,0.12,0.08",
+                         "--no-mps", "--out", str(out)])
+        assert code == 1
+        assert json.loads(out.read_text())["inequality_holds"] is True
+        assert capsys.readouterr().err == (
+            "verify check failed: fem convergence study: values not monotone\n")
+
+    def test_invalid_certificate_fails_naming_the_check(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(trial, "_QUAD_ERROR_CAP", 0.0)
+        out = tmp_path / "report.json"
+        code = cli.main(["verify", "--domain", "disk", "--h-list", "0.16,0.12,0.08",
+                         "--no-mps", "--out", str(out)])
+        assert code == 1
+        rep = json.loads(out.read_text())
+        assert rep["certificate"]["valid"] is False and rep["inequality_holds"] is True
+        err = capsys.readouterr().err
+        assert err.startswith("verify check failed: certificate: quotient error ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("h_list, code", [("0.16,0.12,0.08", 1), ("0.08,0.04,0.02", 0)],
+                             ids=["pre-asymptotic", "asymptotic"])
+    def test_rotated_l_shape_extrapolates_only_in_range(self, h_list, code, tmp_path, capsys):
+        # the L-shape rotated by 45 degrees observes order -0.35 on the coarse
+        # list, where no Richardson step is taken, and 1.32 on the fine one
+        c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
+        corners = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+        spec = tmp_path / "l45.txt"
+        spec.write_text("".join(f"{c * x - s * y!r} {s * x + c * y!r}\n" for x, y in corners))
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", "--domain", f"polygon:@{spec}", "--h-list", h_list,
+                         "--no-mps", "--out", str(out)]) == code
+        conv = json.loads(out.read_text())["convergence"]
+        err = capsys.readouterr().err
+        if code:
+            assert conv["monotone"] is True and conv["extrapolated"] is None
+            assert conv["observed_order"] == pytest.approx(-0.3515, abs=1e-4)
+            assert err == ("verify check failed: fem convergence study: observed order "
+                           f"{conv['observed_order']!r} at h = 0.16, 0.12, 0.08 not above 0.5\n")
+        else:
+            assert conv["extrapolated"] is not None
+            assert conv["observed_order"] == pytest.approx(1.3155, abs=1e-4)
+            assert err == ""
 
     def test_report_is_strict_json(self, tmp_path):
         # at R = 1e-11 the m = 4 certificate reaches 1.7e180, still a double
@@ -268,7 +325,8 @@ class TestVerifyCommand:
         assert rep["certificate"]["certified"] == pytest.approx(1.744e180, rel=1e-3)
         assert rep["certificate"]["valid"] is True
         assert rep["certificate"]["strict"] is False
-        assert code == (0 if rep["inequality_holds"] and rep["convergence"]["monotone"] else 1)
+        passes = rep["inequality_holds"] and rep["convergence"]["extrapolated"] is not None
+        assert code == (0 if passes else 1)
         assert code == 0  # the FEM value lies below the bound, within its bar
 
     def test_tiny_disk_equality_case_exits_zero(self, tmp_path):
@@ -561,6 +619,29 @@ class TestPlotCommand:
         assert proc.returncode == 1
         assert proc.stderr.startswith("plot failed: ") and named in proc.stderr
         assert not svg.exists()
+
+    @pytest.mark.parametrize("text, named", [
+        ("mesh v1 3 1\n0 0 1 0.3\n0 0 1 0.5\n0 0 1 0.1\n0 1 2\n", "every vertex at one point"),
+        ("mesh v1 0 0\n", "no vertices"),
+    ], ids=["zero-span", "empty"])
+    def test_mesh_with_nothing_to_draw_fails(self, text, named, tmp_path):
+        # unchecked, a zero span divides by zero: numpy warns and nan reaches
+        # the SVG; an empty file was refused as carrying no value column
+        dump = tmp_path / "flat.txt"
+        dump.write_text(text)
+        svg = tmp_path / "flat.svg"
+        proc = run_cli(["plot", str(dump), "eigenfunction", "--out", str(svg)])
+        assert proc.returncode == 1
+        assert proc.stderr == f"plot failed: mesh file has nothing to draw: {named}\n"
+        assert not svg.exists()
+
+    def test_collinear_mesh_plots(self, tmp_path):
+        dump = tmp_path / "line.txt"
+        dump.write_text("mesh v1 3 1\n0 0 1 0.3\n1 1 1 0.5\n2 2 1 0.1\n0 1 2\n")
+        svg = tmp_path / "line.svg"
+        proc = run_cli(["plot", str(dump), "eigenfunction", "--out", str(svg)])
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert "nan" not in svg.read_text()
 
 
 class TestSigmaScanCommand:

@@ -679,6 +679,58 @@ class TestConvergence:
         assert abs(s0.extrapolated - s1.extrapolated) <= tol
 
 
+def study_of_values(monkeypatch, d, values):
+    """The study of d run afresh past its memo, with the pencil solve of
+    each mesh returning the set value: values maps h to mu_h."""
+    def set_value(mesh, count, coarse=None):
+        return np.array([values[mesh.h]]), np.zeros((len(mesh.vertices), 1)), None, None
+
+    monkeypatch.setattr(fem, "_pencil_solve", set_value)
+    return fem._study.__wrapped__(d, tuple(values))
+
+
+class TestRichardsonRule:
+    H_LIST = (0.4, 0.3, 0.2)
+
+    @pytest.mark.parametrize("order", [0.8, 1.7, 4.0])
+    def test_extrapolates_with_the_observed_order(self, square, order, monkeypatch):
+        study = study_of_values(monkeypatch, square, {h: 3.0 + h**order for h in self.H_LIST})
+        assert study.monotone
+        assert study.observed_order == pytest.approx(order, abs=1e-9)
+        assert study.extrapolated == pytest.approx(3.0, abs=1e-12)
+        assert study.error_bar == abs(study.extrapolated - study.values[-1])
+
+    @pytest.mark.parametrize("order", [0.3, -0.35])
+    def test_low_order_withholds_extrapolation(self, square, order, monkeypatch):
+        # a study outside the asymptotic range reports the finest value with
+        # the last increment as its bar, whatever its order
+        study = study_of_values(monkeypatch, square, {h: 3.0 + h**order for h in self.H_LIST})
+        assert study.monotone
+        assert study.observed_order == pytest.approx(order, abs=1e-9)
+        assert study.extrapolated is None
+        assert study.best == study.values[-1]
+        assert study.error_bar == abs(study.values[-1] - study.values[-2])
+
+    def test_non_monotone_withholds_extrapolation(self, square, monkeypatch):
+        study = study_of_values(monkeypatch, square, dict(zip(self.H_LIST, (3.0, 2.9, 2.95))))
+        assert not study.monotone
+        assert study.observed_order is None and study.extrapolated is None
+        assert study.error_bar == abs(2.95 - 2.9)
+
+    def test_order_comes_from_the_finest_triple(self, square, monkeypatch):
+        # the coarse triple alone would observe order 1, the finest order 2
+        h_list = (0.4, 0.3, 0.2, 0.15)
+        fine = [3.0 + h**2 for h in h_list[1:]]
+        coarse = fine[0] + (0.4 - 0.3) / (0.3 - 0.2) * (fine[0] - fine[1])
+        study = study_of_values(monkeypatch, square, dict(zip(h_list, [coarse, *fine])))
+        assert fem._triple_order(h_list[:3], (coarse - fine[0]) / (fine[0] - fine[1])) == (
+            pytest.approx(1.0, abs=1e-9))
+        diffs = np.diff(study.values)
+        assert study.observed_order == fem._triple_order(h_list[1:], diffs[-2] / diffs[-1])
+        assert study.observed_order == pytest.approx(2.0, abs=1e-9)
+        assert study.extrapolated == pytest.approx(3.0, abs=1e-12)
+
+
 class TestStudyMeshes:
     def test_halving_list_triangulates_once(self, monkeypatch):
         calls = []

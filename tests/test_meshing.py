@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from conftest import SMOOTH
 
 from neuspec import geometry as geo
 from neuspec import meshing as msh
-from neuspec.corpus import CORPUS, SMOOTH, corpus_domain
+from neuspec.corpus import CORPUS, corpus_domain
 
 
 def mesh_area(mesh):
@@ -301,7 +302,9 @@ class TestMeshIO:
         (["0 0 1 0.5", "nan 0 1 0.2", "0 1 1 0.1", "0 1 2"], "vertex line 3"),
         (["0 0 1 0.5", "1 0 1 inf", "0 1 1 0.1", "0 1 2"], "vertex line 3"),
         (["0 0 1", "1 0 1 0.2", "0 1 1 0.1", "0 1 2"], "vertex line 3"),
-    ], ids=["negative-index", "index-past-end", "nan-coordinate", "inf-value", "mixed-columns"])
+        (["0 0 1 0.5", "0 0 1 0.2", "0 0 1 0.1", "0 1 2"], "every vertex at one point"),
+    ], ids=["negative-index", "index-past-end", "nan-coordinate", "inf-value", "mixed-columns",
+            "zero-span"])
     def test_bad_lines_are_named(self, lines, named, tmp_path):
         # a mesh file is input from outside the program: an index -1 would
         # wrap to the last vertex, and a NaN would reach the plot

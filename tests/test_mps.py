@@ -10,11 +10,12 @@ import pytest
 import scipy.linalg
 import scipy.special
 from scipy.special import jv
+from conftest import NONSMOOTH, SMOOTH
 
 from neuspec import geometry as geo
 from neuspec import mps
 from neuspec.ball import Ball, neumann_spectrum_ball
-from neuspec.corpus import NONSMOOTH, SMOOTH, corpus_domain
+from neuspec.corpus import corpus_domain
 from neuspec.special import first_radial_deriv_zero
 
 
