@@ -126,31 +126,48 @@ def _miller_start(top: int, x: float) -> int:
 
 
 def bessel_orders(x, top: int) -> npt.NDArray:
-    """J_k(x) for k = 0..top: one row per x.
+    """J_k(x) for k = 0..top: one row per x, on the last axis.
 
-    Miller's algorithm (Gautschi, SIAM Rev. 9 (1967) 24-82): the backward
-    recurrence J_(k-1) = (2k/x) J_k - J_(k+1), started from zero above the
-    top order (`_miller_start`), followed by one normalization.  It runs
-    on the ratios r_k = J_k / J_(k-1) = x / (2k - x r_(k+1)), which need
-    no rescaling: they stay finite for every x >= 0 however far the
-    values underflow.  The values are the products of the ratios times
-    scipy's j0 or j1, whichever is larger in magnitude at x, so that no
-    row is normalized at a zero of J_0.  The cost is about max(top, x)
-    vector steps over all x at once.
+    x is a set of points, or a grid of them with one set per row (the
+    collocation points at each frequency of a batch).  Miller's algorithm
+    (Gautschi, SIAM Rev. 9 (1967) 24-82): the backward recurrence
+    J_(k-1) = (2k/x) J_k - J_(k+1), started from zero above the top order
+    (`_miller_start` at the row's largest x), followed by one
+    normalization.  It runs on the ratios r_k = J_k / J_(k-1) =
+    x / (2k - x r_(k+1)), which need no rescaling: they stay finite for
+    every x >= 0 however far the values underflow.  The values are the
+    products of the ratios times scipy's j0 or j1, whichever is larger in
+    magnitude at x, so that no value is normalized at a zero of J_0.
+
+    Every row of a grid keeps its own start, so it comes out bit for bit
+    as the table of that row alone.  The cost is about max(top, x) vector
+    steps over all rows at once, with x the largest argument of the grid.
     """
-    xa = _check_argument(x).ravel()
-    start = _miller_start(top, float(xa.max(initial=0.0)))
+    xa = _check_argument(x)
+    rows = xa.reshape(-1, xa.shape[-1]) if xa.ndim >= 2 else xa.reshape(1, -1)
+    shape = rows.shape if xa.ndim >= 2 else (rows.size,)
+    xs = rows.ravel()
+    starts = [_miller_start(top, float(row.max(initial=0.0))) for row in rows]
+    start = max(starts)
+    # the points of the rows that start lower, by start: q = inf there
+    # too, as at the start of a row alone
+    later = {s: np.repeat(np.equal(starts, s), rows.shape[1]) for s in set(starts) if s < start}
+    # one buffer for the ratios and the values: values[k] = q[k - 1] is
+    # replaced by r_k = 1 / q[k - 1] once the recurrence is done
+    values = np.empty((start + 2, xs.size))
+    q = values[1:]
     # at x = 0, q = inf gives r = 0, and at a zero of J_0, r_1 = inf is
     # never used
     with np.errstate(divide="ignore", invalid="ignore"):
         # q[k - 1] = 1 / r_k = (2k - x r_(k+1)) / x, from r_(start + 1) = 0
-        q = np.empty((start + 1, xa.size))
         q[start] = np.inf
-        r = np.empty(xa.size)
+        r = np.empty(xs.size)
         for k in range(start, 0, -1):
-            np.divide(xa, q[k], out=r)
+            if k in later:
+                q[k, later[k]] = np.inf
+            np.divide(xs, q[k], out=r)
             np.subtract(2.0 * k, r, out=r)
-            np.divide(r, xa, out=q[k - 1])
+            np.divide(r, xs, out=q[k - 1])
         # Where J_(k-1) vanishes to rounding (x at one of its zeros),
         # q[k - 1] = 0, r_k = inf and r_(k-1) = 1 / (2(k-1)/x - inf) = 0,
         # whose product is NaN; the orders below recover.  As in Lentz's
@@ -158,21 +175,21 @@ def bessel_orders(x, top: int) -> npt.NDArray:
         # product near its value, -1.
         zero = q[1:top] == 0.0
         if zero.any():
-            ks, rows = np.nonzero(zero)
-            q[ks + 1, rows] = 1e-30
-            q[ks, rows] = 2.0 * (ks + 1) / xa[rows] - 1e30
-        out = np.empty((top + 1, xa.size))
-        np.divide(1.0, q[:top], out=out[1:])
-        # each row is normalized at whichever of J_0 and J_1 is larger
+            ks, cols = np.nonzero(zero)
+            q[ks + 1, cols] = 1e-30
+            q[ks, cols] = 2.0 * (ks + 1) / xs[cols] - 1e30
+        # each value is normalized at whichever of J_0 and J_1 is larger
         # there; with J_1 the products start at order 2, and J_0 = J_1 q[0]
-        f0, f1 = _j0(xa), _j1(xa)
+        f0, f1 = _j0(xs), _j1(xs)
         swap = np.abs(f1) > np.abs(f0)
         scale = np.where(swap, f1, f0)
-        out[0] = np.where(swap, f1 * q[0], f0)
+        values[0] = np.where(swap, f1 * q[0], f0)
+        out = values[:top + 1]
+        np.divide(1.0, out[1:], out=out[1:])
         np.copyto(out[1], 1.0, where=swap)
     np.cumprod(out[1:], axis=0, out=out[1:])
     out[1:] *= scale
-    return out.T
+    return out.T.reshape(*shape, top + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from neuspec import geometry as geo
 from neuspec import mps
 from neuspec.ball import Ball, neumann_spectrum_ball
 from neuspec.corpus import corpus_domain
-from neuspec.special import first_radial_deriv_zero
+from neuspec.special import _miller_start, first_radial_deriv_zero
 
 
 @pytest.fixture(scope="module")
@@ -31,33 +31,41 @@ def disk_omega():
 
 class TestSigma:
     def test_dip_at_eigenfrequency(self, disk, disk_omega):
-        basis = mps.MpsBasis(disk_omega, 15)
-        assert mps.mps_sigma(disk, basis) < 1e-8
+        assert mps.mps_sigma(disk, 15, [disk_omega])[0] < 1e-8
 
     def test_large_away_from_spectrum(self, disk):
-        basis = mps.MpsBasis(1.5, 15)
-        assert mps.mps_sigma(disk, basis) > 1e-2
+        assert mps.mps_sigma(disk, 15, [1.5])[0] > 1e-2
 
     def test_sigma_in_unit_interval(self, disk):
-        for w in (0.7, 1.5, 2.9):
-            s = mps.mps_sigma(disk, mps.MpsBasis(w, 10))
-            assert 0.0 <= s <= 1.0
+        sigmas = mps.mps_sigma(disk, 10, [0.7, 1.5, 2.9])
+        assert sigmas.shape == (3,)
+        assert np.all((0.0 <= sigmas) & (sigmas <= 1.0))
 
     def test_translation_invariance(self, disk_omega):
         base = geo.Disk((0, 0), 1.0)
         moved = geo.Disk((5.0, -2.0), 1.0)
-        for w in (1.5, disk_omega):
-            s0 = mps.mps_sigma(base, mps.MpsBasis(w, 12))
-            s1 = mps.mps_sigma(moved, mps.MpsBasis(w, 12))
-            assert abs(s0 - s1) < 1e-10
+        s0 = mps.mps_sigma(base, 12, [1.5, disk_omega])
+        s1 = mps.mps_sigma(moved, 12, [1.5, disk_omega])
+        assert np.all(np.abs(s0 - s1) < 1e-10)
 
-    def test_basis_validation(self, disk):
+    def test_basis_validation(self, disk, monkeypatch):
         with pytest.raises(ValueError, match="problem must be one of"):
             mps.mps_find(disk, "dirichlet", (1.5, 2.0), 10)
-        with pytest.raises(ValueError):
-            mps.MpsBasis(-1.0, 10)
-        with pytest.raises(ValueError):
-            mps.MpsBasis(1.0, 61)
+
+        # the whole batch is checked before any collocation geometry
+        def no_geometry(*args):
+            raise AssertionError("collocation geometry built for a bad batch")
+
+        monkeypatch.setattr(mps, "_collocation_geometry", no_geometry)
+        for omegas in ([1.0, -1.0], [1.0, math.inf], [math.nan, 1.0]):
+            with pytest.raises(ValueError, match="trial frequency must be positive and finite"):
+                mps.mps_sigma(disk, 10, omegas)
+        for n in (0, 61):
+            with pytest.raises(ValueError, match="angular truncation must be in 1..60"):
+                mps.mps_sigma(disk, n, [1.0])
+        with pytest.raises(ValueError, match="1-D"):
+            mps.mps_sigma(disk, 10, [[1.0, 2.0]])
+        assert mps.mps_sigma(disk, 10, []).shape == (0,)
 
 
 class TestFind:
@@ -109,9 +117,12 @@ class TestFind:
 def _reference_find(d, problem, interval, N):
     """mps_find as first written: sigma at all 101 grid points, then the
     same refinement at every grid point lower than both neighbours."""
-    omegas = mps._check_scan(d, interval, mps._SCAN_INTERVALS)
-    f = mps._sigma_at(d, N)
-    sigmas = [f(w) for w in omegas]
+    omegas = mps._check_scan(d, interval, N, mps._SCAN_INTERVALS)
+    sigmas = [float(mps.mps_sigma(d, N, [w])[0]) for w in omegas]
+
+    def f(w):
+        return float(mps.mps_sigma(d, N, [w])[0])
+
     out = []
     tol = mps._REFINE_TOL * (omegas[-1] - omegas[0])
     power = mps._PROBLEMS[problem]
@@ -137,20 +148,28 @@ class TestCoarseScan:
         lo, hi = window
         grid = list(np.linspace(lo, hi, mps._SCAN_INTERVALS + 1))
         evaluated = []
+        # the grid indices of each call, while mps_find runs
+        self.calls = []
 
-        def sigma_at(d, N):
-            def f(w):
+        def sigma(d, N, omegas):
+            self.calls.append([grid.index(w) for w in omegas if w in grid])
+            out = []
+            for w in omegas:
                 if w in grid:
                     # exactly the index, so that symmetric curves tie
                     evaluated.append(grid.index(w))
-                    return curve(evaluated[-1])
-                return curve((w - lo) / (hi - lo) * mps._SCAN_INTERVALS)
-            return f
+                    out.append(curve(evaluated[-1]))
+                else:
+                    out.append(curve((w - lo) / (hi - lo) * mps._SCAN_INTERVALS))
+            return np.array(out)
 
-        monkeypatch.setattr(mps, "_sigma_at", sigma_at)
+        monkeypatch.setattr(mps, "mps_sigma", sigma)
         found = mps.mps_find(self.DISK, "laplace_neumann", window, 10)
+        # the refinement's steps are off the grid
+        calls = [c for c in self.calls if c]
         scan = list(evaluated)
         want = _reference_find(self.DISK, "laplace_neumann", window, 10)
+        self.calls = calls
         assert found == want
         cells = [(e.omega - lo) / (hi - lo) * mps._SCAN_INTERVALS for e in found]
         return cells, scan
@@ -181,6 +200,8 @@ class TestCoarseScan:
         cells, scan = self._find(monkeypatch, curve)
         assert cells == pytest.approx([47.7, 52.0], abs=1e-6)
         assert 53 in scan and not {54, 55} & set(scan)
+        # one call per pass: the coarse points, the fill-in, one walk step
+        assert self.calls == [list(range(0, 101, 4)), [45, 46, 47, 49, 50, 51], [53]]
 
     def test_coarse_tie_counts_as_a_minimum(self, monkeypatch):
         # a V midway between the coarse points 40 and 44, whose sigmas tie
@@ -202,23 +223,22 @@ class TestCoarseScan:
 
 @pytest.fixture(scope="class")
 def shared_sigma():
-    """mps._sigma_at with sigma remembered per (domain, N, omega), so the
-    reference and the scan evaluate each omega once between them."""
+    """mps.mps_sigma with sigma remembered per (domain, N, omega), so the
+    reference and the scan evaluate each omega once between them; sigma at
+    omega does not depend on its batch, so a batch of the omegas not yet
+    seen gives the same values."""
     memo = {}
-    sigma_at = mps._sigma_at
+    sigma = mps.mps_sigma
 
-    def memo_sigma_at(d, N):
-        f = sigma_at(d, N)
+    def memo_sigma(d, N, omegas):
         seen = memo.setdefault((d, N), {})
-
-        def g(w):
-            if w not in seen:
-                seen[w] = f(w)
-            return seen[w]
-        return g
+        omegas = [float(w) for w in omegas]
+        todo = [w for w in dict.fromkeys(omegas) if w not in seen]
+        seen.update(zip(todo, sigma(d, N, todo).tolist()))
+        return np.array([seen[w] for w in omegas])
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(mps, "_sigma_at", memo_sigma_at)
+        m.setattr(mps, "mps_sigma", memo_sigma)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # rank warnings
             yield
@@ -365,6 +385,41 @@ class TestVerifyCrossCheck:
         assert 1e-12 * ups_fem < abs(ups_mps - ups_fem) <= report["upsilon1_fem_error_bar"]
 
 
+class TestBatch:
+    """sigma at omega is bit for bit the same in any batch."""
+
+    # the mps-sweep benchmark's domains and truncations; its two problems
+    # share each window, so its 16 calls scan these 8 coarse grids
+    @pytest.mark.parametrize("n", [20, 30])
+    @pytest.mark.parametrize("name", ["disk", "ellipse-1.2", "ellipse-1.5", "ellipse-2.0"])
+    def test_sweep_coarse_grid_matches_one_at_a_time(self, name, n):
+        d = corpus_domain(name)
+        w = first_radial_deriv_zero(2) / d.equal_area_radius()
+        grid = np.linspace(0.5 * w, 1.05 * w, mps._SCAN_INTERVALS + 1)[::mps._COARSE_STRIDE]
+        assert grid.size > mps._BATCH
+        alone = [mps.mps_sigma(d, n, [omega])[0] for omega in grid]
+        assert np.array_equal(mps.mps_sigma(d, n, grid), alone)
+
+    @pytest.mark.parametrize("name", ["disk", "stadium"])
+    def test_mixed_starts_and_dropped_columns(self, name):
+        # omega = 0.01 and 40 at N = 60 start the Bessel recurrence at
+        # different orders, and only the first drops columns
+        d = corpus_domain(name)
+        omegas = [0.01, 40.0, 0.01]
+        rb_distinct, _, ri = mps._collocation_geometry(d, 60)[:3]
+        x_max = max(rb_distinct.max(), ri.max())
+        assert len({_miller_start(61, w * x_max) for w in omegas}) == 2
+        dropped = [np.count_nonzero(np.linalg.norm(np.concatenate(_blocks_at(d, 60, w)), axis=0)
+                                    <= 1e-280) for w in omegas]
+        assert dropped[0] > 0 == dropped[1]
+        alone = [mps.mps_sigma(d, 60, [w])[0] for w in omegas]
+        assert np.array_equal(mps.mps_sigma(d, 60, omegas), alone)
+        batch = mps._collocation_blocks(d, 60, np.array(omegas))
+        for i, w in enumerate(omegas):
+            for b, a in zip(batch, _blocks_at(d, 60, w)):
+                assert np.array_equal(b[i], a)
+
+
 class TestCurve:
     def test_csv_format(self, disk):
         curve = mps.mps_scan(disk, (1.5, 2.5), 10, n_grid=8)
@@ -385,6 +440,36 @@ class TestCurve:
         monkeypatch.setattr(mps, "mps_sigma", no_sigma)
         with pytest.raises(ValueError, match="n_grid"):
             mps.mps_scan(disk, (1.5, 2.5), 10, n_grid=n_grid)
+
+
+class TestScanChecks:
+    """A scan's interval and truncation are checked before any sigma and
+    before any collocation geometry."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def no_sigma(*args):
+            raise AssertionError("mps_sigma called on a bad scan")
+
+        def no_geometry(*args):
+            raise AssertionError("collocation geometry built for a bad scan")
+
+        monkeypatch.setattr(mps, "mps_sigma", no_sigma)
+        monkeypatch.setattr(mps, "_collocation_geometry", no_geometry)
+
+    @pytest.mark.parametrize("interval", [(1.0, math.inf), (math.nan, 2.0), (2.0, 1.0), (0.0, 1.0)])
+    def test_interval_must_be_positive_finite_and_increasing(self, disk, interval):
+        with pytest.raises(ValueError, match="interval must be positive, finite and increasing"):
+            mps.mps_scan(disk, interval, 10)
+        with pytest.raises(ValueError, match="interval must be positive, finite and increasing"):
+            mps.mps_find(disk, "laplace_neumann", interval, 10)
+
+    @pytest.mark.parametrize("n", [0, 61])
+    def test_truncation_in_range(self, disk, n):
+        with pytest.raises(ValueError, match="angular truncation must be in 1..60"):
+            mps.mps_scan(disk, (1.5, 2.5), n)
+        with pytest.raises(ValueError, match="angular truncation must be in 1..60"):
+            mps.mps_find(disk, "laplace_neumann", (1.5, 2.5), n)
 
 
 class TestNonSmooth:
@@ -425,12 +510,11 @@ def _first_quadrant(blocks):
     return tuple(b[:len(b) // 4] for b in blocks)
 
 
-def _reference_blocks(d, basis):
-    """The collocation blocks on the whole mirror orbit of the
+def _reference_blocks(d, n, omega):
+    """The collocation blocks at one omega on the whole mirror orbit of the
     first-quadrant points, as first written: three jv calls per block for
     values and derivatives, and the points, normals and polar frame
     rebuilt from the mirrored coordinates on every call."""
-    n, omega = basis.N, basis.omega
     center = d.centroid()
     nb = 4 * n + 8
     t = (np.arange(nb) + 0.5) / nb
@@ -475,12 +559,23 @@ def _reference_blocks(d, basis):
     return boundary, np.concatenate([ji * cosi, (ji * sini)[:, 1:]], axis=1)
 
 
-def _reference_sigma(d, basis):
+def _blocks_at(d, n, omega):
+    """The program's first-quadrant blocks at one omega, a batch of one."""
+    return tuple(b[0] for b in mps._collocation_blocks(d, n, np.array([omega])))
+
+
+def _batch_of_one(blocks):
+    """A stand-in for mps._collocation_blocks that returns the given
+    blocks at one omega as a batch of one."""
+    return lambda d, n, omegas: tuple(b[None] for b in blocks)
+
+
+def _reference_sigma(d, n, omega):
     """sigma in one stage on the whole mirror orbit, from the program's
     own first-quadrant blocks: the Q factor of the whole column-scaled
     collocation matrix in the full basis, formed explicitly, and the SVD
     of its boundary rows."""
-    boundary, interior = _orbit(mps._collocation_blocks(d, basis), basis.N)
+    boundary, interior = _orbit(_blocks_at(d, n, omega), n)
     a = np.concatenate([boundary, interior], axis=0)
     scale = np.linalg.norm(a, axis=0)
     good = scale > 1e-280
@@ -512,10 +607,12 @@ class TestCollocation:
     @pytest.mark.parametrize("name", ["disk", "ellipse-2.0", "stadium"])
     def test_matches_reference_exactly(self, name, n):
         d = corpus_domain(name)
-        for omega in (0.5, 2.3, 9.7, 40.0):
-            basis = mps.MpsBasis(omega, n)
-            got = mps._collocation_blocks(d, basis)
-            want = _reference_blocks(d, basis)
+        omegas = (0.5, 2.3, 9.7, 40.0)
+        # one batch: row block i of each table is that of omegas[i]
+        batch = mps._collocation_blocks(d, n, np.array(omegas))
+        for i, omega in enumerate(omegas):
+            got = tuple(b[i] for b in batch)
+            want = _reference_blocks(d, n, omega)
             assert len(got) == len(want)
             for g, w in zip(got, _first_quadrant(want)):
                 assert g.shape == w.shape
@@ -532,7 +629,7 @@ class TestCollocation:
         # sigma from the recurrence is 1.4e-11 (relative) from the sigma
         # of the mpmath columns and sigma from scipy's columns 1.1e-9
         d = corpus_domain("ellipse-2.0")
-        basis = mps.MpsBasis(0.5 * first_radial_deriv_zero(2) / d.equal_area_radius(), 60)
+        omega = 0.5 * first_radial_deriv_zero(2) / d.equal_area_radius()
 
         # each order is asked for three times, as values and in derivatives
         @functools.cache
@@ -545,15 +642,15 @@ class TestCollocation:
             return np.array([mpmath_j(a, b) for a, b in zip(v.ravel().tolist(), x.ravel().tolist())]
                             ).reshape(v.shape)
 
-        got = mps.mps_sigma(d, basis)
+        got = mps.mps_sigma(d, 60, [omega])[0]
         sigmas = {}
         for source in ("scipy", "mpmath"):
             with monkeypatch.context() as m:
                 if source == "mpmath":
                     m.setattr(sys.modules[__name__], "jv", mpmath_jv)
-                blocks = _first_quadrant(_reference_blocks(d, basis))
-                m.setattr(mps, "_collocation_blocks", lambda d, b: blocks)
-                sigmas[source] = mps.mps_sigma(d, basis)
+                blocks = _first_quadrant(_reference_blocks(d, 60, omega))
+                m.setattr(mps, "_collocation_blocks", _batch_of_one(blocks))
+                sigmas[source] = mps.mps_sigma(d, 60, [omega])[0]
         assert abs(got - sigmas["mpmath"]) <= abs(sigmas["scipy"] - sigmas["mpmath"])
 
     def test_sigma_at_large_argument(self, monkeypatch):
@@ -561,15 +658,14 @@ class TestCollocation:
         # 1300 steps, through the oscillatory range, and still agrees with
         # scipy to 5.5e-14 of a column's largest entry
         d = corpus_domain("ellipse-1.5")
-        basis = mps.MpsBasis(1000.0, 20)
-        got = mps._collocation_blocks(d, basis)
-        want = _first_quadrant(_reference_blocks(d, basis))
+        got = _blocks_at(d, 20, 1000.0)
+        want = _first_quadrant(_reference_blocks(d, 20, 1000.0))
         for g, w in zip(got, want):
             assert np.all(np.abs(g - w) <= 1e-13 * np.max(np.abs(w), axis=0))
         with monkeypatch.context() as m:
-            sigma = mps.mps_sigma(d, basis)
-            m.setattr(mps, "_collocation_blocks", lambda d, b: want)
-            reference = mps.mps_sigma(d, basis)
+            sigma = mps.mps_sigma(d, 20, [1000.0])[0]
+            m.setattr(mps, "_collocation_blocks", _batch_of_one(want))
+            reference = mps.mps_sigma(d, 20, [1000.0])[0]
         assert math.isfinite(sigma)
         assert abs(sigma - reference) <= 1e-14
 
@@ -580,9 +676,9 @@ class TestCollocation:
         window = np.array([0.5, 1.05]) * first_radial_deriv_zero(2) / d.equal_area_radius()
         for n in _REDUCTION_N.get(name, (1, 5, 20, 30, 60)):
             minima = [e.omega for e in mps.mps_find(d, "laplace_neumann", window, n)]
-            for omega in [*np.linspace(*window, 25), *minima]:
-                basis = mps.MpsBasis(float(omega), n)
-                got, want = mps.mps_sigma(d, basis), _reference_sigma(d, basis)
+            omegas = [*np.linspace(*window, 25), *minima]
+            for omega, got in zip(omegas, mps.mps_sigma(d, n, omegas)):
+                want = _reference_sigma(d, n, float(omega))
                 assert abs(got - want) <= 1e-12 * want + 1e-15, (n, omega)
 
     # at these low frequencies the high orders underflow: 28 of the 121
@@ -590,10 +686,9 @@ class TestCollocation:
     @pytest.mark.parametrize("name, omega, n", [("disk", 0.01, 60), ("stadium", 1e-3, 40)])
     def test_sigma_with_dropped_columns(self, name, omega, n):
         d = corpus_domain(name)
-        basis = mps.MpsBasis(omega, n)
-        a = np.concatenate(_reference_blocks(d, basis), axis=0)
+        a = np.concatenate(_reference_blocks(d, n, omega), axis=0)
         assert np.any(np.linalg.norm(a, axis=0) <= 1e-280)
-        got, want = mps.mps_sigma(d, basis), _reference_sigma(d, basis)
+        got, want = mps.mps_sigma(d, n, [omega])[0], _reference_sigma(d, n, omega)
         assert abs(got - want) <= 1e-12 * want + 1e-15
 
     def test_rank_deficient_collocation_warns(self, disk, monkeypatch):
@@ -601,13 +696,12 @@ class TestCollocation:
         # copied into another's would break the mirror symmetry instead.
         # sigma of a singular trial space hangs on rounding, so only its
         # range is checked
-        boundary, interior = mps._collocation_blocks(disk, mps.MpsBasis(1.5, 8))
-        boundary, interior = boundary.copy(), interior.copy()
+        boundary, interior = _blocks_at(disk, 8, 1.5)
         boundary[:, 4] = boundary[:, 2]
         interior[:, 4] = interior[:, 2]
-        monkeypatch.setattr(mps, "_collocation_blocks", lambda d, b: (boundary, interior))
+        monkeypatch.setattr(mps, "_collocation_blocks", _batch_of_one((boundary, interior)))
         with pytest.warns(RuntimeWarning, match="nearly rank deficient"):
-            sigma = mps.mps_sigma(disk, mps.MpsBasis(1.5, 8))
+            sigma = mps.mps_sigma(disk, 8, [1.5])[0]
         assert 0.0 <= sigma <= 1.0
 
     def test_top_block_of_q_is_identity_minus_t(self):
@@ -622,23 +716,23 @@ class TestCollocation:
         assert np.max(np.abs(np.eye(k) - t - q[:k])) <= 1e-14
 
     def test_boundary_bessel_once_per_distinct_radius(self, disk, monkeypatch):
-        n, omega = 20, 1.9
+        n, omegas = 20, np.array([1.9, 2.7])
         rb_distinct, rb_index, ri = mps._collocation_geometry(disk, n)[:3]
         # the disk's 22 first-quadrant points have 1 distinct radius
         assert rb_distinct.size < rb_index.size == n + 2
         calls = []
 
         def spy(x, top, real=mps.bessel_orders):
-            calls.append((np.ravel(x), top))
+            calls.append((np.array(x), top))
             return real(x, top)
 
         monkeypatch.setattr(mps, "bessel_orders", spy)
-        mps._collocation_blocks(disk, mps.MpsBasis(omega, n))
-        # one table per call, over each distinct boundary radius once and
-        # then the interior points
+        mps._collocation_blocks(disk, n, omegas)
+        # one table per batch, with one row per omega over each distinct
+        # boundary radius once and then the interior points
         assert len(calls) == 1
         x, top = calls[0]
-        assert np.array_equal(x, np.concatenate([omega * rb_distinct, omega * ri]))
+        assert np.array_equal(x, [np.concatenate([w * rb_distinct, w * ri]) for w in omegas])
         assert top == n + 1
 
     def test_cached_geometry_is_read_only(self):
@@ -673,6 +767,6 @@ class TestSymmetry:
 
     @pytest.mark.parametrize("w", [0.9, 2.5, 3.7])
     def test_sigma_is_scale_free(self, w):
-        sigmas = [mps.mps_sigma(geo.Disk((0, 0), r), mps.MpsBasis(w / r, 20))
+        sigmas = [mps.mps_sigma(geo.Disk((0, 0), r), 20, [w / r])[0]
                   for r in (2.0**-30, 1.0, 2.0**30)]
         assert all(abs(s - sigmas[1]) <= 1e-12 * sigmas[1] for s in sigmas)

@@ -157,6 +157,22 @@ class TestBesselOrders:
         assert got[:4, 0] == pytest.approx(1.0, rel=1e-15)
         assert got[:4, 1] == pytest.approx(xs[:4] / 2, rel=1e-15)
 
+    @pytest.mark.parametrize("top", [31, 61])
+    def test_grid_rows_match_single_rows(self, top):
+        # one row per frequency of a batch, each with its own start: x = 0,
+        # the first zeros of J_0 and J_1, and x = 40.843368141365765, whose
+        # table at top = 31 changes in 30 entries when the recurrence
+        # starts from the grid's largest start instead of its own
+        grid = np.array([[0.0, 2.404825557695773, 1e-3, 1.0],
+                         [3.8317059702075125, 40.843368141365765, 0.0, 7.0],
+                         [200.0, 0.0, 1.0, 5.0]])
+        assert len({sp._miller_start(top, float(row.max())) for row in grid}) == 3
+        got = sp.bessel_orders(grid, top)
+        assert got.shape == (3, 4, top + 1)
+        for row, table in zip(grid, got):
+            assert np.array_equal(table, sp.bessel_orders(row, top))
+        assert np.array_equal(sp.bessel_orders(grid[:1], top)[0], sp.bessel_orders(grid[0], top))
+
     def test_zero_argument_and_orders(self):
         assert sp.bessel_orders(0.0, 3).tolist() == [[1.0, 0.0, 0.0, 0.0]]
         with pytest.raises(ValueError):

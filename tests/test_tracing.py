@@ -16,8 +16,9 @@ def test_trace_targets_resolve():
 
 
 def test_sigma_evals_count_every_omega(monkeypatch):
-    """`mps.sigma_evals` counts calls of the module global mps_sigma; each
-    omega must still go through it once, so the count tracks real work."""
+    """`mps.sigma_evals` counts calls of the module global mps_sigma, one per
+    batch of omegas; each omega must still go through it once, so the
+    lengths of the batches track real work, and each scan pass is one call."""
     from scipy.special import jnp_zeros
 
     from neuspec import mps
@@ -26,21 +27,23 @@ def test_sigma_evals_count_every_omega(monkeypatch):
     calls = []
     sigma = mps.mps_sigma
 
-    def counted(*args):
-        calls.append(args)
-        return sigma(*args)
+    def counted(d, N, omegas):
+        calls.append(len(omegas))
+        return sigma(d, N, omegas)
 
     monkeypatch.setattr(mps, "mps_sigma", counted)
     disk = Disk((0.0, 0.0), 1.0)
     mps.mps_scan(disk, (1.5, 2.5), 10, n_grid=100)
-    assert len(calls) == 101
+    assert calls == [101]
     calls.clear()
     # the mps-sweep window on the disk: 26 coarse grid values (every 4th of
-    # 101), 3 filled in next to the lower end, 6 round the coarse minimum at
-    # grid index 92, and 7 parabolic steps at the one minimum
+    # 101) in one call, 3 filled in next to the lower end and 6 round the
+    # coarse minimum at grid index 92 in another, no walk down from them,
+    # and 7 parabolic steps of one omega each at the one minimum
     j11 = float(jnp_zeros(1, 1)[0])
     mps.mps_find(disk, "polyharm_neumann", (0.5 * j11, 1.05 * j11), 20)
-    assert len(calls) == 42
+    assert sum(calls) == 42
+    assert calls == [26, 9] + [1] * 7
 
 
 def test_traced_verify_fills_every_layer(monkeypatch, tmp_path):
