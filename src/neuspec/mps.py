@@ -60,12 +60,12 @@ _PROBLEMS = {"laplace_neumann": 2, "polyharm_neumann": 4}
 _SCAN_INTERVALS = 100
 _INTERIOR_SEED = 777
 # the most frequencies mps_sigma builds one Bessel table and one set of
-# collocation blocks for.  The table's backward recurrence costs about
-# the same Python steps for one frequency as for many, so bigger batches
-# are cheaper per frequency; but every table of a batch is alive at once,
-# and on the mps-sweep benchmark batches of 10 and 13 raised the peak RSS
-# by 0.2 and 0.4 MB where 8 left it as it was.
-_BATCH = 8
+# collocation blocks for.  The table's backward recurrence takes as many
+# Python steps for one frequency as for many, so bigger batches cost less
+# per frequency; but a batch's tables are alive at once.  On the
+# mps-sweep benchmark, whose coarse passes have 26 frequencies, batches of
+# 7 raised the median peak RSS by about 0.1 MB and batches of 13 by 0.65 MB.
+_BATCH = 7
 
 
 @dataclass(frozen=True)
@@ -189,19 +189,28 @@ def _collocation_blocks(d: Domain, n: int, omegas: np.ndarray):
     cos_rows, sin_rows = boundary[..., :n + 1], boundary[..., n + 1:]
     np.multiply(fp, nr_cos, out=cos_rows)
     np.multiply(fp[..., 1:], nr_sin, out=sin_rows)
+    # fp and f are spent once read, so their storage takes the products
     sin_rows += np.multiply(f[..., 1:], nt_jcos, out=fp[..., 1:])
     cos_rows -= np.multiply(f, nt_jsin, out=f)
     return boundary, interior
 
 
+@functools.lru_cache(maxsize=None)
 def _parity_classes(n: int):
     """The columns of the four D2 parity classes, in the layout of
     _collocation_blocks (column j holds cos j theta, column n + j sin j
     theta): cos with j even, cos with j odd, sin with j odd, sin with j
     even (j >= 2).  The mirrors (x, y) -> (x, -y) and (x, y) -> (-x, y)
-    about the centroid multiply each class by its own pair of signs."""
+    about the centroid multiply each class by its own pair of signs.
+
+    Returns every column class by class, and the place in that order of
+    each class's last column; mps_sigma asks for them at each call, and
+    the arrays are shared, so read-only."""
     j = np.arange(n + 1)
-    return j[0::2], j[1::2], n + j[1::2], n + j[2::2]
+    classes = (j[0::2], j[1::2], n + j[1::2], n + j[2::2])
+    order, last = np.concatenate(classes), np.cumsum([cols.size for cols in classes]) - 1
+    order.flags.writeable = last.flags.writeable = False
+    return order, last
 
 
 def mps_sigma(d: Domain, N: int, omegas) -> np.ndarray:
@@ -209,11 +218,12 @@ def mps_sigma(d: Domain, N: int, omegas) -> np.ndarray:
     at each frequency of omegas, the least of the four parity classes'
     values.
 
-    The frequencies are evaluated as one batch: the Bessel table and the
-    collocation blocks of up to _BATCH of them are built at once, and each
-    then gets its own column scaling and its own LAPACK stage.  Every
-    step is taken per frequency, so sigma at omega does not depend on the
-    batch it comes in: a batch of one is bit for bit an entry of any batch.
+    The frequencies are evaluated in batches of at most _BATCH: the Bessel
+    table and the collocation blocks of a batch are built at once, and
+    each frequency then gets its own column scaling, its own dropped
+    columns and its own LAPACK stage.  Every step is taken per frequency,
+    so sigma at omega does not depend on the batch it comes in: a batch of
+    one is bit for bit an entry of any batch.
 
     Values near zero certify an eigenfrequency; the indicator lies in
     [0, 1] by construction and has no units.  It is the indicator of the
@@ -245,23 +255,24 @@ def mps_sigma(d: Domain, N: int, omegas) -> np.ndarray:
     if not np.all((omegas > 0) & np.isfinite(omegas)):
         raise ValueError("trial frequency must be positive and finite")
     _check_truncation(N)
-    parity = _parity_classes(N)
-    # every column class by class, and the place in it after each class
-    order = np.concatenate(parity)
-    ends = np.cumsum([cols.size for cols in parity])
+    order, last = _parity_classes(N)
     out = np.empty(omegas.size)
     for first in range(0, omegas.size, _BATCH):
         batch = omegas[first:first + _BATCH]
         boundary, interior = _collocation_blocks(d, N, batch)
         scales = np.sqrt(np.sum(boundary * boundary, axis=1) + np.sum(interior * interior, axis=1))
-        kept = (scales > 1e-280)[:, order]
-        stops = np.cumsum(kept, axis=1)[:, ends - 1].tolist()
+        scales = scales[:, order]
+        # one scaled copy of each block with the columns class by class;
+        # an omega's kept columns, transposed, are the column-major matrix
+        # LAPACK takes, with each class a contiguous column slice
+        a_b = _scaled_columns(boundary, order, scales)
+        del boundary
+        a_i = _scaled_columns(interior, order, scales)
+        del interior
+        kept = scales > 1e-280
+        stops = np.cumsum(kept, axis=1)[:, last].tolist()
         for i, omega in enumerate(batch.tolist()):
-            # one scaled copy of each block with every class's kept columns
-            # side by side, so that a class is a contiguous column slice
-            cols = order[kept[i]]
-            a_b = _scaled_columns(boundary[i], cols, scales[i])
-            a_i = _scaled_columns(interior[i], cols, scales[i])
+            b_i, i_i = a_b[i, kept[i]].T, a_i[i, kept[i]].T
             sigma = math.inf
             for start, stop in zip([0, *stops[i]], stops[i]):
                 k = stop - start
@@ -271,13 +282,13 @@ def mps_sigma(d: Domain, N: int, omegas) -> np.ndarray:
                 # that dgeqrf leaves below the diagonal may stay there; A_B has
                 # more rows (N + 1 or N + 2) than a class has columns (at most
                 # N/2 + 1), so T is its top k rows
-                tri = lapack.dgeqrf(a_b[:, start:stop], overwrite_a=1)[0][:k]
+                tri = lapack.dgeqrf(b_i[:, start:stop], overwrite_a=1)[0][:k]
                 # one block (nb = k), so that T_f is k-by-k and I - T_f is Q's
                 # top block
-                r, _, t, _ = lapack.dtpqrt(0, k, tri, a_i[:, start:stop], overwrite_a=1, overwrite_b=1)
+                r, _, t, _ = lapack.dtpqrt(0, k, tri, i_i[:, start:stop], overwrite_a=1, overwrite_b=1)
                 # [T; A_I] has the R factor of A
-                diag = np.abs(r.diagonal())
-                if diag.min() < 1e-14 * diag.max():
+                diag = np.abs(r.diagonal()).tolist()
+                if min(diag) < 1e-14 * max(diag):
                     warnings.warn(
                         f"collocation matrix nearly rank deficient at omega={omega:g}",
                         RuntimeWarning,
@@ -293,9 +304,14 @@ def mps_sigma(d: Domain, N: int, omegas) -> np.ndarray:
     return out
 
 
-def _scaled_columns(a: np.ndarray, cols: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """a[:, cols] / scale[cols] in the column-major order LAPACK takes."""
-    return (a.T[cols] / scale[cols, None]).T
+def _scaled_columns(a: np.ndarray, cols: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """a[w][:, cols] / scales[w] for each omega w, with the columns on the
+    middle axis.  A column of zero scale comes out NaN or infinite; mps_sigma
+    drops it unread."""
+    out = a.transpose(0, 2, 1)[:, cols]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out /= scales[:, :, None]
+    return out
 
 
 def _check_truncation(N: int) -> None:

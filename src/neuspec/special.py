@@ -144,8 +144,8 @@ def bessel_orders(x, top: int) -> npt.NDArray:
     steps over all rows at once, with x the largest argument of the grid.
     """
     xa = _check_argument(x)
-    rows = xa.reshape(-1, xa.shape[-1]) if xa.ndim >= 2 else xa.reshape(1, -1)
-    shape = rows.shape if xa.ndim >= 2 else (rows.size,)
+    rows = xa if xa.ndim == 2 else xa.reshape(1, -1)
+    shape = rows.shape if xa.ndim == 2 else (rows.size,)
     xs = rows.ravel()
     starts = [_miller_start(top, float(row.max(initial=0.0))) for row in rows]
     start = max(starts)

@@ -400,6 +400,8 @@ class TestBatch:
         alone = [mps.mps_sigma(d, n, [omega])[0] for omega in grid]
         assert np.array_equal(mps.mps_sigma(d, n, grid), alone)
 
+    # a dropped column is never read, and says nothing on stderr
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("name", ["disk", "stadium"])
     def test_mixed_starts_and_dropped_columns(self, name):
         # omega = 0.01 and 40 at N = 60 start the Bessel recurrence at
