@@ -195,7 +195,8 @@ def _collocation_blocks(d: Domain, n: int, omegas: np.ndarray):
     return boundary, interior
 
 
-@functools.lru_cache(maxsize=None)
+# one entry per truncation, 1..60
+@functools.lru_cache(maxsize=60)
 def _parity_classes(n: int):
     """The columns of the four D2 parity classes, in the layout of
     _collocation_blocks (column j holds cos j theta, column n + j sin j

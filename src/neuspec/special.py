@@ -13,11 +13,11 @@ J_{j+(n-2)/2}(r)] for harmonic degree j.
 
 Single Bessel values are delegated to scipy.special.  Tables of J_k over
 consecutive orders k = 0..top, which the particular solutions need at
-every collocation point, come from Miller's backward recurrence
-normalized by scipy's order-0 or order-1 value (`bessel_orders`); J is
-the only family they need, since they solve the Laplacian alone (see
-`neuspec.mps`).  Zero isolation and the profile algebra are implemented
-here.
+every collocation point of every frequency in a batch, come from one
+run of Miller's backward recurrence normalized by scipy's order-0 or
+order-1 value (`bessel_orders`); J is the only family they need, since
+they solve the Laplacian alone (see `neuspec.mps`).  Zero isolation and
+the profile algebra are implemented here.
 """
 
 from __future__ import annotations

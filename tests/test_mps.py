@@ -118,11 +118,11 @@ def _reference_find(d, problem, interval, N):
     """mps_find as first written: sigma at all 101 grid points, then the
     same refinement at every grid point lower than both neighbours."""
     omegas = mps._check_scan(d, interval, N, mps._SCAN_INTERVALS)
-    sigmas = [float(mps.mps_sigma(d, N, [w])[0]) for w in omegas]
 
     def f(w):
         return float(mps.mps_sigma(d, N, [w])[0])
 
+    sigmas = [f(w) for w in omegas]
     out = []
     tol = mps._REFINE_TOL * (omegas[-1] - omegas[0])
     power = mps._PROBLEMS[problem]
