@@ -148,7 +148,7 @@ def bessel_orders(x, top: int) -> npt.NDArray:
     shape = rows.shape if xa.ndim == 2 else (rows.size,)
     xs = rows.ravel()
     starts = [_miller_start(top, float(row.max(initial=0.0))) for row in rows]
-    start = max(starts)
+    start = max(starts, default=top)
     # the points of the rows that start lower, by start: q = inf there
     # too, as at the start of a row alone
     later = {s: np.repeat(np.equal(starts, s), rows.shape[1]) for s in set(starts) if s < start}

@@ -172,6 +172,7 @@ class TestBesselOrders:
         for row, table in zip(grid, got):
             assert np.array_equal(table, sp.bessel_orders(row, top))
         assert np.array_equal(sp.bessel_orders(grid[:1], top)[0], sp.bessel_orders(grid[0], top))
+        assert sp.bessel_orders(grid[:0], top).shape == (0, 4, top + 1)
 
     def test_zero_argument_and_orders(self):
         assert sp.bessel_orders(0.0, 3).tolist() == [[1.0, 0.0, 0.0, 0.0]]
