@@ -334,11 +334,15 @@ def cmd_plot(args) -> int:
                     if not line.strip():
                         continue
                     try:
-                        w, s = line.split(",")
-                        omegas.append(float(w))
-                        sigmas.append(float(s))
+                        w, s = map(float, line.split(","))
+                        if not (math.isfinite(w) and math.isfinite(s)):
+                            raise ValueError
                     except ValueError:
                         raise ValueError(f"line {ln}: bad sigma-curve row {line!r}") from None
+                    omegas.append(w)
+                    sigmas.append(s)
+            if len(set(omegas)) < 2:
+                raise ValueError("sigma curve has nothing to draw")
             svg = sigma_curve_svg(omegas, sigmas)
         elif args.kind == "convergence":
             with open(args.input) as fh:

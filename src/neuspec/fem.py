@@ -17,14 +17,14 @@ mu_k^q (README); acceptance criterion 8 guards the discrete squaring,
 and the particular-solutions cross-check (`neuspec.mps`) checks mu
 itself.
 
-M, A and A + M share one sparsity pattern, built in one pass.  A
-convergence study solves the pencil alone, once per domain and h list,
-and so serves every q; with no list given it picks verify's default.  It
-builds its meshes first: the lattice mesh at each h, except along a run
-of halving steps, where each mesh is the red refinement of the one
-before.  Then it walks them coarse to fine: each is solved by
-shift-invert Lanczos (ARPACK mode 3, through scipy's eigsh) at
-sigma = -1 on a sparse LU factor of A + M, except the finest mesh of a
+M, A and A + s M, s = OperatorPair.shift, share one sparsity pattern,
+built in one pass.  A convergence study solves the pencil alone, once per
+domain and h list, and so serves every q; with no list given it picks
+verify's default.  It builds its meshes first: the lattice mesh at each
+h, except along a run of halving steps, where each mesh is the red
+refinement of the one before.  Then it walks them coarse to fine: each is
+solved by shift-invert Lanczos (ARPACK mode 3, through scipy's eigsh) at
+sigma = -s on a sparse LU factor of A + s M, except the finest mesh of a
 halving run, which nothing finer refines.  That one is solved by LOBPCG,
 started from its parent's vectors and preconditioned by a two-grid cycle
 whose coarse level is the parent's LU factor; at most one factor is alive
@@ -67,7 +67,6 @@ __all__ = [
 DEFAULT_H_LIST = (0.08, 0.04, 0.02)
 MAPPED_H_LIST = (0.16, 0.08, 0.04)
 RESIDUAL_TOL = 1e-9
-_SHIFT = -1.0
 _SEED = 20240
 
 
@@ -77,15 +76,16 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class OperatorPair:
-    """Assembled P2 mass and stiffness operators of one mesh, with the
-    positive definite shift A - _SHIFT M that the eigensolvers factor and
-    smooth with, and the c0 of _residual_bounds: the least diagonally
-    scaled eigenvalue of the element masses, _mass_jacobi_min() or a
-    mapped element's lower one."""
+    """Assembled P2 mass and stiffness operators of one mesh, the positive
+    definite A + shift M that the eigensolvers factor and smooth with, shift
+    the power of two with shift R^2 in (1/4, 1] (R the domain's equal-area
+    radius), and the c0 of _residual_bounds: the least diagonally scaled
+    eigenvalue of the element masses, _mass_jacobi_min() or a mapped one's."""
 
     M: sp.csr_matrix
     A: sp.csr_matrix
     shifted: sp.csc_matrix
+    shift: float
     dimension: int
     c0: float
 
@@ -245,11 +245,12 @@ def assemble(mesh: Mesh) -> OperatorPair:
     column indices alone, so each sums its duplicates in the order a real
     pass of its own would.  Both are then symmetrized exactly on that one
     pattern, as 0.5 (S + S[perm]) with perm the (j, i) slot of each (i, j)
-    slot, which removes assembly-order roundoff, and the shift A - _SHIFT M
-    is formed there too.  An entry that comes out exactly 0 is dropped, as
-    a sparse sum drops it, so a matrix with one gets its own pattern.
+    slot, which removes assembly-order roundoff, and A + shift M is formed
+    there too.  An entry that comes out exactly 0 is dropped, as a sparse
+    sum drops it, so a matrix with one gets its own pattern.
     """
     me, ke, dofs, ndof, c0 = _p2_matrices(mesh)
+    shift = math.ldexp(1.0, -2 * math.ceil(math.log2(mesh.domain.equal_area_radius())))
     both = np.empty(me.shape, dtype=complex)
     both.real, both.imag = me, ke
     del me, ke  # each del in assemble lowers its peak memory
@@ -282,12 +283,12 @@ def assemble(mesh: Mesh) -> OperatorPair:
             mat.eliminate_zeros()
         return mat
 
-    # the shift's pattern and values are exactly symmetric, so its CSR
+    # the shifted pattern and values are exactly symmetric, so its CSR
     # arrays are its CSC arrays
     return OperatorPair(M=on_pattern(m_data, sp.csr_matrix),
                         A=on_pattern(a_data, sp.csr_matrix),
-                        shifted=on_pattern(a_data - _SHIFT * m_data, sp.csc_matrix),
-                        dimension=ndof, c0=c0)
+                        shifted=on_pattern(a_data + shift * m_data, sp.csc_matrix),
+                        shift=shift, dimension=ndof, c0=c0)
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +331,9 @@ _INDEX_SLACK = 1e-3
 def _lanczos_vectors(op: OperatorPair, lu, n_modes: int, where: str):
     """The n_modes lowest nonconstant pencil vectors, unnormalized.
 
-    One shift-invert Lanczos run at sigma = -1 on the LU factor of
-    A - sigma M = A + M, which is positive definite although A is singular,
-    returns the constant mode and the n_modes modes above it.
+    One shift-invert Lanczos run at sigma = -op.shift on the LU factor of
+    A - sigma M = A + op.shift M, which is positive definite although A is
+    singular, returns the constant mode and the n_modes modes above it.
     """
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
@@ -341,7 +342,7 @@ def _lanczos_vectors(op: OperatorPair, lu, n_modes: int, where: str):
     v0 = np.random.Generator(np.random.PCG64(_SEED)).standard_normal(n)
     try:
         mus, vecs = eigsh(
-            op.A, k=n_modes + 1, M=op.M, sigma=_SHIFT, v0=v0,
+            op.A, k=n_modes + 1, M=op.M, sigma=-op.shift, v0=v0,
             OPinv=LinearOperator((n, n), matvec=lu.solve, dtype=float),
         )
     except ArpackNoConvergence as exc:
@@ -398,10 +399,11 @@ def _two_grid_vectors(op: OperatorPair, coarse_lu, transfer, start, where: str):
     """Pencil vectors by LOBPCG from the block transfer @ start.
 
     The constants are LOBPCG's constraint.  The preconditioner is one
-    symmetric two-grid cycle on A + M: _JACOBI_SWEEPS damped-Jacobi sweeps,
-    the coarse correction transfer (coarse A + M)^-1 transfer^T through the
-    parent's LU factor, and as many sweeps again.  lobpcg's warning when
-    it stops short is silenced: the residual gate judges its vectors.
+    symmetric two-grid cycle on A + s M, s = op.shift: _JACOBI_SWEEPS
+    damped-Jacobi sweeps, the coarse correction transfer (coarse A + s M)^-1
+    transfer^T through the parent's LU factor, and as many sweeps again.  It
+    stops at _LOBPCG_TOL sqrt(s), as its 2-norm residuals scale like sqrt(s).
+    lobpcg's warning when it stops short is silenced: the gate judges.
     """
     from scipy.sparse.linalg import lobpcg
 
@@ -423,9 +425,9 @@ def _two_grid_vectors(op: OperatorPair, coarse_lu, transfer, start, where: str):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         try:
-            _, vecs = lobpcg(op.A, transfer @ start, B=op.M, M=cycle,
-                             Y=np.ones((op.dimension, 1)), tol=_LOBPCG_TOL,
-                             maxiter=_LOBPCG_MAXITER, largest=False)
+            _, vecs = lobpcg(op.A, transfer @ start, B=op.M, M=cycle, Y=np.ones((op.dimension, 1)),
+                             tol=_LOBPCG_TOL * math.sqrt(op.shift), maxiter=_LOBPCG_MAXITER,
+                             largest=False)
         except (ValueError, np.linalg.LinAlgError) as exc:
             raise SolverError(f"two-grid LOBPCG failed: {exc} ({where})") from exc
     return vecs
@@ -449,9 +451,9 @@ def _checked_pairs(op: OperatorPair, vecs, where: str):
     The vectors are made M-orthogonal to the constants and M-normalized,
     and the values are their Rayleigh quotients, ascending.  The residual
     gate asks _residual_bounds of r = A v - mu M v, an upper bound on
-    ||r||_{M^-1} with no solve with M, to be <= RESIDUAL_TOL * max(1, mu);
-    so it refuses whatever the exact norm would refuse.  Returns read-only
-    (mu, vectors, residual bounds).
+    ||r||_{M^-1} with no solve with M, to be <= RESIDUAL_TOL * mu, both
+    scaling like 1/R^2; so it refuses whatever the exact norm would refuse.
+    Returns read-only (mu, vectors, residual bounds).
     """
     n = op.dimension
     m_ones = op.M @ np.ones(n)
@@ -463,7 +465,7 @@ def _checked_pairs(op: OperatorPair, vecs, where: str):
 
     r = op.A @ vecs - (op.M @ vecs) * mus
     resid = _residual_bounds(op, r)
-    if np.any(resid > RESIDUAL_TOL * np.maximum(1.0, mus)):
+    if np.any(resid > RESIDUAL_TOL * mus):
         raise SolverError(
             f"eigensolver residuals {resid} above tolerance ({where}; pencil values {mus})"
         )
@@ -475,7 +477,7 @@ def _checked_pairs(op: OperatorPair, vecs, where: str):
 def _pencil_solve(mesh: Mesh, count: int, coarse=None):
     """The count + 1 smallest nonzero pencil values A v = mu M v of one
     mesh, with vectors and residuals (_checked_pairs), and the LU factor
-    of A + M that found them.
+    of A + shift M (OperatorPair) that found them.
 
     With coarse None the mesh is solved by shift-invert Lanczos on its own
     factor.  Otherwise coarse is (parent, factor, values, vectors): the

@@ -486,7 +486,7 @@ def point_in_polygon(pts: np.ndarray, verts: np.ndarray) -> np.ndarray:
     # points essentially on the boundary count as inside
     outside = np.nonzero(~inside)[0]
     if len(outside):
-        tol = 1e-12 * max(np.abs(verts).max(), 1.0)
+        tol = 1e-12 * np.abs(verts).max()
         inside[outside] |= _near_distance(pts[outside], verts, tol) <= tol
     return inside
 

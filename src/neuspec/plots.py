@@ -32,8 +32,8 @@ def _header() -> list:
     ]
 
 
-def _axes(parts, xlo, xhi, ylo, yhi, xlabel, ylabel, xlog=False, ylog=False):
-    """Draw frame, five ticks per axis, and labels; returns mapping fns."""
+def _axes(parts, xlo, xhi, ylo, yhi, xlabel, ylabel, xlog=False):
+    """Draw frame, five ticks per axis, and labels, y on a log scale; returns mapping fns."""
     x0, x1 = _ML, _W - _MR
     y0, y1 = _H - _MB, _MT
 
@@ -42,7 +42,7 @@ def _axes(parts, xlo, xhi, ylo, yhi, xlabel, ylabel, xlog=False, ylog=False):
         return x0 + t * (x1 - x0)
 
     def ty(v):
-        t = (math.log10(v) - math.log10(ylo)) / (math.log10(yhi) - math.log10(ylo)) if ylog else (v - ylo) / (yhi - ylo)
+        t = (math.log10(v) - math.log10(ylo)) / (math.log10(yhi) - math.log10(ylo))
         return y0 + t * (y1 - y0)
 
     parts.append(
@@ -52,7 +52,7 @@ def _axes(parts, xlo, xhi, ylo, yhi, xlabel, ylabel, xlog=False, ylog=False):
     for k in range(5):
         f = k / 4.0
         xv = 10 ** (math.log10(xlo) + f * (math.log10(xhi) - math.log10(xlo))) if xlog else xlo + f * (xhi - xlo)
-        yv = 10 ** (math.log10(ylo) + f * (math.log10(yhi) - math.log10(ylo))) if ylog else ylo + f * (yhi - ylo)
+        yv = 10 ** (math.log10(ylo) + f * (math.log10(yhi) - math.log10(ylo)))
         px = _fmt(tx(xv))
         py = _fmt(ty(yv))
         parts.append(f'<line x1="{px}" y1="{y0}" x2="{px}" y2="{y0 + 5}" stroke="black"/>')
@@ -85,7 +85,7 @@ def sigma_curve_svg(omegas, sigmas) -> str:
     yhi = 1.0
     tx, ty = _axes(
         parts, float(omegas.min()), float(omegas.max()), ylo, yhi,
-        "omega", "sigma(omega)", ylog=True,
+        "omega", "sigma(omega)",
     )
     coords = " ".join(f"{_fmt(tx(w))},{_fmt(ty(s))}" for w, s in zip(omegas, sigmas))
     parts.append(
@@ -115,7 +115,7 @@ def convergence_svg(h_list, values, extrapolated=None, observed_order=None) -> s
     tx, ty = _axes(
         parts, float(hk.min()) * 0.8, float(hk.max()) * 1.25,
         float(ek.min()) * 0.5, float(ek.max()) * 2.0,
-        "h", "|value - limit|", xlog=True, ylog=True,
+        "h", "|value - limit|", xlog=True,
     )
     for hi, ei in zip(hk, ek):
         parts.append(

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import os
+import re
 import sys
 
 # one BLAS and OpenMP thread, as the benchmark runs: more threads make the
@@ -21,7 +22,7 @@ import pytest  # noqa: E402
 
 from neuspec import fem  # noqa: E402
 from neuspec.corpus import CORPUS, corpus_domain  # noqa: E402
-from neuspec.geometry import Polygon  # noqa: E402
+from neuspec.geometry import Polygon, parse_domain  # noqa: E402
 from neuspec.meshing import triangle_jacobians  # noqa: E402
 from neuspec.quadrature import cached_mesh, triangle_rule  # noqa: E402
 
@@ -49,6 +50,14 @@ def moved_polygon(poly, shift=(0.0, 0.0), angle=0.0, about=(0.0, 0.0)):
         px, py = x + shift[0] - about[0], y + shift[1] - about[1]
         out.append((about[0] + c * px - s * py, about[1] + s * px + c * py))
     return Polygon(tuple(out))
+
+
+def dilated(name, k):
+    """The corpus domain `name` dilated by 2^k about the origin: every number
+    of its spec times 2^k, which is exact in binary."""
+    kind, _, body = CORPUS[name].partition(":")
+    return parse_domain(f"{kind}:" + re.sub(r"[^,;]+", lambda t: repr(math.ldexp(float(t[0]), k)),
+                                            body))
 
 
 def splitting_quotients(mesh, vectors, q):

@@ -237,6 +237,21 @@ class TestVerifyCommand:
         svg = tmp_path / "mode.svg"
         assert cli.main(["plot", str(mode), "eigenfunction", "--out", str(svg)]) == 0
 
+    @pytest.mark.parametrize("radius, h_list", [(1e6, "1.6e5,0.8e5,0.4e5"),
+                                                (1e-6, "1.6e-7,0.8e-7,0.4e-7")])
+    def test_scaled_disk_repeats_the_unit_study(self, radius, h_list, tmp_path):
+        # with an absolute shift and gate the 1e6 disk lost a mode and passed
+        # at order 0.70, and the 1e-6 disk failed the gate at residual 9.7e14
+        reports = tmp_path / "unit.json", tmp_path / "scaled.json"
+        for domain, sizes, report in (("disk", "0.16,0.08,0.04", reports[0]),
+                                      (f"disk:0,0,{radius!r}", h_list, reports[1])):
+            assert cli.main(["verify", "--domain", domain, "--h-list", sizes, "--no-mps",
+                             "--out", str(report)]) == 0
+        want, got = (json.loads(report.read_text())["convergence"] for report in reports)
+        assert got["observed_order"] == pytest.approx(want["observed_order"], abs=1e-6)
+        # the values are mu^2, so mu R^2 within 1e-12 is mu^2 R^4 within 2e-12
+        assert [v * radius**4 for v in got["values"]] == pytest.approx(want["values"], rel=2e-12)
+
     def test_fem_value_above_bound_fails(self, monkeypatch, tmp_path, capsys):
         def above_bound(d, h_list):
             b = mu1_ball(Ball(2, 1.0))
@@ -557,6 +572,25 @@ class TestPlotCommand:
         proc = run_cli(["plot", str(bad), "sigma", "--out", str(tmp_path / "x.svg")])
         assert proc.returncode == 1
         assert "line 3" in proc.stderr
+
+    @pytest.mark.parametrize("rows, message", [
+        ("nan,0.5\n2.0,0.25\n", "line 2: bad sigma-curve row"),
+        ("1.0,0.5\n2.0,inf\n", "line 3: bad sigma-curve row"),
+        ("1.0,0.5\ninf,0.25\n", "line 3: bad sigma-curve row"),
+        ("1.0,nan\n2.0,0.25\n", "line 2: bad sigma-curve row"),
+        ("1.0,0.5\n", "sigma curve has nothing to draw"),
+        ("", "sigma curve has nothing to draw"),
+    ], ids=["nan-omega", "inf-sigma", "inf-omega", "nan-sigma", "one-row", "no-rows"])
+    def test_sigma_curve_with_nothing_finite_to_draw_fails(self, rows, message, tmp_path,
+                                                           capsys, recwarn):
+        # a CSV is input from outside the program: unchecked, these drew nan
+        # or inf coordinates, warned, or failed with numpy's own message
+        csv, svg = tmp_path / "bad.csv", tmp_path / "bad.svg"
+        csv.write_text("omega,sigma\n" + rows)
+        assert cli.main(["plot", str(csv), "sigma", "--out", str(svg)]) == 1
+        assert capsys.readouterr().err.startswith(f"plot failed: {message}")
+        assert not svg.exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_convergence_plot(self, tmp_path):
         data = {
